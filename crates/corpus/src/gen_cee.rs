@@ -13,13 +13,7 @@ use crate::personality::Personality;
 
 /// Stable seed from a benchmark name.
 pub(crate) fn name_seed(name: &str) -> u64 {
-    // FNV-1a
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    esp_obs::fnv1a(name.as_bytes())
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,13 +1,14 @@
 //! Telemetry is observation-only: enabling `esp-obs` span tracing must not
 //! change a single byte of the evaluation output. This runs a miniature
-//! Table 4 (two C programs, two leave-one-out folds, tiny learner) with
-//! tracing off and again with tracing on, and compares the rendered tables
+//! Table 4 (two C programs, two leave-one-out folds, tiny learner) and a
+//! parallel multi-restart `Mlp::train` with tracing off and again with
+//! tracing on, and compares the rendered tables and the trained weights
 //! bit for bit.
 
-use esp_core::{EspConfig, Learner};
+use esp_core::{build_training_set, EspConfig, Learner, TrainingProgram};
 use esp_eval::{table4, SuiteData, Table4Config};
 use esp_lang::CompilerConfig;
-use esp_nnet::MlpConfig;
+use esp_nnet::{Mlp, MlpConfig};
 
 fn mini_cfg() -> Table4Config {
     Table4Config {
@@ -27,6 +28,31 @@ fn mini_cfg() -> Table4Config {
     }
 }
 
+/// The bits of a network trained on the suite, with restarts and gradient
+/// chunks spread over the runtime pool.
+fn trained_weight_bits(suite: &SuiteData) -> Vec<u64> {
+    let programs: Vec<TrainingProgram<'_>> = suite
+        .benches
+        .iter()
+        .map(|b| TrainingProgram {
+            prog: &b.prog,
+            analysis: &b.analysis,
+            profile: &b.profile,
+        })
+        .collect();
+    let (_, data) = build_training_set(&programs, &EspConfig::default());
+    let cfg = MlpConfig {
+        hidden: 4,
+        max_epochs: 20,
+        patience: 20,
+        restarts: 2,
+        threads: 2,
+        ..MlpConfig::default()
+    };
+    let (mlp, _) = Mlp::train(&data, &cfg);
+    mlp.flat_weights().iter().map(|w| w.to_bits()).collect()
+}
+
 #[test]
 fn table4_is_byte_identical_with_tracing_on_and_off() {
     let suite = SuiteData::build_subset(&["sort", "grep"], &CompilerConfig::default());
@@ -34,9 +60,11 @@ fn table4_is_byte_identical_with_tracing_on_and_off() {
 
     assert!(!esp_obs::trace::enabled(), "tracing must start disabled");
     let untraced = table4(&suite, &cfg);
+    let untraced_weights = trained_weight_bits(&suite);
 
     esp_obs::trace::enable();
     let traced = table4(&suite, &cfg);
+    let traced_weights = trained_weight_bits(&suite);
     esp_obs::trace::disable();
     let events = esp_obs::trace::drain();
 
@@ -44,6 +72,10 @@ fn table4_is_byte_identical_with_tracing_on_and_off() {
         untraced.as_bytes(),
         traced.as_bytes(),
         "tracing changed the rendered table"
+    );
+    assert_eq!(
+        untraced_weights, traced_weights,
+        "tracing changed the trained weights"
     );
     assert!(
         !events.is_empty(),

@@ -54,18 +54,3 @@ pub use machine::{run, run_with_sink, ExecLimits, Outcome};
 pub use profile::{BranchCounts, Profile};
 pub use sink::{BranchSink, NullSink};
 pub use value::Value;
-
-use esp_ir::Program;
-
-/// Profile many programs concurrently: one interpreter run per program on
-/// `threads` workers (`0` = one per core). This is the ATOM-style corpus
-/// profiling step of the pipeline; each run is completely independent and
-/// the interpreter is deterministic, so results are position-stable and
-/// identical to serial execution.
-pub fn run_many(
-    progs: &[&Program],
-    limits: &ExecLimits,
-    threads: usize,
-) -> Vec<Result<Outcome, ExecError>> {
-    esp_runtime::parallel_map(threads, progs, |prog| run(prog, limits))
-}

@@ -46,20 +46,12 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::fnv1a;
+
 /// Number of confidence buckets in the calibration histogram.
 pub const CALIBRATION_BUCKETS: usize = 10;
 
 const SHARDS: usize = 16;
-
-/// FNV-1a 64-bit hash; also the site's stable display id (16 hex digits).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Per-site ledger entry: what was served and what was observed.
 #[derive(Debug, Clone, Default)]

@@ -2,7 +2,7 @@
 //!
 //! Every layer of the reproduction (corpus profiling, the runtime pool,
 //! network training, the evaluation folds, the prediction server) reports
-//! into this crate instead of carrying its own ad-hoc counters. Three
+//! into this crate instead of carrying its own ad-hoc counters. Two
 //! pieces, all std-only like the rest of the workspace:
 //!
 //! * [`trace`] — a lightweight span/event tracing API. [`span!`] returns a
@@ -15,8 +15,6 @@
 //! * [`metrics`] — a registry of named atomic [`Counter`]s, [`Gauge`]s and
 //!   [`Log2Histogram`]s (the log-bucketed latency histogram generalized out
 //!   of `esp-serve`) with a Prometheus-style text exposition encoder.
-//! * [`quantile`] — exact and histogram-based quantile estimators shared by
-//!   the load generator and the `STATS` snapshot.
 //!
 //! Two production-telemetry pieces ride on top:
 //!
@@ -29,6 +27,10 @@
 //! * [`window`] — a [`SlidingWindow`] ring of fixed-width time buckets
 //!   behind a [`Clock`] trait (with a manual [`TestClock`]), so windowed
 //!   rps/p99/mispredict-rate are unit-testable deterministically.
+//!
+//! [`Fnv1a`] is the workspace's one stable byte hash: corpus name seeds,
+//! the ledger's shard routing and site ids, and the server's shard routing
+//! all go through it.
 //!
 //! # The zero-cost-when-disabled contract
 //!
@@ -54,14 +56,12 @@
 
 pub mod ledger;
 pub mod metrics;
-pub mod quantile;
 pub mod ring;
 pub mod trace;
 pub mod window;
 
 pub use ledger::{Ledger, LedgerSummary, OutcomeRecord, SiteReport};
 pub use metrics::{Counter, Gauge, Log2Histogram, MetricsRegistry};
-pub use quantile::exact_quantile;
 pub use trace::{ArgValue, Recorder, SpanGuard, TraceEvent};
 pub use window::{Clock, SlidingWindow, SystemClock, TestClock, WindowSnapshot};
 
@@ -74,6 +74,43 @@ static GLOBAL_METRICS: OnceLock<MetricsRegistry> = OnceLock::new();
 /// servers in one process do not share counters.
 pub fn global_metrics() -> &'static MetricsRegistry {
     GLOBAL_METRICS.get_or_init(MetricsRegistry::new)
+}
+
+/// FNV-1a, 64-bit. Its output seeds the corpus generator and routes
+/// served rows, so it is pinned by the Table 4 bytes and the serve routing
+/// tests: never change it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    #[inline]
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Fold `bytes` into the hash.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte written so far.
+    #[inline]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a of one byte string.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Open a span: `span!("cat", "name")` or
@@ -121,5 +158,16 @@ mod tests {
         let a = global_metrics() as *const MetricsRegistry;
         let b = global_metrics() as *const MetricsRegistry;
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        let mut h = Fnv1a::default();
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a(b"foobar"));
     }
 }

@@ -12,11 +12,9 @@
 //! `f32` is asked for; asking an f32 artifact for `f64` is an error.
 //! `--addr` defaults to `127.0.0.1:7871`; port `0` picks an ephemeral port
 //! (the bound address is printed either way). `--shards 0` (default) runs
-//! one shard worker per core, each owning its slice of the LRU cache
-//! (`--threads` is accepted as an alias); `--cache` is the total LRU
-//! capacity in entries, split across shards (`0` disables);
-//! `--predict-chunk` is the rows-per-batch chunk a shard computes misses
-//! in (default 32). The process runs until a client sends `SHUTDOWN` (see
+//! one shard worker per core, each owning its slice of the LRU cache;
+//! `--cache` is the total LRU capacity in entries, split across shards
+//! (`0` disables). The process runs until a client sends `SHUTDOWN` (see
 //! `esp-client`).
 //!
 //! The registry form serves every listed name at once (clients pick with
@@ -36,7 +34,7 @@
 //! `PROFILE` opcode (it is on by default).
 
 use esp_artifact::{AnyArtifact, ModelArtifact, Registry};
-use esp_serve::{serve_any, serve_registry, Precision, ServeConfig};
+use esp_serve::{serve, ModelSource, Precision, ServeConfig};
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
@@ -109,7 +107,7 @@ fn main() {
         eprintln!(
             "usage: esp-serve (--model PATH | --registry DIR --name M[@V][,M2[@V2]…] [--model-version V] | --synthetic DIM,HIDDEN,SEED)\n\
              \x20                [--addr HOST:PORT] [--shards N] [--cache N]\n\
-             \x20                [--reload-watch MS] [--precision f32|f64] [--predict-chunk N]\n\
+             \x20                [--reload-watch MS] [--precision f32|f64]\n\
              \x20                [--http-addr HOST:PORT] [--no-ledger]\n\
              \x20                [--trace-out FILE] [--metrics-out FILE]"
         );
@@ -128,17 +126,19 @@ fn main() {
         })
     });
     let cfg = ServeConfig {
-        shards: flag_value(&args, "--shards")
-            .or_else(|| flag_value(&args, "--threads"))
-            .map_or(0, |v| parse(v, "--shards")),
+        shards: flag_value(&args, "--shards").map_or(0, |v| parse(v, "--shards")),
         cache_capacity: flag_value(&args, "--cache").map_or(4096, |v| parse(v, "--cache")),
-        predict_chunk: flag_value(&args, "--predict-chunk")
-            .map_or(32, |v| parse(v, "--predict-chunk")),
         precision,
         http_addr: flag_value(&args, "--http-addr").map(String::from),
         ledger: !args.iter().any(|a| a == "--no-ledger"),
-        reload_watch_ms: flag_value(&args, "--reload-watch")
-            .map(|v| parse(v, "--reload-watch")),
+    };
+    let reload_watch_ms: Option<u64> =
+        flag_value(&args, "--reload-watch").map(|v| parse(v, "--reload-watch"));
+    let start = |source: ModelSource| {
+        serve(source, addr, &cfg).unwrap_or_else(|e| {
+            eprintln!("cannot serve on {addr}: {e}");
+            std::process::exit(1);
+        })
     };
 
     let mut handle = if let Some(dir) = flag_value(&args, "--registry") {
@@ -147,13 +147,11 @@ fn main() {
         }
         let models = parse_models(&args);
         let registry = Registry::open(dir);
-        let h = match serve_registry(&registry, &models, addr, &cfg) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("cannot serve on {addr}: {e}");
-                std::process::exit(1);
-            }
-        };
+        let h = start(ModelSource::Registry {
+            registry: &registry,
+            models: &models,
+            reload_watch_ms,
+        });
         let served: Vec<String> = models
             .iter()
             .map(|(name, pin)| match pin {
@@ -175,24 +173,18 @@ fn main() {
             models[0].0,
             h.addr(),
         );
-        if let Some(ms) = cfg.reload_watch_ms {
+        if let Some(ms) = reload_watch_ms {
             eprintln!(
                 "hot reload: polling {dir} every {ms} ms for newer versions of unpinned names"
             );
         }
         h
     } else {
-        if cfg.reload_watch_ms.is_some() {
+        if reload_watch_ms.is_some() {
             eprintln!("note: --reload-watch only applies with --registry; ignoring");
         }
         let artifact = load_artifact(&args);
-        let h = match serve_any(&artifact, addr, &cfg) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("cannot serve on {addr}: {e}");
-                std::process::exit(1);
-            }
-        };
+        let h = start(ModelSource::Artifact(&artifact));
         let served_bits = match (artifact.precision_bits(), precision) {
             (_, Some(Precision::F32)) | (32, None) => 32,
             _ => 64,

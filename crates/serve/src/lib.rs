@@ -26,9 +26,6 @@
 //!   Prometheus-style text exposition.
 //! - [`client`] — the blocking client library used by the `esp-client`
 //!   binary and the integration tests.
-//! - [`loadgen`] — a deterministic load generator (closed-loop over many
-//!   connections, plus an open-loop arrival-rate sweep) that writes
-//!   `BENCH_serve.json`.
 //! - [`http`] — a std-only HTTP/1.1 telemetry sidecar (`--http-addr`)
 //!   serving `GET /metrics`, `/healthz` and `/sitez?top=K`, sharing the
 //!   exact exposition bytes the `STATS` opcode carries.
@@ -43,8 +40,12 @@
 //! rows plus masks (what `esp_core::encode` produces), and the server
 //! applies the same normalize-and-forward path as
 //! `EspModel::predict_prob`, so a served probability equals the in-process
-//! one bit for bit — at any shard count, chunk size, or connection count.
+//! one bit for bit — at any shard count, batch size, or connection count.
 //! The integration tests assert exactly that.
+//!
+//! Performance is measured from outside the process by the repository
+//! benchmark (`bash perfbench/run.sh --workload serve-hot|serve-feedback`),
+//! which drives the `esp-serve` binary with its own open-loop generator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +53,6 @@
 pub mod cache;
 pub mod client;
 pub mod http;
-pub mod loadgen;
 pub mod metrics;
 mod models;
 pub mod protocol;
@@ -61,10 +61,9 @@ mod shard;
 
 pub use cache::cache_key as site_key;
 pub use client::Client;
-pub use loadgen::{key_pool, LoadGenConfig, LoadGenReport};
 pub use metrics::Metrics;
 pub use protocol::{
     FrameReader, PredictRow, Prediction, ProfileAck, ProfileRecord, Request, Response,
     ServeError, ServerInfo, StatsSnapshot, PROTOCOL_VERSION,
 };
-pub use server::{serve, serve_any, serve_registry, Precision, ServeConfig, ServerHandle};
+pub use server::{serve, ModelSource, Precision, ServeConfig, ServerHandle};

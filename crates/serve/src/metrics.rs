@@ -206,6 +206,17 @@ impl Metrics {
     }
 }
 
+/// Pull a single unlabeled sample out of a Prometheus text exposition:
+/// the value on the `NAME VALUE` line for exactly `family` (a longer
+/// family name sharing the prefix does not match).
+pub fn gauge_value(exposition: &str, family: &str) -> Option<f64> {
+    exposition.lines().find_map(|line| {
+        line.strip_prefix(family)
+            .and_then(|rest| rest.strip_prefix(' '))
+            .and_then(|v| v.trim().parse().ok())
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,5 +284,24 @@ mod tests {
         let s = m.snapshot();
         assert!(s.exposition.contains("esp_serve_cache_hit_ratio 0.75"));
         assert!(s.exposition.contains("esp_serve_batch_size_count 1"));
+    }
+
+    #[test]
+    fn gauge_value_matches_exact_family_names() {
+        let text = "# TYPE esp_ledger_observed_weight gauge\n\
+                    esp_ledger_observed_weight 12.5\n\
+                    esp_ledger_observed_miss_rate 0.125\n\
+                    esp_ledger_calibration_ece NaN\n";
+        assert_eq!(gauge_value(text, "esp_ledger_observed_weight"), Some(12.5));
+        assert_eq!(
+            gauge_value(text, "esp_ledger_observed_miss_rate"),
+            Some(0.125)
+        );
+        // A prefix of a longer family must not match the longer line.
+        assert_eq!(gauge_value(text, "esp_ledger_observed"), None);
+        assert_eq!(gauge_value(text, "esp_ledger_missing"), None);
+        // Prometheus renders NaN literally; it parses as NaN here.
+        assert!(gauge_value(text, "esp_ledger_calibration_ece")
+            .is_some_and(f64::is_nan));
     }
 }

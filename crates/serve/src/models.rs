@@ -47,7 +47,7 @@ impl std::fmt::Debug for ModelEntry {
 /// precision matrix as the original single-model server: an f64 artifact
 /// serves natively or quantizes down to f32; an f32 artifact cannot be
 /// promoted back to f64.
-pub(crate) fn model_at_precision(
+fn model_at_precision(
     artifact: &AnyArtifact,
     precision: Option<Precision>,
 ) -> std::io::Result<EspModel> {

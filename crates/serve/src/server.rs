@@ -32,12 +32,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use esp_artifact::{AnyArtifact, ModelArtifact, Registry, FORMAT_VERSION};
+use esp_artifact::{AnyArtifact, Registry};
 use esp_obs::window::{Clock, SlidingWindow, SystemClock};
 use esp_obs::{Ledger, OutcomeRecord};
 
 use crate::metrics::Metrics;
-use crate::models::{entry_from_any, model_at_precision, ModelEntry, ModelTable};
+use crate::models::{entry_from_any, ModelTable};
 use crate::protocol::{
     FrameReader, Prediction, ProfileAck, ProfileRecord, Request, Response, ServeError, ServerInfo,
 };
@@ -72,10 +72,6 @@ pub struct ServeConfig {
     /// Aggregate LRU cache capacity in entries, split evenly across the
     /// shards; `0` disables caching.
     pub cache_capacity: usize,
-    /// Rows per batched-kernel call inside a shard (`--predict-chunk`);
-    /// clamped to at least 1. A memory knob: results are bitwise identical
-    /// at any chunk size.
-    pub predict_chunk: usize,
     /// Serving precision; `None` = the artifact's native precision. An f64
     /// artifact can be quantized down to f32 at load; an f32 artifact
     /// cannot be served at f64 (the information is gone).
@@ -86,11 +82,6 @@ pub struct ServeConfig {
     /// Record served predictions and PROFILE outcomes in the per-site
     /// accuracy ledger. Off, the ledger costs one atomic load per row.
     pub ledger: bool,
-    /// Poll the artifact registry every this many milliseconds for newer
-    /// versions of the served (unpinned) models and hot-reload them;
-    /// `None` disables the watcher. Only meaningful for
-    /// [`serve_registry`] servers.
-    pub reload_watch_ms: Option<u64>,
 }
 
 impl Default for ServeConfig {
@@ -98,13 +89,33 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 0,
             cache_capacity: 4096,
-            predict_chunk: 32,
             precision: None,
             http_addr: None,
             ledger: true,
-            reload_watch_ms: None,
         }
     }
+}
+
+/// Where a server's models come from.
+#[derive(Debug)]
+pub enum ModelSource<'a> {
+    /// One anonymous model (a bare `.espm` file or a synthetic artifact).
+    Artifact(&'a AnyArtifact),
+    /// Named registry models behind one port. Each `(name, version)` pair
+    /// loads that exact version, or the newest when `None`; the first name
+    /// becomes the default model (what an empty selector resolves to).
+    Registry {
+        /// The registry to load from.
+        registry: &'a Registry,
+        /// `(name, pinned version)` for every served model.
+        models: &'a [(String, Option<u32>)],
+        /// Poll the registry every this many milliseconds and hot-reload
+        /// newer versions of every *unpinned* name: the table entry is
+        /// atomically swapped, in-flight requests finish on the old model,
+        /// and `esp_serve_reloads_total` / `esp_serve_model_version` record
+        /// the flip. `None` disables the watcher.
+        reload_watch_ms: Option<u64>,
+    },
 }
 
 /// Sliding telemetry windows: 60 buckets of 1 s, so `/healthz` reports
@@ -131,8 +142,6 @@ pub(crate) struct Shared {
     /// Selector → model routing table (hot reload swaps entries here).
     pub(crate) models: ModelTable,
     pub(crate) metrics: Metrics,
-    /// Rows per batched-kernel call inside a shard.
-    pub(crate) predict_chunk: usize,
     pub(crate) stop: AtomicBool,
     /// Per-site accuracy ledger (PROFILE outcomes joined to served
     /// predictions).
@@ -200,98 +209,6 @@ pub struct ServerHandle {
     watcher: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Start serving `artifact` on `addr` (use port `0` for an ephemeral port;
-/// the bound address is available via [`ServerHandle::addr`]). With
-/// `cfg.precision = Some(Precision::F32)` the f64 artifact is quantized at
-/// load and served through the f32 kernel.
-pub fn serve(
-    artifact: &ModelArtifact,
-    addr: &str,
-    cfg: &ServeConfig,
-) -> std::io::Result<ServerHandle> {
-    let model = match cfg.precision {
-        Some(Precision::F32) => artifact.quantize().to_model(),
-        _ => artifact.to_model(),
-    };
-    let info = ServerInfo {
-        dim: artifact.dim() as u32,
-        hidden: artifact.mlp.num_hidden() as u32,
-        format_version: FORMAT_VERSION,
-        corpus_id: artifact.meta.corpus_id.clone(),
-        model_name: String::new(),
-        model_version: 0,
-    };
-    let table = ModelTable::new("");
-    let id = table.next_id();
-    table.install("", Arc::new(ModelEntry { id, model, info }));
-    serve_table(table, addr, cfg, None)
-}
-
-/// [`serve`] for either artifact kind. The precision matrix: an f64
-/// artifact serves at its native f64 or quantizes down to f32 on request;
-/// an f32 artifact serves at f32 (requesting f64 from it is an
-/// `InvalidInput` error — the precision was discarded at quantization).
-pub fn serve_any(
-    artifact: &AnyArtifact,
-    addr: &str,
-    cfg: &ServeConfig,
-) -> std::io::Result<ServerHandle> {
-    let model = model_at_precision(artifact, cfg.precision)?;
-    let info = ServerInfo {
-        dim: artifact.dim() as u32,
-        hidden: artifact.hidden() as u32,
-        format_version: FORMAT_VERSION,
-        corpus_id: artifact.meta().corpus_id.clone(),
-        model_name: String::new(),
-        model_version: 0,
-    };
-    let table = ModelTable::new("");
-    let id = table.next_id();
-    table.install("", Arc::new(ModelEntry { id, model, info }));
-    serve_table(table, addr, cfg, None)
-}
-
-/// Serve one or more registry models behind a single port. Each `(name,
-/// version)` pair loads that exact version, or the newest when `None`; the
-/// first name becomes the default model (what an empty selector resolves
-/// to). With `cfg.reload_watch_ms` set, a watcher thread polls the
-/// registry and hot-reloads newer versions of every *unpinned* name: the
-/// table entry is atomically swapped, in-flight requests finish on the old
-/// model, and `esp_serve_reloads_total` / `esp_serve_model_version` record
-/// the flip.
-pub fn serve_registry(
-    registry: &Registry,
-    models: &[(String, Option<u32>)],
-    addr: &str,
-    cfg: &ServeConfig,
-) -> std::io::Result<ServerHandle> {
-    if models.is_empty() {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidInput,
-            "serve_registry needs at least one model name",
-        ));
-    }
-    let table = ModelTable::new(&models[0].0);
-    for (name, pin) in models {
-        let (version, artifact) = registry
-            .load_any(name, *pin)
-            .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-        let entry = entry_from_any(&table, &artifact, name, version, cfg.precision)?;
-        table.install(name, Arc::new(entry));
-    }
-    let watch = cfg.reload_watch_ms.map(|ms| WatchCfg {
-        registry: registry.clone(),
-        names: models
-            .iter()
-            .filter(|(_, pin)| pin.is_none())
-            .map(|(n, _)| n.clone())
-            .collect(),
-        interval: Duration::from_millis(ms.max(1)),
-        precision: cfg.precision,
-    });
-    serve_table(table, addr, cfg, watch)
-}
-
 /// What the reload watcher polls.
 struct WatchCfg {
     registry: Registry,
@@ -301,12 +218,58 @@ struct WatchCfg {
     precision: Option<Precision>,
 }
 
-fn serve_table(
-    table: ModelTable,
+/// Start serving `models` on `addr` (use port `0` for an ephemeral port;
+/// the bound address is available via [`ServerHandle::addr`]).
+///
+/// The precision matrix: an f64 artifact serves at its native f64 or
+/// quantizes down to f32 on request; an f32 artifact serves at f32
+/// (requesting f64 from it is an `InvalidInput` error — the precision was
+/// discarded at quantization).
+pub fn serve(
+    models: ModelSource<'_>,
     addr: &str,
     cfg: &ServeConfig,
-    watch: Option<WatchCfg>,
 ) -> std::io::Result<ServerHandle> {
+    let (table, watch) = match models {
+        ModelSource::Artifact(artifact) => {
+            let table = ModelTable::new("");
+            let entry = entry_from_any(&table, artifact, "", 0, cfg.precision)?;
+            table.install("", Arc::new(entry));
+            (table, None)
+        }
+        ModelSource::Registry {
+            registry,
+            models,
+            reload_watch_ms,
+        } => {
+            let Some((default, _)) = models.first() else {
+                return Err(std::io::Error::new(
+                    ErrorKind::InvalidInput,
+                    "a registry server needs at least one model name",
+                ));
+            };
+            let table = ModelTable::new(default);
+            for (name, pin) in models {
+                let (version, artifact) = registry
+                    .load_any(name, *pin)
+                    .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
+                let entry = entry_from_any(&table, &artifact, name, version, cfg.precision)?;
+                table.install(name, Arc::new(entry));
+            }
+            let watch = reload_watch_ms.map(|ms| WatchCfg {
+                registry: registry.clone(),
+                names: models
+                    .iter()
+                    .filter(|(_, pin)| pin.is_none())
+                    .map(|(n, _)| n.clone())
+                    .collect(),
+                interval: Duration::from_millis(ms.max(1)),
+                precision: cfg.precision,
+            });
+            (table, watch)
+        }
+    };
+
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -321,7 +284,6 @@ fn serve_table(
     let shared = Arc::new(Shared {
         models: table,
         metrics,
-        predict_chunk: cfg.predict_chunk.max(1),
         stop: AtomicBool::new(false),
         ledger: Ledger::new(cfg.ledger),
         clock: SystemClock::new(),

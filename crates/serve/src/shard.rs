@@ -28,17 +28,18 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
+use esp_obs::Fnv1a;
+
 use crate::cache::LruCache;
 use crate::models::ModelEntry;
 use crate::protocol::PredictRow;
 use crate::server::Shared;
 
-/// FNV-1a parameters, identical to the ledger's shard router.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Bytes of model-id prefix on every shard cache key.
 pub(crate) const SHARD_KEY_PREFIX: usize = 8;
+
+/// Rows per batched-kernel call when a shard computes its cache misses.
+const PREDICT_CHUNK: usize = 32;
 
 /// FNV-1a over the row's cache-key bytes (raw IEEE-754 bits then mask
 /// bytes), streamed without materializing the key. Hashing exactly the
@@ -46,16 +47,14 @@ pub(crate) const SHARD_KEY_PREFIX: usize = 8;
 /// hash equally, so a feature vector always reaches the shard that may
 /// hold its cached probability.
 pub(crate) fn route_hash(row: &[f64], mask: &[bool]) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv1a::default();
     for &x in row {
-        for b in x.to_bits().to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
+        h.write(&x.to_bits().to_le_bytes());
     }
     for &m in mask {
-        h = (h ^ m as u64).wrapping_mul(FNV_PRIME);
+        h.write(&[m as u8]);
     }
-    h
+    h.finish()
 }
 
 /// Write a shard cache key into a caller-owned buffer: the model entry's
@@ -259,12 +258,11 @@ fn process(
     let hits = (rows.len() - miss.len()) as u64;
 
     // Compute the misses with the batched kernel (shared normalization
-    // buffers, no per-row allocation), `predict_chunk` rows at a time.
-    // Chunking is a memory knob only: per-row results are bitwise
-    // independent, so neither the chunk size nor the shard count can
-    // change a probability.
+    // buffers, no per-row allocation), `PREDICT_CHUNK` rows at a time.
+    // Per-row results are bitwise independent, so neither the chunking
+    // nor the shard count can change a probability.
     let mut computed: Vec<f64> = Vec::with_capacity(miss.len());
-    for chunk in miss.chunks(shared.predict_chunk) {
+    for chunk in miss.chunks(PREDICT_CHUNK) {
         computed.extend(entry.model.predict_prob_encoded_batch(
             chunk.iter().map(|(bi, _)| (&rows[*bi].1.row[..], &rows[*bi].1.mask[..])),
         ));
@@ -314,11 +312,7 @@ mod tests {
         let row = [1.5, -0.25, f64::NAN];
         let mask = [true, false, true];
         let key = cache_key(&row, &mask);
-        let mut h = FNV_OFFSET;
-        for &b in &key {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        assert_eq!(route_hash(&row, &mask), h);
+        assert_eq!(route_hash(&row, &mask), esp_obs::fnv1a(&key));
     }
 
     #[test]

@@ -9,9 +9,9 @@ use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use esp_artifact::ModelArtifact;
+use esp_artifact::{AnyArtifact, ModelArtifact};
 use esp_serve::protocol::{read_frame, PROTOCOL_MAGIC, PROTOCOL_VERSION};
-use esp_serve::{serve, Client, PredictRow, Response, ServeConfig};
+use esp_serve::{serve, Client, ModelSource, PredictRow, Response, ServeConfig};
 
 fn connect_raw(addr: &str) -> TcpStream {
     let s = TcpStream::connect(addr).expect("connect");
@@ -48,12 +48,12 @@ fn assert_alive(addr: &str, dim: usize) {
 #[test]
 fn hostile_frames_cannot_kill_the_event_loop() {
     let dim = 8;
-    let artifact = ModelArtifact::synthetic(dim, 3, 9);
+    let artifact = AnyArtifact::F64(ModelArtifact::synthetic(dim, 3, 9));
     let cfg = ServeConfig {
         shards: 2,
         ..ServeConfig::default()
     };
-    let handle = serve(&artifact, "127.0.0.1:0", &cfg).expect("bind");
+    let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind");
     let addr = handle.addr().to_string();
 
     // 1. Oversized declared length: the reactor refuses to buffer it and

@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use esp_artifact::{ModelArtifact, Registry};
-use esp_serve::loadgen::gauge_value;
-use esp_serve::{serve_registry, Client, PredictRow, ServeConfig};
+use esp_serve::metrics::gauge_value;
+use esp_serve::{serve, Client, ModelSource, PredictRow, ServeConfig};
 
 #[test]
 fn mid_traffic_reload_drops_zero_requests_and_flips_the_gauge() {
@@ -24,16 +24,14 @@ fn mid_traffic_reload_drops_zero_requests_and_flips_the_gauge() {
 
     let cfg = ServeConfig {
         shards: 2,
-        reload_watch_ms: Some(10),
         ..ServeConfig::default()
     };
-    let handle = serve_registry(
-        &reg,
-        &[("panel".to_string(), None)],
-        "127.0.0.1:0",
-        &cfg,
-    )
-    .expect("bind");
+    let source = ModelSource::Registry {
+        registry: &reg,
+        models: &[("panel".to_string(), None)],
+        reload_watch_ms: Some(10),
+    };
+    let handle = serve(source, "127.0.0.1:0", &cfg).expect("bind");
     let addr = handle.addr().to_string();
 
     let rows: Vec<PredictRow> = (0..24)
@@ -134,17 +132,12 @@ fn pinned_models_never_reload() {
     let v1 = ModelArtifact::synthetic(6, 2, 7);
     reg.publish("fixed", &v1).expect("publish v1");
 
-    let cfg = ServeConfig {
+    let source = ModelSource::Registry {
+        registry: &reg,
+        models: &[("fixed".to_string(), Some(1))],
         reload_watch_ms: Some(5),
-        ..ServeConfig::default()
     };
-    let handle = serve_registry(
-        &reg,
-        &[("fixed".to_string(), Some(1))],
-        "127.0.0.1:0",
-        &cfg,
-    )
-    .expect("bind");
+    let handle = serve(source, "127.0.0.1:0", &ServeConfig::default()).expect("bind");
 
     reg.publish("fixed", &ModelArtifact::synthetic(6, 2, 8))
         .expect("publish v2");

@@ -8,7 +8,7 @@ use esp_artifact::{AnyArtifact, ModelArtifact, ModelMeta, Registry};
 use esp_core::{encode, EspConfig, EspModel, Learner, TrainingProgram};
 use esp_eval::SuiteData;
 use esp_nnet::MlpConfig;
-use esp_serve::{serve, serve_any, Client, Precision, PredictRow, ServeConfig};
+use esp_serve::{serve, Client, ModelSource, Precision, PredictRow, ServeConfig};
 
 #[test]
 fn served_predictions_match_in_process_bitwise() {
@@ -56,8 +56,10 @@ fn served_predictions_match_in_process_bitwise() {
     let (_, served_artifact) = reg.load("it-model", None).expect("reload");
 
     // Serve on an ephemeral loopback port.
-    let handle = serve(&served_artifact, "127.0.0.1:0", &ServeConfig::default())
-        .expect("bind ephemeral port");
+    let served_artifact = AnyArtifact::F64(served_artifact);
+    let source = ModelSource::Artifact(&served_artifact);
+    let handle =
+        serve(source, "127.0.0.1:0", &ServeConfig::default()).expect("bind ephemeral port");
     let addr = handle.addr().to_string();
     let mut client = Client::connect(&addr).expect("connect");
 
@@ -125,7 +127,9 @@ fn f32_serving_matches_in_process_quantized_inference_bitwise() {
         precision: Some(Precision::F32),
         ..ServeConfig::default()
     };
-    let handle = serve(&artifact, "127.0.0.1:0", &cfg).expect("bind ephemeral port");
+    let f64_artifact = AnyArtifact::F64(artifact.clone());
+    let handle = serve(ModelSource::Artifact(&f64_artifact), "127.0.0.1:0", &cfg)
+        .expect("bind ephemeral port");
     let mut client = Client::connect(handle.addr().to_string()).expect("connect");
 
     let rows: Vec<PredictRow> = (0..40)
@@ -154,7 +158,8 @@ fn f32_serving_matches_in_process_quantized_inference_bitwise() {
     // A quantized artifact round-trips bytes and serves the same bits.
     let q = AnyArtifact::F32(artifact.quantize());
     let q = AnyArtifact::from_bytes(&q.to_bytes()).expect("f32 artifact round-trips");
-    let handle = serve_any(&q, "127.0.0.1:0", &ServeConfig::default()).expect("serve f32 kind");
+    let handle = serve(ModelSource::Artifact(&q), "127.0.0.1:0", &ServeConfig::default())
+        .expect("serve f32 kind");
     let mut client = Client::connect(handle.addr().to_string()).expect("connect");
     let preds2 = client.predict(rows.clone()).expect("predict");
     for (p, p2) in preds.iter().zip(&preds2) {
@@ -163,8 +168,8 @@ fn f32_serving_matches_in_process_quantized_inference_bitwise() {
     handle.shutdown();
 
     // Asking an f32 artifact for f64 precision is refused at startup.
-    match serve_any(
-        &q,
+    match serve(
+        ModelSource::Artifact(&q),
         "127.0.0.1:0",
         &ServeConfig {
             precision: Some(Precision::F64),
@@ -177,38 +182,47 @@ fn f32_serving_matches_in_process_quantized_inference_bitwise() {
 }
 
 #[test]
-fn predict_chunk_of_one_is_bitwise_identical() {
-    // The fan-out chunk size is a pure performance knob: the degenerate
-    // chunk of 1 row per worker must produce the same bits as the default.
+fn one_row_and_multi_chunk_batches_are_bitwise_identical() {
+    // A shard computes its misses in fixed-size kernel chunks: a 64-row
+    // batch spans two of them, a 1-row batch is a chunk of 1. Both must
+    // produce the same bits as in-process inference.
     let artifact = ModelArtifact::synthetic(10, 3, 77);
+    let model = artifact.to_model();
     let rows: Vec<PredictRow> = (0..64)
         .map(|i| PredictRow {
             row: (0..10).map(|j| ((i + j * 31) as f64).cos()).collect(),
             mask: vec![true; 10],
         })
         .collect();
+    let local: Vec<u64> = rows
+        .iter()
+        .map(|r| model.predict_prob_encoded(&r.row, &r.mask).to_bits())
+        .collect();
 
-    let mut got = Vec::new();
-    for chunk in [1usize, 32] {
-        let cfg = ServeConfig {
-            predict_chunk: chunk,
-            cache_capacity: 0, // force every row through the compute path
-            ..ServeConfig::default()
-        };
-        let handle = serve(&artifact, "127.0.0.1:0", &cfg).expect("bind");
-        let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-        let preds = client.predict(rows.clone()).expect("predict");
-        got.push(preds.iter().map(|p| p.prob.to_bits()).collect::<Vec<_>>());
-        handle.shutdown();
-    }
-    assert_eq!(got[0], got[1], "chunk size changed prediction bits");
+    let cfg = ServeConfig {
+        shards: 1,
+        cache_capacity: 0, // force every row through the compute path
+        ..ServeConfig::default()
+    };
+    let artifact = AnyArtifact::F64(artifact);
+    let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind");
+    let mut client = Client::connect(handle.addr().to_string()).expect("connect");
+    let batched = client.predict(rows.clone()).expect("predict");
+    let batched: Vec<u64> = batched.iter().map(|p| p.prob.to_bits()).collect();
+    let single: Vec<u64> = rows
+        .iter()
+        .map(|r| client.predict(vec![r.clone()]).expect("predict")[0].prob.to_bits())
+        .collect();
+    handle.shutdown();
+    assert_eq!(batched, local, "a multi-chunk batch changed prediction bits");
+    assert_eq!(single, local, "a one-row batch changed prediction bits");
 }
 
 #[test]
 fn dimension_mismatch_is_a_remote_error_not_a_crash() {
-    let artifact = ModelArtifact::synthetic(9, 3, 21);
-    let handle =
-        serve(&artifact, "127.0.0.1:0", &ServeConfig::default()).expect("bind ephemeral port");
+    let artifact = AnyArtifact::F64(ModelArtifact::synthetic(9, 3, 21));
+    let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &ServeConfig::default())
+        .expect("bind ephemeral port");
     let mut client = Client::connect(handle.addr().to_string()).expect("connect");
 
     let bad = PredictRow {

@@ -5,9 +5,9 @@
 
 use std::sync::Arc;
 
-use esp_artifact::ModelArtifact;
-use esp_serve::loadgen::gauge_value;
-use esp_serve::{serve, Client, PredictRow, ServeConfig};
+use esp_artifact::{AnyArtifact, ModelArtifact};
+use esp_serve::metrics::gauge_value;
+use esp_serve::{serve, Client, ModelSource, PredictRow, ServeConfig};
 
 fn rows(dim: usize, n: usize) -> Vec<PredictRow> {
     (0..n)
@@ -20,7 +20,7 @@ fn rows(dim: usize, n: usize) -> Vec<PredictRow> {
 
 #[test]
 fn any_shard_count_serves_identical_bits() {
-    let artifact = ModelArtifact::synthetic(14, 5, 101);
+    let artifact = AnyArtifact::F64(ModelArtifact::synthetic(14, 5, 101));
     let model = artifact.to_model();
     let batch = rows(14, 96);
     let expected: Vec<u64> = batch
@@ -33,7 +33,7 @@ fn any_shard_count_serves_identical_bits() {
             shards,
             ..ServeConfig::default()
         };
-        let handle = serve(&artifact, "127.0.0.1:0", &cfg).expect("bind");
+        let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind");
         let mut client = Client::connect(handle.addr().to_string()).expect("connect");
 
         // Twice: the second pass answers from the per-shard caches, which
@@ -86,13 +86,13 @@ fn any_shard_count_serves_identical_bits() {
 
 #[test]
 fn concurrent_connections_interleave_without_corruption() {
-    let artifact = ModelArtifact::synthetic(10, 4, 55);
+    let artifact = AnyArtifact::F64(ModelArtifact::synthetic(10, 4, 55));
     let model = artifact.to_model();
     let cfg = ServeConfig {
         shards: 3,
         ..ServeConfig::default()
     };
-    let handle = serve(&artifact, "127.0.0.1:0", &cfg).expect("bind");
+    let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind");
     let addr = handle.addr().to_string();
 
     // 6 clients, each hammering its own disjoint row set concurrently;

@@ -7,8 +7,8 @@
 
 #![cfg(target_os = "linux")]
 
-use esp_artifact::ModelArtifact;
-use esp_serve::{serve, Client, PredictRow, ServeConfig};
+use esp_artifact::{AnyArtifact, ModelArtifact};
+use esp_serve::{serve, Client, ModelSource, PredictRow, ServeConfig};
 
 /// Read a numeric field (e.g. `Threads`, `VmRSS`) out of /proc/self/status.
 fn proc_status(field: &str) -> u64 {
@@ -25,12 +25,12 @@ fn proc_status(field: &str) -> u64 {
 
 #[test]
 fn five_hundred_sequential_connections_leak_nothing() {
-    let artifact = ModelArtifact::synthetic(8, 3, 17);
+    let artifact = AnyArtifact::F64(ModelArtifact::synthetic(8, 3, 17));
     let cfg = ServeConfig {
         shards: 2,
         ..ServeConfig::default()
     };
-    let handle = serve(&artifact, "127.0.0.1:0", &cfg).expect("bind");
+    let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind");
     let addr = handle.addr().to_string();
     let row = PredictRow {
         row: vec![0.5; 8],

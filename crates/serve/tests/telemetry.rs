@@ -9,10 +9,13 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
+use esp_artifact::{AnyArtifact, ModelArtifact, ModelMeta};
 use esp_core::{encode, EspConfig, EspModel, Learner, TrainingProgram};
 use esp_eval::{miss, SuiteData};
 use esp_nnet::MlpConfig;
-use esp_serve::{serve, site_key, Client, PredictRow, ProfileRecord, ServeConfig};
+use esp_serve::{
+    serve, site_key, Client, ModelSource, PredictRow, ProfileRecord, ServeConfig,
+};
 
 /// Minimal HTTP/1.1 GET over a raw `TcpStream`: returns (status line, body).
 fn http_get(addr: &str, path: &str) -> (String, String) {
@@ -56,9 +59,9 @@ fn train_quick_model() -> (SuiteData, EspModel) {
 #[test]
 fn profile_loop_reproduces_in_process_miss_rate() {
     let (suite, model) = train_quick_model();
-    let artifact = esp_artifact::ModelArtifact::from_model(
+    let artifact = ModelArtifact::from_model(
         &model,
-        esp_artifact::ModelMeta {
+        ModelMeta {
             corpus_id: "telemetry-e2e".into(),
             seed: MlpConfig::default().seed,
             fold: None,
@@ -68,12 +71,14 @@ fn profile_loop_reproduces_in_process_miss_rate() {
         None,
     )
     .expect("network model");
+    let artifact = AnyArtifact::F64(artifact);
 
     let cfg = ServeConfig {
         http_addr: Some("127.0.0.1:0".into()),
         ..ServeConfig::default()
     };
-    let handle = serve(&artifact, "127.0.0.1:0", &cfg).expect("bind ephemeral port");
+    let handle =
+        serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind ephemeral port");
     let http = handle.http_addr().expect("sidecar bound").to_string();
     let mut client = Client::connect(handle.addr().to_string()).expect("connect");
 
@@ -144,10 +149,21 @@ fn profile_loop_reproduces_in_process_miss_rate() {
     assert_eq!(scraped, handle.metrics_text(), "/metrics != local exposition");
     let (_, scraped_again) = http_get(&http, "/metrics");
     assert_eq!(scraped, scraped_again, "scraping must not perturb the registry");
-    assert!(scraped.contains("esp_serve_requests_total"));
-    assert!(scraped.contains("esp_ledger_profile_records_total"));
-    assert!(scraped.contains("esp_ledger_observed_miss_rate"));
-    assert!(scraped.contains("esp_ledger_calibration_ece"));
+    // The histograms, shard gauge and ledger size are the series the
+    // repository benchmark parses out of its scrapes.
+    for series in [
+        "esp_serve_requests_total",
+        "esp_serve_request_us_bucket{le=\"",
+        "esp_serve_predict_compute_us_bucket{le=\"",
+        "esp_serve_batch_size_bucket{le=\"",
+        "\nesp_serve_shard_0_queue_depth ",
+        "\nesp_ledger_sites ",
+        "esp_ledger_profile_records_total",
+        "esp_ledger_observed_miss_rate",
+        "esp_ledger_calibration_ece",
+    ] {
+        assert!(scraped.contains(series), "/metrics is missing {series:?}");
+    }
 
     // /healthz reports live model facts and the ledger switch.
     let (status, health) = http_get(&http, "/healthz");
@@ -184,13 +200,13 @@ fn profile_loop_reproduces_in_process_miss_rate() {
 
 #[test]
 fn disabled_ledger_drops_outcomes_without_state() {
-    let artifact = esp_artifact::ModelArtifact::synthetic(8, 3, 5);
+    let artifact = AnyArtifact::F64(ModelArtifact::synthetic(8, 3, 5));
     let cfg = ServeConfig {
         ledger: false,
         http_addr: Some("127.0.0.1:0".into()),
         ..ServeConfig::default()
     };
-    let handle = serve(&artifact, "127.0.0.1:0", &cfg).expect("bind");
+    let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind");
     let http = handle.http_addr().expect("sidecar bound").to_string();
     let mut client = Client::connect(handle.addr().to_string()).expect("connect");
 
@@ -221,12 +237,12 @@ fn disabled_ledger_drops_outcomes_without_state() {
 
 #[test]
 fn bad_http_addr_fails_startup() {
-    let artifact = esp_artifact::ModelArtifact::synthetic(6, 2, 9);
+    let artifact = AnyArtifact::F64(ModelArtifact::synthetic(6, 2, 9));
     let cfg = ServeConfig {
         http_addr: Some("not-an-address".into()),
         ..ServeConfig::default()
     };
-    match serve(&artifact, "127.0.0.1:0", &cfg) {
+    match serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg) {
         Err(_) => {} // any io::Error is fine — startup must fail, not limp
         Ok(_) => panic!("an unbindable --http-addr must fail startup"),
     }

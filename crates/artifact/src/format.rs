@@ -33,10 +33,10 @@
 //! u64×9 coverage             (present = 1)
 //! ```
 //!
-//! The `kind` byte selects the weight record: [`KIND_F64`] artifacts decode
-//! to [`ModelArtifact`] (the trained f64 network), [`KIND_F32`] to
-//! [`QuantArtifact`] (the f32 serving narrowing produced by
-//! [`ModelArtifact::quantize`]). [`AnyArtifact`] loads either; the
+//! The `kind` byte records the precision of the artifact's [`Net`]:
+//! [`KIND_F64`] for a trained network, [`KIND_F32`] for the serving
+//! narrowing [`ModelArtifact::quantize`] produces. Both decode to a
+//! [`ModelArtifact`], which serves at the precision it was stored in; the
 //! normalization statistics stay f64 in both.
 //!
 //! **Version policy:** any change to this layout — field added, removed,
@@ -50,7 +50,7 @@ use std::path::Path;
 
 use esp_core::{EspModel, FeatureSet, FittedEncoder};
 use esp_heur::HeuristicRates;
-use esp_nnet::{Mlp, Normalizer, QuantizedMlp};
+use esp_nnet::{Mlp, Net, Normalizer};
 use esp_runtime::Pcg32;
 
 use crate::bytes::{crc32, ByteReader, ByteWriter};
@@ -68,7 +68,7 @@ pub const HEADER_LEN: usize = 20;
 /// `kind` byte: weights are f64 (`Mlp::flat_weights` as raw f64 bits).
 pub const KIND_F64: u8 = 0;
 
-/// `kind` byte: weights are f32 (`QuantizedMlp::flat_weights` as raw f32
+/// `kind` byte: weights are f32 (`Mlp<f32>::flat_weights` as raw f32
 /// bits) — a quantized serving artifact.
 pub const KIND_F32: u8 = 1;
 
@@ -100,8 +100,8 @@ pub struct ModelArtifact {
     pub meta: ModelMeta,
     /// Feature-set choice plus fitted normalization statistics.
     pub encoder: FittedEncoder,
-    /// The trained network.
-    pub mlp: Mlp,
+    /// The network, at the precision its weights are stored in.
+    pub net: Net,
     /// Ball–Larus heuristic hit rates measured on the training corpus, when
     /// the producer recorded them (used by Dempster–Shafer baselines, not by
     /// the network itself).
@@ -109,7 +109,8 @@ pub struct ModelArtifact {
 }
 
 impl ModelArtifact {
-    /// Package a trained [`EspModel`] for persistence.
+    /// Package a network-backed [`EspModel`] (at either precision) for
+    /// persistence.
     ///
     /// Returns [`ArtifactError::Malformed`] for tree-backed models — the
     /// format only carries networks.
@@ -118,7 +119,7 @@ impl ModelArtifact {
         meta: ModelMeta,
         rates: Option<HeuristicRates>,
     ) -> Result<Self, ArtifactError> {
-        let mlp = model.mlp().ok_or_else(|| {
+        let net = model.net().ok_or_else(|| {
             ArtifactError::Malformed("the format persists network models only, not trees".into())
         })?;
         if model.encoder().feature_set().extended {
@@ -131,17 +132,18 @@ impl ModelArtifact {
         Ok(ModelArtifact {
             meta,
             encoder: model.encoder().clone(),
-            mlp: mlp.clone(),
+            net: net.clone(),
             rates,
         })
     }
 
-    /// Rebuild the in-memory model. Predictions of the result are bitwise
-    /// identical to the model that was packaged.
+    /// Rebuild the in-memory model at the artifact's own precision.
+    /// Predictions of the result are bitwise identical to the model that
+    /// was packaged.
     pub fn to_model(&self) -> EspModel {
         EspModel::from_net_parts(
             self.encoder.clone(),
-            self.mlp.clone(),
+            self.net.clone(),
             self.meta.examples as usize,
         )
     }
@@ -153,8 +155,8 @@ impl ModelArtifact {
 
     /// A deterministic, training-free artifact: random-initialised weights
     /// and benign normalization statistics from a seeded PCG32 stream. Used
-    /// by the serve load generator and tests, where what matters is a model
-    /// of realistic shape, not a good one.
+    /// by `esp-serve --synthetic`, the benchmark and tests, where what
+    /// matters is a model of realistic shape, not a good one.
     pub fn synthetic(dim: usize, hidden: usize, seed: u64) -> Self {
         let mut rng = Pcg32::seed_from_u64(seed);
         let mean: Vec<f64> = (0..dim).map(|_| rng.gen_range(-0.5..0.5)).collect();
@@ -174,52 +176,130 @@ impl ModelArtifact {
                 Normalizer::from_parts(mean, inv_std),
                 FeatureSet::default(),
             ),
-            mlp: Mlp::from_flat_weights(dim, hidden, &weights).expect("count matches topology"),
+            net: Net::F64(
+                Mlp::from_flat_weights(dim, hidden, &weights).expect("count matches topology"),
+            ),
             rates: Some(HeuristicRates::ball_larus_mips()),
-        }
-    }
-
-    /// Serialize to the `.espm` byte layout ([`KIND_F64`]). Deterministic:
-    /// the same artifact always produces the same bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut p = ByteWriter::new();
-        write_prefix(
-            &mut p,
-            &self.meta,
-            KIND_F64,
-            &self.encoder,
-            self.mlp.num_inputs(),
-            self.mlp.num_hidden(),
-        );
-        p.f64_slice(&self.mlp.flat_weights());
-        write_rates(&mut p, &self.rates);
-        wrap_payload(p.into_bytes())
-    }
-
-    /// Decode an `.espm` byte buffer, verifying magic, version, declared
-    /// length and checksum before touching the payload. Never panics on
-    /// hostile input: every failure is a typed [`ArtifactError`]. Rejects
-    /// [`KIND_F32`] artifacts — use [`AnyArtifact::from_bytes`] to load
-    /// either precision.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        match AnyArtifact::from_bytes(bytes)? {
-            AnyArtifact::F64(a) => Ok(a),
-            AnyArtifact::F32(_) => Err(ArtifactError::Malformed(
-                "artifact holds f32 (quantized) weights; load it as an AnyArtifact".into(),
-            )),
         }
     }
 
     /// The f32 serving narrowing of this artifact: same provenance, same
     /// encoder (normalization stays f64), network parameters rounded once
-    /// to f32 (see [`esp_nnet::QuantizedMlp`]). Serializes as [`KIND_F32`].
-    pub fn quantize(&self) -> QuantArtifact {
-        QuantArtifact {
-            meta: self.meta.clone(),
-            encoder: self.encoder.clone(),
-            qmlp: QuantizedMlp::from_mlp(&self.mlp),
-            rates: self.rates.clone(),
+    /// to f32 (see [`esp_nnet::Mlp::quantize`]). Serializes as
+    /// [`KIND_F32`]; quantizing an f32 artifact is the identity.
+    pub fn quantize(&self) -> ModelArtifact {
+        ModelArtifact {
+            net: self.net.quantize(),
+            ..self.clone()
         }
+    }
+
+    /// Serialize to the `.espm` byte layout, with the `kind` byte of the
+    /// network's precision. Deterministic: the same artifact always
+    /// produces the same bytes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut p = ByteWriter::new();
+        let meta = &self.meta;
+        p.str(&meta.corpus_id);
+        p.u64(meta.seed);
+        p.u32(meta.fold.unwrap_or(NO_FOLD));
+        p.u64(meta.examples);
+        p.str(&meta.train_config);
+        p.u8(match self.net {
+            Net::F64(_) => KIND_F64,
+            Net::F32(_) => KIND_F32,
+        });
+        let set = self.encoder.feature_set();
+        p.u8(set.opcode_features as u8);
+        p.u8(set.context_features as u8);
+        p.u8(set.successor_features as u8);
+        p.f64_slice(self.encoder.normalizer().mean());
+        p.f64_slice(self.encoder.normalizer().inv_std());
+        p.u32(self.net.num_inputs() as u32);
+        p.u32(self.net.num_hidden() as u32);
+        match &self.net {
+            Net::F64(m) => p.f64_slice(&m.flat_weights()),
+            Net::F32(m) => p.f32_slice(&m.flat_weights()),
+        }
+        write_rates(&mut p, &self.rates);
+        wrap_payload(p.into_bytes())
+    }
+
+    /// Decode an `.espm` byte buffer of either precision, verifying magic,
+    /// version, declared length and checksum before touching the payload.
+    /// Never panics on hostile input: every failure is a typed
+    /// [`ArtifactError`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
+        let mut r = ByteReader::new(unwrap_payload(bytes)?);
+        let corpus_id = r.str()?;
+        let seed = r.u64()?;
+        let fold = match r.u32()? {
+            NO_FOLD => None,
+            f => Some(f),
+        };
+        let examples = r.u64()?;
+        let train_config = r.str()?;
+        let kind = r.u8()?;
+        let set = FeatureSet {
+            opcode_features: r.u8()? != 0,
+            context_features: r.u8()? != 0,
+            successor_features: r.u8()? != 0,
+            // The v3 wire format predates (and never carries) the extended
+            // analysis features; `from_model` refuses extended models.
+            extended: false,
+        };
+        let mean = r.f64_slice()?;
+        let inv_std = r.f64_slice()?;
+        if mean.len() != inv_std.len() {
+            return Err(ArtifactError::Malformed(format!(
+                "normalizer mean ({}) and inv_std ({}) lengths differ",
+                mean.len(),
+                inv_std.len()
+            )));
+        }
+        let inputs = r.u32()? as usize;
+        let hidden = r.u32()? as usize;
+        if inputs != mean.len() {
+            return Err(ArtifactError::Malformed(format!(
+                "network expects {inputs} inputs but the encoder is {}-dimensional",
+                mean.len()
+            )));
+        }
+        // `Err(count)` when the weight count disagrees with the topology.
+        let net = match kind {
+            KIND_F64 => {
+                let w = r.f64_slice()?;
+                Mlp::from_flat_weights(inputs, hidden, &w).map(Net::F64).ok_or(w.len())
+            }
+            KIND_F32 => {
+                let w = r.f32_slice()?;
+                Mlp::from_flat_weights(inputs, hidden, &w).map(Net::F32).ok_or(w.len())
+            }
+            other => {
+                return Err(ArtifactError::Malformed(format!(
+                    "unknown artifact kind {other} (expected {KIND_F64} = f64 or {KIND_F32} = f32)"
+                )))
+            }
+        }
+        .map_err(|count| {
+            ArtifactError::Malformed(format!(
+                "weight count {count} does not match topology ({inputs} inputs, {hidden} hidden)"
+            ))
+        })?;
+        let rates = read_rates(&mut r)?;
+        r.finish()?;
+        Ok(ModelArtifact {
+            meta: ModelMeta {
+                corpus_id,
+                seed,
+                fold,
+                examples,
+                train_config,
+            },
+            encoder: FittedEncoder::from_parts(Normalizer::from_parts(mean, inv_std), set),
+            net,
+            rates,
+        })
     }
 
     /// Write the artifact to `path` atomically (temp file + rename), so a
@@ -234,200 +314,10 @@ impl ModelArtifact {
         Ok(())
     }
 
-    /// Read and decode an artifact from `path`.
+    /// Read and decode an artifact of either precision from `path`.
     pub fn load(path: &Path) -> Result<Self, ArtifactError> {
         let bytes = std::fs::read(path)?;
         Self::from_bytes(&bytes)
-    }
-}
-
-/// An f32 serving artifact ([`KIND_F32`]): the quantized narrowing of a
-/// trained network, produced by [`ModelArtifact::quantize`] (never by
-/// training). Provenance and encoder match the source artifact; only the
-/// network weights are rounded to f32 and stored as raw f32 bits.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantArtifact {
-    /// Training provenance, inherited from the f64 source.
-    pub meta: ModelMeta,
-    /// Feature-set choice plus fitted normalization statistics (f64).
-    pub encoder: FittedEncoder,
-    /// The quantized network.
-    pub qmlp: QuantizedMlp,
-    /// Heuristic rate tables, carried through from the source.
-    pub rates: Option<HeuristicRates>,
-}
-
-impl QuantArtifact {
-    /// Rebuild the in-memory serving model. Predictions are bitwise
-    /// identical to the quantized model that was packaged.
-    pub fn to_model(&self) -> EspModel {
-        EspModel::from_quant_parts(
-            self.encoder.clone(),
-            self.qmlp.clone(),
-            self.meta.examples as usize,
-        )
-    }
-
-    /// Input dimensionality (encoder and network agree by construction).
-    pub fn dim(&self) -> usize {
-        self.encoder.normalizer().dim()
-    }
-
-    /// Serialize to the `.espm` byte layout ([`KIND_F32`]). Deterministic.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut p = ByteWriter::new();
-        write_prefix(
-            &mut p,
-            &self.meta,
-            KIND_F32,
-            &self.encoder,
-            self.qmlp.num_inputs(),
-            self.qmlp.num_hidden(),
-        );
-        p.f32_slice(&self.qmlp.flat_weights());
-        write_rates(&mut p, &self.rates);
-        wrap_payload(p.into_bytes())
-    }
-
-    /// Decode, rejecting [`KIND_F64`] artifacts (use [`AnyArtifact`] to
-    /// accept either).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        match AnyArtifact::from_bytes(bytes)? {
-            AnyArtifact::F32(a) => Ok(a),
-            AnyArtifact::F64(_) => Err(ArtifactError::Malformed(
-                "artifact holds f64 weights, not a quantized model".into(),
-            )),
-        }
-    }
-}
-
-/// Either weight precision of the `.espm` container — what loaders that
-/// accept any artifact (the registry, `esp-serve`) work with.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AnyArtifact {
-    /// A full-precision trained network ([`KIND_F64`]).
-    F64(ModelArtifact),
-    /// A quantized f32 serving model ([`KIND_F32`]).
-    F32(QuantArtifact),
-}
-
-impl AnyArtifact {
-    /// Decode either artifact kind, with the same header validation as
-    /// [`ModelArtifact::from_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let payload = unwrap_payload(bytes)?;
-        let mut r = ByteReader::new(payload);
-        let pre = read_prefix(&mut r)?;
-        let out = match pre.kind {
-            KIND_F64 => {
-                let weights = r.f64_slice()?;
-                let mlp =
-                    Mlp::from_flat_weights(pre.inputs, pre.hidden, &weights).ok_or_else(|| {
-                        bad_weight_count(weights.len(), pre.inputs, pre.hidden)
-                    })?;
-                let rates = read_rates(&mut r)?;
-                AnyArtifact::F64(ModelArtifact {
-                    meta: pre.meta,
-                    encoder: pre.encoder,
-                    mlp,
-                    rates,
-                })
-            }
-            KIND_F32 => {
-                let weights = r.f32_slice()?;
-                let qmlp = QuantizedMlp::from_flat_weights(pre.inputs, pre.hidden, &weights)
-                    .ok_or_else(|| bad_weight_count(weights.len(), pre.inputs, pre.hidden))?;
-                let rates = read_rates(&mut r)?;
-                AnyArtifact::F32(QuantArtifact {
-                    meta: pre.meta,
-                    encoder: pre.encoder,
-                    qmlp,
-                    rates,
-                })
-            }
-            other => {
-                return Err(ArtifactError::Malformed(format!(
-                    "unknown artifact kind {other} (expected {KIND_F64} = f64 or {KIND_F32} = f32)"
-                )))
-            }
-        };
-        r.finish()?;
-        Ok(out)
-    }
-
-    /// Serialize whichever kind this is; round-trips bitwise through
-    /// [`AnyArtifact::from_bytes`].
-    pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            AnyArtifact::F64(a) => a.to_bytes(),
-            AnyArtifact::F32(a) => a.to_bytes(),
-        }
-    }
-
-    /// Write to `path` atomically (temp file + rename), like
-    /// [`ModelArtifact::save`].
-    pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let tmp = path.with_extension("espm.tmp");
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Read and decode either artifact kind from `path`.
-    pub fn load(path: &Path) -> Result<Self, ArtifactError> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes)
-    }
-
-    /// Training provenance (either kind carries the same meta layout).
-    pub fn meta(&self) -> &ModelMeta {
-        match self {
-            AnyArtifact::F64(a) => &a.meta,
-            AnyArtifact::F32(a) => &a.meta,
-        }
-    }
-
-    /// Input dimensionality.
-    pub fn dim(&self) -> usize {
-        match self {
-            AnyArtifact::F64(a) => a.dim(),
-            AnyArtifact::F32(a) => a.dim(),
-        }
-    }
-
-    /// Hidden-layer width.
-    pub fn hidden(&self) -> usize {
-        match self {
-            AnyArtifact::F64(a) => a.mlp.num_hidden(),
-            AnyArtifact::F32(a) => a.qmlp.num_hidden(),
-        }
-    }
-
-    /// Whether a heuristic rate table is present.
-    pub fn has_rates(&self) -> bool {
-        match self {
-            AnyArtifact::F64(a) => a.rates.is_some(),
-            AnyArtifact::F32(a) => a.rates.is_some(),
-        }
-    }
-
-    /// Weight precision in bits: 64 or 32.
-    pub fn precision_bits(&self) -> u32 {
-        match self {
-            AnyArtifact::F64(_) => 64,
-            AnyArtifact::F32(_) => 32,
-        }
-    }
-
-    /// Rebuild the in-memory model at this artifact's own precision.
-    pub fn to_model(&self) -> EspModel {
-        match self {
-            AnyArtifact::F64(a) => a.to_model(),
-            AnyArtifact::F32(a) => a.to_model(),
-        }
     }
 }
 
@@ -484,96 +374,6 @@ fn unwrap_payload(bytes: &[u8]) -> Result<&[u8], ArtifactError> {
     Ok(payload)
 }
 
-/// Everything before the weight record: provenance, kind, encoder, topology.
-fn write_prefix(
-    p: &mut ByteWriter,
-    meta: &ModelMeta,
-    kind: u8,
-    encoder: &FittedEncoder,
-    inputs: usize,
-    hidden: usize,
-) {
-    p.str(&meta.corpus_id);
-    p.u64(meta.seed);
-    p.u32(meta.fold.unwrap_or(NO_FOLD));
-    p.u64(meta.examples);
-    p.str(&meta.train_config);
-    p.u8(kind);
-    let set = encoder.feature_set();
-    p.u8(set.opcode_features as u8);
-    p.u8(set.context_features as u8);
-    p.u8(set.successor_features as u8);
-    p.f64_slice(encoder.normalizer().mean());
-    p.f64_slice(encoder.normalizer().inv_std());
-    p.u32(inputs as u32);
-    p.u32(hidden as u32);
-}
-
-/// The decoded counterpart of [`write_prefix`].
-struct Prefix {
-    meta: ModelMeta,
-    kind: u8,
-    encoder: FittedEncoder,
-    inputs: usize,
-    hidden: usize,
-}
-
-fn read_prefix(r: &mut ByteReader<'_>) -> Result<Prefix, ArtifactError> {
-    let corpus_id = r.str()?;
-    let seed = r.u64()?;
-    let fold = match r.u32()? {
-        NO_FOLD => None,
-        f => Some(f),
-    };
-    let examples = r.u64()?;
-    let train_config = r.str()?;
-    let kind = r.u8()?;
-    let set = FeatureSet {
-        opcode_features: r.u8()? != 0,
-        context_features: r.u8()? != 0,
-        successor_features: r.u8()? != 0,
-        // The v3 wire format predates (and never carries) the extended
-        // analysis features; `from_model` refuses extended models.
-        extended: false,
-    };
-    let mean = r.f64_slice()?;
-    let inv_std = r.f64_slice()?;
-    if mean.len() != inv_std.len() {
-        return Err(ArtifactError::Malformed(format!(
-            "normalizer mean ({}) and inv_std ({}) lengths differ",
-            mean.len(),
-            inv_std.len()
-        )));
-    }
-    let inputs = r.u32()? as usize;
-    let hidden = r.u32()? as usize;
-    if inputs != mean.len() {
-        return Err(ArtifactError::Malformed(format!(
-            "network expects {inputs} inputs but the encoder is {}-dimensional",
-            mean.len()
-        )));
-    }
-    Ok(Prefix {
-        meta: ModelMeta {
-            corpus_id,
-            seed,
-            fold,
-            examples,
-            train_config,
-        },
-        kind,
-        encoder: FittedEncoder::from_parts(Normalizer::from_parts(mean, inv_std), set),
-        inputs,
-        hidden,
-    })
-}
-
-fn bad_weight_count(count: usize, inputs: usize, hidden: usize) -> ArtifactError {
-    ArtifactError::Malformed(format!(
-        "weight count {count} does not match topology ({inputs} inputs, {hidden} hidden)"
-    ))
-}
-
 fn write_rates(p: &mut ByteWriter, rates: &Option<HeuristicRates>) {
     match rates {
         None => p.u8(0),
@@ -619,7 +419,7 @@ mod tests {
         let bytes = a.to_bytes();
         let b = ModelArtifact::from_bytes(&bytes).unwrap();
         assert_eq!(a.meta, b.meta);
-        assert_eq!(a.mlp, b.mlp);
+        assert_eq!(a.net, b.net);
         assert_eq!(a.encoder, b.encoder);
         assert_eq!(a.rates, b.rates);
         // serialize → deserialize → serialize is byte-identical
@@ -677,59 +477,30 @@ mod tests {
     }
 
     #[test]
-    fn quant_artifact_round_trips_through_bytes() {
+    fn quantized_artifact_round_trips_through_bytes() {
         let a = ModelArtifact::synthetic(12, 5, 99);
         let q = a.quantize();
         let bytes = q.to_bytes();
-        // kind byte says f32, version says 3
         assert_eq!(bytes[4], FORMAT_VERSION as u8);
-        let back = QuantArtifact::from_bytes(&bytes).unwrap();
+        let back = ModelArtifact::from_bytes(&bytes).unwrap();
         assert_eq!(back, q);
         assert_eq!(bytes, back.to_bytes());
         // provenance and encoder are inherited unchanged
         assert_eq!(q.meta, a.meta);
         assert_eq!(q.encoder, a.encoder);
         assert_eq!(q.rates, a.rates);
-        // weights are the f32 rounding of the source's
-        for (qw, w) in q.qmlp.flat_weights().iter().zip(a.mlp.flat_weights()) {
+        // weights are the f32 rounding of the source's, and quantizing
+        // again changes nothing
+        let (Net::F64(m), Net::F32(qm)) = (&a.net, &q.net) else {
+            panic!("expected an f64 source and an f32 narrowing");
+        };
+        for (qw, w) in qm.flat_weights().iter().zip(m.flat_weights()) {
             assert_eq!(qw.to_bits(), (w as f32).to_bits());
         }
+        assert_eq!(q.quantize(), q);
         // the rebuilt model serves at 32-bit precision
         assert_eq!(back.to_model().precision_bits(), 32);
-    }
-
-    #[test]
-    fn any_artifact_loads_both_kinds() {
-        let a = ModelArtifact::synthetic(7, 3, 4);
-        let q = a.quantize();
-        match AnyArtifact::from_bytes(&a.to_bytes()).unwrap() {
-            AnyArtifact::F64(back) => assert_eq!(back, a),
-            other => panic!("expected F64, got {other:?}"),
-        }
-        let any = AnyArtifact::from_bytes(&q.to_bytes()).unwrap();
-        match &any {
-            AnyArtifact::F32(back) => assert_eq!(back, &q),
-            other => panic!("expected F32, got {other:?}"),
-        }
-        assert_eq!(any.precision_bits(), 32);
-        assert_eq!(any.dim(), 7);
-        assert_eq!(any.hidden(), 3);
-        assert!(any.has_rates());
-        assert_eq!(any.to_bytes(), q.to_bytes());
-    }
-
-    #[test]
-    fn kind_mismatch_is_a_typed_error() {
-        let a = ModelArtifact::synthetic(5, 2, 8);
-        let q = a.quantize();
-        assert!(matches!(
-            ModelArtifact::from_bytes(&q.to_bytes()),
-            Err(ArtifactError::Malformed(_))
-        ));
-        assert!(matches!(
-            QuantArtifact::from_bytes(&a.to_bytes()),
-            Err(ArtifactError::Malformed(_))
-        ));
+        assert_eq!(a.to_model().precision_bits(), 64);
     }
 
     #[test]
@@ -748,7 +519,7 @@ mod tests {
         assert_eq!(payload[kind_off], KIND_F64);
         payload[kind_off] = 7;
         let bytes = wrap_payload(payload);
-        let err = AnyArtifact::from_bytes(&bytes).unwrap_err();
+        let err = ModelArtifact::from_bytes(&bytes).unwrap_err();
         assert!(
             matches!(&err, ArtifactError::Malformed(m) if m.contains("unknown artifact kind")),
             "got {err:?}"
@@ -760,7 +531,7 @@ mod tests {
         let a = ModelArtifact::synthetic(10, 4, 77);
         let q = a.quantize();
         let model = q.to_model();
-        let loaded = QuantArtifact::from_bytes(&q.to_bytes()).unwrap().to_model();
+        let loaded = ModelArtifact::from_bytes(&q.to_bytes()).unwrap().to_model();
         let mut rng = Pcg32::seed_from_u64(5);
         for _ in 0..40 {
             let row: Vec<f64> = (0..10).map(|_| rng.gen_range(-2.0..2.0)).collect();

@@ -8,7 +8,8 @@
 //!   and weights, feature-encoding configuration, normalization statistics,
 //!   Ball–Larus heuristic rate tables, and training provenance. Floats are
 //!   stored as raw IEEE-754 bits, so a loaded model predicts **bitwise
-//!   identically** to the one that was trained.
+//!   identically** to the one that was trained — or, for an f32 artifact,
+//!   to the quantized model that was saved.
 //! * [`registry`] — a directory-backed store (`models/<name>/<version>.espm`)
 //!   with publish / load-latest / list / inspect / gc.
 //!
@@ -39,8 +40,5 @@ pub mod format;
 pub mod registry;
 
 pub use error::ArtifactError;
-pub use format::{
-    AnyArtifact, ModelArtifact, ModelMeta, QuantArtifact, FORMAT_VERSION, HEADER_LEN, KIND_F32,
-    KIND_F64, MAGIC,
-};
+pub use format::{ModelArtifact, ModelMeta, FORMAT_VERSION, HEADER_LEN, KIND_F32, KIND_F64, MAGIC};
 pub use registry::{ArtifactInfo, Registry, RegistryEntry};

@@ -8,7 +8,7 @@
 use std::path::{Path, PathBuf};
 
 use crate::error::ArtifactError;
-use crate::format::{AnyArtifact, ModelArtifact, ModelMeta};
+use crate::format::{ModelArtifact, ModelMeta};
 
 /// Handle on a registry root directory (created lazily on first save).
 #[derive(Debug, Clone)]
@@ -158,37 +158,9 @@ impl Registry {
         }
     }
 
-    /// [`Registry::save`] for either artifact kind.
-    pub fn save_any(
-        &self,
-        name: &str,
-        version: u32,
-        artifact: &AnyArtifact,
-    ) -> Result<PathBuf, ArtifactError> {
-        let path = self.path(name, version)?;
-        artifact.save(&path)?;
-        Ok(path)
-    }
-
-    /// [`Registry::load`] for either artifact kind: quantized (f32) serving
-    /// artifacts load alongside full-precision ones.
-    pub fn load_any(
-        &self,
-        name: &str,
-        version: Option<u32>,
-    ) -> Result<(u32, AnyArtifact), ArtifactError> {
-        let version = match version {
-            Some(v) => v,
-            None => *self.versions(name)?.last().ok_or_else(|| {
-                ArtifactError::Malformed(format!("model {name:?} has no versions"))
-            })?,
-        };
-        let artifact = AnyArtifact::load(&self.path(name, version)?)?;
-        Ok((version, artifact))
-    }
-
-    /// Load one version of `name`, or the latest when `version` is `None`.
-    /// Returns the resolved version alongside the artifact.
+    /// Load one version of `name` (of either precision), or the latest when
+    /// `version` is `None`. Returns the resolved version alongside the
+    /// artifact.
     pub fn load(
         &self,
         name: &str,
@@ -234,24 +206,24 @@ impl Registry {
     }
 
     /// Load a version's header-level facts (provenance, topology, file size,
-    /// weight precision) for display. Works for either artifact kind.
+    /// weight precision) for display.
     pub fn inspect(
         &self,
         name: &str,
         version: Option<u32>,
     ) -> Result<ArtifactInfo, ArtifactError> {
-        let (version, artifact) = self.load_any(name, version)?;
+        let (version, artifact) = self.load(name, version)?;
         let path = self.path(name, version)?;
         Ok(ArtifactInfo {
             name: name.to_string(),
             version,
             file_len: std::fs::metadata(&path)?.len(),
             path,
-            meta: artifact.meta().clone(),
             dim: artifact.dim(),
-            hidden: artifact.hidden(),
-            has_rates: artifact.has_rates(),
-            precision_bits: artifact.precision_bits(),
+            hidden: artifact.net.num_hidden(),
+            has_rates: artifact.rates.is_some(),
+            precision_bits: artifact.net.precision_bits(),
+            meta: artifact.meta,
         })
     }
 
@@ -366,17 +338,11 @@ mod tests {
     #[test]
     fn quantized_artifacts_round_trip_through_the_registry() {
         let reg = temp_registry("quant");
-        let a = ModelArtifact::synthetic(6, 3, 11);
-        let q = AnyArtifact::F32(a.quantize());
-        reg.save_any("demo-f32", 1, &q).unwrap();
-        let (v, back) = reg.load_any("demo-f32", None).unwrap();
+        let q = ModelArtifact::synthetic(6, 3, 11).quantize();
+        reg.save("demo-f32", 1, &q).unwrap();
+        let (v, back) = reg.load("demo-f32", None).unwrap();
         assert_eq!(v, 1);
         assert_eq!(back, q);
-        // the f64-only loader refuses it with a typed error
-        assert!(matches!(
-            reg.load("demo-f32", Some(1)),
-            Err(ArtifactError::Malformed(_))
-        ));
         let info = reg.inspect("demo-f32", None).unwrap();
         assert_eq!(info.precision_bits, 32);
         assert_eq!((info.dim, info.hidden), (6, 3));

@@ -65,7 +65,9 @@
 //! if any, under `…-f32` names — *refused* per fold over the bound), and
 //! the process exits nonzero when the pooled flip rate exceeds
 //! `--flip-bound B` (default 0.02). Table 4 itself stays f64 — the gate
-//! never changes the printed table.
+//! never changes the printed table. The published folds are the way to
+//! serve f32: `esp-serve --registry DIR --name table4-c-fold0-f32` serves
+//! at the precision the artifact stores.
 
 use esp_core::{EspConfig, Learner};
 use esp_eval::{

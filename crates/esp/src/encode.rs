@@ -244,19 +244,6 @@ impl FittedEncoder {
         out
     }
 
-    /// [`FittedEncoder::transform`] into a caller-owned buffer (cleared
-    /// first) — the allocation-free entry point for batched prediction:
-    /// callers hold one buffer across a whole batch of rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len()` differs from the fitted dimensionality.
-    pub fn transform_into(&self, row: &[f64], mask: &[bool], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend_from_slice(row);
-        self.transform_in_place(out, mask);
-    }
-
     /// [`FittedEncoder::transform`] appended onto a growing row-major panel:
     /// the raw row lands at the end of `panel` and is normalized + gated in
     /// place there. This is how batched prediction builds the contiguous

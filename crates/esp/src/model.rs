@@ -5,9 +5,7 @@ use std::cell::RefCell;
 
 use esp_exec::Profile;
 use esp_ir::{BranchId, Program, ProgramAnalysis};
-use esp_nnet::{
-    DecisionTree, Mlp, MlpConfig, PanelScratch, QuantizedMlp, TrainExample, TreeConfig,
-};
+use esp_nnet::{DecisionTree, Mlp, MlpConfig, Net, TrainExample, TreeConfig};
 
 use crate::encode::{encode, FeatureSet, FittedEncoder};
 use crate::extended::ExtendedContext;
@@ -70,20 +68,17 @@ impl Default for EspConfig {
 }
 
 enum Fitted {
-    Net(Mlp),
+    /// A network at its stored precision: f64 from training, f32 from
+    /// [`EspModel::quantize`] or an f32 artifact.
+    Net(Net),
     Tree(DecisionTree),
-    /// A served f32 narrowing of a trained network — never produced by
-    /// training, only by [`EspModel::quantize`] or artifact import.
-    Quant(QuantizedMlp),
 }
 
 thread_local! {
-    /// Reusable batched-prediction state: the row-major input panel under
-    /// construction plus the f64/f32 panel-kernel scratch. Batched entry
-    /// points stay allocation-free per row once these have grown to the
-    /// model's shape.
-    static BATCH_SCRATCH: RefCell<(Vec<f64>, PanelScratch, PanelScratch<f32>)> =
-        const { RefCell::new((Vec::new(), PanelScratch::new(), PanelScratch::new())) };
+    /// The row-major input panel the predict entry points build; with the
+    /// kernel's own per-thread scratch, batched prediction stays
+    /// allocation-free per row once both have grown to the model's shape.
+    static PANEL: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Extract, encode and weight every executed branch site of `corpus` into
@@ -182,7 +177,7 @@ impl EspModel {
             build_training_set(corpus, cfg)
         };
         let fitted = match &cfg.learner {
-            Learner::Net(mcfg) => Fitted::Net(Mlp::train(&data, mcfg).0),
+            Learner::Net(mcfg) => Fitted::Net(Net::F64(Mlp::train(&data, mcfg).0)),
             Learner::Tree(tcfg) => Fitted::Tree(DecisionTree::train(&data, tcfg)),
         };
         EspModel {
@@ -193,62 +188,36 @@ impl EspModel {
     }
 
     /// Rebuild a network-backed model from its persisted parts (fitted
-    /// encoder, trained network, example count) — the import half of model
-    /// artifacts. A model rebuilt from the parts exported by
-    /// [`EspModel::encoder`]/[`EspModel::mlp`] predicts bitwise-identically
-    /// to the original.
-    pub fn from_net_parts(encoder: FittedEncoder, mlp: Mlp, examples: usize) -> Self {
+    /// encoder, network at its stored precision, example count) — the
+    /// import half of model artifacts. A model rebuilt from the parts
+    /// exported by [`EspModel::encoder`]/[`EspModel::net`] predicts
+    /// bitwise-identically to the original.
+    pub fn from_net_parts(encoder: FittedEncoder, net: Net, examples: usize) -> Self {
         EspModel {
             encoder,
-            fitted: Fitted::Net(mlp),
-            examples,
-        }
-    }
-
-    /// Rebuild an f32-serving model from its persisted parts — the import
-    /// half of quantized artifacts. Predicts bitwise-identically to the
-    /// model [`EspModel::quantize`] produced before export.
-    pub fn from_quant_parts(encoder: FittedEncoder, qmlp: QuantizedMlp, examples: usize) -> Self {
-        EspModel {
-            encoder,
-            fitted: Fitted::Quant(qmlp),
+            fitted: Fitted::Net(net),
             examples,
         }
     }
 
     /// The f32 serving narrowing of this model: network parameters rounded
     /// to f32 once, inference in f32 thereafter (see
-    /// [`esp_nnet::QuantizedMlp`]). The encoder (normalization statistics)
+    /// [`esp_nnet::Mlp::quantize`]). The encoder (normalization statistics)
     /// stays f64 — only the network is quantized. `None` for tree learners.
     /// Quantizing an already-quantized model is the identity.
     pub fn quantize(&self) -> Option<EspModel> {
-        let qmlp = match &self.fitted {
-            Fitted::Net(m) => QuantizedMlp::from_mlp(m),
-            Fitted::Quant(q) => q.clone(),
-            Fitted::Tree(_) => return None,
-        };
-        Some(EspModel::from_quant_parts(
+        let net = self.net()?.quantize();
+        Some(EspModel::from_net_parts(
             self.encoder.clone(),
-            qmlp,
+            net,
             self.examples,
         ))
-    }
-
-    /// The fitted f32 network, or `None` unless this is a quantized model.
-    pub fn quantized(&self) -> Option<&QuantizedMlp> {
-        match &self.fitted {
-            Fitted::Quant(q) => Some(q),
-            _ => None,
-        }
     }
 
     /// Parameter precision of the underlying predictor in bits: 32 for a
     /// quantized network, 64 otherwise (trees store f64 thresholds).
     pub fn precision_bits(&self) -> u32 {
-        match &self.fitted {
-            Fitted::Quant(_) => 32,
-            Fitted::Net(_) | Fitted::Tree(_) => 64,
-        }
+        self.net().map_or(64, Net::precision_bits)
     }
 
     /// Number of training examples used.
@@ -261,22 +230,40 @@ impl EspModel {
         &self.encoder
     }
 
-    /// The fitted f64 network, or `None` for tree or quantized models.
-    pub fn mlp(&self) -> Option<&Mlp> {
+    /// The fitted network at its stored precision, or `None` for a tree.
+    pub fn net(&self) -> Option<&Net> {
         match &self.fitted {
-            Fitted::Net(m) => Some(m),
-            Fitted::Tree(_) | Fitted::Quant(_) => None,
+            Fitted::Net(net) => Some(net),
+            Fitted::Tree(_) => None,
         }
     }
 
-    /// The fitted network's flattened parameters, or `None` for a tree
-    /// learner. Exposed so determinism tests can assert bitwise-identical
-    /// training outcomes across thread counts.
+    /// The trained f64 network's flattened parameters, or `None` for a tree
+    /// or quantized model. Exposed so determinism tests can assert
+    /// bitwise-identical training outcomes across thread counts.
     pub fn net_weights(&self) -> Option<Vec<f64>> {
-        match &self.fitted {
-            Fitted::Net(m) => Some(m.flat_weights()),
-            Fitted::Tree(_) | Fitted::Quant(_) => None,
+        match self.net()? {
+            Net::F64(m) => Some(m.flat_weights()),
+            Net::F32(_) => None,
         }
+    }
+
+    /// The one place a prediction reaches the fitted predictor: forward a
+    /// row-major `panel` of `rows` encoded, normalized rows. Networks run
+    /// the batch-major kernel at their stored precision — full 8-row tiles
+    /// autovectorized across examples, each lane in the scalar summation
+    /// order, so every row is bitwise identical to a one-row call. Trees
+    /// walk the rows one by one.
+    fn forward(&self, panel: &[f64], rows: usize) -> Vec<f64> {
+        let mut out = Vec::with_capacity(rows);
+        match &self.fitted {
+            Fitted::Net(net) => net.predict_panel_into(panel, rows, &mut out),
+            Fitted::Tree(t) => {
+                let dim = self.encoder.normalizer().dim();
+                out.extend((0..rows).map(|r| t.predict(&panel[r * dim..(r + 1) * dim])));
+            }
+        }
+        out
     }
 
     /// The model's estimated probability that `site` is taken.
@@ -286,16 +273,7 @@ impl EspModel {
         analysis: &ProgramAnalysis,
         site: BranchId,
     ) -> f64 {
-        let mut f = extract(prog, analysis, site);
-        if self.encoder.feature_set().extended {
-            ExtendedContext::new(prog, analysis).attach(site, &mut f);
-        }
-        let x = self.encoder.encode(&f);
-        match &self.fitted {
-            Fitted::Net(m) => m.predict(&x),
-            Fitted::Tree(t) => t.predict(&x),
-            Fitted::Quant(q) => q.predict(&x),
-        }
+        self.predict_prob_sites(prog, analysis, &[site])[0]
     }
 
     /// Predict from a *raw* encoded feature row plus its meaningful-position
@@ -309,24 +287,15 @@ impl EspModel {
     ///
     /// Panics if `row.len()` differs from the encoder's dimensionality.
     pub fn predict_prob_encoded(&self, row: &[f64], mask: &[bool]) -> f64 {
-        let x = self.encoder.transform(row, mask);
-        match &self.fitted {
-            Fitted::Net(m) => m.predict(&x),
-            Fitted::Tree(t) => t.predict(&x),
-            Fitted::Quant(q) => q.predict(&x),
-        }
+        self.predict_prob_encoded_batch([(row, mask)])[0]
     }
 
     /// Batched [`EspModel::predict_prob_encoded`]: normalize every raw
     /// `(row, mask)` pair onto a contiguous row-major panel
-    /// ([`FittedEncoder::transform_extend`]) and forward the whole panel
-    /// through the batch-major kernel
-    /// ([`esp_nnet::Mlp::predict_panel_into`]), so full 8-row tiles run
-    /// autovectorized across examples. Panel and kernel scratch are
-    /// thread-local — no allocations per row after warm-up. Used by
-    /// `esp-serve`'s cache-miss fan-out. Bitwise identical to calling
-    /// [`EspModel::predict_prob_encoded`] per row (each panel lane keeps
-    /// the scalar summation order). Trees keep the per-row path.
+    /// ([`FittedEncoder::transform_extend`]) and forward the whole panel at
+    /// once. The panel is thread-local — no allocations per row after
+    /// warm-up. Used by `esp-serve`'s cache-miss fan-out. Bitwise identical
+    /// to calling [`EspModel::predict_prob_encoded`] per row.
     ///
     /// # Panics
     ///
@@ -335,40 +304,22 @@ impl EspModel {
     where
         I: IntoIterator<Item = (&'a [f64], &'a [bool])>,
     {
-        if let Fitted::Tree(t) = &self.fitted {
-            let mut x = Vec::with_capacity(self.encoder.normalizer().dim());
-            return rows
-                .into_iter()
-                .map(|(row, mask)| {
-                    self.encoder.transform_into(row, mask, &mut x);
-                    t.predict(&x)
-                })
-                .collect();
-        }
-        BATCH_SCRATCH.with(|cell| {
-            let (panel, s64, s32) = &mut *cell.borrow_mut();
+        PANEL.with(|cell| {
+            let panel = &mut *cell.borrow_mut();
             panel.clear();
             let mut n = 0usize;
             for (row, mask) in rows {
                 self.encoder.transform_extend(row, mask, panel);
                 n += 1;
             }
-            let mut out = Vec::with_capacity(n);
-            match &self.fitted {
-                Fitted::Net(m) => m.predict_panel_into(panel, n, s64, &mut out),
-                Fitted::Quant(q) => q.predict_panel_into(panel, n, s32, &mut out),
-                Fitted::Tree(_) => unreachable!("handled above"),
-            }
-            out
+            self.forward(panel, n)
         })
     }
 
     /// Batched site prediction: extract + encode every branch in `sites`
-    /// onto a contiguous row-major panel, then forward the panel through
-    /// the batch-major kernel (trees keep the per-row path). Probabilities
-    /// come back in `sites` order, bitwise identical to per-site
-    /// [`EspModel::predict_prob`] — the entry point for eval loops that
-    /// previously called `predict` per site.
+    /// onto a contiguous row-major panel and forward it at once.
+    /// Probabilities come back in `sites` order, bitwise identical to
+    /// per-site [`EspModel::predict_prob`] — the entry point for eval loops.
     pub fn predict_prob_sites(
         &self,
         prog: &Program,
@@ -382,21 +333,8 @@ impl EspModel {
             .feature_set()
             .extended
             .then(|| ExtendedContext::new(prog, analysis));
-        if let Fitted::Tree(t) = &self.fitted {
-            return sites
-                .iter()
-                .map(|&site| {
-                    let mut f = extract(prog, analysis, site);
-                    if let Some(ctx) = &ext {
-                        ctx.attach(site, &mut f);
-                    }
-                    self.encoder.encode_into(&f, &mut row, &mut mask);
-                    t.predict(&row)
-                })
-                .collect();
-        }
-        BATCH_SCRATCH.with(|cell| {
-            let (panel, s64, s32) = &mut *cell.borrow_mut();
+        PANEL.with(|cell| {
+            let panel = &mut *cell.borrow_mut();
             panel.clear();
             for &site in sites {
                 let mut f = extract(prog, analysis, site);
@@ -406,13 +344,7 @@ impl EspModel {
                 self.encoder.encode_into(&f, &mut row, &mut mask);
                 panel.extend_from_slice(&row);
             }
-            let mut out = Vec::with_capacity(sites.len());
-            match &self.fitted {
-                Fitted::Net(m) => m.predict_panel_into(panel, sites.len(), s64, &mut out),
-                Fitted::Quant(q) => q.predict_panel_into(panel, sites.len(), s32, &mut out),
-                Fitted::Tree(_) => unreachable!("handled above"),
-            }
-            out
+            self.forward(panel, sites.len())
         })
     }
 

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use esp_artifact::{AnyArtifact, ModelArtifact, ModelMeta, Registry};
+use esp_artifact::{ModelArtifact, ModelMeta, Registry};
 use esp_core::{leave_one_out, EspConfig, EspModel, Learner, TrainingProgram};
 use esp_corpus::Group;
 use esp_heur::{
@@ -12,7 +12,7 @@ use esp_heur::{
 };
 use esp_ir::{BranchId, Lang};
 
-use crate::data::SuiteData;
+use crate::data::{BenchData, SuiteData};
 use crate::fmt::{pct, TextTable};
 use crate::miss::{mean, miss_rate, Prediction};
 use crate::quant::{
@@ -102,16 +102,6 @@ pub fn compute_with_quant(
     );
     let dshc_ours = Dshc::new(measured);
 
-    // Language-group cross-validation folds.
-    let training: Vec<TrainingProgram<'_>> = suite
-        .benches
-        .iter()
-        .map(|b| TrainingProgram {
-            prog: &b.prog,
-            analysis: &b.analysis,
-            profile: &b.profile,
-        })
-        .collect();
     // Default to coin-flip scoring; overwritten by the CV folds below. A
     // language group with fewer than two programs cannot be cross-validated
     // and keeps the coin-flip rate.
@@ -121,68 +111,12 @@ pub fn compute_with_quant(
         .map(|b| miss_rate(b, |_| Prediction::Uncovered))
         .collect();
     let mut gate_folds: Vec<FoldQuantReport> = Vec::new();
-    for lang in [Lang::C, Lang::Fort] {
-        let idx = suite.lang_indices(lang);
-        if idx.len() < 2 {
-            continue;
+    for_each_fold(suite, cfg, |f| {
+        esp_miss[f.bench] = f.miss;
+        if let Some(qcfg) = &cfg.quant {
+            gate_folds.push(quant_fold(suite, cfg, qcfg, &f));
         }
-        let group: Vec<TrainingProgram<'_>> = idx
-            .iter()
-            .map(|&i| TrainingProgram {
-                prog: training[i].prog,
-                analysis: training[i].analysis,
-                profile: training[i].profile,
-            })
-            .collect();
-        let fold_metrics = esp_obs::global_metrics();
-        let folds_total = fold_metrics.counter("esp_eval_folds_total");
-        let fold_ms = fold_metrics.histogram("esp_eval_fold_ms");
-        let fold_miss = fold_metrics.histogram("esp_eval_fold_miss_permille");
-        for (fold, &bench_i) in idx.iter().enumerate() {
-            let b = &suite.benches[bench_i];
-            let mut sp = esp_obs::span!(
-                "eval",
-                "table4_fold",
-                lang = if lang == Lang::C { "C" } else { "Fortran" },
-                fold = fold,
-                bench = b.bench.name,
-            );
-            let t0 = std::time::Instant::now();
-            let model = fold_model(suite, cfg, lang, fold, &group);
-            // Score every site of the held-out program in one batched kernel
-            // pass (shared encode/normalize/hidden buffers) instead of
-            // re-allocating per site; same `> 0.5` threshold as
-            // `predict_taken`, so the table is unchanged.
-            let sites = b.prog.branch_sites();
-            let probs = model.predict_prob_sites(&b.prog, &b.analysis, &sites);
-            let taken: HashMap<BranchId, bool> = sites
-                .iter()
-                .zip(&probs)
-                .map(|(&site, &p)| (site, p > 0.5))
-                .collect();
-            esp_miss[bench_i] =
-                miss_rate(b, |site| Prediction::from(taken.get(&site).copied()));
-            folds_total.inc();
-            fold_ms.record(t0.elapsed().as_millis() as u64);
-            fold_miss.record((esp_miss[bench_i] * 1000.0).round() as u64);
-            if sp.is_enabled() {
-                sp.arg("miss", esp_miss[bench_i]);
-            }
-            if let Some(qcfg) = &cfg.quant {
-                gate_folds.push(quant_fold(
-                    suite,
-                    cfg,
-                    qcfg,
-                    lang,
-                    fold,
-                    bench_i,
-                    &model,
-                    &probs,
-                    esp_miss[bench_i],
-                ));
-            }
-        }
-    }
+    });
 
     let rows = suite
         .benches
@@ -209,45 +143,152 @@ pub fn compute_with_quant(
     (rows, gate)
 }
 
+/// One leave-one-out fold, as [`for_each_fold`] hands it out.
+pub(crate) struct Fold<'a> {
+    /// Language group of the fold.
+    pub lang: Lang,
+    /// Position of the held-out program within its language group.
+    pub index: usize,
+    /// Suite index of the held-out program.
+    pub bench: usize,
+    /// The fold's model, trained on the rest of the group (or loaded).
+    pub model: &'a EspModel,
+    /// Its taken-probability for every branch site of the held-out
+    /// program, in `branch_sites()` order.
+    pub probs: &'a [f64],
+    /// The held-out program's miss rate under those predictions.
+    pub miss: f64,
+}
+
+/// The paper's cross-validation (§4), shared by Table 4 and the dynamic
+/// arena table: within the C group and within the Fortran group, hold out
+/// each program in turn, get the fold's model from [`fold_model`], score
+/// every branch site of the held-out program in one batched kernel pass,
+/// and hand the fold to `visit` — all inside the fold's `table4_fold` span.
+/// A language group with fewer than two programs cannot be
+/// cross-validated and is skipped.
+pub(crate) fn for_each_fold(
+    suite: &SuiteData,
+    cfg: &Table4Config,
+    mut visit: impl FnMut(Fold<'_>),
+) {
+    for lang in [Lang::C, Lang::Fort] {
+        let idx = suite.lang_indices(lang);
+        if idx.len() < 2 {
+            continue;
+        }
+        let group: Vec<TrainingProgram<'_>> = idx
+            .iter()
+            .map(|&i| {
+                let b = &suite.benches[i];
+                TrainingProgram {
+                    prog: &b.prog,
+                    analysis: &b.analysis,
+                    profile: &b.profile,
+                }
+            })
+            .collect();
+        let fold_metrics = esp_obs::global_metrics();
+        let folds_total = fold_metrics.counter("esp_eval_folds_total");
+        let fold_ms = fold_metrics.histogram("esp_eval_fold_ms");
+        let fold_miss = fold_metrics.histogram("esp_eval_fold_miss_permille");
+        for (index, &bench) in idx.iter().enumerate() {
+            let b = &suite.benches[bench];
+            let mut sp = esp_obs::span!(
+                "eval",
+                "table4_fold",
+                lang = if lang == Lang::C { "C" } else { "Fortran" },
+                fold = index,
+                bench = b.bench.name,
+            );
+            let t0 = std::time::Instant::now();
+            let model = fold_model(suite, cfg, lang, index, &group);
+            let sites = b.prog.branch_sites();
+            let probs = model.predict_prob_sites(&b.prog, &b.analysis, &sites);
+            let miss = threshold_miss_rate(b, &sites, &probs);
+            folds_total.inc();
+            fold_ms.record(t0.elapsed().as_millis() as u64);
+            fold_miss.record((miss * 1000.0).round() as u64);
+            if sp.is_enabled() {
+                sp.arg("miss", miss);
+            }
+            visit(Fold {
+                lang,
+                index,
+                bench,
+                model: &model,
+                probs: &probs,
+                miss,
+            });
+        }
+    }
+}
+
+/// `b`'s miss rate when each of `sites` is predicted taken iff its
+/// probability is over the paper's 0.5 threshold (`predict_taken`).
+fn threshold_miss_rate(b: &BenchData, sites: &[BranchId], probs: &[f64]) -> f64 {
+    let taken: HashMap<BranchId, bool> = sites
+        .iter()
+        .zip(probs)
+        .map(|(&site, &p)| (site, p > 0.5))
+        .collect();
+    miss_rate(b, |site| Prediction::from(taken.get(&site).copied()))
+}
+
+/// Registry name of a Table 4 fold model: `table4-<lang>-fold<i>`.
+fn fold_name(lang: Lang, fold: usize) -> String {
+    let lang_tag = match lang {
+        Lang::C => "c",
+        Lang::Fort => "fort",
+    };
+    format!("table4-{lang_tag}-fold{fold}")
+}
+
+/// The provenance a fold artifact of this run records, for a model that
+/// saw `examples` training examples.
+fn fold_meta(suite: &SuiteData, esp: &EspConfig, fold: usize, examples: usize) -> ModelMeta {
+    ModelMeta {
+        corpus_id: suite.config.name.to_string(),
+        seed: match &esp.learner {
+            Learner::Net(m) => m.seed,
+            _ => 0,
+        },
+        fold: Some(fold as u32),
+        examples: examples as u64,
+        train_config: train_config_stamp(esp),
+    }
+}
+
 /// One fold's leg of the f32 quantization gate: quantize the fold's f64
 /// model, rescore the held-out program, count prediction flips against the
 /// f64 probabilities, measure the f32 miss rate, and publish (or refuse)
 /// the quantized artifact. Tree learners cannot be quantized; their folds
 /// score zero sites and publish nothing.
-#[allow(clippy::too_many_arguments)]
 fn quant_fold(
     suite: &SuiteData,
     cfg: &Table4Config,
     qcfg: &QuantGateConfig,
-    lang: Lang,
-    fold: usize,
-    bench_i: usize,
-    model: &EspModel,
-    probs: &[f64],
-    miss_f64: f64,
+    f: &Fold<'_>,
 ) -> FoldQuantReport {
-    let b = &suite.benches[bench_i];
-    let lang_tag = match lang {
-        Lang::C => "c",
-        Lang::Fort => "fort",
-    };
-    let name = format!("table4-{lang_tag}-fold{fold}-f32");
+    let b = &suite.benches[f.bench];
+    let name = format!("{}-f32", fold_name(f.lang, f.index));
     let mut report = FoldQuantReport {
         name: name.clone(),
         bench: b.bench.name.to_string(),
         sites: 0,
         flips: 0,
-        miss_f64,
-        miss_f32: miss_f64,
+        miss_f64: f.miss,
+        miss_f32: f.miss,
         outcome: PublishOutcome::NotRequested,
     };
-    let Some(qmodel) = model.quantize() else {
+    let Some(qmodel) = f.model.quantize() else {
         return report; // tree learner: nothing to quantize
     };
     let sites = b.prog.branch_sites();
     let qprobs = qmodel.predict_prob_sites(&b.prog, &b.analysis, &sites);
     report.sites = sites.len();
-    report.flips = probs
+    report.flips = f
+        .probs
         .iter()
         .zip(&qprobs)
         .filter(|(p, q)| (**p > 0.5) != (**q > 0.5))
@@ -255,29 +296,13 @@ fn quant_fold(
     esp_obs::global_metrics()
         .counter("esp_quant_flips_total")
         .add(report.flips as u64);
-    let qtaken: HashMap<BranchId, bool> = sites
-        .iter()
-        .zip(&qprobs)
-        .map(|(&site, &p)| (site, p > 0.5))
-        .collect();
-    report.miss_f32 = miss_rate(b, |site| Prediction::from(qtaken.get(&site).copied()));
+    report.miss_f32 = threshold_miss_rate(b, &sites, &qprobs);
     if let Some(dir) = &qcfg.publish {
         if within_bound(report.flips, report.sites, qcfg.flip_bound) {
-            let seed = match &cfg.esp.learner {
-                Learner::Net(m) => m.seed,
-                _ => 0,
-            };
-            let meta = ModelMeta {
-                corpus_id: suite.config.name.to_string(),
-                seed,
-                fold: Some(fold as u32),
-                examples: model.num_examples() as u64,
-                train_config: train_config_stamp(&cfg.esp),
-            };
+            let meta = fold_meta(suite, &cfg.esp, f.index, qmodel.num_examples());
             let reg = Registry::open(dir);
-            report.outcome = match ModelArtifact::from_model(model, meta, None)
-                .map(|a| AnyArtifact::F32(a.quantize()))
-                .and_then(|a| reg.save_any(&name, 1, &a))
+            report.outcome = match ModelArtifact::from_model(&qmodel, meta, None)
+                .and_then(|a| reg.save(&name, 1, &a))
             {
                 Ok(path) => {
                     eprintln!("  fold {name}: f32 artifact published to {}", path.display());
@@ -327,12 +352,12 @@ pub fn train_config_stamp(cfg: &EspConfig) -> String {
 /// registry when a [`ModelCache`] is configured: load the fold if allowed
 /// and present (skipping retraining entirely), otherwise train it with
 /// [`leave_one_out`] and save it if asked. A cached artifact is used only
-/// when its recorded corpus, seed, fold and training-configuration stamp
-/// match this run — then it predicts bitwise identically to a freshly
-/// trained model, so the table is unchanged either way; anything else
-/// (different seed or feature set, a `--quick` registry read by a full run)
-/// is retrained.
-pub(crate) fn fold_model(
+/// when it holds f64 weights and its recorded corpus, seed, fold and
+/// training-configuration stamp match this run — then it predicts bitwise
+/// identically to a freshly trained model, so the table is unchanged
+/// either way; anything else (an f32 artifact, a different seed or feature
+/// set, a `--quick` registry read by a full run) is retrained.
+fn fold_model(
     suite: &SuiteData,
     cfg: &Table4Config,
     lang: Lang,
@@ -343,31 +368,19 @@ pub(crate) fn fold_model(
         return leave_one_out(group, fold, &cfg.esp);
     };
     let reg = Registry::open(&cache.dir);
-    let lang_tag = match lang {
-        Lang::C => "c",
-        Lang::Fort => "fort",
-    };
-    let name = format!("table4-{lang_tag}-fold{fold}");
-    let seed = match &cfg.esp.learner {
-        Learner::Net(m) => m.seed,
-        _ => 0,
-    };
-    let train_config = train_config_stamp(&cfg.esp);
+    let name = fold_name(lang, fold);
     if cache.load {
         match reg.load(&name, None) {
             Ok((v, artifact)) => {
                 let m = &artifact.meta;
-                if m.train_config == train_config
-                    && m.corpus_id == suite.config.name
-                    && m.seed == seed
-                    && m.fold == Some(fold as u32)
-                {
+                let bits = artifact.net.precision_bits();
+                if bits == 64 && *m == fold_meta(suite, &cfg.esp, fold, m.examples as usize) {
                     eprintln!("  fold {name}: loaded v{v} from {}", cache.dir.display());
                     return artifact.to_model();
                 }
                 eprintln!(
                     "  fold {name}: cached v{v} was trained differently \
-                     (corpus {:?}, seed {}, config {:?}); retraining",
+                     (corpus {:?}, seed {}, config {:?}, f{bits} weights); retraining",
                     m.corpus_id, m.seed, m.train_config
                 );
             }
@@ -376,16 +389,8 @@ pub(crate) fn fold_model(
     }
     let model = leave_one_out(group, fold, &cfg.esp);
     if cache.save {
-        let meta = ModelMeta {
-            corpus_id: suite.config.name.to_string(),
-            seed,
-            fold: Some(fold as u32),
-            examples: model.num_examples() as u64,
-            train_config,
-        };
-        match ModelArtifact::from_model(&model, meta, None)
-            .and_then(|a| reg.save(&name, 1, &a))
-        {
+        let meta = fold_meta(suite, &cfg.esp, fold, model.num_examples());
+        match ModelArtifact::from_model(&model, meta, None).and_then(|a| reg.save(&name, 1, &a)) {
             Ok(path) => eprintln!("  fold {name}: saved to {}", path.display()),
             Err(e) => eprintln!("  fold {name}: cannot save ({e})"),
         }

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use esp_core::{EspConfig, TrainingProgram};
+use esp_core::EspConfig;
 use esp_corpus::Group;
 use esp_exec::ExecLimits;
 use esp_heur::{BranchCtx, Btfnt};
@@ -29,7 +29,7 @@ use esp_sim::{collect_trace, replay_arena, ArenaConfig, StaticScheme, Trace};
 
 use crate::data::{BenchData, SuiteData};
 use crate::fmt::{pct1, TextTable};
-use crate::table4::{fold_model, ModelCache, Table4Config};
+use crate::table4::{for_each_fold, ModelCache, Table4Config};
 
 /// Options for the dynamic-arena study.
 #[derive(Debug, Clone)]
@@ -186,35 +186,7 @@ pub fn compute(suite: &SuiteData, cfg: &TableDynConfig) -> TableDynReport {
         quant: None,
     };
     let mut probs: Vec<Option<Vec<f64>>> = vec![None; suite.benches.len()];
-    let training: Vec<TrainingProgram<'_>> = suite
-        .benches
-        .iter()
-        .map(|b| TrainingProgram {
-            prog: &b.prog,
-            analysis: &b.analysis,
-            profile: &b.profile,
-        })
-        .collect();
-    for lang in [Lang::C, Lang::Fort] {
-        let idx = suite.lang_indices(lang);
-        if idx.len() < 2 {
-            continue;
-        }
-        let group: Vec<TrainingProgram<'_>> = idx
-            .iter()
-            .map(|&i| TrainingProgram {
-                prog: training[i].prog,
-                analysis: training[i].analysis,
-                profile: training[i].profile,
-            })
-            .collect();
-        for (fold, &bench_i) in idx.iter().enumerate() {
-            let b = &suite.benches[bench_i];
-            let model = fold_model(suite, &t4cfg, lang, fold, &group);
-            let sites = b.prog.branch_sites();
-            probs[bench_i] = Some(model.predict_prob_sites(&b.prog, &b.analysis, &sites));
-        }
-    }
+    for_each_fold(suite, &t4cfg, |f| probs[f.bench] = Some(f.probs.to_vec()));
 
     let arena_cfg = ArenaConfig {
         warmup_events: cfg.warmup_events,

@@ -1,16 +1,16 @@
 //! End-to-end f32 quantization gate: a miniature Table 4 run (two C
 //! programs, two leave-one-out folds) with the gate enabled must score
 //! every fold, publish f32 artifacts that round-trip through the registry
-//! as `AnyArtifact::F32`, and — under an unsatisfiable bound — refuse to
+//! as `Net::F32`, and — under an unsatisfiable bound — refuse to
 //! publish and fail the gate without perturbing the table rows.
 
-use esp_artifact::{AnyArtifact, Registry};
+use esp_artifact::Registry;
 use esp_core::{EspConfig, Learner};
 use esp_eval::{
     compute_with_quant, PublishOutcome, QuantGateConfig, SuiteData, Table4Config,
 };
 use esp_lang::CompilerConfig;
-use esp_nnet::MlpConfig;
+use esp_nnet::{MlpConfig, Net};
 
 fn mini_cfg(quant: Option<QuantGateConfig>) -> Table4Config {
     Table4Config {
@@ -61,10 +61,10 @@ fn gate_scores_every_fold_and_publishes_f32_artifacts() {
     // The published artifacts are quantized (kind f32) and load back.
     let reg = Registry::open(&dir);
     for name in ["table4-c-fold0-f32", "table4-c-fold1-f32"] {
-        let (v, a) = reg.load_any(name, None).expect("published artifact loads");
+        let (v, a) = reg.load(name, None).expect("published artifact loads");
         assert_eq!(v, 1);
-        assert_eq!(a.precision_bits(), 32);
-        assert!(matches!(a, AnyArtifact::F32(_)));
+        assert_eq!(a.net.precision_bits(), 32);
+        assert!(matches!(a.net, Net::F32(_)));
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -93,7 +93,7 @@ fn unsatisfiable_bound_refuses_publication_and_fails_the_gate() {
     assert!(gate.render().contains("gate: FAIL"));
     let reg = Registry::open(&dir);
     assert!(
-        reg.load_any("table4-c-fold0-f32", None).is_err(),
+        reg.load("table4-c-fold0-f32", None).is_err(),
         "a refused fold must not be published"
     );
 

@@ -15,6 +15,11 @@
 //!   snapping `y` to 0 or 1 — which is the quantity the study actually
 //!   cares about (dynamic misprediction rate).
 //!
+//! Weights are `f64` as trained; [`Mlp::quantize`] narrows them to the
+//! `Mlp<f32>` serving model, which predicts through the same generic
+//! kernels. [`Net`] carries either precision as a value for model files
+//! and servers.
+//!
 //! # Example
 //!
 //! ```
@@ -46,15 +51,14 @@
 
 mod coalesce;
 mod mlp;
+mod net;
 mod norm;
 pub(crate) mod panel;
-mod quant;
-pub mod reference;
 mod tree;
 
 pub use coalesce::{coalesce_examples, CoalesceStats};
-pub use mlp::{LossKind, Mlp, MlpConfig, TrainExample, TrainReport};
+pub use mlp::{LossKind, Mlp, MlpConfig, TrainExample, TrainReport, GRAD_CHUNK};
+pub use net::Net;
 pub use norm::Normalizer;
-pub use panel::{PanelScratch, PANEL_LANES};
-pub use quant::QuantizedMlp;
+pub use panel::{PanelFloat, PanelScratch, PANEL_LANES};
 pub use tree::{DecisionTree, TreeConfig};

@@ -10,7 +10,7 @@
 //!
 //! # Kernel layout
 //!
-//! All free parameters live in **one contiguous `Vec<f64>`** in
+//! All free parameters live in **one contiguous `Vec<T>`** in
 //! [`Mlp::flat_weights`] order: hidden-major weight rows `w[i][j]`
 //! (`i * inputs + j`), then hidden biases `b[i]`, then output weights `v[i]`
 //! (or `v[j]` over inputs when `hidden == 0`), then the output bias `a`.
@@ -22,13 +22,22 @@
 //!
 //! Every kernel preserves the *reference* summation order (row terms
 //! left-to-right, then `+ bias`), so the flat path is bitwise-identical to
-//! the nested-`Vec` implementation preserved in [`crate::reference`]; an
+//! the nested-`Vec` implementation preserved under `tests/reference`; an
 //! integration test asserts this for forwards, gradients, and whole
 //! training runs.
+//!
+//! # Precision
+//!
+//! `Mlp<T>` is generic over its weight type ([`PanelFloat`]): `Mlp<f64>`
+//! (the default) is what [`Mlp::train`] produces, and [`Mlp::quantize`]
+//! narrows it to `Mlp<f32>` for serving by rounding each parameter once.
+//! Inference is one generic code path; only training is f64-only, so a
+//! quantized network cannot be trained. [`Net`] carries either precision
+//! as a value for the layers that load whichever a model file holds.
 
+use crate::panel::{panel_tile, PanelFloat, PanelScratch, PANEL_LANES};
 use esp_obs::span;
 use esp_runtime::{parallel_drain, parallel_map_indices, resolve_threads, Pcg32};
-use std::cell::RefCell;
 
 /// One training example: an encoded static feature vector `x`, the branch's
 /// true taken-probability `target` (`t_k`), and its normalized execution
@@ -122,30 +131,27 @@ pub struct TrainReport {
     pub best_thresholded_error: f64,
 }
 
-/// Examples per gradient chunk. Fixed — never derived from the thread
-/// count — so chunk boundaries (and with them every floating-point sum) are
-/// a function of the data alone. 128 examples amortise the scheduling cost
-/// while leaving plenty of chunks to balance across workers on
-/// corpus-sized folds.
-pub(crate) const GRAD_CHUNK: usize = 128;
-
-thread_local! {
-    /// Hidden-activation scratch for the allocation-free single-row predict
-    /// path; grows to the largest `hidden` seen on this thread and stays.
-    static H_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-}
+/// Examples per gradient chunk — part of the determinism contract. Fixed,
+/// never derived from the thread count, so chunk boundaries (and with them
+/// every floating-point sum of the batch gradient) are a function of the
+/// data alone; the chunk partials then meet in a fixed pairwise reduction.
+/// Changing it changes trained weights. 128 examples amortise the
+/// scheduling cost while leaving plenty of chunks to balance across
+/// workers on corpus-sized folds.
+pub const GRAD_CHUNK: usize = 128;
 
 /// The paper's branch-prediction network (Figure 1), stored as one flat
-/// parameter buffer (see the module docs for the layout).
+/// parameter buffer of weight type `T` (see the module docs for the layout
+/// and the two precisions).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Mlp {
+pub struct Mlp<T = f64> {
     /// `[w rows (hidden-major) | b | v | a]`, exactly `flat_weights` order.
-    params: Vec<f64>,
+    params: Vec<T>,
     inputs: usize,
     hidden: usize,
 }
 
-impl Mlp {
+impl<T: PanelFloat> Mlp<T> {
     /// Number of input units.
     pub fn num_inputs(&self) -> usize {
         self.inputs
@@ -175,16 +181,11 @@ impl Mlp {
 
     /// Every free parameter flattened in a fixed order (hidden rows, hidden
     /// biases, output weights, output bias) — the handle determinism tests
-    /// use to assert bitwise-identical training outcomes. With the flat
-    /// kernel layout this is simply a copy of the parameter buffer.
-    pub fn flat_weights(&self) -> Vec<f64> {
+    /// use to assert bitwise-identical training outcomes, and what model
+    /// files persist as raw IEEE-754 bits. With the flat kernel layout this
+    /// is simply a copy of the parameter buffer.
+    pub fn flat_weights(&self) -> Vec<T> {
         self.params.clone()
-    }
-
-    /// Free parameters of an `(inputs, hidden)` topology — the length
-    /// [`Mlp::from_flat_weights`] expects.
-    pub fn param_count(inputs: usize, hidden: usize) -> usize {
-        inputs * hidden + hidden + (if hidden == 0 { inputs } else { hidden }) + 1
     }
 
     /// Rebuild a network from the topology plus the exact flattened
@@ -194,8 +195,8 @@ impl Mlp {
     /// predicts bitwise-identically to the one that was trained.
     ///
     /// Returns `None` when `flat.len()` disagrees with the topology.
-    pub fn from_flat_weights(inputs: usize, hidden: usize, flat: &[f64]) -> Option<Self> {
-        if flat.len() != Self::param_count(inputs, hidden) {
+    pub fn from_flat_weights(inputs: usize, hidden: usize, flat: &[T]) -> Option<Self> {
+        if flat.len() != Mlp::param_count(inputs, hidden) {
             return None;
         }
         Some(Mlp {
@@ -205,19 +206,15 @@ impl Mlp {
         })
     }
 
-    /// Random initialisation, drawing parameters in flat-layout order (which
-    /// is exactly the nested-row order the reference implementation uses, so
-    /// both see the identical RNG stream). The output bias starts at zero.
-    pub(crate) fn new_random(inputs: usize, hidden: usize, rng: &mut Pcg32) -> Self {
-        let scale = 1.0 / (inputs.max(1) as f64).sqrt();
-        let n = Self::param_count(inputs, hidden);
-        let mut params: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-scale..scale)).collect();
-        params.push(0.0); // output bias `a`
-        Mlp {
-            params,
-            inputs,
-            hidden,
-        }
+    /// Run `f` on this thread's hidden-activation scratch, grown to
+    /// `hidden` — allocation-free once it has grown.
+    fn with_hidden<R>(&self, f: impl FnOnce(&mut [T]) -> R) -> R {
+        T::with_scratch(|s| {
+            if s.tail.len() < self.hidden {
+                s.tail.resize(self.hidden, T::ZERO);
+            }
+            f(&mut s.tail)
+        })
     }
 
     /// The network's estimate of the probability that the branch is taken,
@@ -229,53 +226,7 @@ impl Mlp {
     /// Panics if `x.len()` differs from the training dimensionality.
     pub fn predict(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.inputs, "input dimensionality mismatch");
-        H_SCRATCH.with(|cell| {
-            let mut h = cell.borrow_mut();
-            if h.len() < self.hidden {
-                h.resize(self.hidden, 0.0);
-            }
-            self.forward_into(x, &mut h)
-        })
-    }
-
-    /// [`Mlp::predict`] with a caller-owned hidden-activation scratch —
-    /// the batched entry point: callers predicting many rows hold one
-    /// buffer across the whole batch and pay zero allocations after it
-    /// grows to `hidden` once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the training dimensionality.
-    pub fn predict_with_scratch(&self, x: &[f64], h: &mut Vec<f64>) -> f64 {
-        assert_eq!(x.len(), self.inputs, "input dimensionality mismatch");
-        if h.len() < self.hidden {
-            h.resize(self.hidden, 0.0);
-        }
-        self.forward_into(x, h)
-    }
-
-    /// Batched forward kernel: predict every row of `rows`, pushing the
-    /// probabilities onto `out` in order. One pass over the flat weights per
-    /// row with a shared thread-local scratch — the serve cache-miss fan-out
-    /// and eval table plumbing call this instead of per-row [`Mlp::predict`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row's length differs from the training dimensionality.
-    pub fn predict_batch_into<'a, I>(&self, rows: I, out: &mut Vec<f64>)
-    where
-        I: IntoIterator<Item = &'a [f64]>,
-    {
-        H_SCRATCH.with(|cell| {
-            let mut h = cell.borrow_mut();
-            if h.len() < self.hidden {
-                h.resize(self.hidden, 0.0);
-            }
-            for x in rows {
-                assert_eq!(x.len(), self.inputs, "input dimensionality mismatch");
-                out.push(self.forward_into(x, &mut h));
-            }
-        });
+        self.with_hidden(|h| self.forward_into(x, h))
     }
 
     /// Hard taken/not-taken decision at the paper's 0.5 threshold.
@@ -299,15 +250,15 @@ impl Mlp {
         &self,
         panel: &[f64],
         rows: usize,
-        scratch: &mut crate::PanelScratch,
+        scratch: &mut PanelScratch<T>,
         out: &mut Vec<f64>,
     ) {
         assert_eq!(panel.len(), rows * self.inputs, "panel shape mismatch");
         out.reserve(rows);
-        let full = rows - rows % crate::PANEL_LANES;
+        let full = rows - rows % PANEL_LANES;
         let mut base = 0;
         while base < full {
-            crate::panel::panel_tile(
+            panel_tile(
                 &self.params,
                 self.inputs,
                 self.hidden,
@@ -316,10 +267,10 @@ impl Mlp {
                 scratch,
                 out,
             );
-            base += crate::PANEL_LANES;
+            base += PANEL_LANES;
         }
         if scratch.tail.len() < self.hidden {
-            scratch.tail.resize(self.hidden, 0.0);
+            scratch.tail.resize(self.hidden, T::ZERO);
         }
         for r in base..rows {
             let x = &panel[r * self.inputs..(r + 1) * self.inputs];
@@ -329,51 +280,83 @@ impl Mlp {
 
     /// Fused forward pass over the flat parameter buffer, writing hidden
     /// activations into `h` (`h.len() >= hidden`, enforced by callers) and
-    /// returning `y`. Accumulation order matches the reference exactly: row
-    /// terms left-to-right from zero, then `+ bias`, so results are bitwise
-    /// identical to the nested-`Vec` implementation.
+    /// returning `y`. Inputs are narrowed to `T` per element at use and
+    /// only the final probability widens back to `f64`. Accumulation order
+    /// matches the reference exactly: row terms left-to-right from zero,
+    /// then `+ bias`, so the f64 instantiation is bitwise identical to the
+    /// nested-`Vec` implementation.
     #[inline]
-    fn forward_into(&self, x: &[f64], h: &mut [f64]) -> f64 {
+    fn forward_into(&self, x: &[f64], h: &mut [T]) -> f64 {
         debug_assert_eq!(x.len(), self.inputs);
         debug_assert!(h.len() >= self.hidden);
         let p = self.params.as_slice();
         let inputs = self.inputs;
         if self.hidden == 0 {
-            let mut z = 0.0;
-            for (v, xj) in p[..inputs].iter().zip(x) {
-                z += v * xj;
+            let mut z = T::ZERO;
+            for (&v, &xj) in p[..inputs].iter().zip(x) {
+                z += v * T::cast(xj);
             }
-            z += p[inputs]; // output bias
-            return 0.5 * z.tanh() + 0.5;
+            return (z + p[inputs]).squash(); // output bias
         }
         let b_off = self.b_off();
         for (i, hi) in h[..self.hidden].iter_mut().enumerate() {
-            let mut s = 0.0;
-            for (w, xj) in p[i * inputs..(i + 1) * inputs].iter().zip(x) {
-                s += w * xj;
+            let mut s = T::ZERO;
+            for (&w, &xj) in p[i * inputs..(i + 1) * inputs].iter().zip(x) {
+                s += w * T::cast(xj);
             }
-            *hi = (s + p[b_off + i]).tanh();
+            *hi = (s + p[b_off + i]).tanh_();
         }
         let v_off = self.v_off();
-        let mut z = 0.0;
-        for (v, hi) in p[v_off..v_off + self.hidden].iter().zip(h.iter()) {
+        let mut z = T::ZERO;
+        for (&v, &hi) in p[v_off..v_off + self.hidden].iter().zip(h.iter()) {
             z += v * hi;
         }
-        z += p[v_off + self.hidden]; // output bias
-        0.5 * z.tanh() + 0.5
+        (z + p[v_off + self.hidden]).squash() // output bias
+    }
+}
+
+impl Mlp {
+    /// Free parameters of an `(inputs, hidden)` topology — the length
+    /// [`Mlp::from_flat_weights`] expects, at either precision.
+    pub fn param_count(inputs: usize, hidden: usize) -> usize {
+        inputs * hidden + hidden + (if hidden == 0 { inputs } else { hidden }) + 1
+    }
+
+    /// Random initialisation, drawing parameters in flat-layout order (which
+    /// is exactly the nested-row order the reference implementation uses, so
+    /// both see the identical RNG stream). The output bias starts at zero.
+    pub(crate) fn new_random(inputs: usize, hidden: usize, rng: &mut Pcg32) -> Self {
+        let scale = 1.0 / (inputs.max(1) as f64).sqrt();
+        let n = Self::param_count(inputs, hidden);
+        let mut params: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-scale..scale)).collect();
+        params.push(0.0); // output bias `a`
+        Mlp {
+            params,
+            inputs,
+            hidden,
+        }
+    }
+
+    /// The f32 serving narrowing: every flat parameter rounded once to the
+    /// nearest f32 (`as f32`, IEEE round-to-nearest-even), same topology.
+    /// The result may *flip* predictions across the 0.5 threshold relative
+    /// to this network; the eval-side flip gate (`esp_eval::quant`) measures
+    /// that and refuses artifacts that flip too often.
+    pub fn quantize(&self) -> Mlp<f32> {
+        Mlp {
+            params: self.params.iter().map(|&w| w as f32).collect(),
+            inputs: self.inputs,
+            hidden: self.hidden,
+        }
     }
 
     /// The continuous misprediction-cost loss over a data set.
     pub fn loss(&self, data: &[TrainExample]) -> f64 {
-        H_SCRATCH.with(|cell| {
-            let mut h = cell.borrow_mut();
-            if h.len() < self.hidden {
-                h.resize(self.hidden, 0.0);
-            }
+        self.with_hidden(|h| {
             data.iter()
                 .map(|ex| {
                     assert_eq!(ex.x.len(), self.inputs, "input dimensionality mismatch");
-                    let y = self.forward_into(&ex.x, &mut h);
+                    let y = self.forward_into(&ex.x, h);
                     ex.weight * (y * (1.0 - ex.target) + ex.target * (1.0 - y))
                 })
                 .sum()
@@ -383,15 +366,11 @@ impl Mlp {
     /// The thresholded error: the same loss with `y` snapped to 0 or 1 —
     /// i.e. the weighted dynamic misprediction mass of the hard predictor.
     pub fn thresholded_error(&self, data: &[TrainExample]) -> f64 {
-        H_SCRATCH.with(|cell| {
-            let mut h = cell.borrow_mut();
-            if h.len() < self.hidden {
-                h.resize(self.hidden, 0.0);
-            }
+        self.with_hidden(|h| {
             data.iter()
                 .map(|ex| {
                     assert_eq!(ex.x.len(), self.inputs, "input dimensionality mismatch");
-                    let y = self.forward_into(&ex.x, &mut h);
+                    let y = self.forward_into(&ex.x, h);
                     threshold_term(y, ex.target, ex.weight)
                 })
                 .sum()
@@ -1054,27 +1033,6 @@ mod tests {
             let x = [0.3, -1.2, 0.9, 0.05];
             assert_eq!(back.predict(&x).to_bits(), m.predict(&x).to_bits());
             assert!(Mlp::from_flat_weights(4, hidden, &flat[1..]).is_none());
-        }
-    }
-
-    #[test]
-    fn batch_predict_matches_single_row_predict() {
-        let mut rng = Pcg32::seed_from_u64(33);
-        for hidden in [0, 6] {
-            let m = Mlp::new_random(4, hidden, &mut rng);
-            let rows: Vec<Vec<f64>> = (0..25)
-                .map(|i| (0..4).map(|j| ((i * 5 + j * 3) as f64).cos()).collect())
-                .collect();
-            let mut batched = Vec::new();
-            m.predict_batch_into(rows.iter().map(|r| r.as_slice()), &mut batched);
-            let mut scratch = Vec::new();
-            for (row, y) in rows.iter().zip(&batched) {
-                assert_eq!(m.predict(row).to_bits(), y.to_bits());
-                assert_eq!(
-                    m.predict_with_scratch(row, &mut scratch).to_bits(),
-                    y.to_bits()
-                );
-            }
         }
     }
 

@@ -23,13 +23,13 @@
 //! the last full tile fall through to the scalar kernel, which produces the
 //! same bits by the same argument.
 //!
-//! The kernel is generic over [`f64`] and [`f32`] through the private
-//! `PanelFloat` trait; the `f32` instantiation backs
-//! [`crate::QuantizedMlp`]'s serving path and is bitwise self-consistent
-//! with *its* scalar path (not with the f64 model — quantization changes
-//! values by design).
+//! The kernel is generic over [`f64`] and [`f32`] through [`PanelFloat`],
+//! like [`crate::Mlp`] itself; the `Mlp<f32>` instantiation is the f32
+//! serving path and is bitwise self-consistent with *its* scalar path (not
+//! with the f64 model — quantization changes values by design).
 
 use core::ops::{Add, AddAssign, Mul};
+use std::cell::RefCell;
 
 /// Examples per panel tile. Eight keeps the lane accumulator block
 /// (`8 × f64` = one cache line) in registers while giving LLVM a full
@@ -62,11 +62,32 @@ impl<T> PanelScratch<T> {
     }
 }
 
-/// The two element types the panel kernel is instantiated at. Sealed to the
-/// crate: the contract ("`squash` must match the corresponding scalar
-/// kernel's output step bit for bit") is an internal invariant.
-pub(crate) trait PanelFloat:
-    Copy + PartialEq + AddAssign + Add<Output = Self> + Mul<Output = Self> + std::fmt::Debug
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f64 {}
+    impl Sealed for f32 {}
+}
+
+thread_local! {
+    /// Per-thread kernel scratch for the entry points that take none from
+    /// the caller (`Mlp::predict`, the loss sweeps, `Net::predict_panel_into`);
+    /// each grows to the largest model seen on the thread and stays.
+    static SCRATCH_F64: RefCell<PanelScratch<f64>> = const { RefCell::new(PanelScratch::new()) };
+    static SCRATCH_F32: RefCell<PanelScratch<f32>> = const { RefCell::new(PanelScratch::new()) };
+}
+
+/// The weight precisions a [`crate::Mlp`] is instantiated at: `f64` (what
+/// training produces) and `f32` (the serving narrowing). Sealed: the
+/// contract ("`squash` must match the corresponding scalar kernel's output
+/// step bit for bit") is an internal invariant.
+pub trait PanelFloat:
+    sealed::Sealed
+    + Copy
+    + PartialEq
+    + AddAssign
+    + Add<Output = Self>
+    + Mul<Output = Self>
+    + std::fmt::Debug
 {
     /// Additive identity — the accumulator start value, as in the scalar path.
     const ZERO: Self;
@@ -77,6 +98,8 @@ pub(crate) trait PanelFloat:
     /// The output squash `½·tanh(z) + ½`, computed at this precision and
     /// only then widened to `f64` — bit-for-bit the scalar kernel's step.
     fn squash(self) -> f64;
+    /// Run `f` on this thread's reusable scratch at this precision.
+    fn with_scratch<R>(f: impl FnOnce(&mut PanelScratch<Self>) -> R) -> R;
 }
 
 impl PanelFloat for f64 {
@@ -93,6 +116,9 @@ impl PanelFloat for f64 {
     fn squash(self) -> f64 {
         0.5 * self.tanh() + 0.5
     }
+    fn with_scratch<R>(f: impl FnOnce(&mut PanelScratch<f64>) -> R) -> R {
+        SCRATCH_F64.with(|cell| f(&mut cell.borrow_mut()))
+    }
 }
 
 impl PanelFloat for f32 {
@@ -108,6 +134,9 @@ impl PanelFloat for f32 {
     #[inline]
     fn squash(self) -> f64 {
         (0.5 * self.tanh() + 0.5) as f64
+    }
+    fn with_scratch<R>(f: impl FnOnce(&mut PanelScratch<f32>) -> R) -> R {
+        SCRATCH_F32.with(|cell| f(&mut cell.borrow_mut()))
     }
 }
 

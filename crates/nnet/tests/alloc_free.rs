@@ -1,9 +1,8 @@
 //! Pins the kernel zero-allocation contract with a counting global
 //! allocator (same pattern as `crates/obs/tests/alloc_free.rs`): once the
 //! scratch buffers have warmed up, the forward and gradient hot loops —
-//! `predict` / `predict_with_scratch` / `predict_batch_into`, `loss`,
-//! `thresholded_error`, and `accumulate_gradient` — perform **zero** heap
-//! allocations per example.
+//! `predict` / `predict_panel_into`, `loss`, `thresholded_error`, and
+//! `accumulate_gradient` — perform **zero** heap allocations per example.
 //!
 //! One `#[test]` only: the counter is process-global, and a sibling test
 //! allocating concurrently would make the delta meaningless.
@@ -11,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use esp_nnet::{LossKind, Mlp, MlpConfig, TrainExample};
+use esp_nnet::{LossKind, Mlp, MlpConfig, PanelScratch, TrainExample};
 
 struct CountingAlloc;
 
@@ -69,12 +68,13 @@ fn forward_and_gradient_hot_loops_do_not_allocate() {
     let mut scratch = Vec::with_capacity(hidden);
     let mut terr = vec![0.0; data.len()];
     let mut probs = Vec::with_capacity(data.len());
+    let panel: Vec<f64> = data.iter().flat_map(|d| d.x.iter().copied()).collect();
+    let mut panel_scratch = PanelScratch::new();
 
     // Warm every reusable buffer: the thread-local predict scratch, the
-    // caller-owned scratch, and the batch output's capacity.
+    // caller-owned scratches, and the batch output's capacity.
     let _ = m.predict(&data[0].x);
-    let _ = m.predict_with_scratch(&data[0].x, &mut scratch);
-    m.predict_batch_into(data.iter().map(|d| d.x.as_slice()), &mut probs);
+    m.predict_panel_into(&panel, data.len(), &mut panel_scratch, &mut probs);
     let _ = m.accumulate_gradient(&data, LossKind::Linear, &mut grad, &mut scratch, &mut terr);
     let _ = m.loss(&data);
     let _ = m.thresholded_error(&data);
@@ -91,10 +91,9 @@ fn forward_and_gradient_hot_loops_do_not_allocate() {
         for _ in 0..10 {
             for ex in &data {
                 sink += m.predict(&ex.x);
-                sink += m.predict_with_scratch(&ex.x, &mut scratch);
             }
             probs.clear();
-            m.predict_batch_into(data.iter().map(|d| d.x.as_slice()), &mut probs);
+            m.predict_panel_into(&panel, data.len(), &mut panel_scratch, &mut probs);
             sink += probs.iter().sum::<f64>();
             sink +=
                 m.accumulate_gradient(&data, LossKind::Linear, &mut grad, &mut scratch, &mut terr);

@@ -5,12 +5,12 @@
 //! * f64: `Mlp::predict_panel_into` must reproduce per-row `Mlp::predict`
 //!   **bit for bit** — the panel kernel only re-schedules work across
 //!   lanes, never within an example's sum.
-//! * f32: `QuantizedMlp::predict_panel_into` must reproduce per-row
-//!   `QuantizedMlp::predict` bit for bit (self-consistency). f32 is *not*
+//! * f32: `Mlp<f32>::predict_panel_into` must reproduce per-row
+//!   `Mlp<f32>::predict` bit for bit (self-consistency). f32 is *not*
 //!   compared against f64 — quantization changes values by design; the
 //!   eval-side flip gate quantifies that instead.
 
-use esp_nnet::{Mlp, PanelScratch, QuantizedMlp};
+use esp_nnet::{Mlp, PanelScratch};
 use esp_runtime::Pcg32;
 
 const BATCH_SIZES: [usize; 6] = [1, 2, 31, 32, 33, 257];
@@ -56,7 +56,7 @@ fn f64_panel_kernel_is_bitwise_identical_to_scalar() {
 #[test]
 fn f32_panel_kernel_is_bitwise_identical_to_f32_scalar() {
     for &hidden in &HIDDEN_SIZES {
-        let q = QuantizedMlp::from_mlp(&model(hidden, 0xC0 + hidden as u64));
+        let q = model(hidden, 0xC0 + hidden as u64).quantize();
         let mut scratch = PanelScratch::<f32>::new();
         for &rows in &BATCH_SIZES {
             let p = panel(rows, 0xD0 + rows as u64);
@@ -78,13 +78,13 @@ fn f32_panel_kernel_is_bitwise_identical_to_f32_scalar() {
 #[test]
 fn quantized_round_trip_and_topology() {
     let m = model(8, 0xE1);
-    let q = QuantizedMlp::from_mlp(&m);
+    let q = m.quantize();
     assert_eq!(q.num_inputs(), m.num_inputs());
     assert_eq!(q.num_hidden(), m.num_hidden());
     assert_eq!(q.num_params(), m.num_params());
     // flat round trip is bitwise
     let flat = q.flat_weights();
-    let back = QuantizedMlp::from_flat_weights(INPUTS, 8, &flat).expect("valid length");
+    let back = Mlp::<f32>::from_flat_weights(INPUTS, 8, &flat).expect("valid length");
     assert_eq!(back, q);
     let x = panel(1, 0xE2);
     assert_eq!(back.predict(&x).to_bits(), q.predict(&x).to_bits());
@@ -93,7 +93,7 @@ fn quantized_round_trip_and_topology() {
         assert_eq!(qw.to_bits(), (w as f32).to_bits());
     }
     // wrong length rejected
-    assert!(QuantizedMlp::from_flat_weights(INPUTS, 8, &flat[1..]).is_none());
+    assert!(Mlp::<f32>::from_flat_weights(INPUTS, 8, &flat[1..]).is_none());
     // f32 predictions track f64 closely on these magnitudes, without being
     // bitwise-equal in general
     let p = panel(64, 0xE3);
@@ -112,7 +112,7 @@ fn quantized_round_trip_and_topology() {
 #[test]
 fn empty_batch_is_a_no_op() {
     let m = model(8, 0xF1);
-    let q = QuantizedMlp::from_mlp(&m);
+    let q = m.quantize();
     let mut out = Vec::new();
     m.predict_panel_into(&[], 0, &mut PanelScratch::new(), &mut out);
     q.predict_panel_into(&[], 0, &mut PanelScratch::<f32>::new(), &mut out);

@@ -1,13 +1,15 @@
 //! The flat SoA kernels must be **bitwise identical** to the preserved
-//! nested-`Vec` reference implementation (`esp_nnet::reference`): same
+//! nested-`Vec` reference implementation (`tests/reference`): same
 //! forwards, same gradients, same full training trajectories. This is the
 //! contract that lets the kernel rewrite keep PR 1's thread-count
 //! determinism guarantee and PR 2's artifact bit-compatibility without
 //! revalidating any downstream table.
 
-use esp_nnet::reference::RefMlp;
+mod reference;
+
 use esp_nnet::{coalesce_examples, LossKind, Mlp, MlpConfig, TrainExample};
 use esp_runtime::Pcg32;
+use reference::RefMlp;
 
 fn random_flat(rng: &mut Pcg32, n: usize) -> Vec<f64> {
     (0..n).map(|_| rng.gen_range(-1.5..1.5)).collect()

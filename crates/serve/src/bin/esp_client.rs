@@ -200,6 +200,7 @@ fn registry(args: &[String]) {
             println!("  examples: {}", i.meta.examples);
             println!("  config:   {}", i.meta.train_config);
             println!("  topology: {} inputs, {} hidden", i.dim, i.hidden);
+            println!("  weights:  f{}", i.precision_bits);
             println!("  rates:    {}", if i.has_rates { "present" } else { "absent" });
             println!("  size:     {} bytes", i.file_len);
         }

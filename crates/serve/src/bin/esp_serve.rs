@@ -6,12 +6,12 @@
 //! esp-serve --synthetic DIM,HIDDEN,SEED  [--addr …] …
 //! ```
 //!
-//! Exactly one model source is required. Both artifact kinds load: f64
-//! models and quantized f32 models. `--precision f32|f64` overrides the
-//! artifact's native precision — an f64 artifact is quantized at load when
-//! `f32` is asked for; asking an f32 artifact for `f64` is an error.
-//! `--addr` defaults to `127.0.0.1:7871`; port `0` picks an ephemeral port
-//! (the bound address is printed either way). `--shards 0` (default) runs
+//! Exactly one model source is required. Every model serves at the
+//! precision its artifact stores: f64 as trained, or f32 for the quantized
+//! artifacts `repro_tables --precision f32` publishes after its flip gate.
+//! Unknown flags are rejected with exit status 2. `--addr` defaults to
+//! `127.0.0.1:7871`; port `0` picks an ephemeral port (the bound address
+//! is printed either way). `--shards 0` (default) runs
 //! one shard worker per core, each owning its slice of the LRU cache;
 //! `--cache` is the total LRU capacity in entries, split across shards
 //! (`0` disables). The process runs until a client sends `SHUTDOWN` (see
@@ -33,8 +33,49 @@
 //! printed). `--no-ledger` disables the per-site accuracy ledger fed by the
 //! `PROFILE` opcode (it is on by default).
 
-use esp_artifact::{AnyArtifact, ModelArtifact, Registry};
-use esp_serve::{serve, ModelSource, Precision, ServeConfig};
+use esp_artifact::{ModelArtifact, Registry};
+use esp_serve::{serve, ModelSource, ServeConfig};
+
+/// Flags that consume the next argument as their value.
+const VALUE_FLAGS: &[&str] = &[
+    "--model",
+    "--registry",
+    "--name",
+    "--model-version",
+    "--synthetic",
+    "--addr",
+    "--shards",
+    "--cache",
+    "--reload-watch",
+    "--http-addr",
+    "--trace-out",
+    "--metrics-out",
+];
+
+/// Flags that take no value.
+const BOOL_FLAGS: &[&str] = &["--no-ledger", "--help", "-h"];
+
+/// Reject any argument that is not a known flag or a known flag's value,
+/// with exit 2, instead of silently serving without it.
+fn check_flags(args: &[String]) {
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if VALUE_FLAGS.contains(&a) {
+            if i + 1 >= args.len() {
+                fail(format!("flag `{a}` needs a value"));
+            }
+            i += 1;
+        } else if !BOOL_FLAGS.contains(&a) {
+            fail(format!(
+                "unknown flag `{a}`; known flags: {} and {}",
+                VALUE_FLAGS.join(", "),
+                BOOL_FLAGS.join(", ")
+            ));
+        }
+        i += 1;
+    }
+}
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
@@ -55,20 +96,20 @@ fn fail(msg: String) -> ! {
     std::process::exit(2);
 }
 
-fn load_artifact(args: &[String]) -> AnyArtifact {
+fn load_artifact(args: &[String]) -> ModelArtifact {
     match (flag_value(args, "--model"), flag_value(args, "--synthetic")) {
-        (Some(path), None) => AnyArtifact::load(std::path::Path::new(path))
+        (Some(path), None) => ModelArtifact::load(std::path::Path::new(path))
             .unwrap_or_else(|e| fail(format!("cannot load {path}: {e}"))),
         (None, Some(spec)) => {
             let parts: Vec<&str> = spec.split(',').collect();
             if parts.len() != 3 {
                 fail(format!("--synthetic takes DIM,HIDDEN,SEED, got {spec:?}"));
             }
-            AnyArtifact::F64(ModelArtifact::synthetic(
+            ModelArtifact::synthetic(
                 parse(parts[0], "--synthetic DIM"),
                 parse(parts[1], "--synthetic HIDDEN"),
                 parse(parts[2], "--synthetic SEED"),
-            ))
+            )
         }
         _ => fail(
             "pick exactly one of --model PATH | --registry DIR --name M[@V][,…] | \
@@ -103,12 +144,12 @@ fn parse_models(args: &[String]) -> Vec<(String, Option<u32>)> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args);
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: esp-serve (--model PATH | --registry DIR --name M[@V][,M2[@V2]…] [--model-version V] | --synthetic DIM,HIDDEN,SEED)\n\
              \x20                [--addr HOST:PORT] [--shards N] [--cache N]\n\
-             \x20                [--reload-watch MS] [--precision f32|f64]\n\
-             \x20                [--http-addr HOST:PORT] [--no-ledger]\n\
+             \x20                [--reload-watch MS] [--http-addr HOST:PORT] [--no-ledger]\n\
              \x20                [--trace-out FILE] [--metrics-out FILE]"
         );
         return;
@@ -119,16 +160,9 @@ fn main() {
         esp_obs::trace::enable();
     }
     let addr = flag_value(&args, "--addr").unwrap_or("127.0.0.1:7871");
-    let precision = flag_value(&args, "--precision").map(|v| {
-        v.parse::<Precision>().unwrap_or_else(|e| {
-            eprintln!("--precision: {e}");
-            std::process::exit(2);
-        })
-    });
     let cfg = ServeConfig {
         shards: flag_value(&args, "--shards").map_or(0, |v| parse(v, "--shards")),
         cache_capacity: flag_value(&args, "--cache").map_or(4096, |v| parse(v, "--cache")),
-        precision,
         http_addr: flag_value(&args, "--http-addr").map(String::from),
         ledger: !args.iter().any(|a| a == "--no-ledger"),
     };
@@ -185,19 +219,15 @@ fn main() {
         }
         let artifact = load_artifact(&args);
         let h = start(ModelSource::Artifact(&artifact));
-        let served_bits = match (artifact.precision_bits(), precision) {
-            (_, Some(Precision::F32)) | (32, None) => 32,
-            _ => 64,
-        };
         eprintln!(
             "esp-serve listening on {} — model `{}` ({} inputs, {} hidden, format v{}, f{} weights); \
              stop with `esp-client shutdown --addr {}`",
             h.addr(),
-            artifact.meta().corpus_id,
+            artifact.meta.corpus_id,
             artifact.dim(),
-            artifact.hidden(),
+            artifact.net.num_hidden(),
             esp_artifact::FORMAT_VERSION,
-            served_bits,
+            artifact.net.precision_bits(),
             h.addr(),
         );
         h

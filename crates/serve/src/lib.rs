@@ -66,4 +66,4 @@ pub use protocol::{
     FrameReader, PredictRow, Prediction, ProfileAck, ProfileRecord, Request, Response,
     ServeError, ServerInfo, StatsSnapshot, PROTOCOL_VERSION,
 };
-pub use server::{serve, ModelSource, Precision, ServeConfig, ServerHandle};
+pub use server::{serve, ModelSource, ServeConfig, ServerHandle};

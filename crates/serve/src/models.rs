@@ -13,22 +13,20 @@
 //! stale probability can never be served across a swap — old entries
 //! simply age out of the LRU.
 
-use std::io::ErrorKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use esp_artifact::{AnyArtifact, FORMAT_VERSION};
+use esp_artifact::{ModelArtifact, FORMAT_VERSION};
 use esp_core::EspModel;
 
 use crate::protocol::ServerInfo;
-use crate::server::Precision;
 
 /// One loaded model: the inference network plus its routing identity.
 pub(crate) struct ModelEntry {
     /// Table-unique load id; prefixes shard cache keys so entries from
     /// different loads (including reloads of the same name) never alias.
     pub id: u64,
-    /// The inference model, at its serving precision.
+    /// The inference model, at its artifact's precision.
     pub model: EspModel,
     /// The facts an INFO request reports for this entry.
     pub info: ServerInfo,
@@ -40,26 +38,6 @@ impl std::fmt::Debug for ModelEntry {
             .field("id", &self.id)
             .field("info", &self.info)
             .finish_non_exhaustive()
-    }
-}
-
-/// Build the serving-precision model for an artifact, applying the same
-/// precision matrix as the original single-model server: an f64 artifact
-/// serves natively or quantizes down to f32; an f32 artifact cannot be
-/// promoted back to f64.
-fn model_at_precision(
-    artifact: &AnyArtifact,
-    precision: Option<Precision>,
-) -> std::io::Result<EspModel> {
-    match (artifact, precision) {
-        (AnyArtifact::F64(a), Some(Precision::F32)) => Ok(a.quantize().to_model()),
-        (AnyArtifact::F64(a), _) => Ok(a.to_model()),
-        (AnyArtifact::F32(a), None | Some(Precision::F32)) => Ok(a.to_model()),
-        (AnyArtifact::F32(_), Some(Precision::F64)) => Err(std::io::Error::new(
-            ErrorKind::InvalidInput,
-            "artifact holds f32 (quantized) weights and cannot be served at f64; \
-             load the f64 artifact instead",
-        )),
     }
 }
 
@@ -169,39 +147,37 @@ impl ModelTable {
     }
 }
 
-/// Build a [`ModelEntry`] from a loaded artifact.
-pub(crate) fn entry_from_any(
+/// Build a [`ModelEntry`] from a loaded artifact; it serves at the
+/// artifact's own precision.
+pub(crate) fn entry_from_artifact(
     table: &ModelTable,
-    artifact: &AnyArtifact,
+    artifact: &ModelArtifact,
     name: &str,
     version: u32,
-    precision: Option<Precision>,
-) -> std::io::Result<ModelEntry> {
-    let model = model_at_precision(artifact, precision)?;
-    Ok(ModelEntry {
+) -> ModelEntry {
+    ModelEntry {
         id: table.next_id(),
-        model,
+        model: artifact.to_model(),
         info: ServerInfo {
             dim: artifact.dim() as u32,
-            hidden: artifact.hidden() as u32,
+            hidden: artifact.net.num_hidden() as u32,
             format_version: FORMAT_VERSION,
-            corpus_id: artifact.meta().corpus_id.clone(),
+            corpus_id: artifact.meta.corpus_id.clone(),
             model_name: name.to_string(),
             model_version: version,
         },
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_artifact::ModelArtifact;
 
     fn table_with(names: &[(&str, u32)]) -> ModelTable {
         let table = ModelTable::new(names[0].0);
         for &(name, version) in names {
-            let artifact = AnyArtifact::F64(ModelArtifact::synthetic(6, 3, version as u64));
-            let entry = entry_from_any(&table, &artifact, name, version, None).unwrap();
+            let artifact = ModelArtifact::synthetic(6, 3, version as u64);
+            let entry = entry_from_artifact(&table, &artifact, name, version);
             table.install(name, Arc::new(entry));
         }
         table
@@ -225,21 +201,12 @@ mod tests {
     fn install_swaps_and_ids_are_unique() {
         let t = table_with(&[("alpha", 1)]);
         let old_id = t.resolve("alpha").unwrap().id;
-        let artifact = AnyArtifact::F64(ModelArtifact::synthetic(6, 3, 99));
-        let fresh = entry_from_any(&t, &artifact, "alpha", 2, None).unwrap();
+        let artifact = ModelArtifact::synthetic(6, 3, 99);
+        let fresh = entry_from_artifact(&t, &artifact, "alpha", 2);
         assert_ne!(fresh.id, old_id, "reload must mint a fresh cache epoch");
         let replaced = t.install("alpha", Arc::new(fresh));
         assert_eq!(replaced.unwrap().id, old_id);
         assert_eq!(t.resolve("alpha").unwrap().info.model_version, 2);
         assert_eq!(t.resolve("alpha@2").unwrap().id, t.default_entry().id);
-    }
-
-    #[test]
-    fn f32_entries_refuse_f64_precision() {
-        let t = ModelTable::new("q");
-        let q = AnyArtifact::F32(ModelArtifact::synthetic(6, 3, 1).quantize());
-        let err = entry_from_any(&t, &q, "q", 1, Some(Precision::F64)).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::InvalidInput);
-        assert!(entry_from_any(&t, &q, "q", 1, None).is_ok());
     }
 }

@@ -32,36 +32,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use esp_artifact::{AnyArtifact, Registry};
+use esp_artifact::{ModelArtifact, Registry};
 use esp_obs::window::{Clock, SlidingWindow, SystemClock};
 use esp_obs::{Ledger, OutcomeRecord};
 
 use crate::metrics::Metrics;
-use crate::models::{entry_from_any, ModelTable};
+use crate::models::{entry_from_artifact, ModelTable};
 use crate::protocol::{
     FrameReader, Prediction, ProfileAck, ProfileRecord, Request, Response, ServeError, ServerInfo,
 };
 use crate::shard::{PredictJoin, ShardPool, ShardStats};
-
-/// Numeric precision the server predicts at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Precision {
-    /// Full f64 weights — bitwise identical to training-time prediction.
-    F64,
-    /// Quantized f32 weights — the compact serving path.
-    F32,
-}
-
-impl std::str::FromStr for Precision {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "f64" => Ok(Precision::F64),
-            "f32" => Ok(Precision::F32),
-            other => Err(format!("unknown precision {other:?} (expected f32 or f64)")),
-        }
-    }
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -72,10 +52,6 @@ pub struct ServeConfig {
     /// Aggregate LRU cache capacity in entries, split evenly across the
     /// shards; `0` disables caching.
     pub cache_capacity: usize,
-    /// Serving precision; `None` = the artifact's native precision. An f64
-    /// artifact can be quantized down to f32 at load; an f32 artifact
-    /// cannot be served at f64 (the information is gone).
-    pub precision: Option<Precision>,
     /// Address for the HTTP telemetry sidecar (`GET /metrics`, `/healthz`,
     /// `/sitez`); `None` = no HTTP listener.
     pub http_addr: Option<String>,
@@ -89,7 +65,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 0,
             cache_capacity: 4096,
-            precision: None,
             http_addr: None,
             ledger: true,
         }
@@ -100,7 +75,7 @@ impl Default for ServeConfig {
 #[derive(Debug)]
 pub enum ModelSource<'a> {
     /// One anonymous model (a bare `.espm` file or a synthetic artifact).
-    Artifact(&'a AnyArtifact),
+    Artifact(&'a ModelArtifact),
     /// Named registry models behind one port. Each `(name, version)` pair
     /// loads that exact version, or the newest when `None`; the first name
     /// becomes the default model (what an empty selector resolves to).
@@ -215,16 +190,12 @@ struct WatchCfg {
     /// Unpinned model names eligible for hot reload.
     names: Vec<String>,
     interval: Duration,
-    precision: Option<Precision>,
 }
 
 /// Start serving `models` on `addr` (use port `0` for an ephemeral port;
-/// the bound address is available via [`ServerHandle::addr`]).
-///
-/// The precision matrix: an f64 artifact serves at its native f64 or
-/// quantizes down to f32 on request; an f32 artifact serves at f32
-/// (requesting f64 from it is an `InvalidInput` error — the precision was
-/// discarded at quantization).
+/// the bound address is available via [`ServerHandle::addr`]). Every model
+/// serves at its artifact's precision: f64 weights bitwise identical to
+/// training-time prediction, f32 weights as the quantized model predicts.
 pub fn serve(
     models: ModelSource<'_>,
     addr: &str,
@@ -233,8 +204,7 @@ pub fn serve(
     let (table, watch) = match models {
         ModelSource::Artifact(artifact) => {
             let table = ModelTable::new("");
-            let entry = entry_from_any(&table, artifact, "", 0, cfg.precision)?;
-            table.install("", Arc::new(entry));
+            table.install("", Arc::new(entry_from_artifact(&table, artifact, "", 0)));
             (table, None)
         }
         ModelSource::Registry {
@@ -251,9 +221,9 @@ pub fn serve(
             let table = ModelTable::new(default);
             for (name, pin) in models {
                 let (version, artifact) = registry
-                    .load_any(name, *pin)
+                    .load(name, *pin)
                     .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-                let entry = entry_from_any(&table, &artifact, name, version, cfg.precision)?;
+                let entry = entry_from_artifact(&table, &artifact, name, version);
                 table.install(name, Arc::new(entry));
             }
             let watch = reload_watch_ms.map(|ms| WatchCfg {
@@ -264,7 +234,6 @@ pub fn serve(
                     .map(|(n, _)| n.clone())
                     .collect(),
                 interval: Duration::from_millis(ms.max(1)),
-                precision: cfg.precision,
             });
             (table, watch)
         }
@@ -765,13 +734,10 @@ fn watch_loop(shared: Arc<Shared>, w: WatchCfg) {
             if newest <= current {
                 continue;
             }
-            let Ok((version, artifact)) = w.registry.load_any(name, Some(newest)) else {
+            let Ok((version, artifact)) = w.registry.load(name, Some(newest)) else {
                 continue;
             };
-            let Ok(entry) = entry_from_any(&shared.models, &artifact, name, version, w.precision)
-            else {
-                continue;
-            };
+            let entry = entry_from_artifact(&shared.models, &artifact, name, version);
             let is_default = shared.models.default_name() == name;
             shared.models.install(name, Arc::new(entry));
             shared.metrics.reloads.inc();

@@ -9,7 +9,7 @@ use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use esp_artifact::{AnyArtifact, ModelArtifact};
+use esp_artifact::ModelArtifact;
 use esp_serve::protocol::{read_frame, PROTOCOL_MAGIC, PROTOCOL_VERSION};
 use esp_serve::{serve, Client, ModelSource, PredictRow, Response, ServeConfig};
 
@@ -48,7 +48,7 @@ fn assert_alive(addr: &str, dim: usize) {
 #[test]
 fn hostile_frames_cannot_kill_the_event_loop() {
     let dim = 8;
-    let artifact = AnyArtifact::F64(ModelArtifact::synthetic(dim, 3, 9));
+    let artifact = ModelArtifact::synthetic(dim, 3, 9);
     let cfg = ServeConfig {
         shards: 2,
         ..ServeConfig::default()

@@ -1,14 +1,14 @@
 //! End-to-end test of the serving subsystem: train a real (small) ESP model,
 //! publish it to a registry, serve it on an ephemeral port, drive it with
 //! `Client`, and check that every probability that comes back over TCP is
-//! bitwise identical to in-process inference — plus cache accounting and
-//! graceful shutdown.
+//! bitwise identical to in-process inference — plus cache accounting,
+//! graceful shutdown, and the binary's refusal of flags it does not know.
 
-use esp_artifact::{AnyArtifact, ModelArtifact, ModelMeta, Registry};
+use esp_artifact::{ModelArtifact, ModelMeta, Registry};
 use esp_core::{encode, EspConfig, EspModel, Learner, TrainingProgram};
 use esp_eval::SuiteData;
 use esp_nnet::MlpConfig;
-use esp_serve::{serve, Client, ModelSource, Precision, PredictRow, ServeConfig};
+use esp_serve::{serve, Client, ModelSource, PredictRow, ServeConfig};
 
 #[test]
 fn served_predictions_match_in_process_bitwise() {
@@ -56,7 +56,6 @@ fn served_predictions_match_in_process_bitwise() {
     let (_, served_artifact) = reg.load("it-model", None).expect("reload");
 
     // Serve on an ephemeral loopback port.
-    let served_artifact = AnyArtifact::F64(served_artifact);
     let source = ModelSource::Artifact(&served_artifact);
     let handle =
         serve(source, "127.0.0.1:0", &ServeConfig::default()).expect("bind ephemeral port");
@@ -119,16 +118,12 @@ fn served_predictions_match_in_process_bitwise() {
 
 #[test]
 fn f32_serving_matches_in_process_quantized_inference_bitwise() {
-    let artifact = ModelArtifact::synthetic(12, 4, 33);
-    let qmodel = artifact.quantize().to_model();
-
-    // Serve the f64 artifact quantized down at load (`--precision f32`).
-    let cfg = ServeConfig {
-        precision: Some(Precision::F32),
-        ..ServeConfig::default()
-    };
-    let f64_artifact = AnyArtifact::F64(artifact.clone());
-    let handle = serve(ModelSource::Artifact(&f64_artifact), "127.0.0.1:0", &cfg)
+    // A quantized artifact round-trips its bytes and serves at f32, the
+    // precision it stores.
+    let q = ModelArtifact::synthetic(12, 4, 33).quantize();
+    let q = ModelArtifact::from_bytes(&q.to_bytes()).expect("f32 artifact round-trips");
+    let qmodel = q.to_model();
+    let handle = serve(ModelSource::Artifact(&q), "127.0.0.1:0", &ServeConfig::default())
         .expect("bind ephemeral port");
     let mut client = Client::connect(handle.addr().to_string()).expect("connect");
 
@@ -154,30 +149,57 @@ fn f32_serving_matches_in_process_quantized_inference_bitwise() {
         .metrics_text()
         .contains("esp_serve_predict_precision 32"));
     handle.shutdown();
+}
 
-    // A quantized artifact round-trips bytes and serves the same bits.
-    let q = AnyArtifact::F32(artifact.quantize());
-    let q = AnyArtifact::from_bytes(&q.to_bytes()).expect("f32 artifact round-trips");
-    let handle = serve(ModelSource::Artifact(&q), "127.0.0.1:0", &ServeConfig::default())
-        .expect("serve f32 kind");
-    let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-    let preds2 = client.predict(rows.clone()).expect("predict");
-    for (p, p2) in preds.iter().zip(&preds2) {
-        assert_eq!(p.prob.to_bits(), p2.prob.to_bits());
-    }
-    handle.shutdown();
+/// Run the `esp-serve` binary with `args` on an otherwise valid synthetic
+/// model; returns its exit code and stderr. A binary still running after
+/// ten seconds (it took the flags and is serving) is killed and reported
+/// with no exit code.
+fn run_esp_serve(args: &[&str]) -> (Option<i32>, String) {
+    use std::io::Read;
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
 
-    // Asking an f32 artifact for f64 precision is refused at startup.
-    match serve(
-        ModelSource::Artifact(&q),
-        "127.0.0.1:0",
-        &ServeConfig {
-            precision: Some(Precision::F64),
-            ..ServeConfig::default()
-        },
-    ) {
-        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
-        Ok(_) => panic!("f32 artifact must not serve at f64"),
+    let mut child = Command::new(env!("CARGO_BIN_EXE_esp-serve"))
+        .args(["--synthetic", "6,3,1", "--addr", "127.0.0.1:0"])
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn esp-serve");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let code = loop {
+        if let Some(status) = child.try_wait().expect("poll esp-serve") {
+            break status.code();
+        }
+        if Instant::now() > deadline {
+            child.kill().expect("kill esp-serve");
+            child.wait().expect("reap esp-serve");
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr is piped")
+        .read_to_string(&mut stderr)
+        .expect("read esp-serve stderr");
+    (code, stderr)
+}
+
+#[test]
+fn unknown_flags_exit_2_before_serving() {
+    // `--threads` is not an esp-serve flag (`--shards` is), and there is no
+    // `--precision`: an artifact serves at its own. Either must stop the
+    // binary instead of silently serving without it.
+    for flag in [["--threads", "2"], ["--precision", "f32"]] {
+        let (code, stderr) = run_esp_serve(&flag);
+        assert_eq!(code, Some(2), "{flag:?}: stderr was {stderr:?}");
+        assert!(stderr.contains(flag[0]), "{flag:?}: message must name the flag: {stderr:?}");
+        assert!(!stderr.contains("listening"), "{flag:?}: server started: {stderr:?}");
     }
 }
 
@@ -204,7 +226,6 @@ fn one_row_and_multi_chunk_batches_are_bitwise_identical() {
         cache_capacity: 0, // force every row through the compute path
         ..ServeConfig::default()
     };
-    let artifact = AnyArtifact::F64(artifact);
     let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind");
     let mut client = Client::connect(handle.addr().to_string()).expect("connect");
     let batched = client.predict(rows.clone()).expect("predict");
@@ -220,7 +241,7 @@ fn one_row_and_multi_chunk_batches_are_bitwise_identical() {
 
 #[test]
 fn dimension_mismatch_is_a_remote_error_not_a_crash() {
-    let artifact = AnyArtifact::F64(ModelArtifact::synthetic(9, 3, 21));
+    let artifact = ModelArtifact::synthetic(9, 3, 21);
     let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &ServeConfig::default())
         .expect("bind ephemeral port");
     let mut client = Client::connect(handle.addr().to_string()).expect("connect");

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use esp_artifact::{AnyArtifact, ModelArtifact};
+use esp_artifact::ModelArtifact;
 use esp_serve::metrics::gauge_value;
 use esp_serve::{serve, Client, ModelSource, PredictRow, ServeConfig};
 
@@ -20,7 +20,7 @@ fn rows(dim: usize, n: usize) -> Vec<PredictRow> {
 
 #[test]
 fn any_shard_count_serves_identical_bits() {
-    let artifact = AnyArtifact::F64(ModelArtifact::synthetic(14, 5, 101));
+    let artifact = ModelArtifact::synthetic(14, 5, 101);
     let model = artifact.to_model();
     let batch = rows(14, 96);
     let expected: Vec<u64> = batch
@@ -86,7 +86,7 @@ fn any_shard_count_serves_identical_bits() {
 
 #[test]
 fn concurrent_connections_interleave_without_corruption() {
-    let artifact = AnyArtifact::F64(ModelArtifact::synthetic(10, 4, 55));
+    let artifact = ModelArtifact::synthetic(10, 4, 55);
     let model = artifact.to_model();
     let cfg = ServeConfig {
         shards: 3,

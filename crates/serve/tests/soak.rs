@@ -7,7 +7,7 @@
 
 #![cfg(target_os = "linux")]
 
-use esp_artifact::{AnyArtifact, ModelArtifact};
+use esp_artifact::ModelArtifact;
 use esp_serve::{serve, Client, ModelSource, PredictRow, ServeConfig};
 
 /// Read a numeric field (e.g. `Threads`, `VmRSS`) out of /proc/self/status.
@@ -25,7 +25,7 @@ fn proc_status(field: &str) -> u64 {
 
 #[test]
 fn five_hundred_sequential_connections_leak_nothing() {
-    let artifact = AnyArtifact::F64(ModelArtifact::synthetic(8, 3, 17));
+    let artifact = ModelArtifact::synthetic(8, 3, 17);
     let cfg = ServeConfig {
         shards: 2,
         ..ServeConfig::default()

@@ -9,7 +9,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-use esp_artifact::{AnyArtifact, ModelArtifact, ModelMeta};
+use esp_artifact::{ModelArtifact, ModelMeta};
 use esp_core::{encode, EspConfig, EspModel, Learner, TrainingProgram};
 use esp_eval::{miss, SuiteData};
 use esp_nnet::MlpConfig;
@@ -71,7 +71,6 @@ fn profile_loop_reproduces_in_process_miss_rate() {
         None,
     )
     .expect("network model");
-    let artifact = AnyArtifact::F64(artifact);
 
     let cfg = ServeConfig {
         http_addr: Some("127.0.0.1:0".into()),
@@ -200,7 +199,7 @@ fn profile_loop_reproduces_in_process_miss_rate() {
 
 #[test]
 fn disabled_ledger_drops_outcomes_without_state() {
-    let artifact = AnyArtifact::F64(ModelArtifact::synthetic(8, 3, 5));
+    let artifact = ModelArtifact::synthetic(8, 3, 5);
     let cfg = ServeConfig {
         ledger: false,
         http_addr: Some("127.0.0.1:0".into()),
@@ -237,7 +236,7 @@ fn disabled_ledger_drops_outcomes_without_state() {
 
 #[test]
 fn bad_http_addr_fails_startup() {
-    let artifact = AnyArtifact::F64(ModelArtifact::synthetic(6, 2, 9));
+    let artifact = ModelArtifact::synthetic(6, 2, 9);
     let cfg = ServeConfig {
         http_addr: Some("not-an-address".into()),
         ..ServeConfig::default()

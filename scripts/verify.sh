@@ -184,14 +184,43 @@ PYEOF
     rm -f table_dyn.txt
 
     echo "==> f32 quantization gate (2-fold Table 4 subset, flip bound 0.05)"
+    rm -rf target/verify_f32_registry
     cargo run --release --offline -q -p esp-bench --bin repro_tables -- \
         table4 --quick --subset sort,grep --precision f32 --flip-bound 0.05 \
-        | tee table4_f32.txt
+        --save-model target/verify_f32_registry | tee table4_f32.txt
     grep -q 'f32_flip_rate=' table4_f32.txt \
         || { echo "gate report is missing f32_flip_rate" >&2; exit 1; }
     grep -q 'gate: PASS' table4_f32.txt \
         || { echo "f32 flip rate exceeded the 0.05 bound" >&2; exit 1; }
     rm -f table4_f32.txt
+
+    echo "==> f32 serving smoke (serve a gated *-f32 fold, precision gauge reads 32)"
+    f32_names=$(./target/release/esp-client registry list --dir target/verify_f32_registry \
+        | sed -n 's/^\(table4-.*-f32\): .*/\1/p')
+    f32_name=${f32_names%%$'\n'*}
+    [[ -n "$f32_name" ]] \
+        || { echo "the f32 gate published no *-f32 fold" >&2; exit 1; }
+    ./target/release/esp-serve --registry target/verify_f32_registry --name "$f32_name" \
+        --addr 127.0.0.1:0 --http-addr 127.0.0.1:0 2> serve_f32.log &
+    f32_pid=$!
+    tcp_addr=""; http_addr=""
+    for _ in $(seq 1 100); do
+        tcp_addr=$(sed -n 's/^esp-serve listening on \([^ ]*\) .*/\1/p' serve_f32.log)
+        http_addr=$(sed -n 's|^esp-serve telemetry on http://\([^ ]*\) .*|\1|p' serve_f32.log)
+        [[ -n "$tcp_addr" && -n "$http_addr" ]] && break
+        sleep 0.1
+    done
+    [[ -n "$tcp_addr" && -n "$http_addr" ]] \
+        || { echo "esp-serve (f32 smoke) did not print its bound addresses:" >&2; \
+             cat serve_f32.log >&2; kill "$f32_pid" 2>/dev/null; exit 1; }
+    ./target/release/esp-client get --addr "$http_addr" --path /metrics > f32_metrics.prom
+    grep -q '^esp_serve_predict_precision 32$' f32_metrics.prom \
+        || { echo "f32 smoke: $f32_name is not served at 32-bit precision" >&2; \
+             kill "$f32_pid" 2>/dev/null; exit 1; }
+    ./target/release/esp-client shutdown --addr "$tcp_addr" > /dev/null
+    wait "$f32_pid"
+    rm -f serve_f32.log f32_metrics.prom
+    rm -rf target/verify_f32_registry
 
     echo "==> extended-features smoke (2-fold Table 4 subset, extended vs baseline)"
     cargo run --release --offline -q -p esp-bench --bin repro_tables -- \

@@ -15,11 +15,7 @@ fn trained_model() -> (SuiteData, EspModel) {
     let group: Vec<TrainingProgram<'_>> = suite
         .benches
         .iter()
-        .map(|b| TrainingProgram {
-            prog: &b.prog,
-            analysis: &b.analysis,
-            profile: &b.profile,
-        })
+        .map(|b| TrainingProgram::new(&b.prog, &b.analysis, &b.profile))
         .collect();
     let cfg = EspConfig {
         learner: Learner::Net(MlpConfig {

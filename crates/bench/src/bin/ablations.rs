@@ -36,11 +36,7 @@ fn cv_miss(suite: &SuiteData, pool: &[usize], targets: &[usize], cfg: &EspConfig
         .iter()
         .map(|&i| {
             let b = &suite.benches[i];
-            TrainingProgram {
-                prog: &b.prog,
-                analysis: &b.analysis,
-                profile: &b.profile,
-            }
+            TrainingProgram::new(&b.prog, &b.analysis, &b.profile)
         })
         .collect();
     let mut rates = Vec::new();

@@ -433,11 +433,7 @@ fn print_extras(suite: &SuiteData, quick: bool, threads: usize, coalesce: bool) 
         .iter()
         .map(|&i| {
             let b = &suite.benches[i];
-            TrainingProgram {
-                prog: &b.prog,
-                analysis: &b.analysis,
-                profile: &b.profile,
-            }
+            TrainingProgram::new(&b.prog, &b.analysis, &b.profile)
         })
         .collect();
     // One held-out program carries both studies.

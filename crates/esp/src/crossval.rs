@@ -8,7 +8,9 @@ use crate::model::{EspConfig, EspModel, TrainingProgram};
 /// Train a model on every program except `held_out`.
 ///
 /// The learner's RNG seed is offset by the fold index so folds are
-/// independent but the whole study stays deterministic.
+/// independent but the whole study stays deterministic. The fold reuses
+/// the sites its programs extracted for earlier folds, so the folds over
+/// one `programs` slice extract each program once.
 ///
 /// # Panics
 ///
@@ -25,21 +27,17 @@ pub fn leave_one_out(
     );
     assert!(held_out < programs.len(), "held-out index out of range");
     let _sp = esp_obs::span!("esp", "fold", held_out = held_out, programs = programs.len());
-    let fold: Vec<TrainingProgram<'_>> = programs
+    let fold: Vec<&TrainingProgram<'_>> = programs
         .iter()
         .enumerate()
         .filter(|(i, _)| *i != held_out)
-        .map(|(_, tp)| TrainingProgram {
-            prog: tp.prog,
-            analysis: tp.analysis,
-            profile: tp.profile,
-        })
+        .map(|(_, tp)| tp)
         .collect();
     let mut fold_cfg = cfg.clone();
     if let crate::model::Learner::Net(mcfg) = &mut fold_cfg.learner {
         mcfg.seed = mcfg.seed.wrapping_add(held_out as u64);
     }
-    EspModel::train(&fold, &fold_cfg)
+    EspModel::train_on(&fold, &fold_cfg)
 }
 
 /// Run full leave-one-out cross-validation: the `i`-th returned model was
@@ -106,21 +104,17 @@ mod tests {
         let owned: Vec<Owned> = (0..3).map(|i| build("p", 50 + i * 30)).collect();
         let programs: Vec<TrainingProgram<'_>> = owned
             .iter()
-            .map(|o| TrainingProgram {
-                prog: &o.prog,
-                analysis: &o.analysis,
-                profile: &o.profile,
-            })
+            .map(|o| TrainingProgram::new(&o.prog, &o.analysis, &o.profile))
             .collect();
         let models = cross_validate(&programs, &cheap_cfg());
         assert_eq!(models.len(), 3);
-        for (i, m) in models.iter().enumerate() {
+        for (i, (m, o)) in models.iter().zip(&owned).enumerate() {
             // each fold trains on the other two programs' examples
-            let own: usize = programs[i].prog.branch_sites().len();
+            let own: usize = o.prog.branch_sites().len();
             assert!(m.num_examples() >= own, "fold {i} looks too small");
             // and can predict the held-out program
-            for site in programs[i].prog.branch_sites() {
-                let p = m.predict_prob(programs[i].prog, programs[i].analysis, site);
+            for site in o.prog.branch_sites() {
+                let p = m.predict_prob(&o.prog, &o.analysis, site);
                 assert!((0.0..=1.0).contains(&p));
             }
         }
@@ -130,11 +124,7 @@ mod tests {
     #[should_panic(expected = "at least two")]
     fn rejects_single_program() {
         let o = build("p", 40);
-        let programs = [TrainingProgram {
-            prog: &o.prog,
-            analysis: &o.analysis,
-            profile: &o.profile,
-        }];
+        let programs = [TrainingProgram::new(&o.prog, &o.analysis, &o.profile)];
         let _ = leave_one_out(&programs, 0, &cheap_cfg());
     }
 }

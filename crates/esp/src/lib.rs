@@ -34,9 +34,7 @@
 //!     learner: Learner::Net(MlpConfig { hidden: 4, max_epochs: 80, restarts: 1, ..MlpConfig::default() }),
 //!     ..EspConfig::default()
 //! };
-//! let model = EspModel::train(&[TrainingProgram {
-//!     prog: &train_prog, analysis: &train_an, profile: &train_pr,
-//! }], &cfg);
+//! let model = EspModel::train(&[TrainingProgram::new(&train_prog, &train_an, &train_pr)], &cfg);
 //!
 //! let test_prog = compile_source(
 //!     "test",

@@ -2,6 +2,7 @@
 //! of unseen programs.
 
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 use esp_exec::Profile;
 use esp_ir::{BranchId, Program, ProgramAnalysis};
@@ -9,16 +10,61 @@ use esp_nnet::{DecisionTree, Mlp, MlpConfig, Net, TrainExample, TreeConfig};
 
 use crate::encode::{encode, FeatureSet, FittedEncoder};
 use crate::extended::ExtendedContext;
-use crate::features::extract;
+use crate::features::{extract, BranchFeatures};
 
 /// One profiled program of the training corpus.
+///
+/// Its executed sites are extracted the first time a model trains on it
+/// and kept for every later model: the leave-one-out folds of a language
+/// group all train on the same `TrainingProgram`s, so each program's
+/// features are extracted once per study, not once per fold.
 pub struct TrainingProgram<'a> {
-    /// The compiled program.
-    pub prog: &'a Program,
-    /// Its analyses.
-    pub analysis: &'a ProgramAnalysis,
-    /// Its one-run profile (per-branch taken counts).
-    pub profile: &'a Profile,
+    prog: &'a Program,
+    analysis: &'a ProgramAnalysis,
+    profile: &'a Profile,
+    sites: OnceLock<Vec<Site>>,
+}
+
+/// One executed branch site, as training sees it before encoding: its
+/// Table 2 features (without the extended block), its taken probability
+/// `t_k` and its normalized branch weight `n_k`.
+struct Site {
+    id: BranchId,
+    features: BranchFeatures,
+    taken_prob: f64,
+    weight: f64,
+}
+
+impl<'a> TrainingProgram<'a> {
+    /// A compiled program, its analyses and its one-run profile.
+    pub fn new(prog: &'a Program, analysis: &'a ProgramAnalysis, profile: &'a Profile) -> Self {
+        TrainingProgram {
+            prog,
+            analysis,
+            profile,
+            sites: OnceLock::new(),
+        }
+    }
+
+    /// Every executed branch site in `branch_sites()` order, extracted on
+    /// first use. Sites that never executed carry no dynamic information
+    /// and are skipped, matching the paper's weighting (their `n_k` is 0).
+    fn sites(&self) -> &[Site] {
+        self.sites.get_or_init(|| {
+            self.prog
+                .branch_sites()
+                .into_iter()
+                .filter_map(|id| {
+                    Some(Site {
+                        id,
+                        taken_prob: self.profile.counts(id)?.taken_prob()?,
+                        features: extract(self.prog, self.analysis, id),
+                        weight: self.profile.weight(id),
+                    })
+                })
+                .collect()
+        })
+    }
 }
 
 /// Which learner maps features to taken-probabilities.
@@ -81,9 +127,11 @@ thread_local! {
     static PANEL: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Extract, encode and weight every executed branch site of `corpus` into
-/// the learner's training set (the shared front half of [`EspModel::train`]).
-/// Public so the bench harness can time the training stage in isolation.
+/// Encode and weight every executed branch site of `corpus` into the
+/// learner's training set (the front half of [`EspModel::train`]). Each
+/// program's sites are extracted on its first use and reused after that;
+/// the feature set's extended block, the encoding, the normalization and
+/// the coalescing are computed per call.
 ///
 /// When `cfg.coalesce` is on, examples with bit-identical encoded rows are
 /// merged (the training objective is unchanged — see
@@ -97,6 +145,15 @@ pub fn build_training_set(
     corpus: &[TrainingProgram<'_>],
     cfg: &EspConfig,
 ) -> (FittedEncoder, Vec<TrainExample>) {
+    training_set(&corpus.iter().collect::<Vec<_>>(), cfg)
+}
+
+/// [`build_training_set`] over borrowed programs, so a fold can train on a
+/// subset of a group without giving up the group's extracted sites.
+fn training_set(
+    corpus: &[&TrainingProgram<'_>],
+    cfg: &EspConfig,
+) -> (FittedEncoder, Vec<TrainExample>) {
     let mut raw: Vec<(Vec<f64>, Vec<bool>)> = Vec::new();
     let mut targets: Vec<(f64, f64)> = Vec::new(); // (t_k, n_k)
     for tp in corpus {
@@ -104,19 +161,13 @@ pub fn build_training_set(
             .features
             .extended
             .then(|| ExtendedContext::new(tp.prog, tp.analysis));
-        for site in tp.prog.branch_sites() {
-            let Some(counts) = tp.profile.counts(site) else {
-                continue;
-            };
-            let Some(t) = counts.taken_prob() else {
-                continue;
-            };
-            let mut f = extract(tp.prog, tp.analysis, site);
+        for site in tp.sites() {
+            let mut f = site.features;
             if let Some(ctx) = &ext {
-                ctx.attach(site, &mut f);
+                ctx.attach(site.id, &mut f);
             }
             raw.push(encode(&f, &cfg.features));
-            targets.push((t, tp.profile.weight(site)));
+            targets.push((site.taken_prob, site.weight));
         }
     }
     assert!(
@@ -172,9 +223,15 @@ impl EspModel {
     ///
     /// Panics if the corpus contains no executed branches.
     pub fn train(corpus: &[TrainingProgram<'_>], cfg: &EspConfig) -> Self {
+        Self::train_on(&corpus.iter().collect::<Vec<_>>(), cfg)
+    }
+
+    /// [`EspModel::train`] over borrowed programs (how a leave-one-out
+    /// fold trains on the rest of its group).
+    pub(crate) fn train_on(corpus: &[&TrainingProgram<'_>], cfg: &EspConfig) -> Self {
         let (encoder, data) = {
             let _sp = esp_obs::span!("esp", "encode", programs = corpus.len());
-            build_training_set(corpus, cfg)
+            training_set(corpus, cfg)
         };
         let fitted = match &cfg.learner {
             Learner::Net(mcfg) => Fitted::Net(Net::F64(Mlp::train(&data, mcfg).0)),
@@ -427,11 +484,7 @@ mod tests {
     fn learns_loop_bias_across_programs() {
         let a = build(LOOPY);
         let b = build(LOOPY2);
-        let corpus = [TrainingProgram {
-            prog: &a.prog,
-            analysis: &a.analysis,
-            profile: &a.profile,
-        }];
+        let corpus = [TrainingProgram::new(&a.prog, &a.analysis, &a.profile)];
         let model = EspModel::train(&corpus, &cheap_cfg());
         assert!(model.num_examples() > 0);
         // predict on the *other* program: latch branches (taken-side back
@@ -452,11 +505,7 @@ mod tests {
     #[test]
     fn tree_learner_also_works() {
         let a = build(LOOPY);
-        let corpus = [TrainingProgram {
-            prog: &a.prog,
-            analysis: &a.analysis,
-            profile: &a.profile,
-        }];
+        let corpus = [TrainingProgram::new(&a.prog, &a.analysis, &a.profile)];
         let cfg = EspConfig {
             learner: Learner::Tree(TreeConfig::default()),
             features: FeatureSet::default(),
@@ -477,11 +526,7 @@ mod tests {
     fn empty_corpus_rejected() {
         let src = "int main() { return 3; }";
         let a = build(src);
-        let corpus = [TrainingProgram {
-            prog: &a.prog,
-            analysis: &a.analysis,
-            profile: &a.profile,
-        }];
+        let corpus = [TrainingProgram::new(&a.prog, &a.analysis, &a.profile)];
         let _ = EspModel::train(&corpus, &cheap_cfg());
     }
 }

@@ -181,11 +181,7 @@ pub(crate) fn for_each_fold(
             .iter()
             .map(|&i| {
                 let b = &suite.benches[i];
-                TrainingProgram {
-                    prog: &b.prog,
-                    analysis: &b.analysis,
-                    profile: &b.profile,
-                }
+                TrainingProgram::new(&b.prog, &b.analysis, &b.profile)
             })
             .collect();
         let fold_metrics = esp_obs::global_metrics();

@@ -34,11 +34,7 @@ fn trained_weight_bits(suite: &SuiteData) -> Vec<u64> {
     let programs: Vec<TrainingProgram<'_>> = suite
         .benches
         .iter()
-        .map(|b| TrainingProgram {
-            prog: &b.prog,
-            analysis: &b.analysis,
-            profile: &b.profile,
-        })
+        .map(|b| TrainingProgram::new(&b.prog, &b.analysis, &b.profile))
         .collect();
     let (_, data) = build_training_set(&programs, &EspConfig::default());
     let cfg = MlpConfig {

@@ -6,7 +6,7 @@ use esp_ir::{
 };
 
 use crate::error::ExecError;
-use crate::profile::Profile;
+use crate::profile::{BranchCounts, Profile};
 use crate::sink::{BranchSink, NullSink};
 use crate::value::Value;
 
@@ -154,7 +154,17 @@ pub fn run_with_sink<S: BranchSink>(
         });
     }
 
-    let mut profile = Profile::default();
+    // One counter per block: function `f`'s blocks count into
+    // `executed[base[f]..base[f + 1]]`, and a block ending in a conditional
+    // branch counts its taken outcomes in the same slot of `taken_count`.
+    let mut base = vec![0];
+    let mut slots = 0;
+    for f in &prog.funcs {
+        slots += f.num_blocks();
+        base.push(slots);
+    }
+    let mut executed = vec![0u64; slots];
+    let mut taken_count = vec![0u64; slots];
     // Word 0 is the reserved null slot.
     let mut mem: Vec<Value> = vec![Value::default()];
 
@@ -170,9 +180,9 @@ pub fn run_with_sink<S: BranchSink>(
                 limit: limits.max_insns,
             });
         }
-        profile.record_block(func, block);
-        let f = prog.func(func);
-        let bb = f.block(block);
+        let slot = base[func.index()] + block.index();
+        executed[slot] += 1;
+        let bb = prog.func(func).block(block);
         insns += bb.insns.len() as u64 + 1;
 
         for insn in &bb.insns {
@@ -305,7 +315,7 @@ pub fn run_with_sink<S: BranchSink>(
                         _ => unreachable!("non-float filtered"),
                     }
                 };
-                profile.record_branch(BranchId { func, block }, cond);
+                taken_count[slot] += cond as u64;
                 sink.branch(BranchId { func, block }, cond);
                 block = if cond { *taken } else { *not_taken };
             }
@@ -358,13 +368,39 @@ pub fn run_with_sink<S: BranchSink>(
                         }
                     }
                     None => {
-                        profile.dyn_insns = insns;
+                        let profile = profile_of(prog, base, executed, &taken_count, insns);
                         break 'blocks Ok(Outcome { profile, ret });
                     }
                 }
             }
         }
     }
+}
+
+/// Build a finished run's [`Profile`] from its per-block counters. A
+/// branch's `executed` is its block's count: the run returned, so every
+/// entered block reached its terminator.
+fn profile_of(
+    prog: &Program,
+    base: Vec<usize>,
+    executed: Vec<u64>,
+    taken: &[u64],
+    dyn_insns: u64,
+) -> Profile {
+    let branches = prog
+        .branch_sites()
+        .into_iter()
+        .map(|id| {
+            let slot = base[id.func.index()] + id.block.index();
+            let counts = BranchCounts {
+                executed: executed[slot],
+                taken: taken[slot],
+            };
+            (id, counts)
+        })
+        .filter(|(_, c)| c.executed > 0)
+        .collect();
+    Profile::from_counts(base, executed, branches, dyn_insns)
 }
 
 #[cfg(test)]

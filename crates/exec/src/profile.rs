@@ -1,7 +1,5 @@
 //! Dynamic branch profiles.
 
-use std::collections::BTreeMap;
-
 use esp_ir::{BlockId, BranchId, FuncId};
 
 /// Dynamic counts for one static conditional-branch site.
@@ -50,8 +48,12 @@ impl BranchCounts {
 /// [`esp_ir::Program::branch_sites`] and treat missing entries as zero).
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
-    branches: BTreeMap<BranchId, BranchCounts>,
-    block_exec: BTreeMap<(FuncId, BlockId), u64>,
+    /// Executed conditional-branch sites, in id order.
+    branches: Vec<(BranchId, BranchCounts)>,
+    /// Function `f`'s blocks count into
+    /// `block_exec[block_base[f]..block_base[f + 1]]`.
+    block_base: Vec<usize>,
+    block_exec: Vec<u64>,
     /// Total dynamic IR instructions executed (terminators included).
     pub dyn_insns: u64,
     /// Total dynamic conditional-branch executions.
@@ -59,14 +61,36 @@ pub struct Profile {
 }
 
 impl Profile {
+    /// Assemble the profile of one run from its dense counters: the
+    /// per-block execution counts laid out by `block_base` (one offset per
+    /// function, plus the total), the executed conditional-branch sites in
+    /// id order, and the dynamic instruction count.
+    pub(crate) fn from_counts(
+        block_base: Vec<usize>,
+        block_exec: Vec<u64>,
+        branches: Vec<(BranchId, BranchCounts)>,
+        dyn_insns: u64,
+    ) -> Profile {
+        debug_assert!(branches.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert_eq!(block_base.last().copied(), Some(block_exec.len()));
+        Profile {
+            dyn_cond_branches: branches.iter().map(|(_, c)| c.executed).sum(),
+            branches,
+            block_base,
+            block_exec,
+            dyn_insns,
+        }
+    }
+
     /// Counts for one branch site, or `None` if it never executed.
     pub fn counts(&self, id: BranchId) -> Option<&BranchCounts> {
-        self.branches.get(&id)
+        let i = self.branches.binary_search_by_key(&id, |(b, _)| *b).ok()?;
+        Some(&self.branches[i].1)
     }
 
     /// Iterate over executed branch sites in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (&BranchId, &BranchCounts)> {
-        self.branches.iter()
+        self.branches.iter().map(|(id, c)| (id, c))
     }
 
     /// Number of distinct branch sites that executed at least once.
@@ -81,16 +105,18 @@ impl Profile {
         if self.dyn_cond_branches == 0 {
             return 0.0;
         }
-        self.branches
-            .get(&id)
+        self.counts(id)
             .map(|c| c.executed as f64 / self.dyn_cond_branches as f64)
             .unwrap_or(0.0)
     }
 
     /// Dynamic execution count of a basic block (used by the Figure 2 case
-    /// study). Zero when the block never ran.
+    /// study). Zero when the block never ran or is not in the program.
     pub fn block_count(&self, func: FuncId, block: BlockId) -> u64 {
-        self.block_exec.get(&(func, block)).copied().unwrap_or(0)
+        match self.block_base.get(func.index()..=func.index() + 1) {
+            Some(&[lo, hi]) if block.index() < hi - lo => self.block_exec[lo + block.index()],
+            _ => 0,
+        }
     }
 
     /// Fraction of all executed conditional branches that were taken
@@ -99,7 +125,7 @@ impl Profile {
         if self.dyn_cond_branches == 0 {
             return None;
         }
-        let taken: u64 = self.branches.values().map(|c| c.taken).sum();
+        let taken: u64 = self.branches.iter().map(|(_, c)| c.taken).sum();
         Some(taken as f64 / self.dyn_cond_branches as f64)
     }
 
@@ -114,7 +140,7 @@ impl Profile {
         if self.dyn_cond_branches == 0 {
             return 0;
         }
-        let mut counts: Vec<u64> = self.branches.values().map(|c| c.executed).collect();
+        let mut counts: Vec<u64> = self.branches.iter().map(|(_, c)| c.executed).collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let target = (fraction * self.dyn_cond_branches as f64).ceil() as u64;
         let mut acc = 0u64;
@@ -126,22 +152,12 @@ impl Profile {
         }
         counts.len()
     }
-
-    pub(crate) fn record_branch(&mut self, id: BranchId, taken: bool) {
-        let c = self.branches.entry(id).or_default();
-        c.executed += 1;
-        c.taken += taken as u64;
-        self.dyn_cond_branches += 1;
-    }
-
-    pub(crate) fn record_block(&mut self, func: FuncId, block: BlockId) {
-        *self.block_exec.entry((func, block)).or_insert(0) += 1;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esp_ir::{BranchOp, CmpOp, FunctionBuilder, Isa, Lang, Program};
 
     fn bid(b: u32) -> BranchId {
         BranchId {
@@ -150,18 +166,29 @@ mod tests {
         }
     }
 
+    /// A one-function, four-block profile whose `(block, executed, taken)`
+    /// sites are its executed conditional branches.
+    fn profile_with_sites(sites: &[(u32, u64, u64)]) -> Profile {
+        let mut block_exec = vec![0; 4];
+        let branches = sites
+            .iter()
+            .map(|&(b, executed, taken)| {
+                block_exec[b as usize] = executed;
+                (bid(b), BranchCounts { executed, taken })
+            })
+            .collect();
+        Profile::from_counts(vec![0, 4], block_exec, branches, 0)
+    }
+
     #[test]
     fn counts_and_weight() {
-        let mut p = Profile::default();
-        for _ in 0..3 {
-            p.record_branch(bid(0), true);
-        }
-        p.record_branch(bid(1), false);
+        let p = profile_with_sites(&[(0, 3, 3), (1, 1, 0)]);
         assert_eq!(p.counts(bid(0)).unwrap().executed, 3);
         assert_eq!(p.counts(bid(0)).unwrap().taken, 3);
         assert_eq!(p.weight(bid(0)), 0.75);
         assert_eq!(p.weight(bid(9)), 0.0);
         assert_eq!(p.executed_sites(), 2);
+        assert_eq!(p.dyn_cond_branches, 4);
         assert_eq!(p.overall_taken_fraction(), Some(0.75));
     }
 
@@ -179,15 +206,8 @@ mod tests {
 
     #[test]
     fn quantiles_count_hottest_sites() {
-        let mut p = Profile::default();
         // site 0: 90 executions, site 1: 9, site 2: 1
-        for _ in 0..90 {
-            p.record_branch(bid(0), true);
-        }
-        for _ in 0..9 {
-            p.record_branch(bid(1), true);
-        }
-        p.record_branch(bid(2), true);
+        let p = profile_with_sites(&[(0, 90, 90), (1, 9, 9), (2, 1, 1)]);
         assert_eq!(p.quantile_sites(0.5), 1);
         assert_eq!(p.quantile_sites(0.9), 1);
         assert_eq!(p.quantile_sites(0.95), 2);
@@ -208,5 +228,88 @@ mod tests {
         assert_eq!(p.overall_taken_fraction(), None);
         assert_eq!(p.weight(bid(0)), 0.0);
         assert_eq!(p.block_count(FuncId(0), BlockId(0)), 0);
+    }
+
+    /// main() { i = 0; while (i < 3) { i = i + 1; helper(); } return i; }
+    /// with `helper` a single returning block.
+    fn loop_calling_helper() -> Program {
+        let mut m = FunctionBuilder::new("main", 0, Lang::C);
+        let i = m.fresh_reg();
+        let c = m.fresh_reg();
+        let entry = m.entry_block();
+        let head = m.new_block();
+        let body = m.new_block();
+        let exit = m.new_block();
+        m.push_load_imm(entry, i, 0);
+        m.set_fallthrough(entry, head);
+        m.push_cmp_imm(head, CmpOp::Lt, c, i, 3);
+        m.set_cond_branch(head, BranchOp::Bne, c, None, body, exit);
+        m.push_alu_imm(body, esp_ir::AluOp::Add, i, i, 1);
+        m.set_call(body, FuncId(1), vec![], None, head);
+        m.set_return(exit, Some(i));
+        let mut h = FunctionBuilder::new("helper", 0, Lang::C);
+        let e = h.entry_block();
+        h.set_return(e, None);
+        Program {
+            name: "t".into(),
+            funcs: vec![m.finish(), h.finish()],
+            main: FuncId(0),
+            isa: Isa::Alpha,
+        }
+    }
+
+    #[test]
+    fn only_conditional_branch_blocks_have_counts() {
+        let p = crate::run(&loop_calling_helper(), &crate::ExecLimits::default())
+            .unwrap()
+            .profile;
+        let block = |f, b| p.block_count(FuncId(f), BlockId(b));
+        assert_eq!(
+            [block(0, 0), block(0, 1), block(0, 2), block(0, 3)],
+            [1, 4, 3, 1]
+        );
+        assert_eq!(block(1, 0), 3);
+        let head = p.counts(bid(1)).unwrap();
+        assert_eq!((head.executed, head.taken), (4, 3));
+        // Executed blocks ending in a fall-through, a call or a return are
+        // not branch sites.
+        assert_eq!(p.counts(bid(0)), None);
+        assert_eq!(p.counts(bid(2)), None);
+        assert_eq!(p.counts(bid(3)), None);
+        let helper = BranchId {
+            func: FuncId(1),
+            block: BlockId(0),
+        };
+        assert_eq!(p.counts(helper), None);
+        assert_eq!(p.executed_sites(), 1);
+        assert_eq!(p.dyn_cond_branches, 4);
+    }
+
+    #[test]
+    fn ids_outside_the_program_read_as_never_executed() {
+        let p = crate::run(&loop_calling_helper(), &crate::ExecLimits::default())
+            .unwrap()
+            .profile;
+        // A block past the end of its function, even where the next
+        // function's counters follow in the dense layout.
+        assert_eq!(p.block_count(FuncId(0), BlockId(4)), 0);
+        assert_eq!(p.block_count(FuncId(1), BlockId(1)), 0);
+        // A function past the end of the program.
+        assert_eq!(p.block_count(FuncId(2), BlockId(0)), 0);
+        assert_eq!(p.block_count(FuncId(u32::MAX), BlockId(u32::MAX)), 0);
+        for id in [
+            bid(99),
+            BranchId {
+                func: FuncId(2),
+                block: BlockId(1),
+            },
+            BranchId {
+                func: FuncId(u32::MAX),
+                block: BlockId(u32::MAX),
+            },
+        ] {
+            assert_eq!(p.counts(id), None);
+            assert_eq!(p.weight(id), 0.0);
+        }
     }
 }

@@ -14,7 +14,7 @@ use esp_ir::BranchId;
 ///
 /// [`run_with_sink`](crate::run_with_sink) calls [`BranchSink::branch`] once
 /// per dynamic conditional-branch execution, immediately after the outcome
-/// is recorded in the [`Profile`](crate::Profile) — so aggregating the sink
+/// is counted for the [`Profile`](crate::Profile) — so aggregating the sink
 /// stream per site always reproduces the profile's [`BranchCounts`]
 /// (`executed` = number of events, `taken` = number of `taken == true`
 /// events).

@@ -17,11 +17,7 @@ fn served_predictions_match_in_process_bitwise() {
     let group: Vec<TrainingProgram<'_>> = suite
         .benches
         .iter()
-        .map(|b| TrainingProgram {
-            prog: &b.prog,
-            analysis: &b.analysis,
-            profile: &b.profile,
-        })
+        .map(|b| TrainingProgram::new(&b.prog, &b.analysis, &b.profile))
         .collect();
     let cfg = EspConfig {
         learner: Learner::Net(MlpConfig {

@@ -59,11 +59,7 @@ fn main() {
     for (label, features) in variants {
         let corpus: Vec<TrainingProgram<'_>> = train
             .iter()
-            .map(|(p, a, pr)| TrainingProgram {
-                prog: p,
-                analysis: a,
-                profile: pr,
-            })
+            .map(|(p, a, pr)| TrainingProgram::new(p, a, pr))
             .collect();
         let model = EspModel::train(
             &corpus,

@@ -42,11 +42,7 @@ fn main() {
     }
     let corpus: Vec<TrainingProgram<'_>> = owned
         .iter()
-        .map(|(p, a, pr)| TrainingProgram {
-            prog: p,
-            analysis: a,
-            profile: pr,
-        })
+        .map(|(p, a, pr)| TrainingProgram::new(p, a, pr))
         .collect();
     let model = EspModel::train(
         &corpus,

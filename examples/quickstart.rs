@@ -29,11 +29,7 @@ fn main() {
     }
     let corpus: Vec<TrainingProgram<'_>> = owned
         .iter()
-        .map(|(p, a, pr)| TrainingProgram {
-            prog: p,
-            analysis: a,
-            profile: pr,
-        })
+        .map(|(p, a, pr)| TrainingProgram::new(p, a, pr))
         .collect();
 
     // 2. Train the paper's network on the corpus.

@@ -24,7 +24,10 @@ echo "==> cargo test --workspace --offline"
 cargo test -q --workspace --offline
 
 # The benchmark is its own workspace with path dependencies on crates/, so
-# this also fails when a workspace item it compiles against goes away.
+# these also fail when a workspace item it compiles against goes away.
+echo "==> cargo clippy perfbench --all-targets (deny warnings)"
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> perfbench unit tests"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 

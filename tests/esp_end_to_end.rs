@@ -32,11 +32,7 @@ fn esp_beats_coin_flips_on_held_out_programs() {
     let programs: Vec<TrainingProgram<'_>> = suite
         .benches
         .iter()
-        .map(|b| TrainingProgram {
-            prog: &b.prog,
-            analysis: &b.analysis,
-            profile: &b.profile,
-        })
+        .map(|b| TrainingProgram::new(&b.prog, &b.analysis, &b.profile))
         .collect();
     let mut rates = Vec::new();
     for i in 0..programs.len() {
@@ -62,11 +58,7 @@ fn net_and_tree_learners_are_comparable() {
     let programs: Vec<TrainingProgram<'_>> = suite
         .benches
         .iter()
-        .map(|b| TrainingProgram {
-            prog: &b.prog,
-            analysis: &b.analysis,
-            profile: &b.profile,
-        })
+        .map(|b| TrainingProgram::new(&b.prog, &b.analysis, &b.profile))
         .collect();
     let tree_cfg = EspConfig {
         learner: Learner::Tree(TreeConfig::default()),
@@ -102,11 +94,7 @@ fn training_is_deterministic() {
     let programs: Vec<TrainingProgram<'_>> = suite
         .benches
         .iter()
-        .map(|b| TrainingProgram {
-            prog: &b.prog,
-            analysis: &b.analysis,
-            profile: &b.profile,
-        })
+        .map(|b| TrainingProgram::new(&b.prog, &b.analysis, &b.profile))
         .collect();
     let m1 = EspModel::train(&programs, &quick_net());
     let m2 = EspModel::train(&programs, &quick_net());

@@ -33,11 +33,7 @@ fn cross_validation_is_bitwise_identical_across_thread_counts() {
     let programs: Vec<TrainingProgram<'_>> = suite
         .benches
         .iter()
-        .map(|b| TrainingProgram {
-            prog: &b.prog,
-            analysis: &b.analysis,
-            profile: &b.profile,
-        })
+        .map(|b| TrainingProgram::new(&b.prog, &b.analysis, &b.profile))
         .collect();
 
     let serial = cross_validate(&programs, &cfg(1));

@@ -42,11 +42,7 @@ fn esp_can_train_on_scheme_and_predict_scheme() {
         .collect();
     let corpus: Vec<TrainingProgram<'_>> = built[..2]
         .iter()
-        .map(|(_, p, a, f)| TrainingProgram {
-            prog: p,
-            analysis: a,
-            profile: f,
-        })
+        .map(|(_, p, a, f)| TrainingProgram::new(p, a, f))
         .collect();
     let model = EspModel::train(
         &corpus,

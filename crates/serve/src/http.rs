@@ -12,14 +12,16 @@
 //!   last-minute windowed rps/p50/p99/mispredict-rate.
 //! * `/sitez?top=K` — the hot-site accuracy table (default K = 10).
 //!
-//! The listener runs on its own thread in nonblocking-accept mode, polling
-//! the server's stop flag between accepts — the same cooperative-shutdown
-//! discipline as the frame acceptor, so `SHUTDOWN` (or dropping the
-//! handle) tears both listeners down. Requests are parsed with a resumable
-//! reader in the `FrameReader` mold: a read timeout mid-request keeps the
-//! partial bytes buffered and resumes, it never desynchronizes. One
-//! response per connection (`Connection: close`); scrapers open a fresh
-//! connection per scrape, which keeps the sidecar stateless.
+//! The listener runs on its own thread, `esp-serve-http`, blocked in
+//! `poll(2)` on the listener and the server's stop socket, so `SHUTDOWN`
+//! (or dropping the handle) tears both listeners down at once. It stays off
+//! the reactor because a scrape clones and sorts the whole accuracy ledger:
+//! on the reactor, every scrape would stall every PREDICT. Requests are
+//! parsed with a resumable reader in the `FrameReader` mold: a read
+//! timeout mid-request keeps the partial bytes buffered and resumes, it
+//! never desynchronizes. One response per connection (`Connection:
+//! close`); scrapers open a fresh connection per scrape, which keeps the
+//! sidecar stateless.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -27,15 +29,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::poll::{self, PollFd, POLLIN};
 use crate::protocol::PROTOCOL_VERSION;
-use crate::server::Shared;
+use crate::server::{Shared, ACCEPT_RETRY};
 
 /// Requests beyond this size are refused: scrape requests are one line
 /// plus a handful of headers.
 const MAX_REQUEST: usize = 8 * 1024;
-
-/// How long the accept loop sleeps between polls of the stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(15);
 
 /// Per-connection socket read timeout; a stalled scraper cannot wedge the
 /// sidecar past this.
@@ -43,7 +43,7 @@ const READ_TIMEOUT: Duration = Duration::from_millis(2000);
 
 /// Bind `spec` and spawn the sidecar thread. Returns the bound address
 /// (`spec` may carry port 0) and the join handle; the thread exits when
-/// `shared.stop` goes true.
+/// the server's stop socket turns readable.
 pub(crate) fn spawn(
     spec: &str,
     shared: Arc<Shared>,
@@ -51,21 +51,35 @@ pub(crate) fn spawn(
     let listener = TcpListener::bind(spec)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let handle = std::thread::spawn(move || {
-        while !shared.stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    shared.http_requests.fetch_add(1, Ordering::Relaxed);
-                    let _ = serve_one(stream, &shared);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
-            }
-        }
-    });
+    let handle = std::thread::Builder::new()
+        .name("esp-serve-http".to_string())
+        .spawn(move || accept_loop(&listener, &shared))?;
     Ok((addr, handle))
+}
+
+/// Accept and serve one connection each time the listener is ready, until
+/// a stop is requested.
+fn accept_loop(listener: &TcpListener, shared: &Shared) {
+    let mut accept_failed = false;
+    loop {
+        let mut fds = [
+            PollFd::new(&shared.stop_rx, POLLIN),
+            PollFd::new(listener, POLLIN),
+        ];
+        let watched = if accept_failed { 1 } else { 2 };
+        let _ = poll::wait(&mut fds[..watched], accept_failed.then_some(ACCEPT_RETRY));
+        if fds[0].revents() != 0 {
+            return;
+        }
+        match listener.accept() {
+            Ok((stream, _)) => {
+                accept_failed = false;
+                shared.http_requests.fetch_add(1, Ordering::Relaxed);
+                let _ = serve_one(stream, shared);
+            }
+            Err(e) => accept_failed = e.kind() != ErrorKind::WouldBlock,
+        }
+    }
 }
 
 /// Incremental request reader in the `FrameReader` mold: accumulate bytes

@@ -11,8 +11,9 @@
 //!   their typed responses; since v4 PREDICT and INFO carry a model
 //!   selector for multi-model routing.
 //! - [`server`] — the nonblocking reactor (resumable per-connection
-//!   read→decode→dispatch→write state machines), graceful drain on
-//!   shutdown, and the hot-reload watcher.
+//!   read→decode→dispatch→write state machines, blocked in `poll(2)`
+//!   whenever a sweep moves nothing), graceful drain on shutdown, and the
+//!   hot-reload watcher.
 //! - `shard` (internal) — N shard workers owning per-shard LRU caches;
 //!   rows route by a stable FNV-1a hash of their cache-key bytes, so a
 //!   feature vector always lands on the shard that may hold it.
@@ -47,7 +48,10 @@
 //! benchmark (`bash perfbench/run.sh --workload serve-hot|serve-feedback`),
 //! which drives the `esp-serve` binary with its own open-loop generator.
 
-#![forbid(unsafe_code)]
+// The one `unsafe` call, `poll(2)`, lives in `mod poll`, which alone opts
+// out of this lint.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod cache;
@@ -55,6 +59,7 @@ pub mod client;
 pub mod http;
 pub mod metrics;
 mod models;
+mod poll;
 pub mod protocol;
 pub mod server;
 mod shard;

@@ -21,13 +21,21 @@
 //! reload new registry versions with an atomic `Arc` swap — in-flight
 //! requests finish on the model they resolved; nothing fails or drops.
 //!
+//! The reactor never spins: when a sweep moves nothing it blocks in
+//! `poll(2)` on its wake socket, the listener and every connection. A
+//! shard that resolves the last bucket of a request writes one byte to the
+//! wake socket, so a finished reply leaves at once.
+//!
 //! Shutdown is graceful: a `SHUTDOWN` frame (or [`ServerHandle::shutdown`])
-//! raises a flag; the reactor stops accepting and reading, finishes every
-//! queued response, flushes, stops the shard workers, and exits.
+//! raises a flag, makes the never-drained stop socket readable for the
+//! HTTP sidecar and the reload watcher, and wakes the reactor; the reactor
+//! stops accepting and reading, finishes every queued response, flushes,
+//! stops the shard workers, and exits.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,6 +46,7 @@ use esp_obs::{Ledger, OutcomeRecord};
 
 use crate::metrics::Metrics;
 use crate::models::{entry_from_artifact, ModelTable};
+use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::protocol::{
     FrameReader, Prediction, ProfileAck, ProfileRecord, Request, Response, ServeError, ServerInfo,
 };
@@ -107,17 +116,28 @@ const WEIGHT_SCALE: f64 = 1e6;
 /// never reads replies.
 const OUT_HIGH_WATER: usize = 4 << 20;
 
-/// Empty reactor sweeps before easing off the CPU: first yield the core
-/// (lets shard workers and local clients run immediately — the common case
-/// under load), then sleep in 1 ms naps once genuinely idle.
-const IDLE_SPINS: u32 = 128;
-const IDLE_SLEEP: Duration = Duration::from_millis(1);
+/// While `accept` fails with an error other than `WouldBlock` (out of
+/// descriptors, say), an accept loop leaves its listener out of the poll
+/// set and retries after this long: the listener stays readable, so
+/// polling it would spin.
+pub(crate) const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 pub(crate) struct Shared {
     /// Selector → model routing table (hot reload swaps entries here).
     pub(crate) models: ModelTable,
     pub(crate) metrics: Metrics,
     pub(crate) stop: AtomicBool,
+    /// The reactor's wake socket (both ends nonblocking). A byte written
+    /// to `waker` ends the reactor's `poll`; the reactor drains `wake_rx`.
+    /// Both ends live as long as `Shared`, so a late wake-up never writes
+    /// to a closed peer.
+    waker: UnixStream,
+    wake_rx: UnixStream,
+    /// Written by [`Shared::request_stop`] and never drained, so
+    /// `stop_rx` stays readable once a stop was requested. The HTTP
+    /// sidecar and the reload watcher block in `poll` on it.
+    stop_tx: UnixStream,
+    pub(crate) stop_rx: UnixStream,
     /// Per-site accuracy ledger (PROFILE outcomes joined to served
     /// predictions).
     pub(crate) ledger: Ledger,
@@ -139,6 +159,21 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// End the reactor's `poll`. A full wake socket already holds a
+    /// wake-up, so a failed write loses nothing.
+    pub(crate) fn wake(&self) {
+        let _ = (&self.waker).write(&[1]);
+    }
+
+    /// Stop the server: raise the flag, make `stop_rx` readable, and wake
+    /// the reactor to see the flag. Serves [`ServerHandle::shutdown`], its
+    /// `Drop`, and the SHUTDOWN opcode.
+    pub(crate) fn request_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = (&self.stop_tx).write(&[1]);
+        self.wake();
+    }
+
     /// Model facts of the default model (what `/healthz` reports).
     pub(crate) fn info(&self) -> ServerInfo {
         self.models.default_entry().info.clone()
@@ -250,10 +285,16 @@ pub fn serve(
         metrics.set_model_version(default.info.model_version);
     }
     let shard_stats = (0..shards).map(|_| Arc::new(ShardStats::default())).collect();
+    let (waker, wake_rx) = socket_pair()?;
+    let (stop_tx, stop_rx) = socket_pair()?;
     let shared = Arc::new(Shared {
         models: table,
         metrics,
         stop: AtomicBool::new(false),
+        waker,
+        wake_rx,
+        stop_tx,
+        stop_rx,
         ledger: Ledger::new(cfg.ledger),
         clock: SystemClock::new(),
         req_window: SlidingWindow::new(WINDOW_SLOTS, WINDOW_BUCKET_US),
@@ -298,6 +339,14 @@ pub fn serve(
         http,
         watcher,
     })
+}
+
+/// A connected socket pair, both ends nonblocking.
+fn socket_pair() -> std::io::Result<(UnixStream, UnixStream)> {
+    let (a, b) = UnixStream::pair()?;
+    a.set_nonblocking(true)?;
+    b.set_nonblocking(true)?;
+    Ok((a, b))
 }
 
 impl ServerHandle {
@@ -352,9 +401,11 @@ impl ServerHandle {
     }
 
     /// Stop accepting work, drain queued responses, and wait for every
-    /// thread (the nonblocking reactor notices the flag within one poll).
+    /// thread. The request wakes each blocked thread at once: the reactor
+    /// through its wake socket, the HTTP sidecar and the reload watcher
+    /// through the stop socket.
     pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.request_stop();
         self.wait();
     }
 }
@@ -362,7 +413,7 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         if self.reactor.is_some() || self.http.is_some() || self.watcher.is_some() {
-            self.shared.stop.store(true, Ordering::SeqCst);
+            self.shared.request_stop();
             self.wait();
         }
     }
@@ -413,6 +464,29 @@ impl Conn {
         self.out_pos >= self.out.len()
     }
 
+    /// Read (and dispatch) from this connection? Not while stopping (no
+    /// new work), after EOF, or while the peer is not draining its replies
+    /// (backpressure).
+    fn reading(&self, stopping: bool) -> bool {
+        !stopping
+            && !self.read_closed
+            && !self.dead
+            && self.out.len() - self.out_pos < OUT_HIGH_WATER
+    }
+
+    /// What the reactor waits for on this connection: `POLLIN` when it
+    /// would read, `POLLOUT` while it holds unflushed bytes.
+    fn interest(&self, stopping: bool) -> i16 {
+        let mut events = 0;
+        if self.reading(stopping) {
+            events |= POLLIN;
+        }
+        if !self.flushed() {
+            events |= POLLOUT;
+        }
+        events
+    }
+
     /// Nothing queued, nothing buffered: safe to close or to let shutdown
     /// proceed.
     fn drained(&self) -> bool {
@@ -426,11 +500,17 @@ impl Conn {
 }
 
 fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, pool: ShardPool) {
+    let wake = &shared.wake_rx;
     let mut conns: Vec<Conn> = Vec::new();
-    let mut idle: u32 = 0;
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
+        // Drain before reading `stop`: a stop request or a shard wake-up
+        // that lands after this point leaves a byte that ends the `poll`
+        // below.
+        drain(wake);
         let stopping = shared.stop.load(Ordering::SeqCst);
         let mut progress = false;
+        let mut accept_failed = false;
 
         if !stopping {
             loop {
@@ -445,7 +525,10 @@ fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, pool: ShardPool) {
                         progress = true;
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => break,
+                    Err(_) => {
+                        accept_failed = true;
+                        break;
+                    }
                 }
             }
         }
@@ -458,18 +541,29 @@ fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, pool: ShardPool) {
         if stopping && conns.iter().all(Conn::drained) {
             break;
         }
-
         if progress {
-            idle = 0;
-        } else {
-            idle = idle.saturating_add(1);
-            if idle < IDLE_SPINS {
-                // Yield first: on a busy box this hands the core straight
-                // to a shard worker or a local client, costing microseconds
-                // instead of a sleep quantum.
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(IDLE_SLEEP);
+            continue;
+        }
+
+        // Nothing moved: block until the wake socket, the listener or a
+        // connection is ready.
+        fds.clear();
+        fds.push(PollFd::new(wake, POLLIN));
+        if !stopping && !accept_failed {
+            fds.push(PollFd::new(&listener, POLLIN));
+        }
+        let first_conn = fds.len();
+        for conn in &conns {
+            fds.push(PollFd::new(&conn.stream, conn.interest(stopping)));
+        }
+        // An error here (ENOMEM, say) just sweeps again.
+        let _ = poll::wait(&mut fds, accept_failed.then_some(ACCEPT_RETRY));
+        // A hung-up or failed connection with nothing to read or flush can
+        // never be sent its pending replies, and would end every `poll` at
+        // once: drop it.
+        for (conn, fd) in conns.iter_mut().zip(&fds[first_conn..]) {
+            if fd.events() == 0 && fd.revents() & (POLLHUP | POLLERR) != 0 {
+                conn.dead = true;
             }
         }
     }
@@ -478,16 +572,20 @@ fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, pool: ShardPool) {
     pool.stop();
 }
 
+/// Read the wake socket until it is empty, so the next `poll` blocks
+/// until a new wake-up.
+fn drain(wake: &UnixStream) {
+    let mut buf = [0u8; 64];
+    while matches!((&*wake).read(&mut buf), Ok(n) if n > 0) {}
+}
+
 /// Drive one connection as far as it will go without blocking. Returns
 /// true when any byte or state moved.
 fn pump(shared: &Shared, pool: &ShardPool, conn: &mut Conn, stopping: bool) -> bool {
     let mut progress = false;
 
-    // 1. Read complete frames and dispatch them. Skipped while stopping
-    //    (no new work), after EOF, or while the peer is not draining its
-    //    replies (backpressure).
-    if !stopping && !conn.read_closed && !conn.dead && conn.out.len() - conn.out_pos < OUT_HIGH_WATER
-    {
+    // 1. Read complete frames and dispatch them (see `Conn::reading`).
+    if conn.reading(stopping) {
         loop {
             let read = {
                 let Conn { frames, stream, .. } = &mut *conn;
@@ -623,7 +721,7 @@ fn handle_frame(shared: &Shared, pool: &ShardPool, queue: &mut VecDeque<Slot>, p
             queue.push_back(Slot::Ready(reply.encode_with_id(id)));
         }
         Ok((id, Request::Shutdown)) => {
-            shared.stop.store(true, Ordering::SeqCst);
+            shared.request_stop();
             queue.push_back(Slot::Ready(Response::ShuttingDown.encode_with_id(id)));
             record_request(shared, svc_start);
         }
@@ -710,16 +808,14 @@ fn handle_profile(shared: &Shared, records: Vec<ProfileRecord>, req_id: u64) -> 
 /// serving); success bumps `esp_serve_reloads_total` and, for the default
 /// model, the `esp_serve_model_version` gauge.
 fn watch_loop(shared: Arc<Shared>, w: WatchCfg) {
-    // Nap in short slices so shutdown is prompt even with long intervals.
-    let nap = w.interval.min(Duration::from_millis(25));
-    let mut since_poll = Duration::ZERO;
-    while !shared.stop.load(Ordering::SeqCst) {
-        std::thread::sleep(nap);
-        since_poll += nap;
-        if since_poll < w.interval {
-            continue;
+    loop {
+        // Wait out the interval on the stop socket, so a stop request ends
+        // the wait at once.
+        let mut stop = [PollFd::new(&shared.stop_rx, POLLIN)];
+        let _ = poll::wait(&mut stop, Some(w.interval));
+        if stop[0].revents() != 0 {
+            return;
         }
-        since_poll = Duration::ZERO;
         for name in &w.names {
             let current = match shared.models.resolve(name) {
                 Ok(entry) => entry.info.model_version,

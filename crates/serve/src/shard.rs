@@ -11,11 +11,11 @@
 //! splits a predict batch into per-shard buckets, tags each row with its
 //! original batch index, and hands every bucket of one request the same
 //! [`PredictJoin`]; workers fill their slice of the join and decrement its
-//! counter, and the reactor completes the response when the counter hits
-//! zero. Row results land by index, so response order is request order no
-//! matter how shards interleave — and because the batched kernel is
-//! bitwise deterministic per row, the shard count can never change a
-//! served probability.
+//! counter, and the worker that takes the counter to zero wakes the
+//! reactor, which completes the response. Row results land by index, so
+//! response order is request order no matter how shards interleave — and
+//! because the batched kernel is bitwise deterministic per row, the shard
+//! count can never change a served probability.
 //!
 //! Cache keys are prefixed with the owning [`ModelEntry`]'s table-unique
 //! load id, so a hot reload can never serve a stale probability: the new
@@ -289,7 +289,8 @@ fn process(
     }
 
     // Publish results, then release the bucket: the reactor's acquire
-    // load of `remaining` makes the filled rows visible.
+    // load of `remaining` makes the filled rows visible. The last bucket
+    // wakes the reactor to send the reply.
     {
         let mut probs = join.probs.lock().expect("join lock");
         for (idx, p) in out {
@@ -297,7 +298,9 @@ fn process(
         }
     }
     join.hits.fetch_add(hits, Ordering::Relaxed);
-    join.remaining.fetch_sub(1, Ordering::Release);
+    if join.remaining.fetch_sub(1, Ordering::Release) == 1 {
+        shared.wake();
+    }
 }
 
 #[cfg(test)]

@@ -20,6 +20,13 @@ cargo build --release --offline --workspace
 echo "==> cargo clippy --workspace --all-targets (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# esp-serve's `poll(2)` call is the only `unsafe` in a library crate; every
+# other crate forbids it, and esp-serve denies it outside `mod poll`.
+echo "==> unsafe gate (allow(unsafe_code) only in crates/serve/src/poll.rs)"
+stray=$(grep -rl 'allow(unsafe_code)' crates/*/src | grep -vx 'crates/serve/src/poll.rs' || true)
+[[ -z "$stray" ]] \
+    || { echo "allow(unsafe_code) outside crates/serve/src/poll.rs:" >&2; echo "$stray" >&2; exit 1; }
+
 echo "==> cargo test --workspace --offline"
 cargo test -q --workspace --offline
 

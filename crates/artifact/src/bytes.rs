@@ -117,7 +117,10 @@ impl<'a> ByteReader<'a> {
         self.data.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
+    /// Borrow the next `n` bytes of the buffer, so a caller can split a
+    /// large field in one pass instead of one bounds-checked read per
+    /// element.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
         if self.remaining() < n {
             return Err(ArtifactError::Truncated {
                 needed: n,
@@ -131,17 +134,17 @@ impl<'a> ByteReader<'a> {
 
     /// Read one byte.
     pub fn u8(&mut self) -> Result<u8, ArtifactError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, ArtifactError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
     }
 
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, ArtifactError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
     }
 
     /// Read an `f64` from its raw IEEE-754 bits.
@@ -157,7 +160,7 @@ impl<'a> ByteReader<'a> {
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, ArtifactError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
+        let bytes = self.bytes(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| ArtifactError::Malformed("string is not valid UTF-8".into()))
     }
@@ -260,6 +263,23 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert!(matches!(r.f32_slice(), Err(ArtifactError::Truncated { .. })));
+    }
+
+    #[test]
+    fn bytes_borrows_in_place_and_refuses_overreach() {
+        let data = [1u8, 2, 3, 4, 5];
+        let mut r = ByteReader::new(&data);
+        assert_eq!(r.bytes(0).unwrap(), &[] as &[u8]);
+        assert_eq!(r.bytes(3).unwrap(), &[1, 2, 3]);
+        match r.bytes(3) {
+            Err(ArtifactError::Truncated { needed, available }) => {
+                assert_eq!((needed, available), (3, 2));
+            }
+            other => panic!("expected Truncated, got {other:?}"),
+        }
+        // A refused read consumes nothing.
+        assert_eq!(r.bytes(2).unwrap(), &[4, 5]);
+        r.finish().unwrap();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Compiled-and-profiled benchmark data.
 
-use esp_corpus::{suite, Benchmark, Group};
+use esp_corpus::{suite, Benchmark};
 use esp_exec::Profile;
 use esp_ir::{Lang, Program, ProgramAnalysis};
 use esp_lang::CompilerConfig;
@@ -97,16 +97,6 @@ impl SuiteData {
             .iter()
             .enumerate()
             .filter(|(_, b)| b.bench.lang == lang)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Indices of benchmarks in `group`.
-    pub fn group_indices(&self, group: Group) -> Vec<usize> {
-        self.benches
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.bench.group == group)
             .map(|(i, _)| i)
             .collect()
     }

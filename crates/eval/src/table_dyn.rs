@@ -17,7 +17,6 @@
 //! the warmup regime is where a cold TAGE pays allocation misses that a
 //! seeded base table avoids, so the hybrid-vs-TAGE verdict is stated there.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 
 use esp_core::EspConfig;
@@ -355,14 +354,4 @@ pub fn render_report(suite: &SuiteData, report: &TableDynReport) -> String {
 pub fn table_dyn(suite: &SuiteData, cfg: &TableDynConfig) -> String {
     let report = compute(suite, cfg);
     render_report(suite, &report)
-}
-
-/// Per-language pooled averages keyed for machine consumption (bench and
-/// verify tooling).
-pub fn pooled_map(report: &TableDynReport) -> HashMap<String, [f64; 6]> {
-    report
-        .pooled
-        .iter()
-        .map(|p| (p.label.clone(), p.rates))
-        .collect()
 }

@@ -203,11 +203,6 @@ impl FunctionBuilder {
         self.term_set[block.index()] = true;
     }
 
-    /// Whether `block` already has an explicit terminator.
-    pub fn is_terminated(&self, block: BlockId) -> bool {
-        self.term_set[block.index()]
-    }
-
     /// Finish building.
     ///
     /// # Panics

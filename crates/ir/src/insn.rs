@@ -90,13 +90,6 @@ pub enum FpuOp {
     FNeg,
 }
 
-impl FpuOp {
-    /// Whether the operation takes a single operand.
-    pub fn is_unary(self) -> bool {
-        matches!(self, FpuOp::FAbs | FpuOp::FNeg)
-    }
-}
-
 /// A non-control-transfer IR instruction.
 ///
 /// Loads and stores address a flat word-indexed memory; address 0 is the

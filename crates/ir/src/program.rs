@@ -162,14 +162,6 @@ pub struct BasicBlock {
 }
 
 impl BasicBlock {
-    /// An empty block falling through to `target`.
-    pub fn fallthrough_to(target: BlockId) -> Self {
-        BasicBlock {
-            insns: Vec::new(),
-            term: Terminator::FallThrough { target },
-        }
-    }
-
     /// Whether any instruction in the block is a store.
     pub fn contains_store(&self) -> bool {
         self.insns.iter().any(|i| matches!(i, Insn::Store { .. }))

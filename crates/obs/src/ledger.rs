@@ -29,8 +29,10 @@
 //!
 //! # Determinism
 //!
-//! The map is sharded by an FNV-1a hash of the key so concurrent PROFILE
-//! connections do not serialize on one lock, but every rendered view
+//! The map is sharded by the key's row hash ([`crate::word_hash`], the
+//! hash the server routes each row by and hands to
+//! [`Ledger::record_served_hashed`]) so concurrent shard workers and
+//! PROFILE connections do not serialize on one lock, but every rendered view
 //! (exposition text, `/sitez` JSON) walks the union of all shards sorted by
 //! key bytes — the output is byte-identical regardless of which shard or
 //! thread interleaving the updates arrived through.
@@ -46,7 +48,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::fnv1a;
+use crate::{fnv1a, word_hash};
 
 /// Number of confidence buckets in the calibration histogram.
 pub const CALIBRATION_BUCKETS: usize = 10;
@@ -192,13 +194,8 @@ impl Ledger {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Flip recording on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    fn shard(&self, key: &[u8]) -> &Mutex<HashMap<Vec<u8>, SiteEntry>> {
-        &self.shards[(fnv1a(key) % SHARDS as u64) as usize]
+    fn shard(&self, hash: u64) -> &Mutex<HashMap<Vec<u8>, SiteEntry>> {
+        &self.shards[(hash % SHARDS as u64) as usize]
     }
 
     /// Record a served prediction: `prob` is the model's taken-probability
@@ -206,13 +203,31 @@ impl Ledger {
     /// disabled.
     #[inline]
     pub fn record_served(&self, key: &[u8], prob: f64) {
-        if !self.enabled.load(Ordering::Relaxed) {
+        if self.enabled() {
+            self.record_served_hashed(word_hash(key), key, prob);
+        }
+    }
+
+    /// [`Ledger::record_served`] for a caller that already holds
+    /// `word_hash(key)`. A site the ledger already holds copies nothing.
+    pub fn record_served_hashed(&self, hash: u64, key: &[u8], prob: f64) {
+        if !self.enabled() {
             return;
         }
-        let mut map = self.shard(key).lock().expect("ledger shard poisoned");
-        let entry = map.entry(key.to_vec()).or_default();
-        entry.served += 1;
-        entry.prob = prob;
+        let mut map = self.shard(hash).lock().expect("ledger shard poisoned");
+        if let Some(entry) = map.get_mut(key) {
+            entry.served += 1;
+            entry.prob = prob;
+            return;
+        }
+        map.insert(
+            key.to_vec(),
+            SiteEntry {
+                served: 1,
+                prob,
+                ..SiteEntry::default()
+            },
+        );
     }
 
     /// Record an observed outcome for `key`. Says whether the outcome
@@ -221,10 +236,10 @@ impl Ledger {
     /// second ledger lookup. No-op (one load + branch) when disabled.
     #[inline]
     pub fn record_outcome(&self, key: &[u8], taken: bool, weight: f64) -> OutcomeRecord {
-        if !self.enabled.load(Ordering::Relaxed) {
+        if !self.enabled() {
             return OutcomeRecord::Disabled;
         }
-        let mut map = self.shard(key).lock().expect("ledger shard poisoned");
+        let mut map = self.shard(word_hash(key)).lock().expect("ledger shard poisoned");
         match map.get_mut(key) {
             Some(entry) => {
                 let mispredicted = taken != entry.predicted_taken();
@@ -459,6 +474,22 @@ mod tests {
         // B contributes 10. 30 / 200 total.
         assert!((s.observed_miss_rate - 0.15).abs() < 1e-12);
         assert!((s.mispredict_weight - 30.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hashed_serves_and_outcomes_share_a_slot() {
+        // The server records under the row hash it routed by; PROFILE
+        // hashes the key itself. Both must land on the same slot.
+        let l = Ledger::new(true);
+        for i in 0..64 {
+            l.record_served_hashed(word_hash(&key(i)), &key(i), 0.9);
+        }
+        for i in 0..64 {
+            assert!(l.record_outcome(&key(i), true, 1.0).applied(), "site {i}");
+        }
+        l.record_served(&key(0), 0.9);
+        let s = l.summary();
+        assert_eq!((s.sites, s.served, s.applied, s.unmatched), (64, 65, 64, 0));
     }
 
     #[test]

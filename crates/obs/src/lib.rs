@@ -28,9 +28,11 @@
 //!   behind a [`Clock`] trait (with a manual [`TestClock`]), so windowed
 //!   rps/p99/mispredict-rate are unit-testable deterministically.
 //!
-//! [`Fnv1a`] is the workspace's one stable byte hash: corpus name seeds,
-//! the ledger's shard routing and site ids, and the server's shard routing
-//! all go through it.
+//! Two byte hashes live here. [`Fnv1a`] is the stable one: corpus name
+//! seeds and the ledger's `/sitez` site ids go through it, so the Table 4
+//! bytes pin it. [`WordHash`] is the fast one: the server hashes each
+//! served row with it once, and that one hash routes the row to its shard,
+//! keys the shard's cache map and picks the ledger slot.
 //!
 //! # The zero-cost-when-disabled contract
 //!
@@ -76,9 +78,9 @@ pub fn global_metrics() -> &'static MetricsRegistry {
     GLOBAL_METRICS.get_or_init(MetricsRegistry::new)
 }
 
-/// FNV-1a, 64-bit. Its output seeds the corpus generator and routes
-/// served rows, so it is pinned by the Table 4 bytes and the serve routing
-/// tests: never change it.
+/// FNV-1a, 64-bit. Its output seeds the corpus generator and names the
+/// ledger's `/sitez` sites, so it is pinned by the Table 4 bytes: never
+/// change it.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 
@@ -111,6 +113,63 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::default();
     h.write(bytes);
     h.finish()
+}
+
+/// A 64-bit hash that folds one little-endian word at a time: the serve
+/// path's row hash. A byte string hashes as its 8-byte words in order, the
+/// last one zero-padded, with the byte length folded in by
+/// [`WordHash::finish`]; [`word_hash`] is that over a slice. The streaming
+/// form lets a caller feed words it never materializes as bytes (a served
+/// row's f64 bit patterns, its mask bytes packed eight to a word) and get
+/// exactly the hash of the byte string it stands for.
+///
+/// Not keyed and not collision-resistant: a table indexed by it must
+/// compare full keys, and one that faces untrusted keys must still hash
+/// them with a keyed hasher.
+#[derive(Debug, Clone, Copy)]
+pub struct WordHash(u64);
+
+impl Default for WordHash {
+    #[inline]
+    fn default() -> Self {
+        WordHash(0x243F_6A88_85A3_08D3)
+    }
+}
+
+impl WordHash {
+    /// Fold the next 8 bytes of the string, read as a little-endian word.
+    #[inline]
+    pub fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31);
+    }
+
+    /// The hash of a `len`-byte string whose words were folded so far.
+    #[inline]
+    pub fn finish(self, len: usize) -> u64 {
+        let mut h = self.0 ^ len as u64;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^ (h >> 33)
+    }
+}
+
+/// [`WordHash`] of one byte string.
+#[inline]
+pub fn word_hash(bytes: &[u8]) -> u64 {
+    let mut h = WordHash::default();
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h.word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h.word(u64::from_le_bytes(last));
+    }
+    h.finish(bytes.len())
 }
 
 /// Open a span: `span!("cat", "name")` or
@@ -169,5 +228,22 @@ mod tests {
         h.write(b"foo");
         h.write(b"bar");
         assert_eq!(h.finish(), fnv1a(b"foobar"));
+    }
+
+    #[test]
+    fn word_hash_streams_whole_words_and_folds_the_length() {
+        let bytes: Vec<u8> = (1..=19).collect();
+        let mut h = WordHash::default();
+        h.word(u64::from_le_bytes(bytes[0..8].try_into().unwrap()));
+        h.word(u64::from_le_bytes(bytes[8..16].try_into().unwrap()));
+        h.word(u64::from_le_bytes([17, 18, 19, 0, 0, 0, 0, 0]));
+        assert_eq!(h.finish(19), word_hash(&bytes));
+        // Zero padding is not content: the length tells a string from its
+        // zero-extended self, and every prefix hashes apart.
+        let mut seen: Vec<u64> = (0..=bytes.len()).map(|n| word_hash(&bytes[..n])).collect();
+        seen.push(word_hash(&[1, 2, 3, 0]));
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), bytes.len() + 2);
     }
 }

@@ -106,4 +106,23 @@ fn disabled_recorder_emits_zero_events_and_zero_allocations() {
     });
     assert_eq!(disabled, 100_000);
     assert_eq!(ledger.summary().sites, 0, "disabled ledger recorded state");
+
+    // An enabled ledger copies a site key only the first time it sees the
+    // site: a repeat served prediction and an outcome for a known site
+    // allocate nothing.
+    let ledger = esp_obs::Ledger::new(true);
+    let hash = esp_obs::word_hash(&key);
+    ledger.record_served_hashed(hash, &key, 0.75);
+    let mut applied = 0u64;
+    assert_alloc_free("enabled ledger on a known site", || {
+        applied = 0;
+        for i in 0..100_000u64 {
+            ledger.record_served_hashed(hash, &key, 0.75);
+            if ledger.record_outcome(&key, i % 2 == 0, 1.0).applied() {
+                applied += 1;
+            }
+        }
+    });
+    assert_eq!(applied, 100_000);
+    assert_eq!(ledger.summary().sites, 1);
 }

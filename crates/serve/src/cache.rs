@@ -3,20 +3,32 @@
 //! ESP feature vectors are heavily repeated in practice — a compiler asking
 //! about every branch of a program hits the same few hundred static shapes
 //! over and over — so a small exact-match cache absorbs most of the
-//! network-forward cost. Keys are the *raw* row bits plus the mask (the
-//! exact wire payload), so two requests hit the same entry iff the model
+//! network-forward cost. Keys are the *raw* row bits plus one 0/1 byte
+//! per mask position (the decoded wire payload: any nonzero mask byte on
+//! the wire reads as 1), so two requests hit the same entry iff the model
 //! would compute the same probability.
 //!
-//! Implementation: a `HashMap` from key to slab index plus an index-linked
-//! list threaded through the slab, giving `O(1)` lookup, touch, insert and
-//! exact least-recently-used eviction with std-only containers. Evicted
-//! slots go on a free list and their key buffers are reused by the next
-//! insert, so a warmed cache at capacity stops allocating for evictions.
-//! Hot-path lookups take a borrowed `&[u8]` key — pair with
+//! Implementation: a `HashMap` from `(load id, row hash)` to slab index
+//! plus an index-linked list threaded through the slab, giving `O(1)`
+//! lookup, touch, insert and exact least-recently-used eviction with
+//! std-only containers. The load id is the serving model entry's, so two
+//! models (or two loads of one) never share an entry; the row hash is
+//! [`esp_obs::word_hash`] of the key, which the server computes once per
+//! row. The map's default hasher still scrambles those 16 bytes with a
+//! per-process key, so a client cannot line its rows up on one probe chain.
+//!
+//! Each key is stored once, in its slot, beside the load id. Every hit
+//! compares both, so a hash collision can never serve another key's
+//! probability; a colliding key takes the slot over instead of chaining.
+//! Evicted slots go on a free list and their key buffers are reused by the
+//! next insert, so a warmed cache at capacity stops allocating for
+//! evictions. Lookups take a borrowed `&[u8]` key — pair with
 //! [`cache_key_into`] and a caller-owned scratch buffer to make the whole
 //! probe path allocation-free.
 
 use std::collections::HashMap;
+
+use esp_obs::{word_hash, WordHash};
 
 /// Build the cache key for one request row: the raw IEEE-754 bits of every
 /// feature followed by the mask bytes.
@@ -36,17 +48,38 @@ pub fn cache_key_into(buf: &mut Vec<u8>, row: &[f64], mask: &[bool]) {
     for &x in row {
         buf.extend_from_slice(&x.to_bits().to_le_bytes());
     }
-    for &m in mask {
-        buf.push(m as u8);
+    buf.extend(mask.iter().map(|&m| m as u8));
+}
+
+/// [`esp_obs::word_hash`] of `cache_key(row, mask)`, streamed without
+/// materializing the key: each f64's bits are one word, and the mask bytes
+/// pack eight to a word. Hashing exactly the key's byte sequence is the
+/// routing invariant: equal keys hash equally, so a feature vector always
+/// reaches the shard that may hold its cached probability, and its ledger
+/// slot is the one PROFILE picks from the key bytes.
+pub fn row_hash(row: &[f64], mask: &[bool]) -> u64 {
+    let mut h = WordHash::default();
+    for &x in row {
+        h.word(x.to_bits());
     }
+    for bits in mask.chunks(8) {
+        h.word(bits.iter().rev().fold(0, |w, &m| w << 8 | m as u64));
+    }
+    h.finish(row.len() * 8 + mask.len())
 }
 
 /// Sentinel slab index meaning "no link".
 const NIL: usize = usize::MAX;
 
+/// Load id of the unhashed [`LruCache::get`]/[`LruCache::insert`]
+/// entries. No model entry has it: load ids start at 1.
+const NO_MODEL: u64 = 0;
+
 /// One slab slot: a key/value pair threaded into the recency list.
 #[derive(Debug)]
 struct Slot {
+    id: u64,
+    hash: u64,
     key: Vec<u8>,
     value: f64,
     /// Towards more-recently-used.
@@ -63,7 +96,7 @@ struct Slot {
 #[derive(Debug)]
 pub struct LruCache {
     capacity: usize,
-    map: HashMap<Vec<u8>, usize>,
+    map: HashMap<(u64, u64), usize>,
     slots: Vec<Slot>,
     free: Vec<usize>,
     head: usize,
@@ -98,25 +131,45 @@ impl LruCache {
         self.capacity
     }
 
-    /// Look up a key, marking it most-recently-used on a hit. Allocates
-    /// nothing: the key is borrowed and the touch relinks slab indices.
+    /// Look up a key with no model id, hashing it here.
     pub fn get(&mut self, key: &[u8]) -> Option<f64> {
-        let idx = *self.map.get(key)?;
+        self.get_hashed(NO_MODEL, word_hash(key), key)
+    }
+
+    /// Insert (or refresh) a key with no model id, hashing it here.
+    pub fn insert(&mut self, key: &[u8], value: f64) {
+        self.insert_hashed(NO_MODEL, word_hash(key), key, value)
+    }
+
+    /// Look up `key` as served by model entry `id`, where `hash` is
+    /// `word_hash(key)`, marking it most-recently-used on a hit. Allocates
+    /// nothing: the key is borrowed and the touch relinks slab indices.
+    pub fn get_hashed(&mut self, id: u64, hash: u64, key: &[u8]) -> Option<f64> {
+        let idx = *self.map.get(&(id, hash))?;
+        let slot = &self.slots[idx];
+        if slot.id != id || slot.key != key {
+            return None;
+        }
         self.unlink(idx);
         self.push_front(idx);
         Some(self.slots[idx].value)
     }
 
-    /// Insert (or refresh) a key, evicting the least-recently-used entry
-    /// when full. A no-op when the cache is disabled. Takes the key by
-    /// slice: a refresh or an eviction-reusing insert copies into an
-    /// existing buffer instead of allocating.
-    pub fn insert(&mut self, key: &[u8], value: f64) {
+    /// Insert (or refresh) `key` as served by model entry `id`, where
+    /// `hash` is `word_hash(key)`, evicting the least-recently-used entry
+    /// when full. A different key already under `(id, hash)` loses its
+    /// slot. A no-op when the cache is disabled. Takes the key by slice: a
+    /// refresh or a slot-reusing insert copies into an existing buffer
+    /// instead of allocating.
+    pub fn insert_hashed(&mut self, id: u64, hash: u64, key: &[u8], value: f64) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(&idx) = self.map.get(key) {
-            self.slots[idx].value = value;
+        if let Some(&idx) = self.map.get(&(id, hash)) {
+            let slot = &mut self.slots[idx];
+            slot.key.clear();
+            slot.key.extend_from_slice(key);
+            slot.value = value;
             self.unlink(idx);
             self.push_front(idx);
             return;
@@ -125,12 +178,15 @@ impl LruCache {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL, "full cache has a tail");
             self.unlink(victim);
-            self.map.remove(&self.slots[victim].key);
+            let slot = &self.slots[victim];
+            self.map.remove(&(slot.id, slot.hash));
             self.free.push(victim);
         }
         let idx = match self.free.pop() {
             Some(idx) => {
                 let slot = &mut self.slots[idx];
+                slot.id = id;
+                slot.hash = hash;
                 slot.key.clear();
                 slot.key.extend_from_slice(key);
                 slot.value = value;
@@ -138,6 +194,8 @@ impl LruCache {
             }
             None => {
                 self.slots.push(Slot {
+                    id,
+                    hash,
                     key: key.to_vec(),
                     value,
                     prev: NIL,
@@ -146,7 +204,7 @@ impl LruCache {
                 self.slots.len() - 1
             }
         };
-        self.map.insert(self.slots[idx].key.clone(), idx);
+        self.map.insert((id, hash), idx);
         self.push_front(idx);
     }
 
@@ -222,6 +280,55 @@ mod tests {
         c.insert(&key(1), 0.1);
         assert!(c.is_empty());
         assert!(c.get(&key(1)).is_none());
+    }
+
+    #[test]
+    fn row_hash_matches_the_cache_key_bytes() {
+        // The routing invariant: hashing the row directly must equal the
+        // word hash of the materialized cache key, at every mask tail
+        // length (dim 1 to 17 covers 0–7 mask bytes past a whole word).
+        let values = [1.5, -0.25, f64::NAN, -0.0, f64::from_bits(1), f64::INFINITY];
+        for dim in 1..=17 {
+            let row: Vec<f64> = (0..dim).map(|i| values[i % values.len()]).collect();
+            for pattern in [0usize, 0b1011, usize::MAX] {
+                let mask: Vec<bool> = (0..dim).map(|i| pattern >> (i % 8) & 1 == 1).collect();
+                let key = cache_key(&row, &mask);
+                assert_eq!(row_hash(&row, &mask), word_hash(&key), "dim {dim}");
+            }
+        }
+    }
+
+    #[test]
+    fn colliding_hashes_never_serve_each_other() {
+        // Two keys forced under one (id, hash): each probe sees only its own
+        // value, and the later insert takes the slot over.
+        let (a, b) = (key(1), key(2));
+        let mut c = LruCache::new(4);
+        c.insert_hashed(7, 42, &a, 0.25);
+        assert_eq!(c.get_hashed(7, 42, &b), None);
+        c.insert_hashed(7, 42, &b, 0.75);
+        assert_eq!(c.get_hashed(7, 42, &a), None);
+        assert_eq!(c.get_hashed(7, 42, &b), Some(0.75));
+        assert_eq!(c.len(), 1);
+        c.insert_hashed(7, 42, &a, 0.5);
+        assert_eq!(c.get_hashed(7, 42, &b), None);
+        assert_eq!(c.get_hashed(7, 42, &a), Some(0.5));
+    }
+
+    #[test]
+    fn one_key_under_two_load_ids_never_aliases() {
+        // A hot reload mints a fresh load id: the same row under the new
+        // entry is a miss until computed, and each model keeps its own slot.
+        let k = cache_key(&[0.5, 2.0], &[true, true]);
+        let h = word_hash(&k);
+        let mut c = LruCache::new(4);
+        c.insert_hashed(1, h, &k, 0.25);
+        assert_eq!(c.get_hashed(2, h, &k), None);
+        assert_eq!(c.get(&k), None, "the unhashed API is a model of its own");
+        c.insert_hashed(2, h, &k, 0.75);
+        assert_eq!(c.get_hashed(1, h, &k), Some(0.25));
+        assert_eq!(c.get_hashed(2, h, &k), Some(0.75));
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl Client {
         })
     }
 
-    /// The id the next request will carry.
-    pub fn next_request_id(&self) -> u64 {
-        self.next_req_id
-    }
-
     fn round_trip(&mut self, req: &Request) -> Result<Response, ServeError> {
         let req_id = self.next_req_id;
         self.next_req_id += 1;

@@ -15,8 +15,10 @@
 //!   whenever a sweep moves nothing), graceful drain on shutdown, and the
 //!   hot-reload watcher.
 //! - `shard` (internal) — N shard workers owning per-shard LRU caches;
-//!   rows route by a stable FNV-1a hash of their cache-key bytes, so a
-//!   feature vector always lands on the shard that may hold it.
+//!   the reactor hashes each row once, word by word over its cache-key
+//!   bytes ([`esp_obs::word_hash`]), and that hash routes the row, keys
+//!   the shard's cache and picks the ledger slot, so a feature vector
+//!   always lands on the shard that may hold it.
 //! - `models` (internal) — the name/version routing table behind the v4
 //!   model selector; hot reload atomically swaps entries here.
 //! - [`cache`] — an O(1) exact-match LRU keyed on the raw feature bits, so

@@ -144,11 +144,6 @@ impl Metrics {
         self.model_version.set(version as f64);
     }
 
-    /// Number of shard workers this registry was built for.
-    pub fn shard_count(&self) -> usize {
-        self.shard_gauges.len()
-    }
-
     /// Refresh one shard's health gauges from its worker counters.
     pub fn set_shard(&self, shard: usize, queue_depth: u64, hits: u64, misses: u64, entries: u64) {
         let Some(g) = self.shard_gauges.get(shard) else {

@@ -9,9 +9,9 @@
 //! fresh one, and nothing is ever torn mid-flight.
 //!
 //! Each entry also carries a table-unique `id`, which the shard caches
-//! prefix onto every cache key. A reloaded version gets a fresh id, so a
-//! stale probability can never be served across a swap — old entries
-//! simply age out of the LRU.
+//! key every entry by, beside the row hash. A reloaded version gets a
+//! fresh id, so a stale probability can never be served across a swap —
+//! old entries simply age out of the LRU.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -23,8 +23,9 @@ use crate::protocol::ServerInfo;
 
 /// One loaded model: the inference network plus its routing identity.
 pub(crate) struct ModelEntry {
-    /// Table-unique load id; prefixes shard cache keys so entries from
-    /// different loads (including reloads of the same name) never alias.
+    /// Table-unique load id, starting at 1; part of every shard cache
+    /// entry's key, so entries from different loads (including reloads of
+    /// the same name) never alias.
     pub id: u64,
     /// The inference model, at its artifact's precision.
     pub model: EspModel,

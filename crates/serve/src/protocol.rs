@@ -312,11 +312,8 @@ fn read_selector(r: &mut ByteReader) -> Result<String, ServeError> {
             "model selector of {len} bytes exceeds the {MAX_SELECTOR}-byte cap"
         )));
     }
-    let mut bytes = Vec::with_capacity(len);
-    for _ in 0..len {
-        bytes.push(r.u8()?);
-    }
-    String::from_utf8(bytes)
+    std::str::from_utf8(r.bytes(len)?)
+        .map(str::to_owned)
         .map_err(|_| ServeError::Protocol("model selector is not valid UTF-8".into()))
 }
 
@@ -519,27 +516,34 @@ impl Request {
                         "predict batch claims rows of zero features".into(),
                     ));
                 }
-                if dim
+                let Some(need) = dim
                     .checked_mul(9)
                     .and_then(|per_row| per_row.checked_mul(n))
-                    .is_none_or(|need| need > r.remaining())
-                {
+                    .filter(|&need| need <= r.remaining())
+                else {
                     return Err(ServeError::Protocol(format!(
                         "predict batch claims {n} rows × {dim} features beyond the frame"
                     )));
-                }
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut row = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        row.push(r.f64()?);
-                    }
-                    let mut mask = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        mask.push(r.u8()? != 0);
-                    }
-                    rows.push(PredictRow { row, mask });
-                }
+                };
+                let body = r.bytes(need)?;
+                // An empty batch may carry dim == 0, and `chunks_exact(0)`
+                // panics, so it never reaches the split.
+                let rows = if n == 0 {
+                    Vec::new()
+                } else {
+                    body.chunks_exact(9 * dim)
+                        .map(|record| {
+                            let (bits, mask) = record.split_at(8 * dim);
+                            PredictRow {
+                                row: bits
+                                    .chunks_exact(8)
+                                    .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+                                    .collect(),
+                                mask: mask.iter().map(|&m| m != 0).collect(),
+                            }
+                        })
+                        .collect()
+                };
                 Request::Predict { model, rows }
             }
             OP_STATS => Request::Stats,
@@ -571,10 +575,7 @@ impl Request {
                             "profile site key of {key_len} bytes beyond the frame"
                         )));
                     }
-                    let mut site_key = Vec::with_capacity(key_len);
-                    for _ in 0..key_len {
-                        site_key.push(r.u8()?);
-                    }
+                    let site_key = r.bytes(key_len)?.to_vec();
                     let taken = r.u8()? != 0;
                     let weight = r.f64()?;
                     if !weight.is_finite() || weight < 0.0 {

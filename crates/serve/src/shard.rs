@@ -1,77 +1,42 @@
 //! Shard workers: per-shard LRU caches and model compute behind channels.
 //!
-//! The event loop routes every predict row to a shard by a stable FNV-1a
-//! hash of its cache-key bytes (the same `site_key` bytes PROFILE joins
-//! on), following the accuracy ledger's 16-way sharding pattern. A given
-//! feature vector therefore always lands on the same shard, which is what
-//! lets each shard own its cache outright — no mutex, no cross-shard
-//! coherence, and the aggregate hit rate matches a single shared cache.
+//! The event loop hashes every predict row once, with [`row_hash`]: the
+//! [`esp_obs::word_hash`] of its `site_key` bytes (the bytes PROFILE joins
+//! on), streamed from the decoded row without building them. That one
+//! hash routes the row (`hash % shards`), keys the shard's cache map and
+//! picks the accuracy ledger's slot, and PROFILE hashes its `site_key`
+//! with the same function. A given feature vector therefore always lands
+//! on the same shard, which is what lets each shard own its cache outright
+//! — no mutex, no cross-shard coherence, and the aggregate hit rate
+//! matches a single shared cache.
 //!
 //! Each worker is one OS thread blocking on an `mpsc` channel. The reactor
 //! splits a predict batch into per-shard buckets, tags each row with its
-//! original batch index, and hands every bucket of one request the same
-//! [`PredictJoin`]; workers fill their slice of the join and decrement its
-//! counter, and the worker that takes the counter to zero wakes the
-//! reactor, which completes the response. Row results land by index, so
-//! response order is request order no matter how shards interleave — and
-//! because the batched kernel is bitwise deterministic per row, the shard
-//! count can never change a served probability.
+//! original batch index and its hash, and hands every bucket of one
+//! request the same [`PredictJoin`]; workers fill their slice of the join
+//! and decrement its counter, and the worker that takes the counter to
+//! zero wakes the reactor, which completes the response. Row results land
+//! by index, so response order is request order no matter how shards
+//! interleave — and because the batched kernel is bitwise deterministic
+//! per row, the shard count can never change a served probability.
 //!
-//! Cache keys are prefixed with the owning [`ModelEntry`]'s table-unique
-//! load id, so a hot reload can never serve a stale probability: the new
-//! entry's keys simply never collide with the old one's, and the old
-//! entries age out of the LRU. The accuracy ledger keeps joining on the
-//! *unprefixed* site key (`key[SHARD_KEY_PREFIX..]`), unchanged from the
-//! single-model wire contract.
+//! The cache map is keyed by the owning [`ModelEntry`]'s table-unique
+//! load id beside the row hash, so a hot reload can never serve a stale
+//! probability: the new entry's rows simply never match the old one's,
+//! and the old entries age out of the LRU. The ledger records under the
+//! plain site key, unchanged from the single-model wire contract.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-use esp_obs::Fnv1a;
-
-use crate::cache::LruCache;
+use crate::cache::{cache_key_into, row_hash, LruCache};
 use crate::models::ModelEntry;
 use crate::protocol::PredictRow;
 use crate::server::Shared;
 
-/// Bytes of model-id prefix on every shard cache key.
-pub(crate) const SHARD_KEY_PREFIX: usize = 8;
-
 /// Rows per batched-kernel call when a shard computes its cache misses.
 const PREDICT_CHUNK: usize = 32;
-
-/// FNV-1a over the row's cache-key bytes (raw IEEE-754 bits then mask
-/// bytes), streamed without materializing the key. Hashing exactly the
-/// `cache_key` byte sequence is the routing invariant: equal cache keys
-/// hash equally, so a feature vector always reaches the shard that may
-/// hold its cached probability.
-pub(crate) fn route_hash(row: &[f64], mask: &[bool]) -> u64 {
-    let mut h = Fnv1a::default();
-    for &x in row {
-        h.write(&x.to_bits().to_le_bytes());
-    }
-    for &m in mask {
-        h.write(&[m as u8]);
-    }
-    h.finish()
-}
-
-/// Write a shard cache key into a caller-owned buffer: the model entry's
-/// load id (little-endian) followed by the row's plain cache-key bytes.
-/// The suffix `&buf[SHARD_KEY_PREFIX..]` is exactly `cache_key(row, mask)`
-/// — the ledger site key.
-pub(crate) fn shard_key_into(buf: &mut Vec<u8>, model_id: u64, row: &[f64], mask: &[bool]) {
-    buf.clear();
-    buf.reserve(SHARD_KEY_PREFIX + row.len() * 8 + mask.len());
-    buf.extend_from_slice(&model_id.to_le_bytes());
-    for &x in row {
-        buf.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
-    for &m in mask {
-        buf.push(m as u8);
-    }
-}
 
 /// Per-shard health counters, read by `/healthz` and the metrics
 /// exposition (all relaxed: monitoring, not synchronization).
@@ -118,10 +83,10 @@ impl PredictJoin {
 /// Work sent to one shard worker.
 enum ShardJob {
     /// One request's bucket of rows for this shard, tagged with their
-    /// original batch indices.
+    /// original batch indices and their [`row_hash`]es.
     Predict {
         entry: Arc<ModelEntry>,
-        rows: Vec<(usize, PredictRow)>,
+        rows: Vec<(usize, u64, PredictRow)>,
         join: Arc<PredictJoin>,
     },
     /// Drain and exit (sent once per worker at shutdown).
@@ -163,16 +128,16 @@ impl ShardPool {
     }
 
     /// Route a validated predict batch to its shards and return the join
-    /// the reactor polls. Rows are bucketed by [`route_hash`] of their
-    /// cache-key bytes; an empty batch completes immediately.
+    /// the reactor polls. Rows are bucketed by their [`row_hash`], which
+    /// rides along to the worker; an empty batch completes immediately.
     pub fn dispatch(&self, shared: &Shared, entry: &Arc<ModelEntry>, rows: Vec<PredictRow>) -> Arc<PredictJoin> {
         let nshards = self.senders.len() as u64;
-        let mut buckets: Vec<Vec<(usize, PredictRow)>> =
+        let mut buckets: Vec<Vec<(usize, u64, PredictRow)>> =
             (0..self.senders.len()).map(|_| Vec::new()).collect();
         let n = rows.len();
         for (i, r) in rows.into_iter().enumerate() {
-            let s = (route_hash(&r.row, &r.mask) % nshards) as usize;
-            buckets[s].push((i, r));
+            let hash = row_hash(&r.row, &r.mask);
+            buckets[(hash % nshards) as usize].push((i, hash, r));
         }
         let jobs = buckets.iter().filter(|b| !b.is_empty()).count();
         let join = Arc::new(PredictJoin::new(n, jobs));
@@ -234,25 +199,25 @@ fn process(
     key_buf: &mut Vec<u8>,
     shard_index: usize,
     entry: &ModelEntry,
-    rows: &[(usize, PredictRow)],
+    rows: &[(usize, u64, PredictRow)],
     join: &PredictJoin,
 ) {
     let start = Instant::now();
     let mut sp = esp_obs::span!("serve", "predict_shard", rows = rows.len());
     let ledger_on = shared.ledger.enabled();
     let mut out: Vec<(usize, f64)> = Vec::with_capacity(rows.len());
-    // (bucket index, owned shard key) for each cache miss.
-    let mut miss: Vec<(usize, Vec<u8>)> = Vec::new();
-    for (bi, (orig, r)) in rows.iter().enumerate() {
-        shard_key_into(key_buf, entry.id, &r.row, &r.mask);
-        match cache.get(key_buf) {
+    // Bucket index of each cache miss.
+    let mut miss: Vec<usize> = Vec::new();
+    for (bi, (orig, hash, r)) in rows.iter().enumerate() {
+        cache_key_into(key_buf, &r.row, &r.mask);
+        match cache.get_hashed(entry.id, *hash, key_buf) {
             Some(p) => {
                 if ledger_on {
-                    shared.ledger.record_served(&key_buf[SHARD_KEY_PREFIX..], p);
+                    shared.ledger.record_served_hashed(*hash, key_buf, p);
                 }
                 out.push((*orig, p));
             }
-            None => miss.push((bi, key_buf.clone())),
+            None => miss.push(bi),
         }
     }
     let hits = (rows.len() - miss.len()) as u64;
@@ -264,15 +229,17 @@ fn process(
     let mut computed: Vec<f64> = Vec::with_capacity(miss.len());
     for chunk in miss.chunks(PREDICT_CHUNK) {
         computed.extend(entry.model.predict_prob_encoded_batch(
-            chunk.iter().map(|(bi, _)| (&rows[*bi].1.row[..], &rows[*bi].1.mask[..])),
+            chunk.iter().map(|&bi| (&rows[bi].2.row[..], &rows[bi].2.mask[..])),
         ));
     }
-    for ((bi, key), &p) in miss.iter().zip(&computed) {
-        cache.insert(key, p);
+    for (&bi, &p) in miss.iter().zip(&computed) {
+        let (orig, hash, r) = &rows[bi];
+        cache_key_into(key_buf, &r.row, &r.mask);
+        cache.insert_hashed(entry.id, *hash, key_buf, p);
         if ledger_on {
-            shared.ledger.record_served(&key[SHARD_KEY_PREFIX..], p);
+            shared.ledger.record_served_hashed(*hash, key_buf, p);
         }
-        out.push((rows[*bi].0, p));
+        out.push((*orig, p));
     }
 
     stats.hits.fetch_add(hits, Ordering::Relaxed);
@@ -300,35 +267,5 @@ fn process(
     join.hits.fetch_add(hits, Ordering::Relaxed);
     if join.remaining.fetch_sub(1, Ordering::Release) == 1 {
         shared.wake();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cache::cache_key;
-
-    #[test]
-    fn route_hash_matches_the_cache_key_bytes() {
-        // The routing invariant: hashing the row directly must equal
-        // FNV-1a over the materialized cache key.
-        let row = [1.5, -0.25, f64::NAN];
-        let mask = [true, false, true];
-        let key = cache_key(&row, &mask);
-        assert_eq!(route_hash(&row, &mask), esp_obs::fnv1a(&key));
-    }
-
-    #[test]
-    fn shard_key_suffix_is_the_ledger_site_key() {
-        let row = [0.5, 2.0];
-        let mask = [true, true];
-        let mut buf = Vec::new();
-        shard_key_into(&mut buf, 0x0102_0304_0506_0708, &row, &mask);
-        assert_eq!(&buf[..SHARD_KEY_PREFIX], &0x0102_0304_0506_0708u64.to_le_bytes());
-        assert_eq!(&buf[SHARD_KEY_PREFIX..], &cache_key(&row, &mask)[..]);
-        // Distinct model ids never alias, same id round-trips.
-        let mut other = Vec::new();
-        shard_key_into(&mut other, 0x0102_0304_0506_0709, &row, &mask);
-        assert_ne!(buf, other);
     }
 }

@@ -1,9 +1,9 @@
 //! Pins the serve cache's zero-allocation contract with a counting global
 //! allocator (same pattern as `crates/nnet/tests/alloc_free.rs`): with a
 //! caller-owned key buffer and a warmed cache, the shard hot path —
-//! `cache_key_into` to build the key, `get` on a hit, and `insert` that
-//! refreshes an existing entry — performs **zero** heap allocations per
-//! lookup.
+//! `row_hash` over the decoded row, `cache_key_into` to build the key,
+//! `get_hashed` on a hit, and `insert_hashed` that refreshes an existing
+//! entry — performs **zero** heap allocations per lookup.
 //!
 //! One `#[test]` only: the counter is process-global, and a sibling test
 //! allocating concurrently would make the delta meaningless.
@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use esp_serve::cache::{cache_key_into, LruCache};
+use esp_serve::cache::{cache_key_into, row_hash, LruCache};
 
 struct CountingAlloc;
 
@@ -54,13 +54,14 @@ fn warmed_cache_hits_do_not_allocate() {
         })
         .collect();
 
+    let model_id = 1;
     let mut cache = LruCache::new(keys);
     let mut key_buf: Vec<u8> = Vec::new();
-    // Warm: populate every key (allocates slab slots and map keys once) and
-    // size the reusable key buffer.
+    // Warm: populate every key (allocates slab slots and map entries once)
+    // and size the reusable key buffer.
     for (i, (row, mask)) in rows.iter().enumerate() {
         cache_key_into(&mut key_buf, row, mask);
-        cache.insert(&key_buf, i as f64 / keys as f64);
+        cache.insert_hashed(model_id, row_hash(row, mask), &key_buf, i as f64 / keys as f64);
     }
 
     // -- measure -----------------------------------------------------------
@@ -73,12 +74,16 @@ fn warmed_cache_hits_do_not_allocate() {
         let before = allocations();
         for _ in 0..10 {
             for (i, (row, mask)) in rows.iter().enumerate() {
-                // The shard worker's exact sequence: build the key into the
-                // reusable buffer, probe, and refresh-insert on occasion.
+                // The shard worker's exact sequence: the row hash the
+                // reactor computes, then build the key into the reusable
+                // buffer, probe, and refresh-insert on occasion.
+                let hash = row_hash(row, mask);
                 cache_key_into(&mut key_buf, row, mask);
-                sink += cache.get(&key_buf).expect("warmed key must hit");
+                sink += cache
+                    .get_hashed(model_id, hash, &key_buf)
+                    .expect("warmed key must hit");
                 if i % 7 == 0 {
-                    cache.insert(&key_buf, sink.fract());
+                    cache.insert_hashed(model_id, hash, &key_buf, sink.fract());
                 }
             }
         }

@@ -11,7 +11,10 @@ use std::time::Duration;
 
 use esp_artifact::ModelArtifact;
 use esp_serve::protocol::{read_frame, PROTOCOL_MAGIC, PROTOCOL_VERSION};
-use esp_serve::{serve, Client, ModelSource, PredictRow, Response, ServeConfig};
+use esp_serve::{
+    serve, site_key, Client, ModelSource, PredictRow, ProfileAck, ProfileRecord, Response,
+    ServeConfig,
+};
 
 fn connect_raw(addr: &str) -> TcpStream {
     let s = TcpStream::connect(addr).expect("connect");
@@ -137,6 +140,94 @@ fn hostile_frames_cannot_kill_the_event_loop() {
         // vanishes while its (error) response is still queued or in flight.
     }
     assert_alive(&addr, dim);
+
+    handle.shutdown();
+}
+
+/// A raw PREDICT payload for the default model: `n` copies of `row`, each
+/// followed by `mask_bytes` exactly as given (the encoder would write only
+/// 0/1).
+fn raw_predict(req_id: u64, n: usize, dim: usize, row: &[f64], mask_bytes: &[u8]) -> Vec<u8> {
+    let mut p = vec![PROTOCOL_MAGIC, PROTOCOL_VERSION];
+    p.extend_from_slice(&req_id.to_le_bytes());
+    p.push(0x01); // OP_PREDICT
+    p.extend_from_slice(&0u32.to_le_bytes()); // empty model selector
+    p.extend_from_slice(&(n as u32).to_le_bytes());
+    p.extend_from_slice(&(dim as u32).to_le_bytes());
+    for _ in 0..n {
+        for x in row {
+            p.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        p.extend_from_slice(mask_bytes);
+    }
+    p
+}
+
+/// Send one payload and return the probability bits of a `Predictions`
+/// reply (panicking on anything else).
+fn predict_bits(s: &mut TcpStream, payload: &[u8]) -> Vec<u64> {
+    send_frame(s, payload);
+    match recv_response(s) {
+        (_, Response::Predictions(ps)) => ps.iter().map(|p| p.prob.to_bits()).collect(),
+        (_, other) => panic!("expected predictions, got {other:?}"),
+    }
+}
+
+#[test]
+fn malformed_predict_bodies_get_typed_errors_and_mask_bytes_are_canonical() {
+    let dim = 10; // one whole mask word plus a 2-byte tail
+    let artifact = ModelArtifact::synthetic(dim, 3, 9);
+    let cfg = ServeConfig {
+        shards: 2,
+        ..ServeConfig::default()
+    };
+    let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind");
+    let addr = handle.addr().to_string();
+    let row: Vec<f64> = (0..dim).map(|j| j as f64 / 4.0 - 1.0).collect();
+    let ones = vec![1u8; dim];
+    let mut s = connect_raw(&addr);
+
+    // One trailing byte after a well-formed body, then a body cut off
+    // mid-mask: each gets a typed Error, and the connection stays usable.
+    let mut trailing = raw_predict(1, 2, dim, &row, &ones);
+    trailing.push(0);
+    let mut cut = raw_predict(2, 2, dim, &row, &ones);
+    cut.truncate(cut.len() - dim / 2);
+    for bad in [trailing, cut] {
+        send_frame(&mut s, &bad);
+        let (_, resp) = recv_response(&mut s);
+        assert!(matches!(resp, Response::Error(_)), "got {resp:?}");
+        assert_eq!(predict_bits(&mut s, &raw_predict(3, 1, dim, &row, &ones)).len(), 1);
+    }
+
+    // An empty batch may declare zero features.
+    assert!(predict_bits(&mut s, &raw_predict(4, 0, 0, &[], &[])).is_empty());
+
+    // Non-canonical mask bytes mean "set", exactly like 0x01: same bits, a
+    // cache hit, and the ledger joins them on the canonical site key.
+    let row2: Vec<f64> = row.iter().map(|x| x + 0.125).collect();
+    let before = Client::connect(&addr).unwrap().stats().unwrap();
+    let canonical = predict_bits(&mut s, &raw_predict(5, 1, dim, &row2, &ones));
+    let odd: Vec<u8> = (0..dim).map(|j| [0x02, 0xFF, 0x80][j % 3]).collect();
+    assert_eq!(predict_bits(&mut s, &raw_predict(6, 1, dim, &row2, &odd)), canonical);
+    let after = Client::connect(&addr).unwrap().stats().unwrap();
+    assert_eq!(after.cache_misses - before.cache_misses, 1);
+    assert_eq!(after.cache_hits - before.cache_hits, 1);
+    let ack = Client::connect(&addr)
+        .unwrap()
+        .profile(vec![ProfileRecord {
+            site_key: site_key(&row2, &vec![true; dim]),
+            taken: true,
+            weight: 1.0,
+        }])
+        .unwrap();
+    assert_eq!(
+        ack,
+        ProfileAck {
+            applied: 1,
+            unmatched: 0
+        }
+    );
 
     handle.shutdown();
 }

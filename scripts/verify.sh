@@ -40,6 +40,10 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> serve integration test (train -> save -> serve -> bitwise compare)"
 cargo test -q --release --offline -p esp-serve --test serve_integration
+# Release builds wrap on overflow instead of panicking, so the decoder's
+# size checks must also hold against hostile frames there.
+echo "==> hostile frames against a release-built server"
+cargo test -q --release --offline -p esp-serve --test hostile_frames
 cargo test -q --release --offline -p esp-artifact --test roundtrip
 
 if [[ "$fast" -eq 0 ]]; then

@@ -29,23 +29,34 @@
 //!
 //! # Determinism
 //!
-//! The map is sharded by the key's row hash ([`crate::word_hash`], the
-//! hash the server routes each row by and hands to
-//! [`Ledger::record_served_hashed`]) so concurrent shard workers and
-//! PROFILE connections do not serialize on one lock, but every rendered view
-//! (exposition text, `/sitez` JSON) walks the union of all shards sorted by
-//! key bytes — the output is byte-identical regardless of which shard or
-//! thread interleaving the updates arrived through.
+//! The map is split into 16 slices by the key's row hash
+//! ([`crate::word_hash`], the hash the server's reactor computes once per
+//! row and hands to [`Ledger::record_served_hashed`]). Each slice maps
+//! that hash to its site, so a lookup hashes 8 bytes and compares the key
+//! once, and a new site copies its key once. Every rendered view
+//! (exposition text, `/sitez` JSON) walks the union of all slices sorted
+//! by row hash — the output is byte-identical regardless of which thread
+//! interleaving the updates arrived through.
+//!
+//! # Collisions
+//!
+//! A slice holds one site per row hash. A different key under a hash the
+//! ledger already holds is not recorded: a served prediction counts in
+//! `esp_ledger_collisions_total`, an outcome answers
+//! [`OutcomeRecord::Unmatched`]. Colliding keys are not chained:
+//! `word_hash` is unkeyed and invertible word by word, so a client could
+//! craft any number of keys with one hash, and a chain would make every
+//! lookup linear in them.
 //!
 //! # Zero cost when disabled
 //!
-//! A disabled ledger's `record_*` methods are one relaxed atomic load plus
-//! a branch: no hashing, no locking, no allocation (pinned by the
+//! A disabled ledger's `record_*` methods are one branch on a plain
+//! `bool`: no hashing, no locking, no allocation (pinned by the
 //! counted-allocator test in `tests/alloc_free.rs`, like tracing).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::{fnv1a, word_hash};
@@ -53,7 +64,8 @@ use crate::{fnv1a, word_hash};
 /// Number of confidence buckets in the calibration histogram.
 pub const CALIBRATION_BUCKETS: usize = 10;
 
-const SHARDS: usize = 16;
+/// Slices the ledger splits its sites across, each behind its own lock.
+const SLICES: usize = 16;
 
 /// Per-site ledger entry: what was served and what was observed.
 #[derive(Debug, Clone, Default)]
@@ -110,6 +122,9 @@ pub struct LedgerSummary {
     pub applied: u64,
     /// PROFILE records whose key matched no served site.
     pub unmatched: u64,
+    /// Served predictions not recorded because another key holds their
+    /// row hash.
+    pub collisions: u64,
     /// Total observed outcome mass.
     pub observed_weight: f64,
     /// Total mispredicted mass.
@@ -145,30 +160,25 @@ impl OutcomeRecord {
     }
 }
 
-/// One row of the `/sitez` top-K table.
-#[derive(Debug, Clone)]
-pub struct SiteReport {
-    /// FNV-1a 64 hash of the site key, as a stable display id.
-    pub id: u64,
-    /// Served taken-probability.
-    pub prob: f64,
-    /// Predictions served.
-    pub served: u64,
-    /// Observed outcome mass.
-    pub observed_weight: f64,
-    /// Observed taken mass.
-    pub taken_weight: f64,
-    /// Mispredicted mass.
-    pub mispredict_weight: f64,
+/// One recorded site: its key (copied once, when the site is first
+/// served) and its accounting.
+#[derive(Debug)]
+struct Site {
+    key: Box<[u8]>,
+    entry: SiteEntry,
 }
 
-/// Sharded, deterministic per-site accuracy ledger.
+/// One of the ledger's slices: sites by row hash.
+type Slice = HashMap<u64, Site>;
+
+/// Sliced, deterministic per-site accuracy ledger.
 #[derive(Debug)]
 pub struct Ledger {
-    enabled: AtomicBool,
+    enabled: bool,
     applied: AtomicU64,
     unmatched: AtomicU64,
-    shards: Vec<Mutex<HashMap<Vec<u8>, SiteEntry>>>,
+    collisions: AtomicU64,
+    slices: Vec<Mutex<Slice>>,
 }
 
 impl Default for Ledger {
@@ -178,70 +188,80 @@ impl Default for Ledger {
 }
 
 impl Ledger {
-    /// A ledger, enabled or disabled at birth.
+    /// A ledger, enabled or disabled for its whole life.
     pub fn new(enabled: bool) -> Self {
         Ledger {
-            enabled: AtomicBool::new(enabled),
+            enabled,
             applied: AtomicU64::new(0),
             unmatched: AtomicU64::new(0),
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            collisions: AtomicU64::new(0),
+            slices: (0..SLICES).map(|_| Mutex::default()).collect(),
         }
     }
 
     /// Is the ledger recording?
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.enabled
     }
 
-    fn shard(&self, hash: u64) -> &Mutex<HashMap<Vec<u8>, SiteEntry>> {
-        &self.shards[(hash % SHARDS as u64) as usize]
+    fn slice(&self, hash: u64) -> std::sync::MutexGuard<'_, Slice> {
+        self.slices[(hash % SLICES as u64) as usize]
+            .lock()
+            .expect("ledger slice poisoned")
     }
 
     /// Record a served prediction: `prob` is the model's taken-probability
-    /// for the site identified by `key`. No-op (one load + branch) when
-    /// disabled.
+    /// for the site identified by `key`. No-op (one branch) when disabled.
     #[inline]
     pub fn record_served(&self, key: &[u8], prob: f64) {
-        if self.enabled() {
+        if self.enabled {
             self.record_served_hashed(word_hash(key), key, prob);
         }
     }
 
     /// [`Ledger::record_served`] for a caller that already holds
-    /// `word_hash(key)`. A site the ledger already holds copies nothing.
+    /// `word_hash(key)`. A site the ledger already holds copies nothing; a
+    /// key colliding with another site's hash is only counted.
     pub fn record_served_hashed(&self, hash: u64, key: &[u8], prob: f64) {
-        if !self.enabled() {
+        if !self.enabled {
             return;
         }
-        let mut map = self.shard(hash).lock().expect("ledger shard poisoned");
-        if let Some(entry) = map.get_mut(key) {
-            entry.served += 1;
-            entry.prob = prob;
-            return;
+        match self.slice(hash).entry(hash) {
+            Entry::Occupied(mut held) => {
+                let site = held.get_mut();
+                if *site.key == *key {
+                    site.entry.served += 1;
+                    site.entry.prob = prob;
+                } else {
+                    self.collisions.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(Site {
+                    key: key.into(),
+                    entry: SiteEntry {
+                        served: 1,
+                        prob,
+                        ..SiteEntry::default()
+                    },
+                });
+            }
         }
-        map.insert(
-            key.to_vec(),
-            SiteEntry {
-                served: 1,
-                prob,
-                ..SiteEntry::default()
-            },
-        );
     }
 
     /// Record an observed outcome for `key`. Says whether the outcome
     /// joined a served site (and if so, whether it was a mispredict) so
     /// callers can maintain windowed mispredict-rate series without a
-    /// second ledger lookup. No-op (one load + branch) when disabled.
+    /// second ledger lookup. No-op (one branch) when disabled.
     #[inline]
     pub fn record_outcome(&self, key: &[u8], taken: bool, weight: f64) -> OutcomeRecord {
-        if !self.enabled() {
+        if !self.enabled {
             return OutcomeRecord::Disabled;
         }
-        let mut map = self.shard(word_hash(key)).lock().expect("ledger shard poisoned");
-        match map.get_mut(key) {
-            Some(entry) => {
+        let hash = word_hash(key);
+        match self.slice(hash).get_mut(&hash) {
+            Some(Site { key: held, entry }) if **held == *key => {
                 let mispredicted = taken != entry.predicted_taken();
                 entry.observed_weight += weight;
                 if taken {
@@ -253,22 +273,24 @@ impl Ledger {
                 self.applied.fetch_add(1, Ordering::Relaxed);
                 OutcomeRecord::Applied { mispredicted }
             }
-            None => {
+            _ => {
                 self.unmatched.fetch_add(1, Ordering::Relaxed);
                 OutcomeRecord::Unmatched
             }
         }
     }
 
-    /// Every entry, sorted by key bytes — the deterministic spine all
-    /// rendered views are built on.
-    fn sorted_entries(&self) -> Vec<(Vec<u8>, SiteEntry)> {
-        let mut all: Vec<(Vec<u8>, SiteEntry)> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.lock().expect("ledger shard poisoned");
-            all.extend(map.iter().map(|(k, v)| (k.clone(), v.clone())));
+    /// Every site's `(row hash, entry)`, sorted by hash — the
+    /// deterministic spine all rendered views are built on. Hashes are
+    /// unique across the ledger: a slice holds one site per hash, and the
+    /// hash picks the slice.
+    fn sorted_entries(&self) -> Vec<(u64, SiteEntry)> {
+        let mut all: Vec<(u64, SiteEntry)> = Vec::new();
+        for slice in &self.slices {
+            let slice = slice.lock().expect("ledger slice poisoned");
+            all.extend(slice.iter().map(|(&hash, site)| (hash, site.entry.clone())));
         }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
+        all.sort_unstable_by_key(|&(hash, _)| hash);
         all
     }
 
@@ -311,6 +333,7 @@ impl Ledger {
             served,
             applied: self.applied.load(Ordering::Relaxed),
             unmatched: self.unmatched.load(Ordering::Relaxed),
+            collisions: self.collisions.load(Ordering::Relaxed),
             observed_weight: observed,
             mispredict_weight: mispredict,
             observed_miss_rate: if observed > 0.0 { mispredict / observed } else { 0.0 },
@@ -319,9 +342,10 @@ impl Ledger {
         }
     }
 
-    /// The `k` hottest sites by observed mass (ties broken by key bytes, so
-    /// the table is deterministic).
-    pub fn top_sites(&self, k: usize) -> Vec<SiteReport> {
+    /// The `k` hottest sites by observed mass (ties broken by row hash, so
+    /// the table is deterministic), each with its display id: the FNV-1a
+    /// of its key, computed only for the sites returned.
+    fn top_sites(&self, k: usize) -> Vec<(u64, SiteEntry)> {
         let mut entries = self.sorted_entries();
         entries.sort_by(|a, b| {
             b.1.observed_weight
@@ -330,24 +354,17 @@ impl Ledger {
                 .then_with(|| b.1.served.cmp(&a.1.served))
                 .then_with(|| a.0.cmp(&b.0))
         });
+        entries.truncate(k);
+        for (hash, _) in &mut entries {
+            *hash = fnv1a(&self.slice(*hash)[hash].key);
+        }
         entries
-            .into_iter()
-            .take(k)
-            .map(|(key, e)| SiteReport {
-                id: fnv1a(&key),
-                prob: e.prob,
-                served: e.served,
-                observed_weight: e.observed_weight,
-                taken_weight: e.taken_weight,
-                mispredict_weight: e.mispredict_weight,
-            })
-            .collect()
     }
 
     /// Prometheus text exposition of the ledger aggregates, rendered in the
     /// same `# TYPE` grammar as [`crate::MetricsRegistry::render_text`].
-    /// Byte-identical for identical update streams regardless of shard or
-    /// thread interleaving.
+    /// Byte-identical for identical update streams regardless of thread
+    /// interleaving.
     pub fn render_text(&self) -> String {
         let s = self.summary();
         let mut out = String::new();
@@ -357,6 +374,7 @@ impl Ledger {
         };
         counter(&mut out, "esp_ledger_profile_records_total", s.applied);
         counter(&mut out, "esp_ledger_profile_unmatched_total", s.unmatched);
+        counter(&mut out, "esp_ledger_collisions_total", s.collisions);
         counter(&mut out, "esp_ledger_served_total", s.served);
         counter(&mut out, "esp_ledger_sites", s.sites);
         let gauge = |out: &mut String, name: &str, v: f64| {
@@ -399,23 +417,19 @@ impl Ledger {
         let s = self.summary();
         let sites = self.top_sites(k);
         let mut out = String::from("{\n  \"sites\": [\n");
-        for (i, site) in sites.iter().enumerate() {
+        for (i, (id, site)) in sites.iter().enumerate() {
             let _ = write!(
                 out,
                 "    {{\"site\": \"{:016x}\", \"prob\": {}, \"served\": {}, \
                  \"observed_weight\": {}, \"taken_weight\": {}, \
                  \"mispredict_weight\": {}, \"miss_rate\": {}}}",
-                site.id,
+                id,
                 json_f64(site.prob),
                 site.served,
                 json_f64(site.observed_weight),
                 json_f64(site.taken_weight),
                 json_f64(site.mispredict_weight),
-                json_f64(if site.observed_weight > 0.0 {
-                    site.mispredict_weight / site.observed_weight
-                } else {
-                    0.0
-                }),
+                json_f64(site.miss_rate()),
             );
             out.push_str(if i + 1 < sites.len() { ",\n" } else { "\n" });
         }
@@ -540,18 +554,19 @@ mod tests {
 
     #[test]
     fn exposition_is_deterministic_across_interleavings() {
-        // Same updates, opposite orders (and therefore different shard
-        // touch orders) → identical bytes.
+        // Same updates, opposite orders (and therefore different slice
+        // touch orders) → identical bytes. Sites 64.. share one observed
+        // mass and one served count, so /sitez ranks them by row hash alone.
         let build = |order: &[usize]| {
             let l = Ledger::new(true);
-            let updates: Vec<(Vec<u8>, f64, f64, f64)> = (0..64u32)
+            let updates: Vec<(Vec<u8>, f64, f64, f64)> = (0..96u32)
                 .map(|i| {
-                    (
-                        key(i),
-                        (i % 10) as f64 / 10.0 + 0.05,
-                        (i * 3 % 17) as f64,
-                        (i * 5 % 13) as f64,
-                    )
+                    let (tw, nw) = if i < 64 {
+                        ((i * 3 % 17) as f64, (i * 5 % 13) as f64)
+                    } else {
+                        (40.0, 60.0)
+                    };
+                    (key(i), (i % 10) as f64 / 10.0 + 0.05, tw, nw)
                 })
                 .collect();
             for &i in order {
@@ -563,11 +578,74 @@ mod tests {
                 l.record_outcome(k, true, *tw);
                 l.record_outcome(k, false, *nw);
             }
-            (l.render_text(), l.sitez_json(10))
+            (l.render_text(), l.sitez_json(20))
         };
-        let fwd: Vec<usize> = (0..64).collect();
-        let rev: Vec<usize> = (0..64).rev().collect();
-        assert_eq!(build(&fwd), build(&rev));
+        let fwd: Vec<usize> = (0..96).collect();
+        let rev: Vec<usize> = (0..96).rev().collect();
+        let (text, sitez) = build(&fwd);
+        assert_eq!((text, sitez.clone()), build(&rev));
+        assert_eq!(sitez.matches("\"observed_weight\": 100,").count(), 20);
+    }
+
+    /// A key of `words` little-endian words whose [`word_hash`] equals
+    /// that of `base` (same length): its first word is `base`'s with
+    /// `salt` xored in, and its second cancels the difference that made
+    /// in the hash state, so the states agree from the second word on.
+    fn colliding_key(base: &[u8], salt: u64) -> Vec<u8> {
+        let word = |i: usize| u64::from_le_bytes(base[8 * i..8 * i + 8].try_into().unwrap());
+        let state = |w: u64| {
+            let mut h = crate::WordHash::default();
+            h.word(w);
+            h.0
+        };
+        let w0 = word(0) ^ salt;
+        let w1 = word(1) ^ state(word(0)) ^ state(w0);
+        let mut k = base.to_vec();
+        k[..8].copy_from_slice(&w0.to_le_bytes());
+        k[8..16].copy_from_slice(&w1.to_le_bytes());
+        assert_eq!(word_hash(&k), word_hash(base), "crafted key must collide");
+        k
+    }
+
+    #[test]
+    fn a_colliding_key_never_takes_or_shares_a_site() {
+        let a: Vec<u8> = (0..24u8).collect();
+        let b = colliding_key(&a, 1);
+        assert_ne!(a, b);
+        // Forced under one hash: the first key keeps the site.
+        let l = Ledger::new(true);
+        l.record_served_hashed(42, &a, 0.9);
+        l.record_served_hashed(42, &b, 0.1);
+        l.record_served_hashed(42, &a, 0.9);
+        let s = l.summary();
+        assert_eq!((s.sites, s.served, s.collisions), (1, 2, 1));
+        assert!(l.render_text().contains("\nesp_ledger_collisions_total 1\n"));
+
+        // A real word_hash collision: the second key's outcome is unmatched,
+        // and the first key's site keeps its served direction.
+        let l = Ledger::new(true);
+        l.record_served(&a, 0.9);
+        l.record_served(&b, 0.1);
+        assert_eq!(l.record_outcome(&b, false, 1.0), OutcomeRecord::Unmatched);
+        assert_eq!(
+            l.record_outcome(&a, true, 1.0),
+            OutcomeRecord::Applied { mispredicted: false }
+        );
+        let s = l.summary();
+        assert_eq!((s.sites, s.collisions, s.applied, s.unmatched), (1, 1, 1, 1));
+    }
+
+    #[test]
+    fn crafted_collisions_cannot_grow_the_ledger() {
+        // 10,000 distinct keys under one hash: one site, no chain.
+        let base = vec![7u8; 40];
+        let l = Ledger::new(true);
+        l.record_served(&base, 0.75);
+        for salt in 1..10_000u64 {
+            l.record_served(&colliding_key(&base, salt), 0.25);
+        }
+        let s = l.summary();
+        assert_eq!((s.sites, s.served, s.collisions), (1, 1, 9_999));
     }
 
     #[test]
@@ -579,8 +657,9 @@ mod tests {
         }
         let top = l.top_sites(2);
         assert_eq!(top.len(), 2);
-        assert!((top[0].observed_weight - 50.0).abs() < 1e-12);
-        assert!((top[1].observed_weight - 20.0).abs() < 1e-12);
+        assert!((top[0].1.observed_weight - 50.0).abs() < 1e-12);
+        assert!((top[1].1.observed_weight - 20.0).abs() < 1e-12);
+        assert_eq!(top[0].0, fnv1a(&key(2)), "the display id is the key's FNV-1a");
     }
 
     #[test]

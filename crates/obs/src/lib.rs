@@ -21,9 +21,9 @@
 //! * [`ledger`] — the per-site accuracy [`Ledger`]: serve-side predictions
 //!   joined with `PROFILE`-fed observed outcomes into live
 //!   miss-rate-vs-observed gauges, a 10-bucket calibration histogram, and
-//!   the `/sitez` hot-site table. Deterministic exposition regardless of
-//!   shard/thread interleaving; same zero-cost-when-disabled contract as
-//!   tracing.
+//!   the `/sitez` hot-site table, its sites indexed by row hash.
+//!   Deterministic exposition regardless of thread interleaving; same
+//!   zero-cost-when-disabled contract as tracing.
 //! * [`window`] — a [`SlidingWindow`] ring of fixed-width time buckets
 //!   behind a [`Clock`] trait (with a manual [`TestClock`]), so windowed
 //!   rps/p99/mispredict-rate are unit-testable deterministically.
@@ -31,8 +31,8 @@
 //! Two byte hashes live here. [`Fnv1a`] is the stable one: corpus name
 //! seeds and the ledger's `/sitez` site ids go through it, so the Table 4
 //! bytes pin it. [`WordHash`] is the fast one: the server hashes each
-//! served row with it once, and that one hash routes the row to its shard,
-//! keys the shard's cache map and picks the ledger slot.
+//! served row with it once, and that one hash keys the cache map and
+//! indexes the ledger.
 //!
 //! # The zero-cost-when-disabled contract
 //!
@@ -62,7 +62,7 @@ pub mod ring;
 pub mod trace;
 pub mod window;
 
-pub use ledger::{Ledger, LedgerSummary, OutcomeRecord, SiteReport};
+pub use ledger::{Ledger, LedgerSummary, OutcomeRecord};
 pub use metrics::{Counter, Gauge, Log2Histogram, MetricsRegistry};
 pub use trace::{ArgValue, Recorder, SpanGuard, TraceEvent};
 pub use window::{Clock, SlidingWindow, SystemClock, TestClock, WindowSnapshot};
@@ -125,7 +125,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// Not keyed and not collision-resistant: a table indexed by it must
 /// compare full keys, and one that faces untrusted keys must still hash
-/// them with a keyed hasher.
+/// them with a keyed hasher and must not chain colliding keys.
 #[derive(Debug, Clone, Copy)]
 pub struct WordHash(u64);
 

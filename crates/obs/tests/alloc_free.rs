@@ -89,8 +89,8 @@ fn disabled_recorder_emits_zero_events_and_zero_allocations() {
     assert!(esp_obs::trace::drain().is_empty());
 
     // The same contract extends to the accuracy ledger: a disabled ledger's
-    // record path is one relaxed load plus a branch — no hashing, no
-    // locking, no allocation. (Same test fn for the same reason: the
+    // record path is one branch on a plain bool — no hashing, no locking,
+    // no allocation. (Same test fn for the same reason: the
     // allocation counter is process-global.)
     let ledger = esp_obs::Ledger::new(false);
     let key = [0u8; 32];

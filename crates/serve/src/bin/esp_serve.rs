@@ -12,10 +12,10 @@
 //! Unknown flags are rejected with exit status 2. `--addr` defaults to
 //! `127.0.0.1:7871`; port `0` picks an ephemeral port (the bound address
 //! is printed either way). `--shards 0` (default) runs
-//! one shard worker per core, each owning its slice of the LRU cache;
-//! `--cache` is the total LRU capacity in entries, split across shards
-//! (`0` disables). The process runs until a client sends `SHUTDOWN` (see
-//! `esp-client`).
+//! one shard worker per core to compute the rows that miss the cache;
+//! `--cache` is the capacity in entries of the one LRU cache, which the
+//! event loop owns and answers hits from (`0` disables). The process runs
+//! until a client sends `SHUTDOWN` (see `esp-client`).
 //!
 //! The registry form serves every listed name at once (clients pick with
 //! the protocol's model selector; the first name is the default). A bare

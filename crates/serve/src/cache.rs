@@ -13,9 +13,11 @@
 //! lookup, touch, insert and exact least-recently-used eviction with
 //! std-only containers. The load id is the serving model entry's, so two
 //! models (or two loads of one) never share an entry; the row hash is
-//! [`esp_obs::word_hash`] of the key, which the server computes once per
-//! row. The map's default hasher still scrambles those 16 bytes with a
-//! per-process key, so a client cannot line its rows up on one probe chain.
+//! [`esp_obs::word_hash`] of the key, which the server's reactor computes
+//! once per row. The map's default hasher still scrambles those 16 bytes
+//! with a per-process key, so a client cannot line its rows up on one
+//! probe chain. The server keeps one cache, owned by its reactor thread,
+//! so nothing here is shared or locked.
 //!
 //! Each key is stored once, in its slot, beside the load id. Every hit
 //! compares both, so a hash collision can never serve another key's
@@ -54,9 +56,9 @@ pub fn cache_key_into(buf: &mut Vec<u8>, row: &[f64], mask: &[bool]) {
 /// [`esp_obs::word_hash`] of `cache_key(row, mask)`, streamed without
 /// materializing the key: each f64's bits are one word, and the mask bytes
 /// pack eight to a word. Hashing exactly the key's byte sequence is the
-/// routing invariant: equal keys hash equally, so a feature vector always
-/// reaches the shard that may hold its cached probability, and its ledger
-/// slot is the one PROFILE picks from the key bytes.
+/// invariant the server rests on: equal keys hash equally, so a feature
+/// vector always finds its cached probability, and its ledger site is the
+/// one PROFILE finds from the key bytes.
 pub fn row_hash(row: &[f64], mask: &[bool]) -> u64 {
     let mut h = WordHash::default();
     for &x in row {

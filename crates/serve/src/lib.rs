@@ -11,20 +11,21 @@
 //!   their typed responses; since v4 PREDICT and INFO carry a model
 //!   selector for multi-model routing.
 //! - [`server`] — the nonblocking reactor (resumable per-connection
-//!   read→decode→dispatch→write state machines, blocked in `poll(2)`
-//!   whenever a sweep moves nothing), graceful drain on shutdown, and the
-//!   hot-reload watcher.
-//! - `shard` (internal) — N shard workers owning per-shard LRU caches;
-//!   the reactor hashes each row once, word by word over its cache-key
-//!   bytes ([`esp_obs::word_hash`]), and that hash routes the row, keys
-//!   the shard's cache and picks the ledger slot, so a feature vector
-//!   always lands on the shard that may hold it.
+//!   read→decode→dispatch→write state machines, blocked in `poll(2)` on
+//!   every iteration and acting only on the descriptors it reported
+//!   ready), graceful drain on shutdown, and the hot-reload watcher.
+//! - `shard` (internal) — the reactor's one LRU cache and N compute-only
+//!   shard workers. The reactor hashes each row once, word by word over
+//!   its cache-key bytes ([`esp_obs::word_hash`]); that hash keys the
+//!   cache and indexes the ledger. A PREDICT whose rows all hit is
+//!   answered on the reactor; only misses go to the workers, which write
+//!   their rows' slots of a lock-free join.
 //! - `models` (internal) — the name/version routing table behind the v4
 //!   model selector; hot reload atomically swaps entries here.
 //! - [`cache`] — an O(1) exact-match LRU keyed on the raw feature bits, so
 //!   repeated branch shapes skip the network forward pass.
 //! - [`metrics`] — an [`esp_obs::MetricsRegistry`]-backed set of counters,
-//!   latency/batch-size histograms, cache-hit-ratio and per-shard health
+//!   latency/batch-size histograms, cache gauges and per-shard queue-depth
 //!   gauges behind the `STATS` opcode, which also serves the full
 //!   Prometheus-style text exposition.
 //! - [`client`] — the blocking client library used by the `esp-client`

@@ -12,24 +12,16 @@
 //!   client sees it: frame decode, cache lookups, compute, response encode
 //!   and write, for every opcode. This is what the snapshot's p50/p99/max
 //!   report.
-//! * `esp_serve_predict_compute_us` — the old, narrower series: just the
-//!   predict handler (cache passes + network forward), kept for comparing
-//!   compute cost against the full service time.
+//! * `esp_serve_predict_compute_us` — the old, narrower series: one sample
+//!   per PREDICT, its cache pass on the reactor plus the kernel time its
+//!   workers spent, kept for comparing compute cost against the full
+//!   service time.
 
 use std::sync::Arc;
 
 use esp_obs::{Counter, Gauge, Log2Histogram, MetricsRegistry};
 
 use crate::protocol::StatsSnapshot;
-
-/// Per-shard gauge handles (the registry has no label support, so each
-/// shard gets its own `esp_serve_shard_{i}_*` families).
-#[derive(Debug)]
-struct ShardGauges {
-    queue_depth: Arc<Gauge>,
-    cache_hit_ratio: Arc<Gauge>,
-    cache_entries: Arc<Gauge>,
-}
 
 /// Shared server metrics; recording goes through lock-free atomic handles.
 #[derive(Debug)]
@@ -49,13 +41,17 @@ pub struct Metrics {
     pub cache_misses: Arc<Counter>,
     /// Hot reloads completed (model versions swapped in live).
     pub reloads: Arc<Counter>,
+    /// Entries in the reactor's LRU cache.
+    pub cache_entries: Arc<Gauge>,
     request_us: Arc<Log2Histogram>,
     predict_compute_us: Arc<Log2Histogram>,
     batch_size: Arc<Log2Histogram>,
     cache_hit_ratio: Arc<Gauge>,
     predict_precision: Arc<Gauge>,
     model_version: Arc<Gauge>,
-    shard_gauges: Vec<ShardGauges>,
+    /// One `esp_serve_shard_{i}_queue_depth` gauge per shard worker (the
+    /// registry has no label support).
+    shard_queue_depth: Vec<Arc<Gauge>>,
 }
 
 impl Default for Metrics {
@@ -71,8 +67,8 @@ impl Metrics {
     }
 
     /// Fresh metrics for a server of `nshards` shard workers: the
-    /// `esp_serve_shards` gauge is set and one `esp_serve_shard_{i}_*`
-    /// gauge family is registered per shard.
+    /// `esp_serve_shards` gauge is set and one
+    /// `esp_serve_shard_{i}_queue_depth` gauge is registered per shard.
     pub fn with_shards(nshards: usize) -> Self {
         let registry = MetricsRegistry::new();
         let connections = registry.counter("esp_serve_connections_total");
@@ -86,15 +82,12 @@ impl Metrics {
         let predict_compute_us = registry.histogram("esp_serve_predict_compute_us");
         let batch_size = registry.histogram("esp_serve_batch_size");
         let cache_hit_ratio = registry.gauge("esp_serve_cache_hit_ratio");
+        let cache_entries = registry.gauge("esp_serve_cache_entries");
         let predict_precision = registry.gauge("esp_serve_predict_precision");
         registry.gauge("esp_serve_shards").set(nshards as f64);
         let model_version = registry.gauge("esp_serve_model_version");
-        let shard_gauges = (0..nshards)
-            .map(|i| ShardGauges {
-                queue_depth: registry.gauge(&format!("esp_serve_shard_{i}_queue_depth")),
-                cache_hit_ratio: registry.gauge(&format!("esp_serve_shard_{i}_cache_hit_ratio")),
-                cache_entries: registry.gauge(&format!("esp_serve_shard_{i}_cache_entries")),
-            })
+        let shard_queue_depth = (0..nshards)
+            .map(|i| registry.gauge(&format!("esp_serve_shard_{i}_queue_depth")))
             .collect();
         Metrics {
             registry,
@@ -105,13 +98,14 @@ impl Metrics {
             cache_hits,
             cache_misses,
             reloads,
+            cache_entries,
             request_us,
             predict_compute_us,
             batch_size,
             cache_hit_ratio,
             predict_precision,
             model_version,
-            shard_gauges,
+            shard_queue_depth,
         }
     }
 
@@ -121,8 +115,8 @@ impl Metrics {
         self.request_us.record(us);
     }
 
-    /// Record the predict handler's compute-scoped latency in microseconds
-    /// (the series previously reported as the only latency).
+    /// Record one PREDICT's compute-scoped latency in microseconds: its
+    /// cache pass plus the kernel time its workers spent.
     pub fn record_predict_compute_us(&self, us: u64) {
         self.predict_compute_us.record(us);
     }
@@ -144,17 +138,11 @@ impl Metrics {
         self.model_version.set(version as f64);
     }
 
-    /// Refresh one shard's health gauges from its worker counters.
-    pub fn set_shard(&self, shard: usize, queue_depth: u64, hits: u64, misses: u64, entries: u64) {
-        let Some(g) = self.shard_gauges.get(shard) else {
-            return;
-        };
-        g.queue_depth.set(queue_depth as f64);
-        let total = hits + misses;
-        if total > 0 {
-            g.cache_hit_ratio.set(hits as f64 / total as f64);
+    /// Refresh one shard's queue-depth gauge from its worker counter.
+    pub fn set_shard_queue_depth(&self, shard: usize, depth: u64) {
+        if let Some(g) = self.shard_queue_depth.get(shard) {
+            g.set(depth as f64);
         }
-        g.cache_entries.set(entries as f64);
     }
 
     /// Refresh the cache-hit-ratio gauge from the hit/miss counters.

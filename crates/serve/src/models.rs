@@ -3,13 +3,14 @@
 //!
 //! Every loaded model lives in a [`ModelEntry`] behind an `Arc`; the
 //! reactor resolves a selector to an entry exactly once per request, and
-//! every shard job of that request carries the same `Arc`. Hot reload is
+//! the request's cache lookups, shard jobs and cache inserts all use that
+//! same `Arc`. Hot reload is
 //! therefore a single atomic pointer swap in the table: requests already
 //! dispatched finish on the entry they resolved, new requests resolve the
 //! fresh one, and nothing is ever torn mid-flight.
 //!
-//! Each entry also carries a table-unique `id`, which the shard caches
-//! key every entry by, beside the row hash. A reloaded version gets a
+//! Each entry also carries a table-unique `id`, which the reactor's cache
+//! keys every entry by, beside the row hash. A reloaded version gets a
 //! fresh id, so a stale probability can never be served across a swap —
 //! old entries simply age out of the LRU.
 
@@ -23,9 +24,9 @@ use crate::protocol::ServerInfo;
 
 /// One loaded model: the inference network plus its routing identity.
 pub(crate) struct ModelEntry {
-    /// Table-unique load id, starting at 1; part of every shard cache
-    /// entry's key, so entries from different loads (including reloads of
-    /// the same name) never alias.
+    /// Table-unique load id, starting at 1; part of every cache entry's
+    /// key, so entries from different loads (including reloads of the same
+    /// name) never alias.
     pub id: u64,
     /// The inference model, at its artifact's precision.
     pub model: EspModel,

@@ -2,29 +2,34 @@
 //!
 //! One reactor thread drives a nonblocking listener plus every connection
 //! as a resumable state machine (read → decode → dispatch → write, built
-//! on the same resumable `FrameReader` the threaded server used), and N
-//! shard workers own per-shard LRU caches and do the model compute. All of
-//! it stays on the `esp-runtime` discipline: deterministic results (the
-//! model is immutable; the caches only memoise bit-identical values),
-//! parallelism only affects wall-clock.
+//! on the same resumable `FrameReader` the threaded server used). It owns
+//! the LRU cache and answers every cache hit itself; N shard workers only
+//! compute the rows that miss. All of it stays on the `esp-runtime`
+//! discipline: deterministic results (the model is immutable; the cache
+//! only memoises bit-identical values), parallelism only affects
+//! wall-clock.
 //!
 //! Per connection, responses are queued in request order: immediate
-//! opcodes (STATS, INFO, PROFILE, SHUTDOWN, errors) enter the queue as
-//! encoded bytes, while a PREDICT enters as a pending join that the shard
-//! workers fill; the reactor completes the head of the queue as soon as
-//! its join resolves, so pipelined clients always read replies in the
-//! order they asked. Partial writes park in a per-connection buffer and
-//! resume when the socket drains.
+//! opcodes (INFO, SHUTDOWN, errors) and PREDICTs whose rows all hit enter
+//! the queue as encoded bytes, and a PREDICT with misses enters as a
+//! pending join that the shard workers fill. A PROFILE is applied, and a
+//! STATS rendered, only when it reaches the head, so it sees every request
+//! before it on its connection: a PROFILE joins every prediction served
+//! earlier, a STATS counts every PROFILE applied earlier. The reactor
+//! completes the head of the queue as soon as it can, so pipelined clients
+//! always read replies in the order they asked. Partial writes park in a
+//! per-connection buffer and resume when the socket drains.
 //!
 //! Multiple models are served behind one port (see the `models` module):
 //! the v4 PREDICT/INFO selector picks one, and a watcher thread can hot
 //! reload new registry versions with an atomic `Arc` swap — in-flight
 //! requests finish on the model they resolved; nothing fails or drops.
 //!
-//! The reactor never spins: when a sweep moves nothing it blocks in
-//! `poll(2)` on its wake socket, the listener and every connection. A
-//! shard that resolves the last bucket of a request writes one byte to the
-//! wake socket, so a finished reply leaves at once.
+//! The reactor never spins: every iteration blocks in `poll(2)` on its
+//! wake socket, the listener and every connection, then acts only on the
+//! descriptors `poll` reported ready. A shard that resolves the last job
+//! of a request writes one byte to the wake socket, so a finished reply
+//! leaves at once.
 //!
 //! Shutdown is graceful: a `SHUTDOWN` frame (or [`ServerHandle::shutdown`])
 //! raises a flag, makes the never-drained stop socket readable for the
@@ -50,22 +55,22 @@ use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::protocol::{
     FrameReader, Prediction, ProfileAck, ProfileRecord, Request, Response, ServeError, ServerInfo,
 };
-use crate::shard::{PredictJoin, ShardPool, ShardStats};
+use crate::shard::{Lookup, PredictJoin, ShardPool};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Shard workers, each owning its slice of the LRU cache; `0` = one
+    /// Shard workers computing the rows that miss the cache; `0` = one
     /// per available core.
     pub shards: usize,
-    /// Aggregate LRU cache capacity in entries, split evenly across the
-    /// shards; `0` disables caching.
+    /// Capacity in entries of the reactor's LRU cache; `0` disables
+    /// caching.
     pub cache_capacity: usize,
     /// Address for the HTTP telemetry sidecar (`GET /metrics`, `/healthz`,
     /// `/sitez`); `None` = no HTTP listener.
     pub http_addr: Option<String>,
     /// Record served predictions and PROFILE outcomes in the per-site
-    /// accuracy ledger. Off, the ledger costs one atomic load per row.
+    /// accuracy ledger. Off, the ledger costs one branch per row.
     pub ledger: bool,
 }
 
@@ -153,9 +158,10 @@ pub(crate) struct Shared {
     /// scraping does not perturb the byte-identity of `/metrics` vs STATS
     /// on a quiesced server).
     pub(crate) http_requests: AtomicU64,
-    /// Per-shard health counters, written by the workers, read by
-    /// `/healthz` and the exposition.
-    pub(crate) shard_stats: Vec<Arc<ShardStats>>,
+    /// Jobs dispatched to each shard worker and not yet finished, read by
+    /// `/healthz` and the exposition (relaxed: monitoring, not
+    /// synchronization).
+    pub(crate) queue_depths: Vec<AtomicU64>,
 }
 
 impl Shared {
@@ -183,21 +189,16 @@ impl Shared {
         self.models.default_entry().model.precision_bits()
     }
 
-    /// The unified exposition: per-shard gauges refreshed from the worker
-    /// counters, then the metrics registry followed by the accuracy-ledger
-    /// families. The STATS opcode, the in-process
+    /// The unified exposition: per-shard queue gauges refreshed from the
+    /// worker counters, then the metrics registry followed by the
+    /// accuracy-ledger families. The STATS opcode, the in-process
     /// [`ServerHandle::metrics_text`], and the HTTP `/metrics` endpoint all
     /// render through here, so the three views are byte-identical on a
     /// quiesced server.
     pub(crate) fn exposition(&self) -> String {
-        for (i, st) in self.shard_stats.iter().enumerate() {
-            self.metrics.set_shard(
-                i,
-                st.queue_depth.load(Ordering::Relaxed),
-                st.hits.load(Ordering::Relaxed),
-                st.misses.load(Ordering::Relaxed),
-                st.entries.load(Ordering::Relaxed),
-            );
+        for (i, depth) in self.queue_depths.iter().enumerate() {
+            self.metrics
+                .set_shard_queue_depth(i, depth.load(Ordering::Relaxed));
         }
         let mut text = self.metrics.render_text();
         text.push_str(&self.ledger.render_text());
@@ -284,7 +285,6 @@ pub fn serve(
         metrics.set_precision(default.model.precision_bits());
         metrics.set_model_version(default.info.model_version);
     }
-    let shard_stats = (0..shards).map(|_| Arc::new(ShardStats::default())).collect();
     let (waker, wake_rx) = socket_pair()?;
     let (stop_tx, stop_rx) = socket_pair()?;
     let shared = Arc::new(Shared {
@@ -301,7 +301,7 @@ pub fn serve(
         observed_window: SlidingWindow::new(WINDOW_SLOTS, WINDOW_BUCKET_US),
         mispredict_window: SlidingWindow::new(WINDOW_SLOTS, WINDOW_BUCKET_US),
         http_requests: AtomicU64::new(0),
-        shard_stats,
+        queue_depths: (0..shards).map(|_| AtomicU64::new(0)).collect(),
     });
 
     // The HTTP telemetry sidecar binds before the reactor spawns so a
@@ -315,8 +315,9 @@ pub fn serve(
         None => (None, None),
     };
 
-    // The reactor owns the shard pool: it is the only dispatcher, and it
-    // stops and joins the workers after draining at shutdown.
+    // The reactor owns the shard pool and its cache: it is the only
+    // dispatcher, and it stops and joins the workers after draining at
+    // shutdown.
     let pool = ShardPool::spawn(&shared, shards, cfg.cache_capacity);
     let reactor_shared = Arc::clone(&shared);
     let reactor = std::thread::Builder::new()
@@ -424,12 +425,22 @@ impl Drop for ServerHandle {
 enum Slot {
     /// Encoded response payload, ready to frame and write.
     Ready(Vec<u8>),
-    /// A predict batch in flight on the shard workers.
+    /// A predict batch whose misses are in flight on the shard workers.
     Pending {
         req_id: u64,
         join: Arc<PredictJoin>,
         svc_start: Instant,
     },
+    /// A PROFILE batch, applied once it is the head: every prediction
+    /// served earlier on the connection is in the ledger by then.
+    Profile {
+        req_id: u64,
+        records: Vec<ProfileRecord>,
+        svc_start: Instant,
+    },
+    /// A STATS request, rendered once it is the head: every PROFILE
+    /// earlier on the connection is in the ledger by then.
+    Stats { req_id: u64, svc_start: Instant },
 }
 
 /// Per-connection state machine: resumable frame reads, the in-order
@@ -499,77 +510,90 @@ impl Conn {
     }
 }
 
-fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, pool: ShardPool) {
+fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, mut pool: ShardPool) {
     let wake = &shared.wake_rx;
     let mut conns: Vec<Conn> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
+    let mut stopping = false;
+    let mut accept_failed = false;
     loop {
-        // Drain before reading `stop`: a stop request or a shard wake-up
-        // that lands after this point leaves a byte that ends the `poll`
-        // below.
-        drain(wake);
-        let stopping = shared.stop.load(Ordering::SeqCst);
-        let mut progress = false;
-        let mut accept_failed = false;
-
-        if !stopping {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let _ = stream.set_nodelay(true);
-                        shared.metrics.connections.inc();
-                        conns.push(Conn::new(stream));
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        accept_failed = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        for conn in conns.iter_mut() {
-            progress |= pump(&shared, &pool, conn, stopping);
-        }
-        conns.retain(|c| !c.finished());
-
-        if stopping && conns.iter().all(Conn::drained) {
-            break;
-        }
-        if progress {
-            continue;
-        }
-
-        // Nothing moved: block until the wake socket, the listener or a
-        // connection is ready.
+        // Block until the wake socket, the listener or a connection is
+        // ready. While accepts fail, the listener stays out of the set and
+        // the wait ends after ACCEPT_RETRY instead.
         fds.clear();
         fds.push(PollFd::new(wake, POLLIN));
-        if !stopping && !accept_failed {
+        let listening = !stopping && !accept_failed;
+        if listening {
             fds.push(PollFd::new(&listener, POLLIN));
         }
         let first_conn = fds.len();
         for conn in &conns {
             fds.push(PollFd::new(&conn.stream, conn.interest(stopping)));
         }
-        // An error here (ENOMEM, say) just sweeps again.
+        // An error here (ENOMEM, say) reports nothing ready: nothing is
+        // read, and the loop waits again.
         let _ = poll::wait(&mut fds, accept_failed.then_some(ACCEPT_RETRY));
-        // A hung-up or failed connection with nothing to read or flush can
-        // never be sent its pending replies, and would end every `poll` at
-        // once: drop it.
+
+        // Drain before reading `stop` and the joins: a stop request or a
+        // shard wake-up that lands after this point leaves a byte that
+        // ends the next `poll`.
+        if fds[0].revents() != 0 {
+            drain(wake);
+        }
+        stopping = shared.stop.load(Ordering::SeqCst);
+        pool.finish_completed(&shared);
+
+        if !stopping && (accept_failed || listening && fds[1].revents() != 0) {
+            accept_failed = accept_all(&shared, &listener, &mut conns);
+        }
+
         for (conn, fd) in conns.iter_mut().zip(&fds[first_conn..]) {
-            if fd.events() == 0 && fd.revents() & (POLLHUP | POLLERR) != 0 {
+            let revents = fd.revents();
+            if revents & (POLLIN | POLLHUP | POLLERR) == 0 {
+                continue;
+            }
+            if fd.events() == 0 {
+                // Hung up or failed with nothing to read or flush: its
+                // pending replies can never be sent, and it would end every
+                // `poll` at once. Drop it.
                 conn.dead = true;
+            } else if conn.reading(stopping) {
+                read_frames(&shared, &mut pool, conn);
             }
         }
+
+        for conn in conns.iter_mut().filter(|c| !c.dead) {
+            complete_heads(&shared, conn);
+            flush(conn);
+        }
+        conns.retain(|c| !c.finished());
+
+        if stopping && conns.iter().all(Conn::drained) {
+            break;
+        }
     }
-    // Workers drain their queues (Stop sits behind any remaining jobs),
-    // then exit; nothing in flight is abandoned.
-    pool.stop();
+    // Workers drain their queues, then exit; nothing in flight is
+    // abandoned.
+    pool.stop(&shared);
+}
+
+/// Accept every queued connection. Returns true when `accept` failed with
+/// an error other than `WouldBlock` (out of descriptors, say).
+fn accept_all(shared: &Shared, listener: &TcpListener, conns: &mut Vec<Conn>) -> bool {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                if stream.set_nonblocking(true).is_err() {
+                    continue;
+                }
+                let _ = stream.set_nodelay(true);
+                shared.metrics.connections.inc();
+                conns.push(Conn::new(stream));
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
+            Err(_) => return true,
+        }
+    }
 }
 
 /// Read the wake socket until it is empty, so the next `poll` blocks
@@ -579,105 +603,108 @@ fn drain(wake: &UnixStream) {
     while matches!((&*wake).read(&mut buf), Ok(n) if n > 0) {}
 }
 
-/// Drive one connection as far as it will go without blocking. Returns
-/// true when any byte or state moved.
-fn pump(shared: &Shared, pool: &ShardPool, conn: &mut Conn, stopping: bool) -> bool {
-    let mut progress = false;
-
-    // 1. Read complete frames and dispatch them (see `Conn::reading`).
-    if conn.reading(stopping) {
-        loop {
-            let read = {
-                let Conn { frames, stream, .. } = &mut *conn;
-                frames.read(&mut &*stream)
-            };
-            match read {
-                Ok(Some(payload)) => {
-                    progress = true;
-                    handle_frame(shared, pool, &mut conn.queue, &payload);
-                }
-                Ok(None) => {
-                    conn.read_closed = true;
-                    break;
-                }
-                Err(ServeError::Io(e))
-                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
-                {
-                    break; // mid-frame; the FrameReader resumes next sweep
-                }
-                Err(_) => {
-                    conn.dead = true;
-                    break;
-                }
+/// Read complete frames until the socket would block, and dispatch each.
+fn read_frames(shared: &Shared, pool: &mut ShardPool, conn: &mut Conn) {
+    loop {
+        let read = {
+            let Conn { frames, stream, .. } = &mut *conn;
+            frames.read(&mut &*stream)
+        };
+        match read {
+            Ok(Some(payload)) => handle_frame(shared, pool, &mut conn.queue, &payload),
+            Ok(None) => {
+                conn.read_closed = true;
+                return;
+            }
+            Err(ServeError::Io(e))
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+            {
+                return; // mid-frame; the FrameReader resumes next time
+            }
+            Err(_) => {
+                conn.dead = true;
+                return;
             }
         }
     }
+}
 
-    // 2. Complete the head of the response queue into the write buffer —
-    //    ready slots immediately, pending slots once their shard join
-    //    resolves. Head-only, so replies keep request order.
+/// Complete the head of the response queue into the write buffer — ready
+/// slots, PROFILE batches and STATS at once, pending slots once the
+/// reactor has finished their join. Head-only, so replies keep request
+/// order.
+fn complete_heads(shared: &Shared, conn: &mut Conn) {
     loop {
-        let head_done = match conn.queue.front() {
-            Some(Slot::Ready(_)) => true,
-            Some(Slot::Pending { join, .. }) => join.complete(),
-            None => false,
-        };
-        if !head_done {
-            break;
+        match conn.queue.front() {
+            Some(Slot::Pending { join, .. }) if !join.finished() => return,
+            None => return,
+            Some(_) => {}
         }
-        match conn.queue.pop_front() {
-            Some(Slot::Ready(payload)) => push_frame(&mut conn.out, &payload),
-            Some(Slot::Pending {
+        let payload = match conn.queue.pop_front().expect("a head") {
+            Slot::Ready(payload) => payload,
+            Slot::Pending {
                 req_id,
                 join,
                 svc_start,
-            }) => {
-                let probs = std::mem::take(&mut *join.probs.lock().expect("join lock"));
-                let predictions: Vec<Prediction> = probs
-                    .into_iter()
-                    .map(|prob| Prediction {
-                        prob,
-                        taken: prob > 0.5,
-                    })
-                    .collect();
-                let payload = Response::Predictions(predictions).encode_with_id(req_id);
-                push_frame(&mut conn.out, &payload);
-                shared.metrics.update_cache_hit_ratio();
+            } => {
+                let payload = predictions(join.probs()).encode_with_id(req_id);
                 record_request(shared, svc_start);
+                payload
             }
-            None => unreachable!("head_done implies a head"),
-        }
-        progress = true;
+            Slot::Profile {
+                req_id,
+                records,
+                svc_start,
+            } => {
+                let payload = handle_profile(shared, &records, req_id).encode_with_id(req_id);
+                record_request(shared, svc_start);
+                payload
+            }
+            Slot::Stats { req_id, svc_start } => {
+                // A STATS request records its own metrics *before* the
+                // exposition renders, so the reply carries exactly the
+                // registry state a quiesced follow-up `/metrics` scrape
+                // sees — the byte-identity contract.
+                record_request(shared, svc_start);
+                Response::Stats(shared.stats_snapshot()).encode_with_id(req_id)
+            }
+        };
+        push_frame(&mut conn.out, &payload);
     }
+}
 
-    // 3. Flush the write buffer as far as the socket allows.
-    if !conn.dead && !conn.flushed() {
-        loop {
-            match (&conn.stream).write(&conn.out[conn.out_pos..]) {
-                Ok(0) => {
-                    conn.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.out_pos += n;
-                    progress = true;
-                    if conn.flushed() {
-                        conn.out.clear();
-                        conn.out_pos = 0;
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.dead = true;
-                    break;
-                }
+/// Write the buffered replies as far as the socket allows.
+fn flush(conn: &mut Conn) {
+    while !conn.flushed() {
+        match (&conn.stream).write(&conn.out[conn.out_pos..]) {
+            Ok(0) => {
+                conn.dead = true;
+                return;
+            }
+            Ok(n) => conn.out_pos += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => {
+                conn.dead = true;
+                return;
             }
         }
     }
+    conn.out.clear();
+    conn.out_pos = 0;
+}
 
-    progress
+/// A PREDICT reply: each probability with its `> 0.5` direction.
+fn predictions(probs: Vec<f64>) -> Response {
+    Response::Predictions(
+        probs
+            .into_iter()
+            .map(|prob| Prediction {
+                prob,
+                taken: prob > 0.5,
+            })
+            .collect(),
+    )
 }
 
 /// Append one length-prefixed frame to a connection's write buffer.
@@ -687,9 +714,11 @@ fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
 }
 
 /// Decode one frame and enqueue its response slot. Immediate opcodes are
-/// answered (and measured) inline; PREDICT validates, routes to the shard
-/// workers, and parks a pending slot.
-fn handle_frame(shared: &Shared, pool: &ShardPool, queue: &mut VecDeque<Slot>, payload: &[u8]) {
+/// answered (and measured) inline; PREDICT validates and runs its cache
+/// pass, answering at once when every row hits and otherwise parking a
+/// pending slot for the shard workers; PROFILE and STATS wait for the
+/// head.
+fn handle_frame(shared: &Shared, pool: &mut ShardPool, queue: &mut VecDeque<Slot>, payload: &[u8]) {
     // End-to-end service clock: covers decode, handling (cache-hit fast
     // path included) and response encode; the write happens on the shared
     // reactor and is not attributed to individual requests.
@@ -711,25 +740,20 @@ fn handle_frame(shared: &Shared, pool: &ShardPool, queue: &mut VecDeque<Slot>, p
             queue.push_back(Slot::Ready(resp.encode_with_id(id)));
             record_request(shared, svc_start);
         }
-        Ok((id, Request::Stats)) => {
-            // A STATS request records its own metrics *before* the
-            // exposition renders, so the reply carries exactly the registry
-            // state a quiesced follow-up `/metrics` scrape sees — the
-            // byte-identity contract.
-            record_request(shared, svc_start);
-            let reply = Response::Stats(shared.stats_snapshot());
-            queue.push_back(Slot::Ready(reply.encode_with_id(id)));
-        }
+        Ok((id, Request::Stats)) => queue.push_back(Slot::Stats {
+            req_id: id,
+            svc_start,
+        }),
         Ok((id, Request::Shutdown)) => {
             shared.request_stop();
             queue.push_back(Slot::Ready(Response::ShuttingDown.encode_with_id(id)));
             record_request(shared, svc_start);
         }
-        Ok((id, Request::Profile(records))) => {
-            let resp = handle_profile(shared, records, id);
-            queue.push_back(Slot::Ready(resp.encode_with_id(id)));
-            record_request(shared, svc_start);
-        }
+        Ok((id, Request::Profile(records))) => queue.push_back(Slot::Profile {
+            req_id: id,
+            records,
+            svc_start,
+        }),
         Ok((id, Request::Predict { model, rows })) => {
             let entry = match shared.models.resolve(&model) {
                 Ok(e) => e,
@@ -756,12 +780,17 @@ fn handle_frame(shared: &Shared, pool: &ShardPool, queue: &mut VecDeque<Slot>, p
             m.predict_requests.inc();
             m.predictions.add(rows.len() as u64);
             m.record_batch_size(rows.len() as u64);
-            let join = pool.dispatch(shared, &entry, rows);
-            queue.push_back(Slot::Pending {
-                req_id: id,
-                join,
-                svc_start,
-            });
+            match pool.lookup(shared, &entry, rows) {
+                Lookup::Hit(probs) => {
+                    queue.push_back(Slot::Ready(predictions(probs).encode_with_id(id)));
+                    record_request(shared, svc_start);
+                }
+                Lookup::Pending(join) => queue.push_back(Slot::Pending {
+                    req_id: id,
+                    join,
+                    svc_start,
+                }),
+            }
         }
     }
 }
@@ -776,11 +805,11 @@ fn record_request(shared: &Shared, svc_start: Instant) {
 
 /// Apply a PROFILE batch to the accuracy ledger and the last-minute
 /// observed/mispredict windows.
-fn handle_profile(shared: &Shared, records: Vec<ProfileRecord>, req_id: u64) -> Response {
+fn handle_profile(shared: &Shared, records: &[ProfileRecord], req_id: u64) -> Response {
     let mut sp = esp_obs::span!("serve", "profile_batch", records = records.len());
     let mut ack = ProfileAck::default();
     let now_us = shared.clock.now_us();
-    for rec in &records {
+    for rec in records {
         match shared.ledger.record_outcome(&rec.site_key, rec.taken, rec.weight) {
             OutcomeRecord::Applied { mispredicted } => {
                 ack.applied += 1;

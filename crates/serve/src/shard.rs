@@ -1,33 +1,47 @@
-//! Shard workers: per-shard LRU caches and model compute behind channels.
+//! The reactor's PREDICT path: one LRU cache it owns outright, and
+//! compute-only shard workers for the rows that miss.
 //!
 //! The event loop hashes every predict row once, with [`row_hash`]: the
 //! [`esp_obs::word_hash`] of its `site_key` bytes (the bytes PROFILE joins
 //! on), streamed from the decoded row without building them. That one
-//! hash routes the row (`hash % shards`), keys the shard's cache map and
-//! picks the accuracy ledger's slot, and PROFILE hashes its `site_key`
-//! with the same function. A given feature vector therefore always lands
-//! on the same shard, which is what lets each shard own its cache outright
-//! — no mutex, no cross-shard coherence, and the aggregate hit rate
-//! matches a single shared cache.
+//! hash keys the cache map and indexes the accuracy ledger, and PROFILE
+//! hashes its `site_key` with the same function. Only the reactor thread
+//! touches the cache and writes served predictions to the ledger, so
+//! neither needs coherence across threads, and the hit rate is that of one
+//! cache of the configured capacity.
 //!
-//! Each worker is one OS thread blocking on an `mpsc` channel. The reactor
-//! splits a predict batch into per-shard buckets, tags each row with its
-//! original batch index and its hash, and hands every bucket of one
-//! request the same [`PredictJoin`]; workers fill their slice of the join
-//! and decrement its counter, and the worker that takes the counter to
-//! zero wakes the reactor, which completes the response. Row results land
-//! by index, so response order is request order no matter how shards
-//! interleave — and because the batched kernel is bitwise deterministic
-//! per row, the shard count can never change a served probability.
+//! A PREDICT whose rows all hit is answered in the reactor iteration that
+//! decoded it.
+//! Otherwise [`ShardPool::lookup`] builds one [`PredictJoin`] holding the
+//! rows, the misses' indices and hashes, and one atomic slot per row, with
+//! the hits already filled in. Each [`PREDICT_CHUNK`] of misses is one job,
+//! sent to the workers round-robin. Each worker is one OS thread blocking
+//! on an `mpsc` channel: it runs the batched kernel over its chunk, stores
+//! each probability into its row's slot, and decrements the join's
+//! counter; the worker that takes it to zero wakes the reactor. On that
+//! wake-up the reactor finishes the join
+//! ([`ShardPool::finish_completed`]): it caches and records the computed
+//! rows, whether or not the request's connection is still open, and the
+//! reply is encoded from the join's slots when it reaches the head of its
+//! connection's queue. Row results land by index, so response order is
+//! request order no matter how workers interleave — and because the
+//! batched kernel is bitwise deterministic per row, neither the worker
+//! count nor the chunking can change a served probability.
+//!
+//! The cache learns a computed row only when its join finishes: a PREDICT
+//! that repeats rows still being computed for an earlier one misses on
+//! them and computes them again. The values are bit-identical; only the
+//! work is duplicated.
 //!
 //! The cache map is keyed by the owning [`ModelEntry`]'s table-unique
-//! load id beside the row hash, so a hot reload can never serve a stale
-//! probability: the new entry's rows simply never match the old one's,
-//! and the old entries age out of the LRU. The ledger records under the
-//! plain site key, unchanged from the single-model wire contract.
+//! load id beside the row hash, and computed rows are cached under the
+//! entry their request resolved, so a hot reload can never serve a stale
+//! probability: the new entry's rows simply never match the old one's, and
+//! the old entries age out of the LRU. The ledger records under the plain
+//! site key, unchanged from the single-model wire contract.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use crate::cache::{cache_key_into, row_hash, LruCache};
@@ -35,237 +49,261 @@ use crate::models::ModelEntry;
 use crate::protocol::PredictRow;
 use crate::server::Shared;
 
-/// Rows per batched-kernel call when a shard computes its cache misses.
+/// Rows per batched-kernel call, and per shard job.
 const PREDICT_CHUNK: usize = 32;
 
-/// Per-shard health counters, read by `/healthz` and the metrics
-/// exposition (all relaxed: monitoring, not synchronization).
-#[derive(Debug, Default)]
-pub(crate) struct ShardStats {
-    /// Jobs dispatched but not yet finished by this shard.
-    pub queue_depth: AtomicU64,
-    /// Rows this shard answered from its cache.
-    pub hits: AtomicU64,
-    /// Rows this shard computed.
-    pub misses: AtomicU64,
-    /// Entries currently in this shard's cache.
-    pub entries: AtomicU64,
-}
-
-/// Join state for one in-flight predict request, shared by every shard
-/// bucket of the request. Workers fill `probs` by original batch index
-/// *before* decrementing `remaining` (release); the reactor treats
+/// Join state for one in-flight predict request, shared by every job of
+/// the request. Workers store their rows' probability bits *before*
+/// decrementing `remaining` (release); the reactor treats
 /// `remaining == 0` (acquire) as "all rows resolved".
 pub(crate) struct PredictJoin {
-    /// One probability per request row, in request order.
-    pub probs: Mutex<Vec<f64>>,
-    /// Shard buckets still working.
-    pub remaining: AtomicUsize,
-    /// Cache hits across all buckets (for the request's metrics/span).
-    pub hits: AtomicU64,
+    /// The model entry the request resolved.
+    entry: Arc<ModelEntry>,
+    rows: Vec<PredictRow>,
+    /// Index and [`row_hash`] of each row that missed the cache, in
+    /// request order.
+    misses: Vec<(usize, u64)>,
+    /// One probability per request row, as f64 bits, in request order.
+    probs: Vec<AtomicU64>,
+    /// Jobs still computing.
+    remaining: AtomicUsize,
+    /// The reactor's cache pass plus the kernel time every job adds, µs.
+    compute_us: AtomicU64,
+    /// Set by the reactor once it has cached and recorded the computed
+    /// rows; only the reactor reads or writes it.
+    finished: AtomicBool,
 }
 
 impl PredictJoin {
-    fn new(rows: usize, buckets: usize) -> Self {
-        PredictJoin {
-            probs: Mutex::new(vec![0.0; rows]),
-            remaining: AtomicUsize::new(buckets),
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    /// True once every shard bucket has filled its rows.
-    pub fn complete(&self) -> bool {
+    /// True once every job has filled its rows.
+    fn complete(&self) -> bool {
         self.remaining.load(Ordering::Acquire) == 0
     }
+
+    /// True once the reactor has cached and recorded the computed rows
+    /// ([`ShardPool::finish_completed`]): the reply may be encoded.
+    pub fn finished(&self) -> bool {
+        self.finished.load(Ordering::Relaxed)
+    }
+
+    /// Every row's probability, in request order, of a finished join.
+    pub fn probs(&self) -> Vec<f64> {
+        // `finished` was set after the acquire load in `complete()` that
+        // pairs with every job's release `fetch_sub`, so each worker's
+        // stores are visible.
+        debug_assert!(self.finished());
+        self.probs
+            .iter()
+            .map(|bits| f64::from_bits(bits.load(Ordering::Relaxed)))
+            .collect()
+    }
 }
 
-/// Work sent to one shard worker.
-enum ShardJob {
-    /// One request's bucket of rows for this shard, tagged with their
-    /// original batch indices and their [`row_hash`]es.
-    Predict {
-        entry: Arc<ModelEntry>,
-        rows: Vec<(usize, u64, PredictRow)>,
-        join: Arc<PredictJoin>,
-    },
-    /// Drain and exit (sent once per worker at shutdown).
-    Stop,
+/// What the cache pass made of a validated PREDICT.
+pub(crate) enum Lookup {
+    /// Every row hit (or there were none): the probabilities, in request
+    /// order.
+    Hit(Vec<f64>),
+    /// Some rows missed; the workers fill this join.
+    Pending(Arc<PredictJoin>),
 }
 
-/// The shard workers. Owned by the reactor thread: senders never cross
-/// threads, and the reactor stops and joins the workers when it drains.
+/// One chunk of a request's misses: the `chunk`-th [`PREDICT_CHUNK`] of
+/// `join.misses`.
+struct ShardJob {
+    join: Arc<PredictJoin>,
+    chunk: usize,
+}
+
+/// The cache and the shard workers. Owned by the reactor thread: the
+/// cache, the key buffer and the senders never cross threads, and the
+/// reactor stops and joins the workers when it drains.
 pub(crate) struct ShardPool {
+    cache: LruCache,
+    /// One reusable key buffer: hot-path lookups allocate nothing (see
+    /// `LruCache::get_hashed`).
+    key_buf: Vec<u8>,
     senders: Vec<mpsc::Sender<ShardJob>>,
     handles: Vec<std::thread::JoinHandle<()>>,
+    /// The worker the next job goes to.
+    next: usize,
+    /// Joins dispatched and not yet finished, in dispatch order.
+    in_flight: Vec<Arc<PredictJoin>>,
 }
 
 impl ShardPool {
-    /// Spawn `shards` workers. Each owns an LRU cache of
-    /// `cache_capacity / shards` entries (rounded up; `0` disables
-    /// caching), so the configured capacity bounds the aggregate.
+    /// Spawn `shards` compute workers beside a cache of `cache_capacity`
+    /// entries (`0` disables caching).
     pub fn spawn(shared: &Arc<Shared>, shards: usize, cache_capacity: usize) -> ShardPool {
         let shards = shards.max(1);
-        let per_shard = if cache_capacity == 0 {
-            0
-        } else {
-            cache_capacity.div_ceil(shards)
-        };
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for i in 0..shards {
             let (tx, rx) = mpsc::channel();
             let worker_shared = Arc::clone(shared);
-            let stats = Arc::clone(&shared.shard_stats[i]);
             let handle = std::thread::Builder::new()
                 .name(format!("esp-serve-shard-{i}"))
-                .spawn(move || worker_loop(worker_shared, rx, stats, LruCache::new(per_shard), i))
+                .spawn(move || worker_loop(&worker_shared, &rx, i))
                 .expect("spawn shard worker");
             senders.push(tx);
             handles.push(handle);
         }
-        ShardPool { senders, handles }
+        ShardPool {
+            cache: LruCache::new(cache_capacity),
+            key_buf: Vec::new(),
+            senders,
+            handles,
+            next: 0,
+            in_flight: Vec::new(),
+        }
     }
 
-    /// Route a validated predict batch to its shards and return the join
-    /// the reactor polls. Rows are bucketed by their [`row_hash`], which
-    /// rides along to the worker; an empty batch completes immediately.
-    pub fn dispatch(&self, shared: &Shared, entry: &Arc<ModelEntry>, rows: Vec<PredictRow>) -> Arc<PredictJoin> {
-        let nshards = self.senders.len() as u64;
-        let mut buckets: Vec<Vec<(usize, u64, PredictRow)>> =
-            (0..self.senders.len()).map(|_| Vec::new()).collect();
+    /// The cache pass over a validated predict batch: hash each row, look
+    /// it up under `entry`'s load id and record every hit in the ledger.
+    /// Dispatches the misses, if any, to the workers, one job per
+    /// [`PREDICT_CHUNK`].
+    pub fn lookup(
+        &mut self,
+        shared: &Shared,
+        entry: &Arc<ModelEntry>,
+        rows: Vec<PredictRow>,
+    ) -> Lookup {
+        let start = Instant::now();
         let n = rows.len();
-        for (i, r) in rows.into_iter().enumerate() {
+        let mut probs = Vec::with_capacity(n);
+        let mut misses = Vec::new();
+        for (i, r) in rows.iter().enumerate() {
             let hash = row_hash(&r.row, &r.mask);
-            buckets[(hash % nshards) as usize].push((i, hash, r));
+            cache_key_into(&mut self.key_buf, &r.row, &r.mask);
+            let prob = match self.cache.get_hashed(entry.id, hash, &self.key_buf) {
+                Some(p) => {
+                    shared.ledger.record_served_hashed(hash, &self.key_buf, p);
+                    p
+                }
+                None => {
+                    misses.push((i, hash));
+                    0.0
+                }
+            };
+            probs.push(prob);
         }
-        let jobs = buckets.iter().filter(|b| !b.is_empty()).count();
-        let join = Arc::new(PredictJoin::new(n, jobs));
-        for (s, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            shared.shard_stats[s].queue_depth.fetch_add(1, Ordering::Relaxed);
-            let _ = self.senders[s].send(ShardJob::Predict {
-                entry: Arc::clone(entry),
-                rows: bucket,
+        let m = &shared.metrics;
+        m.cache_hits.add((n - misses.len()) as u64);
+        m.cache_misses.add(misses.len() as u64);
+        let cache_us = start.elapsed().as_micros() as u64;
+        if misses.is_empty() {
+            m.record_predict_compute_us(cache_us);
+            return Lookup::Hit(probs);
+        }
+
+        // `remaining` counts every job before any is sent.
+        let jobs = misses.len().div_ceil(PREDICT_CHUNK);
+        let join = Arc::new(PredictJoin {
+            entry: Arc::clone(entry),
+            rows,
+            misses,
+            probs: probs
+                .into_iter()
+                .map(|p| AtomicU64::new(p.to_bits()))
+                .collect(),
+            remaining: AtomicUsize::new(jobs),
+            compute_us: AtomicU64::new(cache_us),
+            finished: AtomicBool::new(false),
+        });
+        for chunk in 0..jobs {
+            let shard = self.next;
+            self.next = (shard + 1) % self.senders.len();
+            shared.queue_depths[shard].fetch_add(1, Ordering::Relaxed);
+            let _ = self.senders[shard].send(ShardJob {
                 join: Arc::clone(&join),
+                chunk,
             });
         }
-        join
+        self.in_flight.push(Arc::clone(&join));
+        Lookup::Pending(join)
     }
 
-    /// Tell every worker to drain and exit, then join them. Jobs already
-    /// queued are processed first (`Stop` sits behind them in the channel),
-    /// so pending requests complete before the pool dies.
-    pub fn stop(mut self) {
-        for tx in &self.senders {
-            let _ = tx.send(ShardJob::Stop);
-        }
+    /// Finish every join whose jobs are all done: cache each computed row
+    /// under the entry its request resolved, record it in the ledger, and
+    /// record the request's compute time. Runs on every reactor iteration,
+    /// so a join is finished even when its connection is gone, and always
+    /// before its reply is encoded.
+    pub fn finish_completed(&mut self, shared: &Shared) {
+        let ShardPool {
+            cache,
+            key_buf,
+            in_flight,
+            ..
+        } = self;
+        in_flight.retain(|join| {
+            if !join.complete() {
+                return true;
+            }
+            for &(i, hash) in &join.misses {
+                let r = &join.rows[i];
+                let prob = f64::from_bits(join.probs[i].load(Ordering::Relaxed));
+                cache_key_into(key_buf, &r.row, &r.mask);
+                cache.insert_hashed(join.entry.id, hash, key_buf, prob);
+                shared.ledger.record_served_hashed(hash, key_buf, prob);
+            }
+            let m = &shared.metrics;
+            m.cache_entries.set(cache.len() as f64);
+            m.record_predict_compute_us(join.compute_us.load(Ordering::Relaxed));
+            join.finished.store(true, Ordering::Relaxed);
+            false
+        });
+    }
+
+    /// Tell every worker to drain and exit, join them, and finish the
+    /// joins they completed. Jobs already queued are processed first (the
+    /// hang-up is seen only after them), so nothing dispatched is
+    /// abandoned.
+    pub fn stop(mut self, shared: &Shared) {
+        self.senders.clear();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
+        self.finish_completed(shared);
     }
 }
 
-fn worker_loop(
-    shared: Arc<Shared>,
-    rx: mpsc::Receiver<ShardJob>,
-    stats: Arc<ShardStats>,
-    mut cache: LruCache,
-    shard_index: usize,
-) {
-    // One reusable key buffer per worker: hot-path lookups allocate
-    // nothing (see `LruCache::get`).
-    let mut key_buf: Vec<u8> = Vec::new();
-    while let Ok(job) = rx.recv() {
-        match job {
-            ShardJob::Stop => break,
-            ShardJob::Predict { entry, rows, join } => {
-                process(&shared, &stats, &mut cache, &mut key_buf, shard_index, &entry, &rows, &join);
-                stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            }
+/// Compute jobs until the reactor drops its sender.
+fn worker_loop(shared: &Shared, rx: &mpsc::Receiver<ShardJob>, shard: usize) {
+    while let Ok(ShardJob { join, chunk }) = rx.recv() {
+        compute(shard, &join, chunk);
+        shared.queue_depths[shard].fetch_sub(1, Ordering::Relaxed);
+        // Publish the rows, then release the job: the reactor's acquire
+        // load of `remaining` makes them visible. The last job wakes the
+        // reactor to finish the join.
+        if join.remaining.fetch_sub(1, Ordering::Release) == 1 {
+            shared.wake();
         }
     }
 }
 
-/// Resolve one shard bucket: cache lookups, batched compute for the
-/// misses, ledger attribution for every row, then fill the join.
-#[allow(clippy::too_many_arguments)]
-fn process(
-    shared: &Shared,
-    stats: &ShardStats,
-    cache: &mut LruCache,
-    key_buf: &mut Vec<u8>,
-    shard_index: usize,
-    entry: &ModelEntry,
-    rows: &[(usize, u64, PredictRow)],
-    join: &PredictJoin,
-) {
+/// Run the batched kernel over one chunk of misses (shared normalization
+/// buffers, no per-row allocation) and store each probability into its
+/// row's slot. Per-row results are bitwise independent, so the chunking
+/// cannot change a probability.
+fn compute(shard: usize, join: &PredictJoin, chunk: usize) {
     let start = Instant::now();
-    let mut sp = esp_obs::span!("serve", "predict_shard", rows = rows.len());
-    let ledger_on = shared.ledger.enabled();
-    let mut out: Vec<(usize, f64)> = Vec::with_capacity(rows.len());
-    // Bucket index of each cache miss.
-    let mut miss: Vec<usize> = Vec::new();
-    for (bi, (orig, hash, r)) in rows.iter().enumerate() {
-        cache_key_into(key_buf, &r.row, &r.mask);
-        match cache.get_hashed(entry.id, *hash, key_buf) {
-            Some(p) => {
-                if ledger_on {
-                    shared.ledger.record_served_hashed(*hash, key_buf, p);
-                }
-                out.push((*orig, p));
-            }
-            None => miss.push(bi),
-        }
+    let misses = join
+        .misses
+        .chunks(PREDICT_CHUNK)
+        .nth(chunk)
+        .expect("a dispatched chunk");
+    let mut sp = esp_obs::span!("serve", "predict_shard", rows = misses.len());
+    let probs = join.entry.model.predict_prob_encoded_batch(
+        misses
+            .iter()
+            .map(|&(i, _)| (&join.rows[i].row[..], &join.rows[i].mask[..])),
+    );
+    for (&(i, _), p) in misses.iter().zip(probs) {
+        join.probs[i].store(p.to_bits(), Ordering::Relaxed);
     }
-    let hits = (rows.len() - miss.len()) as u64;
-
-    // Compute the misses with the batched kernel (shared normalization
-    // buffers, no per-row allocation), `PREDICT_CHUNK` rows at a time.
-    // Per-row results are bitwise independent, so neither the chunking
-    // nor the shard count can change a probability.
-    let mut computed: Vec<f64> = Vec::with_capacity(miss.len());
-    for chunk in miss.chunks(PREDICT_CHUNK) {
-        computed.extend(entry.model.predict_prob_encoded_batch(
-            chunk.iter().map(|&bi| (&rows[bi].2.row[..], &rows[bi].2.mask[..])),
-        ));
-    }
-    for (&bi, &p) in miss.iter().zip(&computed) {
-        let (orig, hash, r) = &rows[bi];
-        cache_key_into(key_buf, &r.row, &r.mask);
-        cache.insert_hashed(entry.id, *hash, key_buf, p);
-        if ledger_on {
-            shared.ledger.record_served_hashed(*hash, key_buf, p);
-        }
-        out.push((*orig, p));
-    }
-
-    stats.hits.fetch_add(hits, Ordering::Relaxed);
-    stats.misses.fetch_add(miss.len() as u64, Ordering::Relaxed);
-    stats.entries.store(cache.len() as u64, Ordering::Relaxed);
-    let m = &shared.metrics;
-    m.cache_hits.add(hits);
-    m.cache_misses.add(miss.len() as u64);
-    m.record_predict_compute_us(start.elapsed().as_micros() as u64);
     if sp.is_enabled() {
-        sp.arg("shard", shard_index);
-        sp.arg("hits", hits);
-        sp.arg("misses", miss.len());
+        sp.arg("shard", shard);
     }
-
-    // Publish results, then release the bucket: the reactor's acquire
-    // load of `remaining` makes the filled rows visible. The last bucket
-    // wakes the reactor to send the reply.
-    {
-        let mut probs = join.probs.lock().expect("join lock");
-        for (idx, p) in out {
-            probs[idx] = p;
-        }
-    }
-    join.hits.fetch_add(hits, Ordering::Relaxed);
-    if join.remaining.fetch_sub(1, Ordering::Release) == 1 {
-        shared.wake();
-    }
+    let us = start.elapsed().as_micros() as u64;
+    join.compute_us.fetch_add(us, Ordering::Relaxed);
 }

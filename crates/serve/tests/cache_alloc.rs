@@ -1,6 +1,6 @@
 //! Pins the serve cache's zero-allocation contract with a counting global
 //! allocator (same pattern as `crates/nnet/tests/alloc_free.rs`): with a
-//! caller-owned key buffer and a warmed cache, the shard hot path —
+//! caller-owned key buffer and a warmed cache, the reactor's hot path —
 //! `row_hash` over the decoded row, `cache_key_into` to build the key,
 //! `get_hashed` on a hit, and `insert_hashed` that refreshes an existing
 //! entry — performs **zero** heap allocations per lookup.
@@ -74,9 +74,9 @@ fn warmed_cache_hits_do_not_allocate() {
         let before = allocations();
         for _ in 0..10 {
             for (i, (row, mask)) in rows.iter().enumerate() {
-                // The shard worker's exact sequence: the row hash the
-                // reactor computes, then build the key into the reusable
-                // buffer, probe, and refresh-insert on occasion.
+                // The reactor's exact sequence: the row hash, then build
+                // the key into the reusable buffer, probe, and
+                // refresh-insert on occasion.
                 let hash = row_hash(row, mask);
                 cache_key_into(&mut key_buf, row, mask);
                 sink += cache

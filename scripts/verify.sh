@@ -144,12 +144,11 @@ PYEOF
         || { echo "reload smoke: esp_serve_reloads_total != 1" >&2; kill "$reload_pid" 2>/dev/null; exit 1; }
     grep -q '^esp_serve_shards 2$' reload_metrics.prom \
         || { echo "reload smoke: esp_serve_shards != 2" >&2; kill "$reload_pid" 2>/dev/null; exit 1; }
-    for shard in 0 1; do
-        for family in queue_depth cache_hit_ratio cache_entries; do
-            grep -q "^esp_serve_shard_${shard}_${family} " reload_metrics.prom \
-                || { echo "reload smoke: missing esp_serve_shard_${shard}_${family}" >&2; \
-                     kill "$reload_pid" 2>/dev/null; exit 1; }
-        done
+    for family in esp_serve_shard_0_queue_depth esp_serve_shard_1_queue_depth \
+                  esp_serve_cache_entries; do
+        grep -q "^${family} " reload_metrics.prom \
+            || { echo "reload smoke: missing ${family}" >&2; \
+                 kill "$reload_pid" 2>/dev/null; exit 1; }
     done
     ./target/release/esp-client info --addr "$tcp_addr" --model smoke@2 | grep -q '\[smoke@2\]' \
         || { echo "reload smoke: smoke@2 not served after reload" >&2; kill "$reload_pid" 2>/dev/null; exit 1; }
@@ -157,6 +156,17 @@ PYEOF
     wait "$reload_pid"
     rm -f serve_reload.log reload_metrics.prom
     rm -rf target/verify_reload_registry
+
+    # A traced run fails when a per-layer series it reads stays empty (an
+    # all-hit workload recording no compute sample, say).
+    echo "==> traced benchmark smoke (perfbench serve-hot, 2 s, --trace 1)"
+    # The result line decides; a failed run prints none or an incorrect one.
+    bash perfbench/run.sh --workload serve-hot --seed 1 --seconds 2 --trace 1 \
+        > perfbench_smoke.out 2> perfbench_smoke.log || true
+    tail -n 1 perfbench_smoke.out | grep -q '"correct": true' \
+        || { echo "traced serve-hot run is not correct:" >&2; tail -n 1 perfbench_smoke.out >&2; \
+             tail -n 20 perfbench_smoke.log >&2; exit 1; }
+    rm -f perfbench_smoke.out perfbench_smoke.log
 
     echo "==> observability smoke (traced Table 4 subset, writes trace + exposition)"
     cargo run --release --offline -q -p esp-bench --bin repro_tables -- \

@@ -53,7 +53,7 @@ impl Interval {
     }
 
     /// Smallest interval containing both.
-    pub fn hull(self, other: Interval) -> Interval {
+    fn hull(self, other: Interval) -> Interval {
         Interval {
             lo: self.lo.min(other.lo),
             hi: self.hi.max(other.hi),
@@ -68,7 +68,7 @@ impl Interval {
     }
 
     /// Whether the interval is the single value `v`.
-    pub fn is_constant(self, v: i64) -> bool {
+    fn is_constant(self, v: i64) -> bool {
         self.lo == v && self.hi == v
     }
 

@@ -4,14 +4,14 @@
 //! deterministic reverse-postorder sweeps, forward or backward. Three
 //! concrete analyses ride on it:
 //!
-//! * [`sccp`] — sparse conditional constant propagation that mirrors the
+//! * [`mod@sccp`] — sparse conditional constant propagation that mirrors the
 //!   `esp-exec` interpreter's arithmetic exactly (wrapping ops, division by
 //!   zero yielding zero, zero-initialised registers), so every branch it
 //!   proves one-sided is a claim about *real* execution behaviour;
 //! * [`interval`] — integer value-range analysis with widening at loop
 //!   heads and branch-condition edge refinement, tracking induction
 //!   variables against loop bounds;
-//! * [`liveness`] — backward register liveness, feeding dead-store
+//! * [`mod@liveness`] — backward register liveness, feeding dead-store
 //!   detection.
 //!
 //! Two consumers sit on top: [`facts`] distils per-branch analysis facts

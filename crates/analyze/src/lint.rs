@@ -1,6 +1,6 @@
 //! The corpus linter: stable diagnostics over whole programs.
 //!
-//! [`lint_program`] runs [`FuncFacts`](crate::facts::FuncFacts) over every
+//! [`lint_program`] runs [`FuncFacts`] over every
 //! function of a program and emits findings with stable codes:
 //!
 //! | code | meaning |

@@ -3,7 +3,7 @@
 //!
 //! Two pieces:
 //!
-//! * [`format`] — the `.espm` binary container (magic + format version +
+//! * [`mod@format`] — the `.espm` binary container (magic + format version +
 //!   CRC32) that round-trips everything inference needs: network topology
 //!   and weights, feature-encoding configuration, normalization statistics,
 //!   Ball–Larus heuristic rate tables, and training provenance. Floats are

@@ -6,7 +6,7 @@
 //! 1. [`features::extract`] pulls the Table 2 static feature set out of each
 //!    branch site (opcode chain, loop structure, language, procedure kind,
 //!    and eight structural features per successor);
-//! 2. [`encode`] one-hot-encodes the record, normalizes inputs over the
+//! 2. [`mod@encode`] one-hot-encodes the record, normalizes inputs over the
 //!    training set, and gates *dependent* features to zero exactly as
 //!    §3.1.1 prescribes;
 //! 3. [`EspModel::train`] fits the paper's neural network (or the

@@ -105,7 +105,7 @@ impl QuantGateReport {
     }
 
     /// Flips across all folds.
-    pub fn total_flips(&self) -> usize {
+    fn total_flips(&self) -> usize {
         self.folds.iter().map(|f| f.flips).sum()
     }
 
@@ -116,7 +116,7 @@ impl QuantGateReport {
 
     /// Mean f32 miss rate minus mean f64 miss rate over the folds — the
     /// Table-4 cost of serving at f32 (positive = f32 mispredicts more).
-    pub fn miss_delta(&self) -> f64 {
+    fn miss_delta(&self) -> f64 {
         if self.folds.is_empty() {
             return 0.0;
         }

@@ -107,7 +107,7 @@ pub struct PooledRates {
 impl PooledRates {
     /// Does the ESP-seeded hybrid beat cold TAGE in this pool's warmup
     /// window?
-    pub fn hybrid_wins_warmup(&self) -> bool {
+    fn hybrid_wins_warmup(&self) -> bool {
         self.warmup_hybrid < self.warmup_tage
     }
 }
@@ -294,7 +294,7 @@ pub fn compute(suite: &SuiteData, cfg: &TableDynConfig) -> TableDynReport {
 }
 
 /// Render a computed report in the repo's text-table house style.
-pub fn render_report(suite: &SuiteData, report: &TableDynReport) -> String {
+fn render_report(suite: &SuiteData, report: &TableDynReport) -> String {
     let mut t = TextTable::new(vec![
         "Program", "Events", "BTFNT", "ESP", "Bimodal", "Gshare", "TAGE", "ESP+TAGE",
     ]);

@@ -15,7 +15,7 @@ use esp_ir::BranchId;
 /// [`run_with_sink`](crate::run_with_sink) calls [`BranchSink::branch`] once
 /// per dynamic conditional-branch execution, immediately after the outcome
 /// is counted for the [`Profile`](crate::Profile) — so aggregating the sink
-/// stream per site always reproduces the profile's [`BranchCounts`]
+/// stream per site always reproduces the profile's [`BranchCounts`](crate::BranchCounts)
 /// (`executed` = number of events, `taken` = number of `taken == true`
 /// events).
 ///

@@ -198,7 +198,7 @@ impl FunctionBuilder {
     }
 
     /// Set an arbitrary terminator.
-    pub fn set_term(&mut self, block: BlockId, term: Terminator) {
+    fn set_term(&mut self, block: BlockId, term: Terminator) {
         self.blocks[block.index()].term = term;
         self.term_set[block.index()] = true;
     }

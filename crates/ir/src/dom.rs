@@ -194,17 +194,6 @@ impl DomTree {
         cur == target
     }
 
-    /// Whether `a` strictly dominates `b`.
-    pub fn strictly_dominates(&self, a: BlockId, b: BlockId) -> bool {
-        a != b && self.dominates(a, b)
-    }
-
-    /// Whether `b` is covered by the traversal (reachable from the tree's
-    /// roots in the traversal direction).
-    pub fn is_covered(&self, b: BlockId) -> bool {
-        self.covered[b.index()]
-    }
-
     /// Depth of `b` in the tree (roots at depth 0).
     pub fn depth(&self, b: BlockId) -> u32 {
         self.depth[b.index()]
@@ -246,8 +235,6 @@ mod tests {
         assert!(dom.dominates(BlockId(1), BlockId(2)));
         assert!(dom.dominates(BlockId(1), BlockId(1)));
         assert!(!dom.dominates(BlockId(2), BlockId(3)));
-        assert!(dom.strictly_dominates(BlockId(0), BlockId(3)));
-        assert!(!dom.strictly_dominates(BlockId(0), BlockId(0)));
     }
 
     #[test]
@@ -302,7 +289,6 @@ mod tests {
         let f = b.finish();
         let cfg = Cfg::new(&f);
         let pdom = DomTree::postdominators(&cfg);
-        assert!(!pdom.is_covered(BlockId(1)));
         assert!(!pdom.dominates(BlockId(0), BlockId(1)));
         assert!(pdom.dominates(BlockId(1), BlockId(1)), "identity still holds");
     }

@@ -218,7 +218,7 @@ impl Function {
     }
 
     /// Ids of all blocks ending in a two-way conditional branch.
-    pub fn branch_blocks(&self) -> Vec<BlockId> {
+    fn branch_blocks(&self) -> Vec<BlockId> {
         self.iter_blocks()
             .filter(|(_, b)| matches!(b.term, Terminator::CondBranch { .. }))
             .map(|(id, _)| id)
@@ -261,14 +261,6 @@ impl Program {
             .iter()
             .enumerate()
             .map(|(i, f)| (FuncId(i as u32), f))
-    }
-
-    /// Look up a function by name.
-    pub fn func_by_name(&self, name: &str) -> Option<FuncId> {
-        self.funcs
-            .iter()
-            .position(|f| f.name == name)
-            .map(|i| FuncId(i as u32))
     }
 
     /// All static conditional-branch sites in the program, in a deterministic
@@ -388,17 +380,5 @@ mod tests {
         assert_eq!(prog.proc_kind(FuncId(0)), ProcKind::Leaf);
         assert_eq!(prog.proc_kind(FuncId(1)), ProcKind::NonLeaf);
         assert_eq!(prog.proc_kind(FuncId(2)), ProcKind::CallSelf);
-    }
-
-    #[test]
-    fn func_by_name_finds_functions() {
-        let prog = Program {
-            name: "p".into(),
-            funcs: vec![trivial_func("a"), trivial_func("b")],
-            main: FuncId(0),
-            isa: Isa::Mips,
-        };
-        assert_eq!(prog.func_by_name("b"), Some(FuncId(1)));
-        assert_eq!(prog.func_by_name("zz"), None);
     }
 }

@@ -126,7 +126,7 @@ fn normalize(func: &mut Function) {
 /// Redirect edges that point at empty unconditional blocks straight to their
 /// final destination (jump threading). The emptied blocks become unreachable
 /// and are removed by [`remove_unreachable`].
-pub fn thread_jumps(func: &mut Function) {
+fn thread_jumps(func: &mut Function) {
     let n = func.blocks.len();
     // resolve(b): follow chains of empty jump blocks, with a cycle guard.
     let resolve = |start: BlockId, blocks: &[BasicBlock]| -> BlockId {
@@ -155,7 +155,7 @@ pub fn thread_jumps(func: &mut Function) {
 
 /// Merge each block into its unique predecessor when that predecessor ends
 /// with an unconditional transfer to it (classic straightening).
-pub fn merge_blocks(func: &mut Function) {
+fn merge_blocks(func: &mut Function) {
     loop {
         let n = func.blocks.len();
         let mut pred_count = vec![0usize; n];
@@ -193,7 +193,7 @@ pub fn merge_blocks(func: &mut Function) {
 }
 
 /// Drop blocks unreachable from the entry, compacting ids.
-pub fn remove_unreachable(func: &mut Function) {
+fn remove_unreachable(func: &mut Function) {
     let n = func.blocks.len();
     let mut reach = vec![false; n];
     let mut stack = vec![0u32];

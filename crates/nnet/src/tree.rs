@@ -218,35 +218,6 @@ impl DecisionTree {
         }
         d(&self.root)
     }
-
-    /// Render the tree as indented if-then rules (the paper highlights that
-    /// tree knowledge "can be automatically translated into simple if-then
-    /// rules").
-    pub fn to_rules(&self) -> String {
-        fn walk(n: &Node, indent: usize, out: &mut String) {
-            let pad = "  ".repeat(indent);
-            match n {
-                Node::Leaf { prob } => {
-                    let dir = if *prob > 0.5 { "TAKEN" } else { "NOT-TAKEN" };
-                    out.push_str(&format!("{pad}predict {dir} (p = {prob:.3})\n"));
-                }
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    out.push_str(&format!("{pad}if x[{feature}] <= {threshold:.4}:\n"));
-                    walk(left, indent + 1, out);
-                    out.push_str(&format!("{pad}else:\n"));
-                    walk(right, indent + 1, out);
-                }
-            }
-        }
-        let mut s = String::new();
-        walk(&self.root, 0, &mut s);
-        s
-    }
 }
 
 #[cfg(test)]
@@ -311,15 +282,6 @@ mod tests {
             },
         );
         assert!(t.depth() <= 3);
-    }
-
-    #[test]
-    fn rules_render() {
-        let data = vec![ex(vec![0.0], 0.0, 1.0), ex(vec![1.0], 1.0, 1.0)];
-        let t = DecisionTree::train(&data, &TreeConfig::default());
-        let rules = t.to_rules();
-        assert!(rules.contains("if x[0] <="));
-        assert!(rules.contains("TAKEN"));
     }
 
     #[test]

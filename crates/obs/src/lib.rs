@@ -7,11 +7,11 @@
 //!
 //! * [`trace`] — a lightweight span/event tracing API. [`span!`] returns a
 //!   guard that records a complete event (start timestamp + duration) into
-//!   a **bounded per-thread ring buffer** ([`ring::TraceRing`]) when it is
-//!   dropped; [`trace::drain`] collects every thread's events and
-//!   [`trace::render_json`] turns them into the Chrome trace-event format
-//!   (one event object per line) that `chrome://tracing` and Perfetto load
-//!   directly.
+//!   its thread's **bounded event buffer** (at most [`trace::CAPACITY`]
+//!   undrained events) when it is dropped; [`trace::drain`] takes every
+//!   thread's events and [`trace::render_json`] turns them into the Chrome
+//!   trace-event format (one event object per line) that `chrome://tracing`
+//!   and Perfetto load directly.
 //! * [`metrics`] — a registry of named atomic [`Counter`]s, [`Gauge`]s and
 //!   [`Log2Histogram`]s (the log-bucketed latency histogram generalized out
 //!   of `esp-serve`) with a Prometheus-style text exposition encoder.
@@ -24,9 +24,9 @@
 //!   the `/sitez` hot-site table, its sites indexed by row hash.
 //!   Deterministic exposition regardless of thread interleaving; same
 //!   zero-cost-when-disabled contract as tracing.
-//! * [`window`] — a [`SlidingWindow`] ring of fixed-width time buckets
-//!   behind a [`Clock`] trait (with a manual [`TestClock`]), so windowed
-//!   rps/p99/mispredict-rate are unit-testable deterministically.
+//! * [`window`] — a [`SlidingWindow`] ring of fixed-width time buckets.
+//!   The caller passes the timestamp of every record and snapshot, so
+//!   windowed rps/p99/mispredict-rate are unit-testable deterministically.
 //!
 //! Two byte hashes live here. [`Fnv1a`] is the stable one: corpus name
 //! seeds and the ledger's `/sitez` site ids go through it, so the Table 4
@@ -58,14 +58,13 @@
 
 pub mod ledger;
 pub mod metrics;
-pub mod ring;
 pub mod trace;
 pub mod window;
 
 pub use ledger::{Ledger, LedgerSummary, OutcomeRecord};
 pub use metrics::{Counter, Gauge, Log2Histogram, MetricsRegistry};
-pub use trace::{ArgValue, Recorder, SpanGuard, TraceEvent};
-pub use window::{Clock, SlidingWindow, SystemClock, TestClock, WindowSnapshot};
+pub use trace::{ArgValue, SpanGuard, TraceEvent};
+pub use window::{SlidingWindow, WindowSnapshot};
 
 use std::sync::OnceLock;
 
@@ -174,38 +173,38 @@ pub fn word_hash(bytes: &[u8]) -> u64 {
 
 /// Open a span: `span!("cat", "name")` or
 /// `span!("cat", "name", key = value, …)`. Returns a [`SpanGuard`] that
-/// records a complete trace event when dropped. Argument expressions are
-/// only evaluated when tracing is enabled.
+/// records a complete trace event when dropped. While tracing is off this
+/// is one relaxed load plus a branch: the arguments are not evaluated and
+/// the guard is the inert [`SpanGuard::default`].
 #[macro_export]
 macro_rules! span {
-    ($cat:expr, $name:expr) => {
-        $crate::Recorder::current().span($cat, $name, ::std::vec::Vec::new())
-    };
-    ($cat:expr, $name:expr, $($k:ident = $v:expr),+ $(,)?) => {{
-        let __r = $crate::Recorder::current();
-        let __args = if __r.is_enabled() {
-            vec![$((stringify!($k), $crate::ArgValue::from($v))),+]
+    ($cat:expr, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {
+        if $crate::trace::enabled() {
+            $crate::trace::span(
+                $cat,
+                $name,
+                ::std::vec![$((stringify!($k), $crate::ArgValue::from($v))),*],
+            )
         } else {
-            ::std::vec::Vec::new()
-        };
-        __r.span($cat, $name, __args)
-    }};
+            <$crate::SpanGuard as ::std::default::Default>::default()
+        }
+    };
 }
 
-/// Record an instant (zero-duration) trace event:
-/// `instant!("cat", "name", key = value, …)`. Argument expressions are only
-/// evaluated when tracing is enabled.
+/// Record an instant (zero-duration) trace event: `instant!("cat", "name")`
+/// or `instant!("cat", "name", key = value, …)`. Argument expressions are
+/// only evaluated when tracing is enabled.
 #[macro_export]
 macro_rules! instant {
-    ($cat:expr, $name:expr) => {
-        $crate::Recorder::current().instant($cat, $name, ::std::vec::Vec::new())
-    };
-    ($cat:expr, $name:expr, $($k:ident = $v:expr),+ $(,)?) => {{
-        let __r = $crate::Recorder::current();
-        if __r.is_enabled() {
-            __r.instant($cat, $name, vec![$((stringify!($k), $crate::ArgValue::from($v))),+]);
+    ($cat:expr, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {
+        if $crate::trace::enabled() {
+            $crate::trace::instant(
+                $cat,
+                $name,
+                ::std::vec![$((stringify!($k), $crate::ArgValue::from($v))),*],
+            );
         }
-    }};
+    };
 }
 
 #[cfg(test)]

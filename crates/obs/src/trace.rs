@@ -1,20 +1,19 @@
-//! Span/event tracing: the [`Recorder`] facade, the process-wide collector
-//! of per-thread rings, and the Chrome trace-event JSON renderer.
+//! Span/event tracing: the process-wide collector of per-thread event
+//! buffers, and the Chrome trace-event JSON renderer.
 //!
 //! Timestamps are microseconds from a process-wide monotonic epoch
-//! ([`std::time::Instant`] taken on first use). Thread ids are small
-//! integers handed out in first-use order — the main thread is usually 0,
-//! pool workers follow in spawn order. A thread that exits hands its ring
-//! (and thus its trace track id) back to a free list for the next thread
-//! to adopt, so sequential short-lived workers share tracks and the ring
-//! registry stays bounded by peak thread concurrency.
+//! ([`std::time::Instant`] taken on first use). A thread's id is its
+//! buffer's index in the collector's registry, so ids are small integers
+//! in first-use order — the main thread is usually 0, pool workers follow
+//! in spawn order. A thread that exits hands its buffer (and thus its trace
+//! track id) back to a free list for the next thread to adopt, so
+//! sequential short-lived workers share tracks and the registry stays
+//! bounded by peak thread concurrency.
 
 use std::cell::OnceCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-use crate::ring::{TraceRing, DEFAULT_CAPACITY};
 
 /// One trace-event argument value.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,7 +68,7 @@ pub enum EventKind {
     Instant,
 }
 
-/// One recorded event, as stored in the per-thread rings.
+/// One recorded event, as stored in the per-thread buffers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Event name (`"fold"`, `"epoch"`, …).
@@ -88,53 +87,67 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
+/// Events one thread may hold undrained. A push past it drops the event
+/// and counts it in [`dropped`].
+pub const CAPACITY: usize = 65_536;
+
+/// One thread's undrained events, in push order.
+type Buffer = Arc<Mutex<Vec<TraceEvent>>>;
+
 struct Collector {
     epoch: Instant,
-    rings: Mutex<Vec<Arc<TraceRing>>>,
-    /// Rings whose producer thread exited, ready for adoption by the next
-    /// thread that records (capacity permitting). Recycling bounds the
-    /// registry at the peak number of *concurrent* traced threads —
-    /// without it, every short-lived `parallel_map` worker would register
-    /// a fresh permanent ring and a long traced run would leak one ring
-    /// per worker per region.
-    free: Mutex<Vec<Arc<TraceRing>>>,
-    next_tid: AtomicU64,
-    capacity: AtomicUsize,
+    registry: Mutex<Registry>,
+}
+
+/// Every buffer ever registered. A buffer's index is its thread id.
+struct Registry {
+    buffers: Vec<Buffer>,
+    /// Indices of buffers whose thread exited, ready for the next thread
+    /// that records. Recycling bounds the registry at the peak number of
+    /// *concurrent* traced threads: without it, every short-lived
+    /// `parallel_map` worker would register a buffer for good.
+    free: Vec<usize>,
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+static DROPPED: AtomicU64 = AtomicU64::new(0);
 static COLLECTOR: OnceLock<Collector> = OnceLock::new();
 
 fn collector() -> &'static Collector {
     COLLECTOR.get_or_init(|| Collector {
         epoch: Instant::now(),
-        rings: Mutex::new(Vec::new()),
-        free: Mutex::new(Vec::new()),
-        next_tid: AtomicU64::new(0),
-        capacity: AtomicUsize::new(DEFAULT_CAPACITY),
+        registry: Mutex::new(Registry {
+            buffers: Vec::new(),
+            free: Vec::new(),
+        }),
     })
 }
 
-/// Thread-local handle on this thread's ring. Dropping it (at thread exit)
-/// hands the ring back to the collector's free list, where the next thread
-/// to record can adopt it — the handoff through the free-list mutex orders
-/// the old producer's final push before the new producer's first, so the
-/// ring's SPSC protocol holds across the ownership change.
-struct RingHolder(Arc<TraceRing>);
+fn registry() -> std::sync::MutexGuard<'static, Registry> {
+    collector()
+        .registry
+        .lock()
+        .expect("trace registry poisoned")
+}
 
-impl Drop for RingHolder {
+/// This thread's buffer and its index. Dropping it (at thread exit) hands
+/// the index back to the free list for the next thread to adopt.
+struct Local {
+    tid: usize,
+    events: Buffer,
+}
+
+impl Drop for Local {
     fn drop(&mut self) {
-        if let Some(c) = COLLECTOR.get() {
-            c.free
-                .lock()
-                .expect("free list poisoned")
-                .push(Arc::clone(&self.0));
+        // A poisoned registry only costs the recycling of this index.
+        if let Ok(mut reg) = collector().registry.lock() {
+            reg.free.push(self.tid);
         }
     }
 }
 
 thread_local! {
-    static LOCAL_RING: OnceCell<RingHolder> = const { OnceCell::new() };
+    static LOCAL: OnceCell<Local> = const { OnceCell::new() };
 }
 
 /// Microseconds since the trace epoch.
@@ -142,17 +155,8 @@ pub fn now_us() -> u64 {
     collector().epoch.elapsed().as_micros() as u64
 }
 
-/// Turn tracing on with the default per-thread ring capacity.
+/// Turn tracing on.
 pub fn enable() {
-    enable_with_capacity(DEFAULT_CAPACITY);
-}
-
-/// Turn tracing on; threads that record their *first* event after this call
-/// get rings of `capacity` slots (already-registered rings keep theirs).
-pub fn enable_with_capacity(capacity: usize) {
-    collector()
-        .capacity
-        .store(capacity.max(1), Ordering::Relaxed);
     ENABLED.store(true, Ordering::SeqCst);
 }
 
@@ -169,71 +173,49 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Total events dropped so far because some thread's ring was full. Rings
-/// are recycled, never discarded, so drops by exited threads stay counted.
+/// Total events dropped so far because some thread already held
+/// [`CAPACITY`] undrained events.
 pub fn dropped() -> u64 {
-    let Some(c) = COLLECTOR.get() else { return 0 };
-    let rings = c.rings.lock().expect("ring registry poisoned");
-    rings.iter().map(|r| r.dropped()).sum()
+    DROPPED.load(Ordering::Relaxed)
 }
 
-/// Number of per-thread rings currently registered. Bounded by the peak
-/// number of concurrent traced threads (exited threads' rings are recycled
-/// through a free list, not leaked). Exposed for tests and diagnostics of
-/// long-running traced processes.
-pub fn registered_rings() -> usize {
-    let Some(c) = COLLECTOR.get() else { return 0 };
-    c.rings.lock().expect("ring registry poisoned").len()
-}
-
-fn push(event: TraceEvent) {
-    LOCAL_RING.with(|cell| {
-        let holder = cell.get_or_init(|| {
-            let c = collector();
-            let capacity = c.capacity.load(Ordering::Relaxed);
-            // Adopt the ring of an exited thread when one of the right
-            // capacity is free: this thread inherits its trace track id,
-            // and the registry stays bounded by peak thread concurrency.
-            let mut free = c.free.lock().expect("free list poisoned");
-            let recycled = free
-                .iter()
-                .position(|r| r.capacity() == capacity)
-                .map(|i| free.swap_remove(i));
-            drop(free);
-            RingHolder(recycled.unwrap_or_else(|| {
-                let ring = Arc::new(TraceRing::new(
-                    c.next_tid.fetch_add(1, Ordering::Relaxed),
-                    capacity,
-                ));
-                c.rings
-                    .lock()
-                    .expect("ring registry poisoned")
-                    .push(Arc::clone(&ring));
-                ring
-            }))
+fn push(mut event: TraceEvent) {
+    LOCAL.with(|cell| {
+        let local = cell.get_or_init(|| {
+            let mut reg = registry();
+            let tid = reg.free.pop().unwrap_or_else(|| {
+                reg.buffers.push(Buffer::default());
+                reg.buffers.len() - 1
+            });
+            Local {
+                tid,
+                events: Arc::clone(&reg.buffers[tid]),
+            }
         });
-        let mut event = event;
-        event.tid = holder.0.tid();
-        holder.0.push(event);
+        event.tid = local.tid as u64;
+        let mut events = local.events.lock().expect("trace buffer poisoned");
+        if events.len() < CAPACITY {
+            events.push(event);
+        } else {
+            DROPPED.fetch_add(1, Ordering::Relaxed);
+        }
     });
 }
 
-/// Drain every thread's ring and return the events sorted by timestamp.
-/// Safe to call while producers are still recording: each event is either
-/// fully drained now or fully drained by a later call, never torn. The
-/// registry lock is held across the whole drain, which makes this the
-/// single consumer the rings' SPSC protocol requires — concurrent `drain`
-/// calls serialize instead of racing each other over the same slots.
+/// Take every thread's buffered events and return them sorted by
+/// `(ts, tid, dur)`. Safe to call while threads record: each buffer is
+/// swapped out whole under its own lock, so every event is taken by
+/// exactly one drain, and a push waits at most for that swap.
 pub fn drain() -> Vec<TraceEvent> {
-    let Some(c) = COLLECTOR.get() else {
+    if COLLECTOR.get().is_none() {
         return Vec::new();
-    };
-    let rings = c.rings.lock().expect("ring registry poisoned");
-    let mut out = Vec::new();
-    for ring in rings.iter() {
-        ring.drain_into(&mut out);
     }
-    drop(rings);
+    let taken: Vec<Vec<TraceEvent>> = registry()
+        .buffers
+        .iter()
+        .map(|b| std::mem::take(&mut *b.lock().expect("trace buffer poisoned")))
+        .collect();
+    let mut out: Vec<TraceEvent> = taken.into_iter().flatten().collect();
     out.sort_by_key(|e| (e.ts_us, e.tid, e.dur_us));
     out
 }
@@ -374,83 +356,45 @@ pub fn merge_json(
     Ok(events)
 }
 
-/// The recording facade. `Recorder::current()` snapshots the global
-/// enabled flag once; every operation on a disabled recorder is a no-op
-/// that takes no timestamp and allocates nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct Recorder {
-    on: bool,
-}
-
-impl Recorder {
-    /// A recorder reflecting the global tracing flag right now.
-    #[inline]
-    pub fn current() -> Self {
-        Recorder { on: enabled() }
-    }
-
-    /// A recorder that never records, regardless of the global flag.
-    #[inline]
-    pub const fn disabled() -> Self {
-        Recorder { on: false }
-    }
-
-    /// Whether this recorder records. Use to skip argument construction.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.on
-    }
-
-    /// Open a span; prefer the [`span!`](crate::span) macro, which builds
-    /// `args` lazily.
-    pub fn span(
-        &self,
-        cat: &'static str,
-        name: &'static str,
-        args: Vec<(&'static str, ArgValue)>,
-    ) -> SpanGuard {
-        if !self.on {
-            return SpanGuard { rec: None };
-        }
-        SpanGuard {
-            rec: Some(TraceEvent {
-                name,
-                cat,
-                kind: EventKind::Complete,
-                ts_us: now_us(),
-                dur_us: 0,
-                tid: 0, // stamped at push time
-                args,
-            }),
-        }
-    }
-
-    /// Record an instant event; prefer the [`instant!`](crate::instant)
-    /// macro, which builds `args` lazily.
-    pub fn instant(
-        &self,
-        cat: &'static str,
-        name: &'static str,
-        args: Vec<(&'static str, ArgValue)>,
-    ) {
-        if !self.on {
-            return;
-        }
-        push(TraceEvent {
+/// Open a span that records when the guard drops. The
+/// [`span!`](crate::span) macro calls this only while tracing is
+/// [`enabled`], and builds `args` only then.
+pub fn span(
+    cat: &'static str,
+    name: &'static str,
+    args: Vec<(&'static str, ArgValue)>,
+) -> SpanGuard {
+    SpanGuard {
+        rec: Some(TraceEvent {
             name,
             cat,
-            kind: EventKind::Instant,
+            kind: EventKind::Complete,
             ts_us: now_us(),
             dur_us: 0,
-            tid: 0,
+            tid: 0, // stamped at push time
             args,
-        });
+        }),
     }
+}
+
+/// Record an instant event. The [`instant!`](crate::instant) macro calls
+/// this only while tracing is [`enabled`], and builds `args` only then.
+pub fn instant(cat: &'static str, name: &'static str, args: Vec<(&'static str, ArgValue)>) {
+    push(TraceEvent {
+        name,
+        cat,
+        kind: EventKind::Instant,
+        ts_us: now_us(),
+        dur_us: 0,
+        tid: 0,
+        args,
+    });
 }
 
 /// An open span. Dropping it records a complete event covering the guard's
-/// lifetime. A guard from a disabled recorder does nothing, forever.
-#[derive(Debug)]
+/// lifetime. The default guard, which [`span!`](crate::span) returns while
+/// tracing is off, does nothing, forever.
+#[derive(Debug, Default)]
 #[must_use = "a span records when the guard is dropped"]
 pub struct SpanGuard {
     rec: Option<TraceEvent>,
@@ -466,7 +410,7 @@ impl SpanGuard {
         }
     }
 
-    /// Whether this guard will record (mirrors the recorder it came from).
+    /// Whether this guard will record (tracing was on when it opened).
     pub fn is_enabled(&self) -> bool {
         self.rec.is_some()
     }
@@ -492,16 +436,16 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_emits_nothing() {
+    fn disabled_sites_emit_nothing() {
         let _g = locked();
         disable();
         let _ = drain();
         {
-            let mut s = Recorder::current().span("t", "quiet", Vec::new());
+            let mut s = crate::span!("t", "quiet");
             s.arg("k", 1u64);
             assert!(!s.is_enabled());
         }
-        Recorder::disabled().instant("t", "quiet", Vec::new());
+        crate::instant!("t", "quiet", k = 1u64);
         assert!(drain().is_empty());
     }
 
@@ -570,11 +514,12 @@ mod tests {
     }
 
     #[test]
-    fn exited_threads_rings_are_recycled_not_leaked() {
+    fn exited_threads_buffers_are_recycled_not_leaked() {
         let _g = locked();
         let _ = drain();
-        enable_with_capacity(512);
-        let before = registered_rings();
+        enable();
+        let registered = || registry().buffers.len();
+        let before = registered();
         const WORKERS: u64 = 16;
         for w in 0..WORKERS {
             std::thread::spawn(move || {
@@ -586,13 +531,13 @@ mod tests {
             .expect("worker finished");
         }
         disable();
-        // Sequential workers adopt the previous worker's ring from the
-        // free list, so 16 threads grow the registry by at most one ring
+        // Sequential workers adopt the previous worker's buffer from the
+        // free list, so 16 threads grow the registry by at most one buffer
         // — the leak the long-running traced serve scenario would hit.
         assert!(
-            registered_rings() <= before + 1,
-            "rings recycled, not one per thread: {before} -> {}",
-            registered_rings()
+            registered() <= before + 1,
+            "buffers recycled, not one per thread: {before} -> {}",
+            registered()
         );
         let events = drain();
         assert_eq!(

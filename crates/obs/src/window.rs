@@ -1,7 +1,9 @@
-//! Sliding-window aggregation: a ring of fixed-width time buckets behind a
-//! [`Clock`] trait, so windowed rates and latency quantiles ("requests per
-//! second over the last minute", "p99 over the last minute") are computable
-//! live *and* unit-testable deterministically with a [`TestClock`].
+//! Sliding-window aggregation: a ring of fixed-width time buckets, so
+//! windowed rates and latency quantiles ("requests per second over the last
+//! minute", "p99 over the last minute") are computable live *and*
+//! unit-testable deterministically. The caller passes the timestamp of
+//! every record and snapshot, in microseconds from any fixed epoch that
+//! never goes backwards.
 //!
 //! A [`SlidingWindow`] holds `slots` buckets of `bucket_us` microseconds
 //! each. Recording lands the observation in the bucket owning `now`; a
@@ -14,77 +16,11 @@
 //! same domain as [`crate::Log2Histogram`]; per-bucket log2 counts give the
 //! merged window the same ≤2× quantile guarantee.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use crate::metrics::log2_counts_quantile;
 
 const HIST_BUCKETS: usize = 64;
-
-/// A monotonic microsecond clock. The production implementation is
-/// [`SystemClock`]; tests drive a [`TestClock`] by hand so windowed numbers
-/// are exact and reproducible.
-pub trait Clock: Send + Sync + std::fmt::Debug {
-    /// Microseconds since this clock's epoch. Must never go backwards.
-    fn now_us(&self) -> u64;
-}
-
-/// Wall-clock [`Clock`]: microseconds since the clock was created.
-#[derive(Debug)]
-pub struct SystemClock {
-    epoch: Instant,
-}
-
-impl SystemClock {
-    /// A clock whose epoch is "now".
-    pub fn new() -> Self {
-        SystemClock {
-            epoch: Instant::now(),
-        }
-    }
-}
-
-impl Default for SystemClock {
-    fn default() -> Self {
-        SystemClock::new()
-    }
-}
-
-impl Clock for SystemClock {
-    fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-}
-
-/// A manually-advanced [`Clock`] for deterministic tests.
-#[derive(Debug, Default)]
-pub struct TestClock {
-    us: AtomicU64,
-}
-
-impl TestClock {
-    /// A test clock at 0 µs.
-    pub fn new() -> Self {
-        TestClock::default()
-    }
-
-    /// Jump the clock to an absolute microsecond timestamp.
-    pub fn set(&self, us: u64) {
-        self.us.store(us, Ordering::Relaxed);
-    }
-
-    /// Advance the clock by `us` microseconds.
-    pub fn advance(&self, us: u64) {
-        self.us.fetch_add(us, Ordering::Relaxed);
-    }
-}
-
-impl Clock for TestClock {
-    fn now_us(&self) -> u64 {
-        self.us.load(Ordering::Relaxed)
-    }
-}
 
 /// One time bucket of the ring.
 #[derive(Debug, Clone)]
@@ -94,7 +30,6 @@ struct Slot {
     epoch: u64,
     count: u64,
     sum: u64,
-    max: u64,
     hist: [u64; HIST_BUCKETS],
 }
 
@@ -104,7 +39,6 @@ impl Slot {
             epoch: u64::MAX,
             count: 0,
             sum: 0,
-            max: 0,
             hist: [0; HIST_BUCKETS],
         }
     }
@@ -113,7 +47,6 @@ impl Slot {
         self.epoch = epoch;
         self.count = 0;
         self.sum = 0;
-        self.max = 0;
         self.hist = [0; HIST_BUCKETS];
     }
 }
@@ -125,8 +58,6 @@ pub struct WindowSnapshot {
     pub count: u64,
     /// Sum of the observed values inside the window.
     pub sum: u64,
-    /// Largest value inside the window (0 when empty).
-    pub max: u64,
     /// The window span in seconds (`slots × bucket_us / 1e6`).
     pub window_s: f64,
     /// Observations per second over the whole window span.
@@ -137,22 +68,11 @@ pub struct WindowSnapshot {
     pub p99: u64,
 }
 
-impl WindowSnapshot {
-    /// Mean value inside the window (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
 /// A ring of fixed-width time buckets aggregating one series.
 ///
 /// Thread-safe: recording takes one mutex (windows sit on coarse paths —
-/// once per served request, not per row). Determinism: with a [`TestClock`]
-/// and a fixed record sequence, every snapshot field is exactly
+/// once per served request, not per row). Determinism: for a fixed
+/// sequence of timestamps and values, every snapshot field is exactly
 /// reproducible.
 #[derive(Debug)]
 pub struct SlidingWindow {
@@ -170,7 +90,7 @@ impl SlidingWindow {
         }
     }
 
-    /// Record `value` at time `now_us` (from the window's [`Clock`]).
+    /// Record `value` at time `now_us`.
     pub fn record(&self, now_us: u64, value: u64) {
         let epoch = now_us / self.bucket_us;
         let mut slots = self.state.lock().expect("window poisoned");
@@ -181,7 +101,6 @@ impl SlidingWindow {
         }
         slot.count += 1;
         slot.sum += value;
-        slot.max = slot.max.max(value);
         let bucket = (64 - value.leading_zeros()) as usize;
         slot.hist[bucket.min(HIST_BUCKETS - 1)] += 1;
     }
@@ -194,7 +113,6 @@ impl SlidingWindow {
         let oldest = epoch.saturating_sub(n - 1);
         let mut count = 0u64;
         let mut sum = 0u64;
-        let mut max = 0u64;
         let mut hist = [0u64; HIST_BUCKETS];
         for slot in slots.iter() {
             if slot.epoch == u64::MAX || slot.epoch < oldest || slot.epoch > epoch {
@@ -202,7 +120,6 @@ impl SlidingWindow {
             }
             count += slot.count;
             sum += slot.sum;
-            max = max.max(slot.max);
             for (h, s) in hist.iter_mut().zip(&slot.hist) {
                 *h += s;
             }
@@ -211,7 +128,6 @@ impl SlidingWindow {
         WindowSnapshot {
             count,
             sum,
-            max,
             window_s,
             rate_per_sec: count as f64 / window_s,
             p50: log2_counts_quantile(&hist, 0.50),
@@ -225,83 +141,65 @@ mod tests {
     use super::*;
 
     #[test]
-    fn window_counts_and_rate_are_exact_under_a_test_clock() {
-        let clock = TestClock::new();
+    fn window_counts_and_rate_are_exact() {
         // 4 buckets of 1 s: a 4-second window.
         let w = SlidingWindow::new(4, 1_000_000);
-        for _ in 0..10u64 {
-            w.record(clock.now_us(), 100);
-            clock.advance(100_000); // 10 records inside the first second
+        for i in 0..10u64 {
+            w.record(i * 100_000, 100); // 10 records inside the first second
         }
-        let s = w.snapshot(clock.now_us());
+        let s = w.snapshot(1_000_000);
         assert_eq!(s.count, 10);
         assert_eq!(s.sum, 1000);
         assert_eq!(s.window_s, 4.0);
         assert_eq!(s.rate_per_sec, 2.5);
         assert_eq!(s.p50, 127); // 100 has bit length 7
-        assert_eq!(s.max, 100);
     }
 
     #[test]
     fn old_observations_rotate_out() {
-        let clock = TestClock::new();
         let w = SlidingWindow::new(3, 1_000_000);
-        w.record(clock.now_us(), 7);
-        clock.advance(1_500_000);
-        w.record(clock.now_us(), 9);
-        assert_eq!(w.snapshot(clock.now_us()).count, 2, "both inside window");
+        w.record(0, 7);
+        w.record(1_500_000, 9);
+        assert_eq!(w.snapshot(1_500_000).count, 2, "both inside window");
         // Jump past the window: only buckets whose epoch is within the last
         // 3 seconds survive.
-        clock.advance(10_000_000);
-        let s = w.snapshot(clock.now_us());
+        let later = 11_500_000;
+        let s = w.snapshot(later);
         assert_eq!(s.count, 0, "everything rotated out");
-        assert_eq!(s.max, 0);
+        assert_eq!(s.sum, 0);
         assert_eq!(s.rate_per_sec, 0.0);
         // New traffic lands in a reset bucket, not on stale counts.
-        w.record(clock.now_us(), 5);
-        assert_eq!(w.snapshot(clock.now_us()).count, 1);
-        assert_eq!(w.snapshot(clock.now_us()).sum, 5);
+        w.record(later, 5);
+        assert_eq!(w.snapshot(later).count, 1);
+        assert_eq!(w.snapshot(later).sum, 5);
     }
 
     #[test]
     fn quantiles_merge_across_buckets() {
-        let clock = TestClock::new();
         let w = SlidingWindow::new(8, 1_000_000);
         // 99 fast observations in one bucket, 1 slow one 3 s later.
         for _ in 0..99 {
-            w.record(clock.now_us(), 10);
+            w.record(0, 10);
         }
-        clock.advance(3_000_000);
-        w.record(clock.now_us(), 5000);
-        let s = w.snapshot(clock.now_us());
+        w.record(3_000_000, 5000);
+        let s = w.snapshot(3_000_000);
         assert_eq!(s.count, 100);
+        assert_eq!(s.sum, 99 * 10 + 5000);
         assert_eq!(s.p50, 15); // 10 → bucket le=15
         assert_eq!(s.p99, 15); // rank 99 still in the fast bucket
-        assert_eq!(s.max, 5000);
-        assert!((s.mean() - (99.0 * 10.0 + 5000.0) / 100.0).abs() < 1e-12);
     }
 
     #[test]
     fn snapshots_are_deterministic_for_a_fixed_stream() {
         let runs: Vec<WindowSnapshot> = (0..2)
             .map(|_| {
-                let clock = TestClock::new();
                 let w = SlidingWindow::new(5, 250_000);
                 for i in 0..40u64 {
-                    w.record(clock.now_us(), i * 13 % 97);
-                    clock.advance(40_000);
+                    w.record(i * 40_000, i * 13 % 97);
                 }
-                w.snapshot(clock.now_us())
+                w.snapshot(40 * 40_000)
             })
             .collect();
         assert_eq!(runs[0], runs[1]);
-    }
-
-    #[test]
-    fn system_clock_is_monotonic() {
-        let c = SystemClock::new();
-        let a = c.now_us();
-        let b = c.now_us();
-        assert!(b >= a);
     }
 }

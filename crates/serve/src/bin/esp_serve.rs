@@ -41,7 +41,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--model",
     "--registry",
     "--name",
-    "--model-version",
     "--synthetic",
     "--addr",
     "--shards",
@@ -120,13 +119,10 @@ fn load_artifact(args: &[String]) -> ModelArtifact {
 }
 
 /// Parse `--name M[@V][,M2[@V2]…]`: each entry is a registry name with an
-/// optional pinned version; `--model-version V` pins every entry that has
-/// no `@V` of its own (backward-compatible with the single-name form).
+/// optional pinned version.
 fn parse_models(args: &[String]) -> Vec<(String, Option<u32>)> {
     let names = flag_value(args, "--name")
         .unwrap_or_else(|| fail("--registry needs --name M[@V][,M2[@V2]…]".into()));
-    let global_pin: Option<u32> =
-        flag_value(args, "--model-version").map(|v| parse(v, "--model-version"));
     names
         .split(',')
         .map(|spec| {
@@ -136,7 +132,7 @@ fn parse_models(args: &[String]) -> Vec<(String, Option<u32>)> {
             }
             match spec.split_once('@') {
                 Some((n, v)) => (n.to_string(), Some(parse(v, "--name NAME@VERSION"))),
-                None => (spec.to_string(), global_pin),
+                None => (spec.to_string(), None),
             }
         })
         .collect()
@@ -147,7 +143,7 @@ fn main() {
     check_flags(&args);
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "usage: esp-serve (--model PATH | --registry DIR --name M[@V][,M2[@V2]…] [--model-version V] | --synthetic DIM,HIDDEN,SEED)\n\
+            "usage: esp-serve (--model PATH | --registry DIR --name M[@V][,M2[@V2]…] | --synthetic DIM,HIDDEN,SEED)\n\
              \x20                [--addr HOST:PORT] [--shards N] [--cache N]\n\
              \x20                [--reload-watch MS] [--http-addr HOST:PORT] [--no-ledger]\n\
              \x20                [--trace-out FILE] [--metrics-out FILE]"

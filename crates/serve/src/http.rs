@@ -196,9 +196,8 @@ fn parse_top(query: Option<&str>) -> Result<usize, String> {
 }
 
 fn healthz_json(shared: &Shared) -> String {
-    use esp_obs::window::Clock as _;
     let info = shared.info();
-    let now_us = shared.clock.now_us();
+    let now_us = shared.now_us();
     let req = shared.req_window.snapshot(now_us);
     let observed = shared.observed_window.snapshot(now_us);
     let mispredicted = shared.mispredict_window.snapshot(now_us);

@@ -146,7 +146,7 @@ impl Metrics {
     }
 
     /// Refresh the cache-hit-ratio gauge from the hit/miss counters.
-    pub fn update_cache_hit_ratio(&self) {
+    fn update_cache_hit_ratio(&self) {
         let hits = self.cache_hits.get();
         let total = hits + self.cache_misses.get();
         if total > 0 {

@@ -46,7 +46,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use esp_artifact::{ModelArtifact, Registry};
-use esp_obs::window::{Clock, SlidingWindow, SystemClock};
+use esp_obs::window::SlidingWindow;
 use esp_obs::{Ledger, OutcomeRecord};
 
 use crate::metrics::Metrics;
@@ -146,8 +146,8 @@ pub(crate) struct Shared {
     /// Per-site accuracy ledger (PROFILE outcomes joined to served
     /// predictions).
     pub(crate) ledger: Ledger,
-    /// Clock for the sliding windows; also the uptime epoch.
-    pub(crate) clock: SystemClock,
+    /// Server start: the uptime epoch and the sliding windows' clock.
+    epoch: Instant,
     /// Last-minute end-to-end request latency (µs).
     pub(crate) req_window: SlidingWindow,
     /// Last-minute observed outcome mass (micro-weights).
@@ -178,6 +178,12 @@ impl Shared {
         self.stop.store(true, Ordering::SeqCst);
         let _ = (&self.stop_tx).write(&[1]);
         self.wake();
+    }
+
+    /// Microseconds since the server started: the timestamp of every
+    /// sliding-window record and snapshot, and the uptime.
+    pub(crate) fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
     }
 
     /// Model facts of the default model (what `/healthz` reports).
@@ -296,7 +302,7 @@ pub fn serve(
         stop_tx,
         stop_rx,
         ledger: Ledger::new(cfg.ledger),
-        clock: SystemClock::new(),
+        epoch: Instant::now(),
         req_window: SlidingWindow::new(WINDOW_SLOTS, WINDOW_BUCKET_US),
         observed_window: SlidingWindow::new(WINDOW_SLOTS, WINDOW_BUCKET_US),
         mispredict_window: SlidingWindow::new(WINDOW_SLOTS, WINDOW_BUCKET_US),
@@ -800,7 +806,7 @@ fn handle_frame(shared: &Shared, pool: &mut ShardPool, queue: &mut VecDeque<Slot
 fn record_request(shared: &Shared, svc_start: Instant) {
     let us = svc_start.elapsed().as_micros() as u64;
     shared.metrics.record_request_us(us);
-    shared.req_window.record(shared.clock.now_us(), us);
+    shared.req_window.record(shared.now_us(), us);
 }
 
 /// Apply a PROFILE batch to the accuracy ledger and the last-minute
@@ -808,7 +814,7 @@ fn record_request(shared: &Shared, svc_start: Instant) {
 fn handle_profile(shared: &Shared, records: &[ProfileRecord], req_id: u64) -> Response {
     let mut sp = esp_obs::span!("serve", "profile_batch", records = records.len());
     let mut ack = ProfileAck::default();
-    let now_us = shared.clock.now_us();
+    let now_us = shared.now_us();
     for rec in records {
         match shared.ledger.record_outcome(&rec.site_key, rec.taken, rec.weight) {
             OutcomeRecord::Applied { mispredicted } => {

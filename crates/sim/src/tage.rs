@@ -177,7 +177,7 @@ impl Tage {
     /// ESP-seeded hybrid: identical machine, but base counter `i` is
     /// initialized from `priors[i]` (the trained network's probability that
     /// site `i` is taken) via the confidence bands of
-    /// [`ctr2_from_prob`](crate::predictor::ctr2_from_prob). The base table
+    /// `predictor::ctr2_from_prob`. The base table
     /// is grown to at least `priors.len()` entries so the mapping is exact.
     pub fn with_seeded_base(cfg: TageConfig, priors: &[f64]) -> Self {
         Self::build("esp+tage", cfg, Some(priors))

@@ -3,8 +3,8 @@
 # --offline so a regression that reintroduces a registry dependency fails
 # here rather than on the first airgapped machine.
 #
-#   scripts/verify.sh          # build + test + smokes
-#   scripts/verify.sh --fast   # build + test only
+#   scripts/verify.sh          # build + clippy + rustdoc + test + smokes
+#   scripts/verify.sh --fast   # build + clippy + rustdoc + test only
 #
 # Performance is measured by the repository benchmark, not here:
 #   bash perfbench/run.sh --workload table4|serve-hot|serve-feedback
@@ -19,6 +19,11 @@ cargo build --release --offline --workspace
 
 echo "==> cargo clippy --workspace --all-targets (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# Broken, ambiguous or private intra-doc links fail here, so a deletion
+# cannot leave a doc comment pointing at an item that is gone.
+echo "==> cargo doc --workspace (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # esp-serve's `poll(2)` call is the only `unsafe` in a library crate; every
 # other crate forbids it, and esp-serve denies it outside `mod poll`.

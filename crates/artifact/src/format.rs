@@ -42,8 +42,8 @@
 //! **Version policy:** any change to this layout — field added, removed,
 //! reordered, or re-typed — bumps [`FORMAT_VERSION`]. Readers reject any
 //! other version with [`ArtifactError::UnsupportedVersion`] instead of
-//! guessing (there are no migration shims: a stale cached model is simply
-//! retrained). Version history: v1 lacked `train_config`; v2 lacked `kind`
+//! guessing (there are no migration shims: an artifact of another version
+//! is regenerated from its source). Version history: v1 lacked `train_config`; v2 lacked `kind`
 //! (every v2 artifact was implicitly f64).
 
 use std::path::Path;
@@ -86,9 +86,8 @@ pub struct ModelMeta {
     /// Number of training examples the model saw.
     pub examples: u64,
     /// Free-form training-configuration stamp written by the producer
-    /// (learner hyper-parameters, feature groups, …). Consumers that cache
-    /// models compare it against the current run's stamp to detect
-    /// configuration drift instead of silently reusing a stale model.
+    /// (learner hyper-parameters, feature groups, …): provenance that
+    /// `esp-client registry inspect` shows for every published model.
     pub train_config: String,
 }
 

@@ -2,27 +2,24 @@
 //!
 //! ```text
 //! repro_tables [table3|table4|table5|table6|table7|fig1|fig2|dyn|all] [--quick] [--threads N]
-//!              [--save-model DIR] [--load-model DIR] [--subset NAME,NAME,…]
+//!              [--save-model DIR] [--subset NAME,NAME,…]
 //!              [--trace-out FILE] [--metrics-out FILE] [--coalesce on|off]
 //!              [--precision f32|f64] [--flip-bound B] [--features paper24|extended]
-//!              [--dynamic] [--trace-dir DIR] [--warmup N]
+//!              [--dynamic] [--warmup N]
 //! ```
 //!
-//! `--quick` shrinks the ESP learner (fewer epochs, fewer hidden units) so
-//! Table 4 finishes in seconds instead of minutes; the paper-shaped ranking
-//! is preserved, absolute numbers move a little. `--threads` caps the worker
-//! count for corpus profiling and cross-validation folds (`0`, the default,
-//! means one per core); every thread count produces identical tables.
+//! Every output is a deterministic function of the generated corpus and is
+//! recomputed from nothing on each run; nothing is read back from disk.
+//! `--quick` shrinks the ESP learner (fewer epochs, fewer hidden units);
+//! the paper-shaped ranking is preserved, absolute numbers move a little.
+//! `--threads` caps the worker count for corpus profiling and
+//! cross-validation folds (`0`, the default, means one per core); every
+//! thread count produces identical tables.
 //!
-//! `--save-model DIR` writes every Table 4 cross-validation fold to a model
-//! registry under `DIR` as `.espm` artifacts; `--load-model DIR` reads them
-//! back on a later run, skipping the fold's training entirely. Loaded models
-//! predict bitwise-identically to freshly trained ones, so the table output
-//! does not change. Passing both (typically the same DIR) populates the
-//! cache on first run and reuses it afterwards. Each artifact records the
-//! configuration it was trained under; a cached fold whose corpus, seed, or
-//! learner configuration differs from the current run (say, a `--quick`
-//! registry read by a full run) is retrained instead of silently reused.
+//! `--save-model DIR` publishes every Table 4 cross-validation fold to a
+//! model registry under `DIR` as `.espm` artifacts
+//! (`table4-<lang>-fold<i>`, version 1), each recording the corpus, seed
+//! and training configuration it came from, for `esp-serve` to serve.
 //!
 //! `--subset sort,grep,…` restricts the profiled corpus to the named
 //! programs — useful for fast smoke runs (verify.sh drives Table 4 over a
@@ -40,23 +37,22 @@
 //! and shrinks the per-epoch work by the corpus duplication factor.
 //!
 //! `--dynamic` (or the `dyn` artifact name) renders the static-vs-dynamic
-//! arena table: every program's conditional-branch outcome stream replayed
-//! through bimodal / gshare / TAGE / the ESP-seeded TAGE hybrid next to the
+//! arena table: every program runs through the interpreter with the arena
+//! attached, which scores each conditional-branch outcome as it resolves
+//! under bimodal / gshare / TAGE / the ESP-seeded TAGE hybrid next to the
 //! event-scored BTFNT and ESP static schemes, pooled per language, with the
-//! warmup-window hybrid-vs-TAGE verdict. `--trace-dir DIR` caches the
-//! recorded `.esptrace` streams under `DIR` (validated against the current
-//! profile before reuse, exactly like the fold-model registry); `--warmup N`
-//! sets the warmup window (default 2048 events). `dyn` is deliberately not
-//! part of `all`: it retrains (or reloads) the same leave-one-out folds as
-//! Table 4, so run it separately, ideally sharing `--save-model`/`--load-model`.
+//! warmup-window hybrid-vs-TAGE verdict. `--warmup N` sets the warmup
+//! window (default 2048 events). `dyn` is deliberately not part of `all`:
+//! it retrains the same leave-one-out folds as Table 4, so run it
+//! separately.
 //!
 //! `--features paper24|extended` (default `paper24`) selects the feature
 //! set for Table 4. `extended` runs Table 4 *twice* — once on the paper's
-//! 24 features (with the model cache, unchanged output) and once with the
-//! `esp-analyze` analysis-derived features appended — then prints a
-//! greppable `extended_vs_baseline:` miss-rate delta line. Extended folds
-//! are never cached (`.espm` carries paper-feature models only), so the
-//! default artifacts on disk are untouched.
+//! 24 features (published to `--save-model` if given, unchanged output) and
+//! once with the `esp-analyze` analysis-derived features appended — then
+//! prints a greppable `extended_vs_baseline:` miss-rate delta line.
+//! Extended folds are never published (`.espm` carries paper-feature models
+//! only), so the default artifacts on disk are untouched.
 //!
 //! `--precision f32` (default `f64`) runs the f32 quantization gate on
 //! Table 4: each fold's f64 model is quantized, rescored on its held-out
@@ -71,8 +67,8 @@
 
 use esp_core::{EspConfig, Learner};
 use esp_eval::{
-    compute_with_quant, fig1, table3, table5, table6, table7, ModelCache, QuantGateConfig,
-    SuiteData, Table4Config, TableDynConfig,
+    compute_with_quant, fig1, table3, table5, table6, table7, QuantGateConfig, SuiteData,
+    Table4Config, TableDynConfig, DEFAULT_WARMUP_EVENTS,
 };
 use esp_lang::CompilerConfig;
 use esp_nnet::MlpConfig;
@@ -84,14 +80,12 @@ const BOOL_FLAGS: &[&str] = &["--quick", "--dynamic"];
 const VALUE_FLAGS: &[&str] = &[
     "--threads",
     "--save-model",
-    "--load-model",
     "--subset",
     "--trace-out",
     "--metrics-out",
     "--coalesce",
     "--precision",
     "--flip-bound",
-    "--trace-dir",
     "--warmup",
     "--features",
 ];
@@ -217,30 +211,13 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let save_dir = flags.value("--save-model");
-    let load_dir = flags.value("--load-model");
-    let model_cache = match (save_dir, load_dir) {
-        (None, None) => None,
-        (Some(s), Some(l)) if s != l => {
-            eprintln!("--save-model and --load-model must point at the same registry DIR");
-            std::process::exit(2);
-        }
-        (s, l) => Some(ModelCache {
-            dir: s.or(l).expect("at least one set").into(),
-            save: s.is_some(),
-            load: l.is_some(),
-        }),
-    };
+    let save_dir = flags.value("--save-model").map(std::path::PathBuf::from);
     let quant = match flags.value("--precision") {
         None | Some("f64") => None,
         Some("f32") => Some(QuantGateConfig {
             flip_bound: flags.number("--flip-bound", 0.02),
-            // Publish quantized fold artifacts next to the f64 folds when a
-            // save registry is in play; a load-only cache is left untouched.
-            publish: model_cache
-                .as_ref()
-                .filter(|c| c.save)
-                .map(|c| c.dir.clone()),
+            // Publish quantized fold artifacts next to the f64 folds.
+            publish: save_dir.clone(),
         }),
         Some(other) => {
             eprintln!("--precision takes `f32` or `f64`, got `{other}`");
@@ -286,7 +263,7 @@ fn main() {
         );
         let cfg = Table4Config {
             esp: esp_config(quick, threads, coalesce),
-            model_cache: model_cache.clone(),
+            model_cache: save_dir.clone(),
             quant: quant.clone(),
         };
         let (rows, gate) = compute_with_quant(suite, &cfg);
@@ -341,9 +318,7 @@ fn main() {
             );
             let cfg = TableDynConfig {
                 esp: esp_config(quick, threads, coalesce),
-                model_cache: model_cache.clone(),
-                trace_dir: flags.value("--trace-dir").map(std::path::PathBuf::from),
-                warmup_events: flags.number("--warmup", 2048),
+                warmup_events: flags.number("--warmup", DEFAULT_WARMUP_EVENTS),
             };
             println!("{}", esp_eval::table_dyn(s, &cfg));
         }

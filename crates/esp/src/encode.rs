@@ -44,12 +44,13 @@ impl Default for FeatureSet {
 }
 
 impl FeatureSet {
-    /// A stable identity string for train-config stamps.
+    /// A stable identity string for train-config stamps, the provenance a
+    /// published `.espm` fold records.
     ///
     /// For non-extended sets this is byte-identical to the `Debug` output
-    /// the stamp used before the `extended` flag existed, so every `.espm`
-    /// fold cached under the default feature set stays valid. Extended sets
-    /// get a distinct tag (and therefore a cache miss), which is exactly
+    /// the stamp used before the `extended` flag existed, so every fold
+    /// trained on the default feature set describes its training the same
+    /// way it always has. Extended sets get a distinct tag, which is exactly
     /// right: the encoded dimension differs.
     pub fn stamp_tag(&self) -> String {
         let base = format!(

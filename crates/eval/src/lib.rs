@@ -14,8 +14,9 @@
 //! * [`fig1`] — the network topology; [`fig2`](casestudy::fig2) — the
 //!   tomcatv case study;
 //! * [`table_dyn`](fn@table_dyn) — beyond the paper: the static schemes against
-//!   trace-driven dynamic predictors (bimodal / gshare / TAGE / ESP-seeded
-//!   TAGE hybrid) replayed over recorded `.esptrace` outcome streams.
+//!   dynamic predictors (bimodal / gshare / TAGE / ESP-seeded TAGE hybrid)
+//!   stepped through each program's branch outcomes as the interpreter
+//!   resolves them.
 //!
 //! The entry point used by the `repro_tables` binary and the integration
 //! tests is [`SuiteData::build`] + the per-table `render`/`compute`
@@ -43,11 +44,10 @@ pub use data::{BenchData, SuiteData};
 pub use miss::{expected_misses, miss_rate, Prediction};
 pub use table3::{table3, Table3Row};
 pub use quant::{FoldQuantReport, PublishOutcome, QuantGateConfig, QuantGateReport};
-pub use table4::{
-    compute_with_quant, table4, train_config_stamp, ModelCache, Table4Config, Table4Row,
-};
+pub use table4::{compute_with_quant, table4, train_config_stamp, Table4Config, Table4Row};
 pub use table5::{table5, Table5Row};
 pub use table_dyn::{table_dyn, PooledRates, TableDynConfig, TableDynReport, TableDynRow};
+pub use esp_sim::DEFAULT_WARMUP_EVENTS;
 pub use table6::table6;
 pub use table7::table7;
 

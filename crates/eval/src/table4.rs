@@ -19,30 +19,14 @@ use crate::quant::{
     within_bound, FoldQuantReport, PublishOutcome, QuantGateConfig, QuantGateReport,
 };
 
-/// Registry-backed caching of Table 4's per-fold models, so re-runs can skip
-/// the expensive leave-one-out retraining. Fold models are stored under the
-/// names `table4-<lang>-fold<i>` as version 1 (re-saving overwrites). Loaded
-/// artifacts are validated against the current run — corpus, seed, fold and
-/// the training-configuration stamp recorded at save time — and a mismatch
-/// (say, a registry populated by a `--quick` run being read by a full run)
-/// falls back to retraining instead of silently changing the table.
-#[derive(Debug, Clone)]
-pub struct ModelCache {
-    /// Registry root directory.
-    pub dir: PathBuf,
-    /// Save each trained fold after training it.
-    pub save: bool,
-    /// Load a fold from the registry instead of training, when present.
-    pub load: bool,
-}
-
 /// Options for the Table 4 study.
 #[derive(Debug, Clone, Default)]
 pub struct Table4Config {
     /// ESP learner and feature options.
     pub esp: EspConfig,
-    /// Optional fold-model cache (`--save-model` / `--load-model`).
-    pub model_cache: Option<ModelCache>,
+    /// Registry root to publish every fold model to (`--save-model`), as
+    /// `table4-<lang>-fold<i>` version 1; `None` publishes nothing.
+    pub model_cache: Option<PathBuf>,
     /// Optional f32 quantization gate (`--precision f32`): score each fold's
     /// quantized model against its f64 reference and report/publish.
     pub quant: Option<QuantGateConfig>,
@@ -151,7 +135,7 @@ pub(crate) struct Fold<'a> {
     pub index: usize,
     /// Suite index of the held-out program.
     pub bench: usize,
-    /// The fold's model, trained on the rest of the group (or loaded).
+    /// The fold's model, trained on the rest of the group.
     pub model: &'a EspModel,
     /// Its taken-probability for every branch site of the held-out
     /// program, in `branch_sites()` order.
@@ -325,14 +309,14 @@ fn quant_fold(
 }
 
 /// Canonical stamp for the parts of an [`EspConfig`] that change what a
-/// trained fold computes. `threads` is deliberately excluded: every thread
-/// count produces bitwise-identical models. `coalesce` is included — the
-/// merged training set perturbs weights at ulp level, so a fold cached
-/// under one setting must not be silently reused under the other. The
-/// feature set contributes its [`FeatureSet::stamp_tag`] (not its `Debug`
-/// form), which is byte-identical to the historical stamp for the default
-/// paper-24 set — existing cached folds stay valid — while the extended set
-/// yields a distinct tag and therefore a retrain.
+/// trained fold computes, recorded as provenance (`ModelMeta::train_config`)
+/// in every published fold artifact, so a reader of the registry can tell
+/// how a model was trained. `threads` is deliberately excluded: every
+/// thread count produces bitwise-identical models. `coalesce` is included —
+/// the merged training set perturbs weights at ulp level. The feature set
+/// contributes its [`FeatureSet::stamp_tag`] (not its `Debug` form), which
+/// keeps the default paper-24 stamp byte-identical to the one artifacts
+/// have always carried, while the extended set yields a distinct tag.
 ///
 /// [`FeatureSet::stamp_tag`]: esp_core::FeatureSet::stamp_tag
 pub fn train_config_stamp(cfg: &EspConfig) -> String {
@@ -344,15 +328,8 @@ pub fn train_config_stamp(cfg: &EspConfig) -> String {
     )
 }
 
-/// Produce one cross-validation fold's model, consulting the artifact
-/// registry when a [`ModelCache`] is configured: load the fold if allowed
-/// and present (skipping retraining entirely), otherwise train it with
-/// [`leave_one_out`] and save it if asked. A cached artifact is used only
-/// when it holds f64 weights and its recorded corpus, seed, fold and
-/// training-configuration stamp match this run — then it predicts bitwise
-/// identically to a freshly trained model, so the table is unchanged
-/// either way; anything else (an f32 artifact, a different seed or feature
-/// set, a `--quick` registry read by a full run) is retrained.
+/// Train one cross-validation fold's model with [`leave_one_out`] and,
+/// when `cfg.model_cache` names a registry, publish it there.
 fn fold_model(
     suite: &SuiteData,
     cfg: &Table4Config,
@@ -360,33 +337,13 @@ fn fold_model(
     fold: usize,
     group: &[TrainingProgram<'_>],
 ) -> EspModel {
-    let Some(cache) = &cfg.model_cache else {
-        return leave_one_out(group, fold, &cfg.esp);
-    };
-    let reg = Registry::open(&cache.dir);
-    let name = fold_name(lang, fold);
-    if cache.load {
-        match reg.load(&name, None) {
-            Ok((v, artifact)) => {
-                let m = &artifact.meta;
-                let bits = artifact.net.precision_bits();
-                if bits == 64 && *m == fold_meta(suite, &cfg.esp, fold, m.examples as usize) {
-                    eprintln!("  fold {name}: loaded v{v} from {}", cache.dir.display());
-                    return artifact.to_model();
-                }
-                eprintln!(
-                    "  fold {name}: cached v{v} was trained differently \
-                     (corpus {:?}, seed {}, config {:?}, f{bits} weights); retraining",
-                    m.corpus_id, m.seed, m.train_config
-                );
-            }
-            Err(e) => eprintln!("  fold {name}: cache miss ({e}); training"),
-        }
-    }
     let model = leave_one_out(group, fold, &cfg.esp);
-    if cache.save {
+    if let Some(dir) = &cfg.model_cache {
+        let name = fold_name(lang, fold);
         let meta = fold_meta(suite, &cfg.esp, fold, model.num_examples());
-        match ModelArtifact::from_model(&model, meta, None).and_then(|a| reg.save(&name, 1, &a)) {
+        match ModelArtifact::from_model(&model, meta, None)
+            .and_then(|a| Registry::open(dir).save(&name, 1, &a))
+        {
             Ok(path) => eprintln!("  fold {name}: saved to {}", path.display()),
             Err(e) => eprintln!("  fold {name}: cannot save ({e})"),
         }

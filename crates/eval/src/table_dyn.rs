@@ -2,63 +2,43 @@
 //! static schemes sit from cheap dynamic hardware prediction, and whether
 //! the corpus-learned ESP prior still pays once hardware is in play.
 //!
-//! For every corpus program the dynamic conditional-branch outcome stream
-//! is recorded (or loaded from a `--trace-dir` cache of `.esptrace` files)
-//! and replayed through `esp-sim`'s predictor arena: the BTFNT and ESP
-//! static schemes scored event-by-event, plus bimodal, gshare, cold TAGE
-//! and the ESP-seeded TAGE hybrid whose base table starts from the trained
+//! Every corpus program runs through the interpreter once more with
+//! `esp-sim`'s predictor arena attached as its branch sink, so each dynamic
+//! conditional-branch outcome is scored as it resolves: the BTFNT and ESP
+//! static schemes event by event, plus bimodal, gshare, cold TAGE and the
+//! ESP-seeded TAGE hybrid whose base table starts from the trained
 //! network's per-site taken-probabilities. ESP probabilities come from the
-//! same leave-one-out language-group folds as Table 4 (and share its
-//! `--save-model` / `--load-model` registry cache), so the static ESP
+//! same leave-one-out language-group folds as Table 4, so the static ESP
 //! column here is the event-level counterpart of Table 4's.
 //!
-//! Besides whole-trace rates the report pools the first
+//! Besides whole-run rates the report pools the first
 //! [`TableDynConfig::warmup_events`] events of every program per language:
 //! the warmup regime is where a cold TAGE pays allocation misses that a
 //! seeded base table avoids, so the hybrid-vs-TAGE verdict is stated there.
-
-use std::path::PathBuf;
 
 use esp_core::EspConfig;
 use esp_corpus::Group;
 use esp_exec::ExecLimits;
 use esp_heur::{BranchCtx, Btfnt};
 use esp_ir::Lang;
-use esp_sim::{collect_trace, replay_arena, ArenaConfig, StaticScheme, Trace};
+use esp_sim::{Arena, StaticScheme};
 
-use crate::data::{BenchData, SuiteData};
+use crate::data::SuiteData;
 use crate::fmt::{pct1, TextTable};
-use crate::table4::{for_each_fold, ModelCache, Table4Config};
+use crate::table4::{for_each_fold, Table4Config};
 
 /// Options for the dynamic-arena study.
 #[derive(Debug, Clone)]
 pub struct TableDynConfig {
     /// ESP learner and feature options (fold training, as in Table 4).
     pub esp: EspConfig,
-    /// Optional fold-model cache shared with Table 4
-    /// (`--save-model` / `--load-model`).
-    pub model_cache: Option<ModelCache>,
-    /// Directory of cached `.esptrace` files (`--trace-dir`): traces are
-    /// loaded when present and consistent with the current profile, and
-    /// recorded + saved otherwise.
-    pub trace_dir: Option<PathBuf>,
     /// Size of the per-program warmup window for the pooled
-    /// hybrid-vs-TAGE comparison.
+    /// hybrid-vs-TAGE comparison (`esp_sim::DEFAULT_WARMUP_EVENTS` unless
+    /// a study asks otherwise).
     pub warmup_events: u64,
 }
 
-impl Default for TableDynConfig {
-    fn default() -> Self {
-        TableDynConfig {
-            esp: EspConfig::default(),
-            model_cache: None,
-            trace_dir: None,
-            warmup_events: 2048,
-        }
-    }
-}
-
-/// One program's row: whole-trace miss rates per scheme.
+/// One program's row: whole-run miss rates per scheme.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableDynRow {
     /// Program name.
@@ -67,7 +47,7 @@ pub struct TableDynRow {
     pub group: Group,
     /// Source language (drives the pools).
     pub lang: Lang,
-    /// Dynamic conditional-branch events replayed.
+    /// Dynamic conditional-branch events scored.
     pub events: u64,
     /// BTFNT static scheme.
     pub btfnt: f64,
@@ -124,55 +104,8 @@ pub struct TableDynReport {
     pub warmup_events: u64,
 }
 
-/// Record or load the trace for one benchmark. A cached trace is used only
-/// when its program name, site table and event count all match the current
-/// compile and profile — anything else (different compiler configuration,
-/// stale corpus) is re-recorded with corpus-standard limits.
-fn bench_trace(b: &BenchData, cfg: &TableDynConfig) -> Trace {
-    let limits = ExecLimits {
-        max_insns: 80_000_000,
-        ..ExecLimits::default()
-    };
-    let metrics = esp_obs::global_metrics();
-    let expect_sites = b.prog.branch_sites();
-    let path = cfg
-        .trace_dir
-        .as_ref()
-        .map(|d| d.join(format!("{}.esptrace", b.bench.name)));
-    if let Some(path) = &path {
-        match Trace::load(path) {
-            Ok(t) => {
-                if t.program == b.bench.name
-                    && t.sites == expect_sites
-                    && t.events == b.profile.dyn_cond_branches
-                {
-                    metrics.counter("esp_sim_trace_cache_hits_total").inc();
-                    return t;
-                }
-                eprintln!(
-                    "  trace {}: cached trace is stale ({} events vs {} profiled); re-recording",
-                    b.bench.name, t.events, b.profile.dyn_cond_branches
-                );
-            }
-            Err(esp_sim::TraceError::Io(_)) => {} // plain cache miss
-            Err(e) => eprintln!("  trace {}: unreadable cache ({e}); re-recording", b.bench.name),
-        }
-        metrics.counter("esp_sim_trace_cache_misses_total").inc();
-    }
-    let (trace, _) = collect_trace(&b.prog, &limits)
-        .unwrap_or_else(|e| panic!("benchmark `{}` failed to trace: {e}", b.bench.name));
-    if let Some(path) = &path {
-        match trace.save(path) {
-            Ok(()) => eprintln!("  trace {}: saved to {}", b.bench.name, path.display()),
-            Err(e) => eprintln!("  trace {}: cannot save ({e})", b.bench.name),
-        }
-    }
-    trace
-}
-
-/// Compute every row. Expensive: trains (or loads) one ESP fold per
-/// program, then records/loads and replays every program's trace through
-/// the arena.
+/// Compute every row. Expensive: trains one ESP fold per program, then
+/// runs every program through the interpreter with the arena attached.
 pub fn compute(suite: &SuiteData, cfg: &TableDynConfig) -> TableDynReport {
     let _sp = esp_obs::span!("eval", "table_dyn", programs = suite.benches.len());
 
@@ -181,15 +114,15 @@ pub fn compute(suite: &SuiteData, cfg: &TableDynConfig) -> TableDynReport {
     // neutral 0.5 priors (ESP column scored uncovered, hybrid seeded cold).
     let t4cfg = Table4Config {
         esp: cfg.esp.clone(),
-        model_cache: cfg.model_cache.clone(),
+        model_cache: None,
         quant: None,
     };
     let mut probs: Vec<Option<Vec<f64>>> = vec![None; suite.benches.len()];
     for_each_fold(suite, &t4cfg, |f| probs[f.bench] = Some(f.probs.to_vec()));
 
-    let arena_cfg = ArenaConfig {
-        warmup_events: cfg.warmup_events,
-        ..ArenaConfig::default()
+    let limits = ExecLimits {
+        max_insns: 80_000_000,
+        ..ExecLimits::default()
     };
     let rows: Vec<TableDynRow> = suite
         .benches
@@ -197,7 +130,6 @@ pub fn compute(suite: &SuiteData, cfg: &TableDynConfig) -> TableDynReport {
         .enumerate()
         .map(|(i, b)| {
             let mut sp = esp_obs::span!("eval", "table_dyn_bench", bench = b.bench.name);
-            let trace = bench_trace(b, cfg);
             let sites = b.prog.branch_sites();
             let btfnt: Vec<Option<bool>> = sites
                 .iter()
@@ -215,7 +147,7 @@ pub fn compute(suite: &SuiteData, cfg: &TableDynConfig) -> TableDynReport {
                     &neutral
                 }
             };
-            let statics = [
+            let statics = vec![
                 StaticScheme {
                     name: "BTFNT".into(),
                     preds: &btfnt,
@@ -225,8 +157,10 @@ pub fn compute(suite: &SuiteData, cfg: &TableDynConfig) -> TableDynReport {
                     preds: &esp,
                 },
             ];
-            let r = replay_arena(&trace, &statics, Some(priors), &arena_cfg)
-                .unwrap_or_else(|e| panic!("benchmark `{}` failed to replay: {e}", b.bench.name));
+            let mut arena = Arena::new(&sites, statics, Some(priors), cfg.warmup_events);
+            esp_exec::run_with_sink(&b.prog, &limits, &mut arena)
+                .unwrap_or_else(|e| panic!("benchmark `{}` failed to run: {e}", b.bench.name));
+            let r = arena.finish();
             let rate = |name: &str| r.miss_rate(name).unwrap_or(0.0);
             if sp.is_enabled() {
                 sp.arg("events", r.events as f64);

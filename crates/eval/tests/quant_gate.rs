@@ -1,8 +1,11 @@
 //! End-to-end f32 quantization gate: a miniature Table 4 run (two C
 //! programs, two leave-one-out folds) with the gate enabled must score
-//! every fold, publish f32 artifacts that round-trip through the registry
-//! as `Net::F32`, and — under an unsatisfiable bound — refuse to
-//! publish and fail the gate without perturbing the table rows.
+//! every fold, publish f64 fold artifacts and f32 ones that round-trip
+//! through the registry as `Net::F64` and `Net::F32`, and — under an
+//! unsatisfiable bound — refuse to publish and fail the gate without
+//! perturbing the table rows.
+
+use std::path::PathBuf;
 
 use esp_artifact::Registry;
 use esp_core::{EspConfig, Learner};
@@ -12,7 +15,7 @@ use esp_eval::{
 use esp_lang::CompilerConfig;
 use esp_nnet::{MlpConfig, Net};
 
-fn mini_cfg(quant: Option<QuantGateConfig>) -> Table4Config {
+fn mini_cfg(model_cache: Option<PathBuf>, quant: Option<QuantGateConfig>) -> Table4Config {
     Table4Config {
         esp: EspConfig {
             learner: Learner::Net(MlpConfig {
@@ -25,7 +28,7 @@ fn mini_cfg(quant: Option<QuantGateConfig>) -> Table4Config {
             threads: 1,
             ..EspConfig::default()
         },
-        model_cache: None,
+        model_cache,
         quant,
     }
 }
@@ -36,10 +39,13 @@ fn gate_scores_every_fold_and_publishes_f32_artifacts() {
     let dir = std::env::temp_dir().join(format!("esp-quant-gate-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
-    let cfg = mini_cfg(Some(QuantGateConfig {
-        flip_bound: 1.0, // every fold is within a bound of 100%
-        publish: Some(dir.clone()),
-    }));
+    let cfg = mini_cfg(
+        Some(dir.clone()),
+        Some(QuantGateConfig {
+            flip_bound: 1.0, // every fold is within a bound of 100%
+            publish: Some(dir.clone()),
+        }),
+    );
     let (rows, gate) = compute_with_quant(&suite, &cfg);
     let gate = gate.expect("gate configured");
 
@@ -58,8 +64,15 @@ fn gate_scores_every_fold_and_publishes_f32_artifacts() {
     }
     assert!(gate.render().contains("f32_flip_rate="));
 
-    // The published artifacts are quantized (kind f32) and load back.
+    // Every f64 fold is published beside its quantized twin, and each
+    // loads back at the precision it was saved with.
     let reg = Registry::open(&dir);
+    for name in ["table4-c-fold0", "table4-c-fold1"] {
+        let (v, a) = reg.load(name, None).expect("published fold loads");
+        assert_eq!(v, 1);
+        assert_eq!(a.net.precision_bits(), 64);
+        assert!(matches!(a.net, Net::F64(_)));
+    }
     for name in ["table4-c-fold0-f32", "table4-c-fold1-f32"] {
         let (v, a) = reg.load(name, None).expect("published artifact loads");
         assert_eq!(v, 1);
@@ -77,10 +90,13 @@ fn unsatisfiable_bound_refuses_publication_and_fails_the_gate() {
 
     // A negative bound can never be satisfied (flip rates are >= 0), so
     // every fold must be refused and nothing may reach the registry.
-    let cfg = mini_cfg(Some(QuantGateConfig {
-        flip_bound: -1.0,
-        publish: Some(dir.clone()),
-    }));
+    let cfg = mini_cfg(
+        None,
+        Some(QuantGateConfig {
+            flip_bound: -1.0,
+            publish: Some(dir.clone()),
+        }),
+    );
     let (rows_gated, gate) = compute_with_quant(&suite, &cfg);
     let gate = gate.expect("gate configured");
 
@@ -98,7 +114,7 @@ fn unsatisfiable_bound_refuses_publication_and_fails_the_gate() {
     );
 
     // The gate never perturbs the f64 table itself.
-    let (rows_plain, none) = compute_with_quant(&suite, &mini_cfg(None));
+    let (rows_plain, none) = compute_with_quant(&suite, &mini_cfg(None, None));
     assert!(none.is_none());
     assert_eq!(rows_gated, rows_plain, "gate changed Table 4 rows");
     std::fs::remove_dir_all(&dir).ok();

@@ -32,10 +32,10 @@ impl BranchCounts {
     /// A static predictor picks **one** direction per site, so the best any
     /// static scheme can do is predict the majority direction and eat the
     /// minority mass: `perfect_misses == min(taken, not_taken)` where
-    /// `not_taken = executed - taken`. Replaying a recorded outcome trace
-    /// through a fixed majority-direction prediction must reproduce this
-    /// count event-for-event (`crates/sim/tests/trace_consistency.rs` pins
-    /// that equivalence against the streaming trace sink).
+    /// `not_taken = executed - taken`. Scoring the streamed outcomes with a
+    /// fixed majority-direction prediction must reproduce this count
+    /// event-for-event (`crates/sim/tests/trace_consistency.rs` pins that
+    /// equivalence against a [`BranchSink`](crate::BranchSink)).
     pub fn perfect_misses(&self) -> u64 {
         self.taken.min(self.executed - self.taken)
     }

@@ -56,7 +56,8 @@ impl Slot {
 pub struct WindowSnapshot {
     /// Observations inside the window.
     pub count: u64,
-    /// Sum of the observed values inside the window.
+    /// Sum of the observed values inside the window, saturating at
+    /// `u64::MAX` rather than wrapping.
     pub sum: u64,
     /// The window span in seconds (`slots × bucket_us / 1e6`).
     pub window_s: f64,
@@ -100,7 +101,7 @@ impl SlidingWindow {
             slot.reset(epoch);
         }
         slot.count += 1;
-        slot.sum += value;
+        slot.sum = slot.sum.saturating_add(value);
         let bucket = (64 - value.leading_zeros()) as usize;
         slot.hist[bucket.min(HIST_BUCKETS - 1)] += 1;
     }
@@ -119,7 +120,7 @@ impl SlidingWindow {
                 continue; // never used, rotated out, or (clock skew) future
             }
             count += slot.count;
-            sum += slot.sum;
+            sum = sum.saturating_add(slot.sum);
             for (h, s) in hist.iter_mut().zip(&slot.hist) {
                 *h += s;
             }
@@ -153,6 +154,17 @@ mod tests {
         assert_eq!(s.window_s, 4.0);
         assert_eq!(s.rate_per_sec, 2.5);
         assert_eq!(s.p50, 127); // 100 has bit length 7
+    }
+
+    #[test]
+    fn sums_saturate_instead_of_overflowing() {
+        let w = SlidingWindow::new(4, 1_000_000);
+        w.record(0, u64::MAX);
+        w.record(0, u64::MAX); // same bucket: the slot's sum saturates
+        w.record(1_000_000, u64::MAX); // next bucket: the merge saturates
+        let s = w.snapshot(1_000_000);
+        assert_eq!(s.count, 3);
+        assert_eq!(s.sum, u64::MAX);
     }
 
     #[test]

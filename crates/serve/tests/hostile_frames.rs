@@ -141,6 +141,30 @@ fn hostile_frames_cannot_kill_the_event_loop() {
     }
     assert_alive(&addr, dim);
 
+    // 7. PROFILE weights need only be finite and >= 0: two records of
+    //    weight 1e300 for a served row each add u64::MAX micro-units to the
+    //    observed window, whose sums must saturate rather than overflow.
+    {
+        let row = vec![0.25; dim];
+        let mask = vec![true; dim];
+        let mut c = Client::connect(&addr).expect("connect");
+        c.predict(vec![PredictRow {
+            row: row.clone(),
+            mask: mask.clone(),
+        }])
+        .expect("predict");
+        let huge = ProfileRecord {
+            site_key: site_key(&row, &mask),
+            taken: true,
+            weight: 1e300,
+        };
+        let ack = c
+            .profile(vec![huge.clone(), huge])
+            .expect("profile answered");
+        assert_eq!(ack.applied, 2);
+    }
+    assert_alive(&addr, dim);
+
     handle.shutdown();
 }
 

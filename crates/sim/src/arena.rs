@@ -1,78 +1,66 @@
-//! The predictor arena: replay one recorded trace through every static and
-//! dynamic scheme simultaneously and tally expected mispredictions.
+//! The predictor arena: a [`BranchSink`] that steps every static and
+//! dynamic scheme through one program's outcome stream as the interpreter
+//! resolves it, tallying expected mispredictions.
 //!
 //! Static schemes are per-site direction assignments (`Option<bool>`, with
 //! `None` = site uncovered by the scheme); an uncovered site is charged
 //! 0.5 misses per event, matching `esp-eval`'s expected-miss convention so
 //! the static columns of the dynamic table agree with Table 4 exactly.
 //! Dynamic predictors implement [`Predictor`] and are stepped
-//! predict-then-update per event in recorded execution order.
+//! predict-then-update per event in execution order.
 //!
-//! Besides whole-trace misses the arena separately tallies misses inside
-//! the **warmup window** (the first [`ArenaConfig::warmup_events`] events):
-//! the regime where the ESP-seeded hybrid's prior should pay off against a
-//! cold TAGE.
+//! Besides whole-run misses the arena separately tallies misses inside the
+//! **warmup window** (the first `warmup_events` events): the regime where
+//! the ESP-seeded hybrid's prior should pay off against a cold TAGE.
+
+use std::collections::HashMap;
+
+use esp_exec::BranchSink;
+use esp_ir::BranchId;
 
 use crate::bimodal::Bimodal;
 use crate::gshare::Gshare;
 use crate::predictor::Predictor;
 use crate::tage::{Tage, TageConfig};
-use crate::trace::{Trace, TraceError};
+
+/// Default warmup window: events counted in the separate warmup tally.
+pub const DEFAULT_WARMUP_EVENTS: u64 = 2048;
+
+/// log2 entries of the standalone bimodal predictor.
+const BIMODAL_LOG2: u32 = 12;
+/// log2 entries of the gshare table.
+const GSHARE_LOG2: u32 = 12;
+/// History bits folded into the gshare index.
+const GSHARE_HIST: u32 = 12;
 
 /// A static prediction scheme: one fixed direction (or nothing) per site in
-/// the trace's site table.
+/// the arena's site table.
 #[derive(Debug, Clone)]
 pub struct StaticScheme<'a> {
     /// Display name for the result row (e.g. `"BTFNT"`, `"ESP"`).
     pub name: String,
-    /// Per-site predicted direction, indexed like `Trace::sites`; `None`
-    /// means the scheme does not cover the site (charged 0.5 per event).
+    /// Per-site predicted direction, indexed like the arena's site table;
+    /// `None` means the scheme does not cover the site (charged 0.5 per
+    /// event).
     pub preds: &'a [Option<bool>],
 }
 
-/// Arena geometry: dynamic-predictor table sizes and the warmup window.
-#[derive(Debug, Clone)]
-pub struct ArenaConfig {
-    /// Events counted as "warmup" for the separate warmup-miss tally.
-    pub warmup_events: u64,
-    /// log2 entries of the standalone bimodal predictor.
-    pub bimodal_log2: u32,
-    /// log2 entries of the gshare table.
-    pub gshare_log2: u32,
-    /// History bits folded into the gshare index.
-    pub gshare_hist: u32,
-    /// Geometry of both TAGE variants (cold and ESP-seeded).
-    pub tage: TageConfig,
-}
-
-impl Default for ArenaConfig {
-    fn default() -> Self {
-        ArenaConfig {
-            warmup_events: 2048,
-            bimodal_log2: 12,
-            gshare_log2: 12,
-            gshare_hist: 12,
-            tage: TageConfig::default(),
-        }
-    }
-}
-
-/// Miss tallies for one scheme over one trace.
+/// Miss tallies for one scheme over one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchemeResult {
     /// Scheme name (static name or `Predictor::name`).
     pub name: String,
-    /// Expected misses over the whole trace (fractional only for static
+    /// Expected misses over the whole run (fractional only for static
     /// schemes with uncovered sites).
     pub misses: f64,
     /// Expected misses inside the warmup window.
     pub warmup_misses: f64,
 }
 
-/// Result of one arena replay: every scheme's tallies over the same trace.
+/// Result of one arena run: every scheme's tallies over the same events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArenaResult {
-    /// Total events replayed.
+    /// Total events observed.
     pub events: u64,
     /// Size of the warmup window actually applied (≤ `events`).
     pub warmup_events: u64,
@@ -87,7 +75,7 @@ impl ArenaResult {
         self.schemes.iter().find(|s| s.name == name)
     }
 
-    /// Whole-trace miss rate (misses / events) for the named scheme.
+    /// Whole-run miss rate (misses / events) for the named scheme.
     pub fn miss_rate(&self, name: &str) -> Option<f64> {
         if self.events == 0 {
             return None;
@@ -96,75 +84,126 @@ impl ArenaResult {
     }
 }
 
-/// Replay `trace` through all static schemes, the three cold dynamic
-/// predictors (bimodal, gshare, TAGE) and — when `esp_priors` is given —
-/// the ESP-seeded TAGE hybrid whose base table starts from the trained
-/// network's per-site taken-probabilities.
+/// Every static scheme, the three cold dynamic predictors (bimodal, gshare,
+/// TAGE) and — when priors are given — the ESP-seeded TAGE hybrid, stepped
+/// together one [`BranchSink::branch`] event at a time. Attach it to
+/// `esp_exec::run_with_sink`, then read the tallies with [`Arena::finish`].
 ///
-/// Deterministic: same trace and inputs, bitwise-same result, every time.
-///
-/// # Errors
-///
-/// [`TraceError::Malformed`] when a static scheme's or the priors' length
-/// does not match the trace's site table, or when the trace's packed stream
-/// is invalid.
-pub fn replay_arena(
-    trace: &Trace,
-    statics: &[StaticScheme<'_>],
-    esp_priors: Option<&[f64]>,
-    cfg: &ArenaConfig,
-) -> Result<ArenaResult, TraceError> {
-    let n_sites = trace.num_sites();
-    for s in statics {
-        if s.preds.len() != n_sites {
-            return Err(TraceError::Malformed(format!(
-                "static scheme '{}' covers {} sites, trace has {n_sites}",
-                s.name,
-                s.preds.len()
+/// Deterministic: the same event stream gives a bitwise-same result.
+pub struct Arena<'a> {
+    /// Site-table index of each branch, in the order the arena was built
+    /// with (`Program::branch_sites`); dynamic predictors see that index as
+    /// the branch's address.
+    index: HashMap<BranchId, u32>,
+    statics: Vec<StaticScheme<'a>>,
+    dynamics: Vec<Box<dyn Predictor>>,
+    warmup_events: u64,
+    /// `(whole run, warmup)` misses per static scheme.
+    static_miss: Vec<(f64, f64)>,
+    /// `(whole run, warmup)` misses per dynamic predictor.
+    dyn_miss: Vec<(u64, u64)>,
+    events: u64,
+}
+
+impl<'a> Arena<'a> {
+    /// An arena over `sites` (pass `Program::branch_sites()`), scoring each
+    /// static scheme in `statics`, the cold dynamic predictors and, with
+    /// `esp_priors` (the trained network's per-site taken-probabilities),
+    /// the ESP-seeded hybrid. The first `warmup_events` events are tallied
+    /// separately as well.
+    ///
+    /// # Panics
+    ///
+    /// When a static scheme or the priors do not cover exactly `sites` —
+    /// the caller builds all three from the same program, so that is a bug.
+    pub fn new(
+        sites: &[BranchId],
+        statics: Vec<StaticScheme<'a>>,
+        esp_priors: Option<&[f64]>,
+        warmup_events: u64,
+    ) -> Self {
+        for s in &statics {
+            assert_eq!(
+                s.preds.len(),
+                sites.len(),
+                "static scheme '{}' does not cover the site table",
+                s.name
+            );
+        }
+        let mut dynamics: Vec<Box<dyn Predictor>> = vec![
+            Box::new(Bimodal::new(BIMODAL_LOG2)),
+            Box::new(Gshare::new(GSHARE_LOG2, GSHARE_HIST)),
+            Box::new(Tage::new(TageConfig::default())),
+        ];
+        if let Some(priors) = esp_priors {
+            assert_eq!(
+                priors.len(),
+                sites.len(),
+                "ESP priors do not cover the site table"
+            );
+            dynamics.push(Box::new(Tage::with_seeded_base(
+                TageConfig::default(),
+                priors,
             )));
         }
-    }
-    if let Some(p) = esp_priors {
-        if p.len() != n_sites {
-            return Err(TraceError::Malformed(format!(
-                "{} ESP priors for {n_sites} trace sites",
-                p.len()
-            )));
+        Arena {
+            index: sites
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| (s, i as u32))
+                .collect(),
+            static_miss: vec![(0.0, 0.0); statics.len()],
+            dyn_miss: vec![(0, 0); dynamics.len()],
+            statics,
+            dynamics,
+            warmup_events,
+            events: 0,
         }
     }
 
-    let _sp = esp_obs::span!(
-        "sim",
-        "replay_arena",
-        program = trace.program.as_str(),
-        events = trace.events
-    );
+    /// The tallies of every scheme over the events seen so far.
+    pub fn finish(self) -> ArenaResult {
+        let metrics = esp_obs::global_metrics();
+        metrics.counter("esp_sim_replays_total").add(1);
+        metrics.counter("esp_sim_events_total").add(self.events);
+        metrics
+            .counter("esp_sim_predictor_ops_total")
+            .add(self.events * self.dynamics.len() as u64);
 
-    let mut dynamics: Vec<Box<dyn Predictor>> = vec![
-        Box::new(Bimodal::new(cfg.bimodal_log2)),
-        Box::new(Gshare::new(cfg.gshare_log2, cfg.gshare_hist)),
-        Box::new(Tage::new(cfg.tage.clone())),
-    ];
-    if let Some(priors) = esp_priors {
-        dynamics.push(Box::new(Tage::with_seeded_base(cfg.tage.clone(), priors)));
+        let statics = self.statics.iter().map(|s| s.name.clone());
+        let dynamics = self.dynamics.iter().map(|d| d.name().to_string());
+        let misses = self
+            .static_miss
+            .iter()
+            .copied()
+            .chain(self.dyn_miss.iter().map(|&(m, w)| (m as f64, w as f64)));
+        ArenaResult {
+            events: self.events,
+            warmup_events: self.warmup_events.min(self.events),
+            schemes: statics
+                .chain(dynamics)
+                .zip(misses)
+                .map(|(name, (misses, warmup_misses))| SchemeResult {
+                    name,
+                    misses,
+                    warmup_misses,
+                })
+                .collect(),
+        }
     }
+}
 
-    let warmup = cfg.warmup_events.min(trace.events);
-    let mut static_miss = vec![(0.0f64, 0.0f64); statics.len()];
-    let mut dyn_miss = vec![(0u64, 0u64); dynamics.len()];
-    let mut event_no = 0u64;
-
-    trace.replay(|site, taken| {
-        let in_warmup = event_no < warmup;
-        for (s, m) in statics.iter().zip(static_miss.iter_mut()) {
+impl BranchSink for Arena<'_> {
+    fn branch(&mut self, id: BranchId, taken: bool) {
+        let site = *self
+            .index
+            .get(&id)
+            .expect("interpreter reported a branch outside Program::branch_sites");
+        let in_warmup = self.events < self.warmup_events;
+        for (s, m) in self.statics.iter().zip(self.static_miss.iter_mut()) {
             let miss = match s.preds[site as usize] {
-                Some(dir) => {
-                    if dir == taken {
-                        0.0
-                    } else {
-                        1.0
-                    }
-                }
+                Some(dir) if dir == taken => 0.0,
+                Some(_) => 1.0,
                 None => 0.5,
             };
             m.0 += miss;
@@ -173,7 +212,7 @@ pub fn replay_arena(
             }
         }
         let pc = site as u64;
-        for (d, m) in dynamics.iter_mut().zip(dyn_miss.iter_mut()) {
+        for (d, m) in self.dynamics.iter_mut().zip(self.dyn_miss.iter_mut()) {
             let pred = d.predict(pc);
             d.update(pc, taken, pred);
             if pred != taken {
@@ -183,69 +222,39 @@ pub fn replay_arena(
                 }
             }
         }
-        event_no += 1;
-    })?;
-
-    let metrics = esp_obs::global_metrics();
-    metrics.counter("esp_sim_replays_total").add(1);
-    metrics.counter("esp_sim_events_total").add(trace.events);
-    metrics
-        .counter("esp_sim_predictor_ops_total")
-        .add(trace.events * dynamics.len() as u64);
-
-    let mut schemes = Vec::with_capacity(statics.len() + dynamics.len());
-    for (s, &(miss, wmiss)) in statics.iter().zip(&static_miss) {
-        schemes.push(SchemeResult {
-            name: s.name.clone(),
-            misses: miss,
-            warmup_misses: wmiss,
-        });
+        self.events += 1;
     }
-    for (d, &(miss, wmiss)) in dynamics.iter().zip(&dyn_miss) {
-        schemes.push(SchemeResult {
-            name: d.name().to_string(),
-            misses: miss as f64,
-            warmup_misses: wmiss as f64,
-        });
-    }
-    Ok(ArenaResult {
-        events: trace.events,
-        warmup_events: warmup,
-        schemes,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceBuilder;
-    use esp_ir::{BlockId, BranchId, FuncId};
+    use esp_ir::{BlockId, FuncId};
 
-    fn two_site_trace(events_per_site: u32) -> Trace {
-        let sites = vec![
-            BranchId {
-                func: FuncId(0),
-                block: BlockId(0),
-            },
-            BranchId {
-                func: FuncId(0),
-                block: BlockId(1),
-            },
-        ];
-        let mut b = TraceBuilder::new("toy", sites);
-        for i in 0..events_per_site {
-            b.record(0, true); // site 0 always taken
-            b.record(1, i % 2 == 0); // site 1 alternates
+    fn site(b: u32) -> BranchId {
+        BranchId {
+            func: FuncId(0),
+            block: BlockId(b),
         }
-        b.finish()
+    }
+
+    /// Site 0 always taken, site 1 alternating, `events_per_site` each.
+    fn two_site_run(arena: &mut Arena<'_>, events_per_site: u32) {
+        for i in 0..events_per_site {
+            arena.branch(site(0), true);
+            arena.branch(site(1), i % 2 == 0);
+        }
+    }
+
+    fn sites() -> [BranchId; 2] {
+        [site(0), site(1)]
     }
 
     #[test]
     fn static_scheme_accounting_matches_hand_counts() {
-        let trace = two_site_trace(100);
         let always = vec![Some(true), Some(true)];
         let uncovered = vec![Some(true), None];
-        let statics = [
+        let statics = vec![
             StaticScheme {
                 name: "always-taken".into(),
                 preds: &always,
@@ -255,7 +264,9 @@ mod tests {
                 preds: &uncovered,
             },
         ];
-        let r = replay_arena(&trace, &statics, None, &ArenaConfig::default()).unwrap();
+        let mut arena = Arena::new(&sites(), statics, None, DEFAULT_WARMUP_EVENTS);
+        two_site_run(&mut arena, 100);
+        let r = arena.finish();
         // always-taken: site 0 never misses, site 1 misses the 50 not-taken.
         assert_eq!(r.scheme("always-taken").unwrap().misses, 50.0);
         // half-covered: site 1 uncovered → 0.5 × 100 events.
@@ -265,9 +276,10 @@ mod tests {
 
     #[test]
     fn dynamic_predictors_present_and_ordered() {
-        let trace = two_site_trace(50);
         let priors = vec![0.95, 0.5];
-        let r = replay_arena(&trace, &[], Some(&priors), &ArenaConfig::default()).unwrap();
+        let mut arena = Arena::new(&sites(), vec![], Some(&priors), DEFAULT_WARMUP_EVENTS);
+        two_site_run(&mut arena, 50);
+        let r = arena.finish();
         let names: Vec<&str> = r.schemes.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["bimodal", "gshare", "tage", "esp+tage"]);
         // gshare learns the alternation; bimodal cannot.
@@ -277,30 +289,47 @@ mod tests {
     }
 
     #[test]
-    fn replay_arena_is_deterministic() {
-        let trace = two_site_trace(200);
+    fn arena_is_deterministic() {
         let priors = vec![0.9, 0.1];
-        let a = replay_arena(&trace, &[], Some(&priors), &ArenaConfig::default()).unwrap();
-        let b = replay_arena(&trace, &[], Some(&priors), &ArenaConfig::default()).unwrap();
-        assert_eq!(a, b);
+        let run = || {
+            let mut arena = Arena::new(&sites(), vec![], Some(&priors), DEFAULT_WARMUP_EVENTS);
+            two_site_run(&mut arena, 200);
+            arena.finish()
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
-    fn mismatched_scheme_length_is_a_typed_error() {
-        let trace = two_site_trace(1);
+    #[should_panic(expected = "does not cover the site table")]
+    fn mismatched_scheme_length_panics() {
         let short = vec![Some(true)];
-        let statics = [StaticScheme {
+        let statics = vec![StaticScheme {
             name: "short".into(),
             preds: &short,
         }];
-        let err = replay_arena(&trace, &statics, None, &ArenaConfig::default()).unwrap_err();
-        assert!(matches!(err, TraceError::Malformed(_)), "{err:?}");
+        Arena::new(&sites(), statics, None, DEFAULT_WARMUP_EVENTS);
     }
 
     #[test]
-    fn warmup_window_clamps_to_trace_length() {
-        let trace = two_site_trace(3); // 6 events
-        let r = replay_arena(&trace, &[], None, &ArenaConfig::default()).unwrap();
-        assert_eq!(r.warmup_events, 6);
+    fn warmup_window_clamps_to_event_count() {
+        let mut arena = Arena::new(&sites(), vec![], None, DEFAULT_WARMUP_EVENTS);
+        two_site_run(&mut arena, 3); // 6 events
+        assert_eq!(arena.finish().warmup_events, 6);
+    }
+
+    #[test]
+    fn warmup_tally_counts_only_the_first_events() {
+        let never = vec![Some(false), Some(false)];
+        let statics = vec![StaticScheme {
+            name: "never-taken".into(),
+            preds: &never,
+        }];
+        let mut arena = Arena::new(&sites(), statics, None, 4);
+        two_site_run(&mut arena, 10);
+        let r = arena.finish();
+        assert_eq!(r.warmup_events, 4);
+        // Events 0..4: site 0 taken twice (miss), site 1 taken once (miss).
+        let s = r.scheme("never-taken").unwrap();
+        assert_eq!((s.misses, s.warmup_misses), (15.0, 3.0));
     }
 }

@@ -1,13 +1,16 @@
-//! Pins the contract between the streaming trace sink and the aggregated
-//! [`esp_exec::Profile`]: per-site counts derived by replaying a trace must
-//! equal the interpreter's own `BranchCounts`, and the profile's
-//! `perfect_misses` must equal `min(taken, not_taken)` computed from the
-//! replayed event stream. Referenced by the doc-comments on
-//! `Profile::taken_prob` / `BranchCounts::perfect_misses`.
+//! Pins the contract the arena relies on between the streaming
+//! [`esp_exec::BranchSink`] and the aggregated [`esp_exec::Profile`]:
+//! per-site counts aggregated from the event stream must equal the
+//! interpreter's own `BranchCounts`, and the profile's `perfect_misses`
+//! must equal `min(taken, not_taken)` computed from the stream. Referenced
+//! by the doc-comments on `Profile::taken_prob` /
+//! `BranchCounts::perfect_misses`.
+
+use std::collections::HashMap;
 
 use esp_exec::ExecLimits;
+use esp_ir::BranchId;
 use esp_lang::CompilerConfig;
-use esp_sim::collect_trace;
 
 #[test]
 fn trace_aggregates_match_profile_counts_and_perfect_misses() {
@@ -20,51 +23,56 @@ fn trace_aggregates_match_profile_counts_and_perfect_misses() {
         max_insns: 80_000_000,
         ..ExecLimits::default()
     };
-    let (trace, outcome) = collect_trace(&prog, &limits).expect("grep runs");
-    let profile = &outcome.profile;
 
     // Aggregate (executed, taken) per site from the event stream.
-    let mut executed = vec![0u64; trace.num_sites()];
-    let mut taken = vec![0u64; trace.num_sites()];
-    trace
-        .replay(|site, t| {
-            executed[site as usize] += 1;
-            taken[site as usize] += t as u64;
-        })
-        .expect("replay");
+    let mut counts: HashMap<BranchId, (u64, u64)> = HashMap::new();
+    let mut events = 0u64;
+    let outcome = esp_exec::run_with_sink(&prog, &limits, &mut |id: BranchId, t: bool| {
+        let c = counts.entry(id).or_default();
+        c.0 += 1;
+        c.1 += t as u64;
+        events += 1;
+    })
+    .expect("grep runs");
+    let profile = &outcome.profile;
 
     // Total events equal the profile's dynamic conditional-branch count.
-    assert_eq!(trace.events, profile.dyn_cond_branches);
-    assert_eq!(executed.iter().sum::<u64>(), profile.dyn_cond_branches);
+    assert_eq!(events, profile.dyn_cond_branches);
 
+    let sites = prog.branch_sites();
+    assert!(
+        counts.keys().all(|id| sites.contains(id)),
+        "every event names a site of Program::branch_sites"
+    );
     let mut checked_sites = 0usize;
     let mut mixed_sites = 0usize;
-    for (i, &site) in trace.sites.iter().enumerate() {
+    for &site in &sites {
+        let (executed, taken) = counts.get(&site).copied().unwrap_or_default();
         match profile.counts(site) {
             Some(c) => {
-                assert_eq!(c.executed, executed[i], "site {site:?} executed");
-                assert_eq!(c.taken, taken[i], "site {site:?} taken");
+                assert_eq!(c.executed, executed, "site {site:?} executed");
+                assert_eq!(c.taken, taken, "site {site:?} taken");
 
                 // perfect_misses is the minority-direction count.
-                let not_taken = executed[i] - taken[i];
+                let not_taken = executed - taken;
                 assert_eq!(
                     c.perfect_misses(),
-                    taken[i].min(not_taken),
+                    taken.min(not_taken),
                     "site {site:?} perfect_misses"
                 );
 
                 // taken_prob is the exact event-stream frequency.
                 let p = c.taken_prob().expect("executed > 0");
-                assert!((p - taken[i] as f64 / executed[i] as f64).abs() < 1e-12);
+                assert!((p - taken as f64 / executed as f64).abs() < 1e-12);
 
                 checked_sites += 1;
-                if taken[i] > 0 && not_taken > 0 {
+                if taken > 0 && not_taken > 0 {
                     mixed_sites += 1;
                 }
             }
             None => {
-                // Never-executed sites must have no events in the trace.
-                assert_eq!(executed[i], 0, "site {site:?} executed but unprofiled");
+                // Never-executed sites must have no events in the stream.
+                assert_eq!(executed, 0, "site {site:?} executed but unprofiled");
             }
         }
     }

@@ -202,15 +202,18 @@ PYEOF
     echo "metrics OK: $(grep -c '^# TYPE' metrics_obs.prom) families exposed"
     rm -f trace_obs.json metrics_obs.prom
 
-    echo "==> dynamic-predictor arena smoke (2-program dyn table, cached traces)"
+    echo "==> dynamic-predictor arena smoke (2-program dyn table, run twice, byte-identical)"
     cargo run --release --offline -q -p esp-bench --bin repro_tables -- \
-        --dynamic --quick --subset sort,grep --trace-dir target/esptraces \
-        | tee table_dyn.txt
+        --dynamic --quick --subset sort,grep | tee table_dyn.txt
     grep -q 'ESP+TAGE' table_dyn.txt \
         || { echo "dyn table is missing the ESP+TAGE hybrid column" >&2; exit 1; }
     grep -Eq 'wins warmup|warmup tie' table_dyn.txt \
         || { echo "dyn table is missing the warmup verdict" >&2; exit 1; }
-    rm -f table_dyn.txt
+    cargo run --release --offline -q -p esp-bench --bin repro_tables -- \
+        --dynamic --quick --subset sort,grep > table_dyn_again.txt
+    cmp table_dyn.txt table_dyn_again.txt \
+        || { echo "two consecutive dyn runs differ" >&2; exit 1; }
+    rm -f table_dyn.txt table_dyn_again.txt
 
     echo "==> f32 quantization gate (2-fold Table 4 subset, flip bound 0.05)"
     rm -rf target/verify_f32_registry

@@ -1,9 +1,7 @@
 //! Pins the serialized-surface versions of the workspace: the `.espm`
-//! artifact format and the serving wire protocol. The dynamic-predictor
-//! sim (`esp-sim`) is an offline study — it introduced its own `.esptrace`
-//! format but must not perturb either existing surface. A legitimate
-//! layout change bumps the constant *and* this test together, so the bump
-//! is always a reviewed, deliberate act. Beyond the version numbers, the
+//! artifact format and the serving wire protocol. A legitimate layout
+//! change bumps the constant *and* this test together, so the bump is
+//! always a reviewed, deliberate act. Beyond the version numbers, the
 //! bytes of one synthetic `.espm` artifact and the bits its predictions
 //! produce are pinned at both weight precisions.
 
@@ -30,28 +28,20 @@ fn serve_protocol_version_is_pinned() {
 }
 
 #[test]
-fn esptrace_format_starts_at_version_one() {
-    // The sim's own trace format: v1, `ESPT` magic, 20-byte header
-    // (mirroring the `.espm` header layout).
-    assert_eq!(esp_sim::TRACE_FORMAT_VERSION, 1);
-    assert_eq!(&esp_sim::TRACE_MAGIC, b"ESPT");
-    assert_eq!(esp_sim::TRACE_HEADER_LEN, 20);
-}
-
-#[test]
 fn default_feature_set_stamp_is_byte_stable() {
-    // The `.espm` cache validates artifacts against a train-config stamp.
-    // Historically the stamp embedded `{:?}` of `FeatureSet`; adding the
-    // opt-in `extended` field must NOT change the bytes of any stamp a
-    // paper-feature-set model ever produced, or every cached artifact on
-    // disk silently invalidates. The tag for extended sets must differ so
-    // extended models can never satisfy a paper-set stamp.
+    // Every published `.espm` fold records a train-config stamp as its
+    // provenance. Historically the stamp embedded `{:?}` of `FeatureSet`;
+    // adding the opt-in `extended` field must NOT change the bytes of any
+    // stamp a paper-feature-set model ever produced, so artifacts published
+    // before and after it describe the same training the same way. The tag
+    // for extended sets must differ so an extended model's provenance can
+    // never read as a paper-set one.
     let default = esp_core::FeatureSet::default();
     assert!(!default.extended, "extended features are strictly opt-in");
     assert_eq!(
         default.stamp_tag(),
         "FeatureSet { opcode_features: true, context_features: true, successor_features: true }",
-        "default stamp tag drifted — existing `.espm` caches would all invalidate"
+        "default stamp tag drifted — published `.espm` provenance would change"
     );
 
     let extended = esp_core::FeatureSet {
@@ -64,7 +54,7 @@ fn default_feature_set_stamp_is_byte_stable() {
         "extended stamps must be self-describing"
     );
 
-    // And through the full train-config stamp the cache actually compares:
+    // And through the full train-config stamp a published fold records:
     let cfg = esp_core::EspConfig::default();
     let mut ext_cfg = esp_core::EspConfig::default();
     ext_cfg.features.extended = true;

@@ -93,7 +93,10 @@ impl FuncFacts {
         for (bi, &block_reachable) in reachable.iter().enumerate() {
             let block = BlockId(bi as u32);
             let bb = func.block(block);
-            let Terminator::CondBranch { taken, not_taken, .. } = &bb.term else {
+            let Terminator::CondBranch {
+                taken, not_taken, ..
+            } = &bb.term
+            else {
                 continue;
             };
             if !block_reachable {

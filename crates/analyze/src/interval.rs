@@ -218,9 +218,9 @@ impl IntervalAnalysis<'_> {
             Insn::CmpImm { a, .. } => (*a, None),
             _ => return false,
         };
-        bb.insns[def_pos + 1..].iter().all(|i| {
-            i.def() != Some(lhs) && rhs_reg.is_none_or(|r| i.def() != Some(r))
-        })
+        bb.insns[def_pos + 1..]
+            .iter()
+            .all(|i| i.def() != Some(lhs) && rhs_reg.is_none_or(|r| i.def() != Some(r)))
     }
 }
 
@@ -253,8 +253,16 @@ impl Analysis for IntervalAnalysis<'_> {
         old.iter()
             .zip(new)
             .map(|(o, n)| Interval {
-                lo: if n.lo < o.lo { i64::MIN } else { o.lo.min(n.lo) },
-                hi: if n.hi > o.hi { i64::MAX } else { o.hi.max(n.hi) },
+                lo: if n.lo < o.lo {
+                    i64::MIN
+                } else {
+                    o.lo.min(n.lo)
+                },
+                hi: if n.hi > o.hi {
+                    i64::MAX
+                } else {
+                    o.hi.max(n.hi)
+                },
             })
             .collect()
     }
@@ -286,11 +294,10 @@ impl Analysis for IntervalAnalysis<'_> {
                     };
                 }
                 Insn::CmpImm { op, dst, a, imm } => {
-                    s[dst.index()] =
-                        match compare(*op, s[a.index()], Interval::constant(*imm)) {
-                            Some(r) => Interval::constant(r as i64),
-                            None => Interval { lo: 0, hi: 1 },
-                        };
+                    s[dst.index()] = match compare(*op, s[a.index()], Interval::constant(*imm)) {
+                        Some(r) => Interval::constant(r as i64),
+                        None => Interval { lo: 0, hi: 1 },
+                    };
                 }
                 Insn::FCmp { dst, .. } => s[dst.index()] = Interval { lo: 0, hi: 1 },
                 Insn::LoadImm { dst, imm } => s[dst.index()] = Interval::constant(*imm),
@@ -380,9 +387,7 @@ impl Analysis for IntervalAnalysis<'_> {
                         idx.intersect(Interval::constant(k as i64)).is_some()
                     }
                     // The default fires for anything outside [0, len).
-                    EdgeKind::SwitchDefault => {
-                        idx.lo < 0 || idx.hi >= targets.len() as i64
-                    }
+                    EdgeKind::SwitchDefault => idx.lo < 0 || idx.hi >= targets.len() as i64,
                     _ => true,
                 };
                 if !feasible {
@@ -411,7 +416,9 @@ pub struct IntervalOutcome {
 impl IntervalOutcome {
     /// The interval of `reg` at the end of `b`, if `b` is feasible.
     pub fn range_at_exit(&self, b: BlockId, reg: Reg) -> Option<Interval> {
-        self.solution.output[b.index()].as_ref().map(|s| s[reg.index()])
+        self.solution.output[b.index()]
+            .as_ref()
+            .map(|s| s[reg.index()])
     }
 }
 
@@ -434,8 +441,7 @@ pub fn interval_analysis(func: &Function, cfg: &Cfg) -> IntervalOutcome {
     let decided = (0..func.num_blocks())
         .map(|i| {
             let out = solution.output[i].as_ref()?;
-            let Terminator::CondBranch { op, rs, rt, .. } =
-                &func.block(BlockId(i as u32)).term
+            let Terminator::CondBranch { op, rs, rt, .. } = &func.block(BlockId(i as u32)).term
             else {
                 return None;
             };
@@ -482,7 +488,10 @@ mod tests {
         // At loop exit, the not-taken refinement through the flag pins
         // i >= 10; i's upper bound was widened away.
         let at_exit = out.range_at_exit(BlockId(2), i).expect("exit feasible");
-        assert!(at_exit.lo >= 10, "exit edge must refine i >= 10, got {at_exit:?}");
+        assert!(
+            at_exit.lo >= 10,
+            "exit edge must refine i >= 10, got {at_exit:?}"
+        );
     }
 
     #[test]
@@ -493,13 +502,7 @@ mod tests {
         let e = b.entry_block();
         let null = b.new_block();
         let ok = b.new_block();
-        b.push(
-            e,
-            Insn::AllocImm {
-                dst: p,
-                words: 4,
-            },
-        );
+        b.push(e, Insn::AllocImm { dst: p, words: 4 });
         b.push_cmp_imm(e, CmpOp::Eq, t, p, 0);
         b.set_cond_branch(e, BranchOp::Bne, t, None, null, ok);
         b.set_return(null, None);

@@ -103,8 +103,7 @@ pub fn lint_program(prog: &Program, analysis: &ProgramAnalysis) -> Vec<Finding> 
                     block,
                     None,
                     None,
-                    "unreachable block: constant propagation proves no executable path"
-                        .to_string(),
+                    "unreachable block: constant propagation proves no executable path".to_string(),
                 );
             }
         }
@@ -153,8 +152,12 @@ pub fn lint_program(prog: &Program, analysis: &ProgramAnalysis) -> Vec<Finding> 
         }
     }
     out.sort_by(|a, b| {
-        (a.func.0, a.block.0, a.insn.unwrap_or(usize::MAX), a.code)
-            .cmp(&(b.func.0, b.block.0, b.insn.unwrap_or(usize::MAX), b.code))
+        (a.func.0, a.block.0, a.insn.unwrap_or(usize::MAX), a.code).cmp(&(
+            b.func.0,
+            b.block.0,
+            b.insn.unwrap_or(usize::MAX),
+            b.code,
+        ))
     });
     out
 }

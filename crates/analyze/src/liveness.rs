@@ -170,14 +170,7 @@ mod tests {
         let e = b.entry_block();
         b.push_load_imm(e, r, 1); // NOT dead: CMov may keep it
         b.push_load_imm(e, s, 2);
-        b.push(
-            e,
-            esp_ir::insn::Insn::CMov {
-                c,
-                dst: r,
-                src: s,
-            },
-        );
+        b.push(e, esp_ir::insn::Insn::CMov { c, dst: r, src: s });
         b.set_return(e, Some(r));
         let f = b.finish();
         let cfg = Cfg::new(&f);

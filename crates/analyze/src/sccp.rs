@@ -344,7 +344,9 @@ impl SccpOutcome {
 
     /// The lattice value of `reg` at the end of `b`, if `b` is executable.
     pub fn value_at_exit(&self, b: BlockId, reg: esp_ir::Reg) -> Option<Lat> {
-        self.solution.output[b.index()].as_ref().map(|s| s[reg.index()])
+        self.solution.output[b.index()]
+            .as_ref()
+            .map(|s| s[reg.index()])
     }
 }
 

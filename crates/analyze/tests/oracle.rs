@@ -26,7 +26,10 @@ fn decided_branches_match_execution_profiles() {
         let analysis = ProgramAnalysis::analyze(&prog);
         let findings = lint_program(&prog, &analysis);
         let profile = esp_corpus::profile(&prog).expect("runs");
-        for f in findings.iter().filter(|f| f.code == LintCode::DecidedBranch) {
+        for f in findings
+            .iter()
+            .filter(|f| f.code == LintCode::DecidedBranch)
+        {
             let verdict = f.verdict.expect("L002 carries a verdict");
             let site = BranchId {
                 func: f.func,
@@ -38,7 +41,8 @@ fn decided_branches_match_execution_profiles() {
             };
             let expect = if verdict { 1.0 } else { 0.0 };
             assert_eq!(
-                p, expect,
+                p,
+                expect,
                 "{}: {site} proved always {} but ran with taken_prob {p}",
                 b.name,
                 if verdict { "taken" } else { "not-taken" },

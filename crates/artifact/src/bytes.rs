@@ -14,7 +14,11 @@ const fn crc32_table() -> [u32; 256] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -139,12 +143,16 @@ impl<'a> ByteReader<'a> {
 
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, ArtifactError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.bytes(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, ArtifactError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.bytes(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     /// Read an `f64` from its raw IEEE-754 bits.
@@ -262,7 +270,10 @@ mod tests {
         w.u32(u32::MAX);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        assert!(matches!(r.f32_slice(), Err(ArtifactError::Truncated { .. })));
+        assert!(matches!(
+            r.f32_slice(),
+            Err(ArtifactError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -268,11 +268,15 @@ impl ModelArtifact {
         let net = match kind {
             KIND_F64 => {
                 let w = r.f64_slice()?;
-                Mlp::from_flat_weights(inputs, hidden, &w).map(Net::F64).ok_or(w.len())
+                Mlp::from_flat_weights(inputs, hidden, &w)
+                    .map(Net::F64)
+                    .ok_or(w.len())
             }
             KIND_F32 => {
                 let w = r.f32_slice()?;
-                Mlp::from_flat_weights(inputs, hidden, &w).map(Net::F32).ok_or(w.len())
+                Mlp::from_flat_weights(inputs, hidden, &w)
+                    .map(Net::F32)
+                    .ok_or(w.len())
             }
             other => {
                 return Err(ArtifactError::Malformed(format!(

@@ -207,11 +207,7 @@ impl Registry {
 
     /// Load a version's header-level facts (provenance, topology, file size,
     /// weight precision) for display.
-    pub fn inspect(
-        &self,
-        name: &str,
-        version: Option<u32>,
-    ) -> Result<ArtifactInfo, ArtifactError> {
+    pub fn inspect(&self, name: &str, version: Option<u32>) -> Result<ArtifactInfo, ArtifactError> {
         let (version, artifact) = self.load(name, version)?;
         let path = self.path(name, version)?;
         Ok(ArtifactInfo {

@@ -83,7 +83,10 @@ fn trained_model_round_trips_bitwise() {
             sites += 1;
         }
     }
-    assert!(sites > 50, "subset should exercise many branch sites, got {sites}");
+    assert!(
+        sites > 50,
+        "subset should exercise many branch sites, got {sites}"
+    );
 
     // The batched kernel entry point round-trips too: scoring all of a
     // program's sites in one fused pass over the reloaded flat weights is

@@ -37,7 +37,8 @@ int main() {
         println!(
             "{site}: exec {exec} taken {taken} | BTFNT {} | APHC {:?}",
             Btfnt.predict(&ctx),
-            aphc.predict_with_source(&ctx).map(|(h, p)| format!("{} -> {}", h.name(), p)),
+            aphc.predict_with_source(&ctx)
+                .map(|(h, p)| format!("{} -> {}", h.name(), p)),
         );
     }
 }

@@ -122,9 +122,7 @@ fn main() -> ExitCode {
         }
         if oracle {
             match esp_corpus::profile(&prog) {
-                Ok(profile) => {
-                    violations.extend(oracle_violations(&prog, &profile, &findings))
-                }
+                Ok(profile) => violations.extend(oracle_violations(&prog, &profile, &findings)),
                 Err(e) => {
                     eprintln!("{}: execution error: {e:?}", b.name);
                     return ExitCode::from(2);
@@ -156,9 +154,7 @@ fn main() -> ExitCode {
 
     if oracle {
         if violations.is_empty() {
-            println!(
-                "oracle: PASS — every decided branch matches its execution profile"
-            );
+            println!("oracle: PASS — every decided branch matches its execution profile");
         } else {
             eprintln!("oracle: FAIL — {} violation(s)", violations.len());
             for v in &violations {

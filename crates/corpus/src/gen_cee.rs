@@ -568,8 +568,13 @@ pub(crate) fn generate(name: &str, p: &Personality) -> String {
     }
 
     // main: LCG-driven phase schedule.
-    let mut main = String::from("int main() {\n    int acc = 0;\n    int r = 987654321;\n    int it;\n");
-    let _ = writeln!(main, "    for (it = 0; it < {}; it = it + 1) {{", p.main_iters);
+    let mut main =
+        String::from("int main() {\n    int acc = 0;\n    int r = 987654321;\n    int it;\n");
+    let _ = writeln!(
+        main,
+        "    for (it = 0; it < {}; it = it + 1) {{",
+        p.main_iters
+    );
     let _ = writeln!(main, "        {}", Gen::lcg("r"));
     let entries = g.entries.clone();
     for (f, arg) in &entries {
@@ -630,8 +635,19 @@ mod tests {
             g.emit(idiom);
         }
         for marker in [
-            "sum_", "mark_", "find_", "walk_", "gdiv_", "scan_", "dispatchq_", "exec_", "rec_",
-            "relax_", "cupd_", "bits_", "bsort_",
+            "sum_",
+            "mark_",
+            "find_",
+            "walk_",
+            "gdiv_",
+            "scan_",
+            "dispatchq_",
+            "exec_",
+            "rec_",
+            "relax_",
+            "cupd_",
+            "bits_",
+            "bsort_",
         ] {
             assert!(g.out.contains(marker), "idiom {marker} missing:\n{}", g.out);
         }

@@ -85,7 +85,11 @@ impl Gen<'_> {
         } else {
             self.rng.gen_range(740..940)
         };
-        let op = if self.rng.gen_bool(0.5) { ".GT." } else { ".LT." };
+        let op = if self.rng.gen_bool(0.5) {
+            ".GT."
+        } else {
+            ".LT."
+        };
         let passes = self.rng.gen_range(3..6);
         let lcg = Self::lcg("X");
         write!(
@@ -300,7 +304,11 @@ END
         let f = self.fresh("mker");
         let sz = self.p.loop_trip + self.rng.gen_range(4..20);
         let m = self.rng.gen_range(5..10);
-        let op = if self.rng.gen_bool(0.55) { ".NE." } else { ".EQ." };
+        let op = if self.rng.gen_bool(0.55) {
+            ".NE."
+        } else {
+            ".EQ."
+        };
         let lcg = Self::lcg("X");
         write!(
             self.out,
@@ -558,7 +566,9 @@ mod tests {
         ] {
             g.emit(idiom);
         }
-        for marker in ["dker", "mker", "conv", "cupd", "cmax", "strd", "rare", "hfix", "tri", "nois", "gdiv"] {
+        for marker in [
+            "dker", "mker", "conv", "cupd", "cmax", "strd", "rare", "hfix", "tri", "nois", "gdiv",
+        ] {
             assert!(
                 g.out.to_lowercase().contains(marker),
                 "idiom {marker} missing:\n{}",

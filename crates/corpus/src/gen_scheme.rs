@@ -262,9 +262,13 @@ mod tests {
         let mut null_true = 0u64;
         let mut null_total = 0u64;
         for site in prog.branch_sites() {
-            let Some(c) = out.profile.counts(site) else { continue };
+            let Some(c) = out.profile.counts(site) else {
+                continue;
+            };
             let block = prog.func(site.func).block(site.block);
-            let Some(ec) = esp_ir::effective_compare(block) else { continue };
+            let Some(ec) = esp_ir::effective_compare(block) else {
+                continue;
+            };
             let fa = analysis.func(site.func);
             let is_null_check = !ec.is_float
                 && fa.pointers.is_pointer(ec.lhs)

@@ -58,12 +58,26 @@ fn suite_exhibits_a_wide_taken_rate_spread() {
         let p = profile(&prog).expect("runs");
         rates.push((bench.name, p.overall_taken_fraction().unwrap_or(0.0)));
     }
-    let min = rates.iter().cloned().fold((None, 1.0), |acc, (n, r)| {
-        if r < acc.1 { (Some(n), r) } else { acc }
-    });
-    let max = rates.iter().cloned().fold((None, 0.0), |acc, (n, r)| {
-        if r > acc.1 { (Some(n), r) } else { acc }
-    });
+    let min = rates.iter().cloned().fold(
+        (None, 1.0),
+        |acc, (n, r)| {
+            if r < acc.1 {
+                (Some(n), r)
+            } else {
+                acc
+            }
+        },
+    );
+    let max = rates.iter().cloned().fold(
+        (None, 0.0),
+        |acc, (n, r)| {
+            if r > acc.1 {
+                (Some(n), r)
+            } else {
+                acc
+            }
+        },
+    );
     assert!(
         max.1 - min.1 > 0.25,
         "taken-rate spread too narrow: min {:?} max {:?} all {rates:?}",

@@ -26,9 +26,8 @@ fn every_program_validates_under_every_config() {
             let prog = bench
                 .compile(cfg)
                 .unwrap_or_else(|e| panic!("{} [{}]: {e}", bench.name, cfg.name));
-            validate_program(&prog).unwrap_or_else(|e| {
-                panic!("{} [{}]: invalid IR: {e}", bench.name, cfg.name)
-            });
+            validate_program(&prog)
+                .unwrap_or_else(|e| panic!("{} [{}]: invalid IR: {e}", bench.name, cfg.name));
         }
     }
 }

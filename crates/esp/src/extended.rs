@@ -26,9 +26,7 @@ impl ExtendedContext {
                 .funcs
                 .iter()
                 .enumerate()
-                .map(|(i, f)| {
-                    FuncFacts::compute(f, analysis.func(esp_ir::FuncId(i as u32)))
-                })
+                .map(|(i, f)| FuncFacts::compute(f, analysis.func(esp_ir::FuncId(i as u32))))
                 .collect(),
         }
     }
@@ -77,8 +75,7 @@ mod tests {
                 return s;
             }
         "#;
-        let prog =
-            compile_source("t", src, esp_ir::Lang::C, &CompilerConfig::default()).unwrap();
+        let prog = compile_source("t", src, esp_ir::Lang::C, &CompilerConfig::default()).unwrap();
         let analysis = ProgramAnalysis::analyze(&prog);
         let ctx = ExtendedContext::new(&prog, &analysis);
         let sites = prog.branch_sites();

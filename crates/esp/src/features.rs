@@ -136,9 +136,7 @@ fn successor_features(
         loop_header: analysis.loops.leads_to_header(succ),
         back_edge: analysis.loops.is_back_edge(branch_block, succ),
         exit_edge: analysis.loops.is_exit_edge(branch_block, succ),
-        use_before_def: compare_regs
-            .iter()
-            .any(|r| used_before_def(succ_block, *r)),
+        use_before_def: compare_regs.iter().any(|r| used_before_def(succ_block, *r)),
         has_call: analysis.reaches_call[succ.index()],
     }
 }
@@ -153,7 +151,12 @@ pub fn extract(prog: &Program, analysis: &ProgramAnalysis, site: BranchId) -> Br
     let fa = analysis.func(site.func);
     let block = func.block(site.block);
     let Terminator::CondBranch {
-        op, rs, rt, taken, not_taken, ..
+        op,
+        rs,
+        rt,
+        taken,
+        not_taken,
+        ..
     } = &block.term
     else {
         panic!("{site} does not end in a conditional branch");
@@ -177,10 +180,7 @@ pub fn extract(prog: &Program, analysis: &ProgramAnalysis, site: BranchId) -> Br
             let look = |r: Option<esp_ir::Reg>| -> (Option<Opcode>, bool) {
                 match r {
                     None => (None, false),
-                    Some(r) => (
-                        defining_insn_before(block, r, pos).map(Insn::opcode),
-                        true,
-                    ),
+                    Some(r) => (defining_insn_before(block, r, pos).map(Insn::opcode), true),
                 }
             };
             let (rao, ram) = look(ra);
@@ -248,9 +248,8 @@ mod tests {
         // `if (x < n)` on Alpha: bne flag, flag defined by cmplt in-block,
         // whose sources are defined by ldi/mov earlier in the block or in
         // previous blocks.
-        let feats = features_of(
-            "int main() { int x = 3; int n = 9; if (x < n) { return 1; } return 0; }",
-        );
+        let feats =
+            features_of("int main() { int x = 3; int n = 9; if (x < n) { return 1; } return 0; }");
         let f = &feats[0];
         assert_eq!(f.br_opcode, BranchOp::Bne);
         assert!(matches!(f.operand_opcode, Some(Opcode::CmpLt)));
@@ -290,14 +289,14 @@ mod tests {
             "#,
         );
         assert!(
-            feats.iter().any(|f| f.taken.has_call || f.not_taken.has_call),
+            feats
+                .iter()
+                .any(|f| f.taken.has_call || f.not_taken.has_call),
             "some successor must contain a call: {feats:?}"
         );
         assert!(
-            feats
-                .iter()
-                .any(|f| f.taken.ends_with == TermKind::Return
-                    || f.not_taken.ends_with == TermKind::Return),
+            feats.iter().any(|f| f.taken.ends_with == TermKind::Return
+                || f.not_taken.ends_with == TermKind::Return),
             "some successor must end in a return"
         );
     }

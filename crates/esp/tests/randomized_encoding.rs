@@ -41,7 +41,11 @@ fn random_features(rng: &mut Pcg32) -> BranchFeatures {
         rb_opcode: random_opcode(rng),
         rb_meaningful: rng.gen_bool(0.5),
         loop_header: rng.gen_bool(0.5),
-        lang: if rng.gen_bool(0.5) { Lang::Fort } else { Lang::C },
+        lang: if rng.gen_bool(0.5) {
+            Lang::Fort
+        } else {
+            Lang::C
+        },
         proc_kind: match rng.gen_range(0..3u32) {
             0 => ProcKind::Leaf,
             1 => ProcKind::NonLeaf,
@@ -72,7 +76,10 @@ fn encoding_dimension_is_constant() {
         assert_eq!(v.len(), ENCODED_DIM);
         assert_eq!(mask.len(), ENCODED_DIM);
         assert!(v.iter().all(|x| x.is_finite()));
-        assert!(v.iter().all(|x| (0.0..=1.0).contains(x)), "raw encoding is 0/1");
+        assert!(
+            v.iter().all(|x| (0.0..=1.0).contains(x)),
+            "raw encoding is 0/1"
+        );
     }
 }
 

@@ -84,7 +84,11 @@ pub fn calibration(
     }
     Calibration {
         buckets,
-        ece: if ece_den > 0.0 { ece_num / ece_den } else { 0.0 },
+        ece: if ece_den > 0.0 {
+            ece_num / ece_den
+        } else {
+            0.0
+        },
     }
 }
 
@@ -111,7 +115,10 @@ mod tests {
     use esp_lang::CompilerConfig;
 
     fn sort_data() -> BenchData {
-        let bench = suite().into_iter().find(|b| b.name == "sort").expect("sort");
+        let bench = suite()
+            .into_iter()
+            .find(|b| b.name == "sort")
+            .expect("sort");
         BenchData::build(&bench, &CompilerConfig::default())
     }
 

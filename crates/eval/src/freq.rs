@@ -46,8 +46,8 @@ pub fn estimate_block_freq(
             Terminator::CondBranch {
                 taken, not_taken, ..
             } => {
-                let p = branch_prob(BranchId { func, block: id })
-                    .clamp(1.0 - PROB_CLAMP, PROB_CLAMP);
+                let p =
+                    branch_prob(BranchId { func, block: id }).clamp(1.0 - PROB_CLAMP, PROB_CLAMP);
                 out.push((taken.index(), p));
                 out.push((not_taken.index(), 1.0 - p));
             }
@@ -177,7 +177,10 @@ mod tests {
 
     #[test]
     fn perfect_probabilities_estimate_frequencies_well() {
-        let bench = suite().into_iter().find(|b| b.name == "sort").expect("sort");
+        let bench = suite()
+            .into_iter()
+            .find(|b| b.name == "sort")
+            .expect("sort");
         let data = crate::data::BenchData::build(&bench, &CompilerConfig::default());
         // oracle probabilities straight from the profile
         let profile = data.profile.clone();

@@ -36,20 +36,20 @@ pub mod scheme_study;
 pub mod table3;
 pub mod table4;
 pub mod table5;
-pub mod table_dyn;
 pub mod table6;
 pub mod table7;
+pub mod table_dyn;
 
 pub use data::{BenchData, SuiteData};
+pub use esp_sim::DEFAULT_WARMUP_EVENTS;
 pub use miss::{expected_misses, miss_rate, Prediction};
-pub use table3::{table3, Table3Row};
 pub use quant::{FoldQuantReport, PublishOutcome, QuantGateConfig, QuantGateReport};
+pub use table3::{table3, Table3Row};
 pub use table4::{compute_with_quant, table4, train_config_stamp, Table4Config, Table4Row};
 pub use table5::{table5, Table5Row};
-pub use table_dyn::{table_dyn, PooledRates, TableDynConfig, TableDynReport, TableDynRow};
-pub use esp_sim::DEFAULT_WARMUP_EVENTS;
 pub use table6::table6;
 pub use table7::table7;
+pub use table_dyn::{table_dyn, PooledRates, TableDynConfig, TableDynReport, TableDynRow};
 
 /// Render Figure 1: the branch-prediction network topology actually used.
 pub fn fig1(hidden: usize) -> String {

@@ -35,9 +35,7 @@ impl SchemeData {
         let runs = scheme_suite()
             .into_iter()
             .map(|b| {
-                let prog = b
-                    .compile(cfg)
-                    .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+                let prog = b.compile(cfg).unwrap_or_else(|e| panic!("{}: {e}", b.name));
                 let analysis = ProgramAnalysis::analyze(&prog);
                 let profile = esp_exec::run(
                     &prog,

@@ -49,8 +49,17 @@ pub fn compute(suite: &SuiteData) -> Vec<Table3Row> {
 pub fn table3(suite: &SuiteData) -> String {
     let rows = compute(suite);
     let mut t = TextTable::new(vec![
-        "Program", "# Insns Traced", "% Cond", "%Taken", "Q-50", "Q-75", "Q-90", "Q-95", "Q-99",
-        "Q-100", "Static",
+        "Program",
+        "# Insns Traced",
+        "% Cond",
+        "%Taken",
+        "Q-50",
+        "Q-75",
+        "Q-90",
+        "Q-95",
+        "Q-99",
+        "Q-100",
+        "Static",
     ]);
     let mut prev_group = None;
     for (row, bench) in rows.iter().zip(&suite.benches) {

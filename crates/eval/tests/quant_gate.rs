@@ -9,9 +9,7 @@ use std::path::PathBuf;
 
 use esp_artifact::Registry;
 use esp_core::{EspConfig, Learner};
-use esp_eval::{
-    compute_with_quant, PublishOutcome, QuantGateConfig, SuiteData, Table4Config,
-};
+use esp_eval::{compute_with_quant, PublishOutcome, QuantGateConfig, SuiteData, Table4Config};
 use esp_lang::CompilerConfig;
 use esp_nnet::{MlpConfig, Net};
 

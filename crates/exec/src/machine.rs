@@ -1,8 +1,8 @@
 //! The interpreter proper.
 
 use esp_ir::{
-    validate_program, AluOp, BlockId, BranchId, BranchOp, CmpOp, FpuOp, FuncId, Insn, Program,
-    Reg, Terminator,
+    validate_program, AluOp, BlockId, BranchId, BranchOp, CmpOp, FpuOp, FuncId, Insn, Program, Reg,
+    Terminator,
 };
 
 use crate::error::ExecError;
@@ -627,7 +627,14 @@ mod tests {
         );
         m.push_load_imm(e, r, 0);
         m.push_load_imm(e, one, 1);
-        m.push(e, Insn::CMov { c, dst: r, src: one });
+        m.push(
+            e,
+            Insn::CMov {
+                c,
+                dst: r,
+                src: one,
+            },
+        );
         m.set_return(e, Some(r));
         let prog = prog_of(vec![m.finish()]);
         let out = run(&prog, &ExecLimits::default()).unwrap();

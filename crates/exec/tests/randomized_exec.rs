@@ -3,9 +3,7 @@
 //! programs drawn from the in-tree seeded PCG32 stream.
 
 use esp_exec::{run, ExecLimits, Value};
-use esp_ir::{
-    AluOp, BlockId, BranchOp, CmpOp, FuncId, FunctionBuilder, Isa, Lang, Program, Reg,
-};
+use esp_ir::{AluOp, BlockId, BranchOp, CmpOp, FuncId, FunctionBuilder, Isa, Lang, Program, Reg};
 use esp_runtime::Pcg32;
 
 const CASES: u64 = 64;

@@ -140,9 +140,7 @@ impl Heuristic {
                     (CmpOp::Lt, CompareRhs::Imm(0)) | (CmpOp::Le, CompareRhs::Imm(0)) => {
                         Some(false)
                     }
-                    (CmpOp::Ge, CompareRhs::Imm(0)) | (CmpOp::Gt, CompareRhs::Imm(0)) => {
-                        Some(true)
-                    }
+                    (CmpOp::Ge, CompareRhs::Imm(0)) | (CmpOp::Gt, CompareRhs::Imm(0)) => Some(true),
                     (CmpOp::Eq, CompareRhs::Imm(_)) => Some(false),
                     (CmpOp::Ne, CompareRhs::Imm(_)) => Some(true),
                     _ => None,
@@ -183,8 +181,7 @@ impl Heuristic {
                 }
             }
             Heuristic::LoopHeader => {
-                let applies =
-                    |succ| a.loops.leads_to_header(succ) && !ctx.postdominates(succ);
+                let applies = |succ| a.loops.leads_to_header(succ) && !ctx.postdominates(succ);
                 if applies(taken) {
                     Some(true)
                 } else if applies(not_taken) {
@@ -206,9 +203,8 @@ impl Heuristic {
                 }
             }
             Heuristic::Store => {
-                let applies = |succ: esp_ir::BlockId| {
-                    a.has_store[succ.index()] && !ctx.postdominates(succ)
-                };
+                let applies =
+                    |succ: esp_ir::BlockId| a.has_store[succ.index()] && !ctx.postdominates(succ);
                 if applies(taken) {
                     Some(false)
                 } else if applies(not_taken) {
@@ -241,8 +237,7 @@ mod tests {
     /// assignments that the Alpha if-converter would (correctly) turn into
     /// conditional moves, removing the branch under test.
     fn contexts(src: &str) -> (esp_ir::Program, ProgramAnalysis) {
-        let prog =
-            compile_source("t", src, Lang::C, &CompilerConfig::gnu()).expect("compiles");
+        let prog = compile_source("t", src, Lang::C, &CompilerConfig::gnu()).expect("compiles");
         let analysis = ProgramAnalysis::analyze(&prog);
         (prog, analysis)
     }
@@ -333,7 +328,10 @@ mod tests {
         let preds = predictions(&prog, &analysis, Heuristic::Return);
         // Both successors of the early-exit branch eventually return, but at
         // least one branch must be covered.
-        assert!(preds.iter().any(|p| p.is_some()), "return heuristic never applied");
+        assert!(
+            preds.iter().any(|p| p.is_some()),
+            "return heuristic never applied"
+        );
     }
 
     #[test]
@@ -416,16 +414,18 @@ mod tests {
 
     #[test]
     fn btfnt_tracks_direction() {
-        let (prog, analysis) = contexts(
-            "int main() { int i = 0; while (i < 10) { i = i + 1; } return i; }",
-        );
+        let (prog, analysis) =
+            contexts("int main() { int i = 0; while (i < 10) { i = i + 1; } return i; }");
         let sites = prog.branch_sites();
         let backward: Vec<bool> = sites
             .iter()
             .map(|s| Btfnt.predict(&BranchCtx::new(&prog, &analysis, *s)))
             .collect();
         // rotated loop: the latch branch is backward => predicted taken
-        assert!(backward.iter().any(|b| *b), "no backward branch: {backward:?}");
+        assert!(
+            backward.iter().any(|b| *b),
+            "no backward branch: {backward:?}"
+        );
     }
 
     #[test]

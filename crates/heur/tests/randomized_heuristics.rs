@@ -4,9 +4,7 @@
 //! seeded PCG32 stream.
 
 use esp_heur::{measure_rates, Aphc, BranchCtx, Btfnt, Dshc, Heuristic, HeuristicRates};
-use esp_ir::{
-    BlockId, BranchOp, FuncId, FunctionBuilder, Isa, Lang, Program, ProgramAnalysis,
-};
+use esp_ir::{BlockId, BranchOp, FuncId, FunctionBuilder, Isa, Lang, Program, ProgramAnalysis};
 use esp_runtime::Pcg32;
 
 const CASES: u64 = 64;
@@ -50,10 +48,7 @@ fn build(shape: &Shape) -> Program {
         b.new_block();
     }
     b.push_load_imm(BlockId(0), c, 1);
-    b.push(
-        BlockId(0),
-        esp_ir::Insn::AllocImm { dst: buf, words: 2 },
-    );
+    b.push(BlockId(0), esp_ir::Insn::AllocImm { dst: buf, words: 2 });
     // a tiny leaf callee so call-terminators have a target
     let mut callee = FunctionBuilder::new("leaf", 0, Lang::C);
     let ce = callee.entry_block();
@@ -104,7 +99,9 @@ fn every_heuristic_is_total_on_random_cfgs() {
             let manual = Heuristic::TABLE1_ORDER.iter().find_map(|h| h.predict(&ctx));
             assert_eq!(aphc.predict(&ctx), manual);
             // DSHC coverage == any heuristic applies
-            let covered = Heuristic::TABLE1_ORDER.iter().any(|h| h.predict(&ctx).is_some());
+            let covered = Heuristic::TABLE1_ORDER
+                .iter()
+                .any(|h| h.predict(&ctx).is_some());
             assert_eq!(dshc.predict(&ctx).is_some(), covered);
             if let Some(p) = dshc.prob_taken(&ctx) {
                 assert!((0.0..=1.0).contains(&p));
@@ -141,7 +138,10 @@ fn measured_rates_are_probabilities() {
         let analysis = ProgramAnalysis::analyze(&prog);
         // fabricate a profile by running the program only if it terminates
         // quickly; random CFGs may loop forever, so bound the budget.
-        let limits = esp_exec::ExecLimits { max_insns: 20_000, ..Default::default() };
+        let limits = esp_exec::ExecLimits {
+            max_insns: 20_000,
+            ..Default::default()
+        };
         if let Ok(out) = esp_exec::run(&prog, &limits) {
             let rates = measure_rates([(&prog, &analysis, &out.profile)]);
             for h in Heuristic::TABLE1_ORDER {

@@ -162,7 +162,10 @@ mod tests {
         let f = b.finish();
         let a = FuncAnalysis::analyze(&f);
         assert!(a.is_backward(BlockId(1), BlockId(0)));
-        assert!(a.is_backward(BlockId(1), BlockId(1)), "self-loop is backward");
+        assert!(
+            a.is_backward(BlockId(1), BlockId(1)),
+            "self-loop is backward"
+        );
         assert!(!a.is_backward(BlockId(0), BlockId(1)));
     }
 

@@ -183,8 +183,8 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::program::Lang;
-    use crate::term::BranchOp;
     use crate::program::Reg;
+    use crate::term::BranchOp;
 
     /// diamond: e -> (t | n) -> x
     fn diamond() -> Function {

@@ -1,9 +1,9 @@
 //! Per-block def/use facts used by the Guard heuristic and the `UseDef`
 //! feature of Table 2.
 
+use crate::insn::Insn;
 use crate::program::{BasicBlock, Reg};
 use crate::term::Terminator;
-use crate::insn::Insn;
 
 /// Whether `reg` is *used before being defined* in `block` — i.e. some
 /// instruction (or the terminator) reads `reg` before any instruction writes
@@ -174,11 +174,7 @@ pub fn defining_insn(block: &BasicBlock, reg: Reg) -> Option<&Insn> {
 }
 
 /// Like [`defining_insn`] but only scanning strictly before index `before`.
-pub fn defining_insn_before(
-    block: &BasicBlock,
-    reg: Reg,
-    before: usize,
-) -> Option<&Insn> {
+pub fn defining_insn_before(block: &BasicBlock, reg: Reg, before: usize) -> Option<&Insn> {
     block.insns[..before.min(block.insns.len())]
         .iter()
         .rev()
@@ -217,7 +213,10 @@ mod tests {
         // r0 = 5; r1 = r0 + 1  — r0 is defined before its use
         let b = block(
             vec![
-                Insn::LoadImm { dst: Reg(0), imm: 5 },
+                Insn::LoadImm {
+                    dst: Reg(0),
+                    imm: 5,
+                },
                 Insn::AluImm {
                     op: AluOp::Add,
                     dst: Reg(1),
@@ -353,7 +352,10 @@ mod tests {
             },
         );
         let ec = effective_compare(&blk).unwrap();
-        assert_eq!((ec.op, ec.lhs, ec.rhs), (CmpOp::Lt, Reg(3), CompareRhs::Imm(0)));
+        assert_eq!(
+            (ec.op, ec.lhs, ec.rhs),
+            (CmpOp::Lt, Reg(3), CompareRhs::Imm(0))
+        );
 
         // beq a, b  (MIPS)
         let blk = block(
@@ -400,7 +402,10 @@ mod tests {
         // and the defining arm itself reports false.
         let left = block(
             vec![
-                Insn::LoadImm { dst: Reg(5), imm: 7 },
+                Insn::LoadImm {
+                    dst: Reg(5),
+                    imm: 7,
+                },
                 Insn::AluImm {
                     op: AluOp::Add,
                     dst: Reg(6),
@@ -512,8 +517,14 @@ mod tests {
     fn defining_insn_scans_backwards() {
         let b = block(
             vec![
-                Insn::LoadImm { dst: Reg(0), imm: 1 },
-                Insn::LoadImm { dst: Reg(0), imm: 2 },
+                Insn::LoadImm {
+                    dst: Reg(0),
+                    imm: 1,
+                },
+                Insn::LoadImm {
+                    dst: Reg(0),
+                    imm: 2,
+                },
             ],
             Terminator::Return { value: None },
         );

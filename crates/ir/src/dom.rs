@@ -151,7 +151,10 @@ impl DomTree {
     /// The dominator tree of `cfg` (rooted at the entry block).
     pub fn dominators(cfg: &Cfg) -> Self {
         let n = cfg.num_blocks();
-        let edges: Vec<(usize, usize)> = cfg.edges().map(|e| (e.from.index(), e.to.index())).collect();
+        let edges: Vec<(usize, usize)> = cfg
+            .edges()
+            .map(|e| (e.from.index(), e.to.index()))
+            .collect();
         compute(n, &[0], &edges)
     }
 
@@ -162,8 +165,13 @@ impl DomTree {
     /// [`DomTree::dominates`] returns `false` for them except on identity.
     pub fn postdominators(cfg: &Cfg) -> Self {
         let n = cfg.num_blocks();
-        let edges: Vec<(usize, usize)> = cfg.edges().map(|e| (e.to.index(), e.from.index())).collect();
-        let roots: Vec<usize> = (0..n).filter(|&b| cfg.succs(BlockId(b as u32)).is_empty()).collect();
+        let edges: Vec<(usize, usize)> = cfg
+            .edges()
+            .map(|e| (e.to.index(), e.from.index()))
+            .collect();
+        let roots: Vec<usize> = (0..n)
+            .filter(|&b| cfg.succs(BlockId(b as u32)).is_empty())
+            .collect();
         compute(n, &roots, &edges)
     }
 
@@ -290,6 +298,9 @@ mod tests {
         let cfg = Cfg::new(&f);
         let pdom = DomTree::postdominators(&cfg);
         assert!(!pdom.dominates(BlockId(0), BlockId(1)));
-        assert!(pdom.dominates(BlockId(1), BlockId(1)), "identity still holds");
+        assert!(
+            pdom.dominates(BlockId(1), BlockId(1)),
+            "identity still holds"
+        );
     }
 }

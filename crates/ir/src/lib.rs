@@ -58,12 +58,12 @@ pub mod validate;
 
 pub use analysis::{FuncAnalysis, ProgramAnalysis};
 pub use builder::FunctionBuilder;
-pub use defuse::{effective_compare, CompareRhs, EffectiveCompare};
-pub use pointer::PointerSet;
 pub use cfg::{Cfg, Edge, EdgeKind};
+pub use defuse::{effective_compare, CompareRhs, EffectiveCompare};
 pub use dom::DomTree;
 pub use insn::{AluOp, CmpOp, FpuOp, Insn, Opcode};
 pub use loops::LoopInfo;
+pub use pointer::PointerSet;
 pub use program::{
     BasicBlock, BlockId, BranchId, FuncId, Function, Isa, Lang, ProcKind, Program, Reg,
 };

@@ -286,7 +286,9 @@ mod tests {
         assert_eq!(li.loops().len(), 2);
         let outer = li.loops().iter().find(|l| l.header == BlockId(1)).unwrap();
         let inner = li.loops().iter().find(|l| l.header == BlockId(2)).unwrap();
-        assert!(outer.contains(BlockId(2)) && outer.contains(BlockId(3)) && outer.contains(BlockId(4)));
+        assert!(
+            outer.contains(BlockId(2)) && outer.contains(BlockId(3)) && outer.contains(BlockId(4))
+        );
         assert!(inner.contains(BlockId(3)));
         assert!(!inner.contains(BlockId(4)), "outer latch not in inner loop");
         assert!(li.is_back_edge(BlockId(4), BlockId(1)));

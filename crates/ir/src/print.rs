@@ -17,7 +17,9 @@ impl fmt::Display for Insn {
             Insn::Fpu {
                 dst, a, b: Some(b), ..
             } => write!(f, "{} {dst}, {a}, {b}", self.opcode()),
-            Insn::Fpu { dst, a, b: None, .. } => write!(f, "{} {dst}, {a}", self.opcode()),
+            Insn::Fpu {
+                dst, a, b: None, ..
+            } => write!(f, "{} {dst}, {a}", self.opcode()),
             Insn::FCmp { dst, a, b, .. } => write!(f, "{} {dst}, {a}, {b}", self.opcode()),
             Insn::LoadImm { dst, imm } => write!(f, "ldi {dst}, #{imm}"),
             Insn::LoadFImm { dst, imm } => write!(f, "ldfi {dst}, #{imm}"),

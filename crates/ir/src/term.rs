@@ -320,7 +320,9 @@ mod tests {
 
     #[test]
     fn return_has_no_successors() {
-        let t = Terminator::Return { value: Some(Reg(0)) };
+        let t = Terminator::Return {
+            value: Some(Reg(0)),
+        };
         assert!(t.successors().is_empty());
         assert_eq!(t.uses(), vec![Reg(0)]);
     }

@@ -91,7 +91,9 @@ impl fmt::Display for ValidateError {
                 f,
                 "function `{func}`: block {block} calls {callee} with {got} args, expected {want}"
             ),
-            ValidateError::BadMain => write!(f, "main function is out of range or takes parameters"),
+            ValidateError::BadMain => {
+                write!(f, "main function is out of range or takes parameters")
+            }
             ValidateError::EmptyFunction { func } => {
                 write!(f, "function `{func}` has no blocks")
             }

@@ -3,9 +3,7 @@
 //! natural-loop invariants — all over randomly generated CFGs drawn from the
 //! in-tree seeded PCG32 stream (so every run explores the same cases).
 
-use esp_ir::{
-    BlockId, BranchOp, Cfg, DomTree, FunctionBuilder, Lang, LoopInfo, Reg, Terminator,
-};
+use esp_ir::{BlockId, BranchOp, Cfg, DomTree, FunctionBuilder, Lang, LoopInfo, Reg, Terminator};
 use esp_runtime::Pcg32;
 
 const CASES: u64 = 64;
@@ -213,7 +211,11 @@ fn exit_edges_leave_some_loop() {
 #[test]
 fn terminator_successors_are_consistent_with_cfg() {
     // cheap determinism check reused by the randomized harness
-    let f = random_function(vec![TermShape::Cond(1, 2), TermShape::Jump(0), TermShape::Ret]);
+    let f = random_function(vec![
+        TermShape::Cond(1, 2),
+        TermShape::Jump(0),
+        TermShape::Ret,
+    ]);
     let cfg = Cfg::new(&f);
     for (id, block) in f.iter_blocks() {
         let succs: Vec<BlockId> = cfg.succs(id).iter().map(|e| e.to).collect();

@@ -39,8 +39,8 @@ struct Lexer<'a> {
 }
 
 const PUNCTS: &[&str] = &[
-    "&&", "||", "==", "!=", "<=", ">=", "<", ">", "+", "-", "*", "/", "%", "=", ";", ",", "(",
-    ")", "{", "}", "[", "]", ":", "!",
+    "&&", "||", "==", "!=", "<=", ">=", "<", ">", "+", "-", "*", "/", "%", "=", ";", ",", "(", ")",
+    "{", "}", "[", "]", ":", "!",
 ];
 
 impl<'a> Lexer<'a> {
@@ -439,7 +439,9 @@ impl Parser {
         };
         let k = match self.bump() {
             Tok::Int(k) if k > 0 => k,
-            other => return Err(self.err(format!("expected positive step constant, found {other:?}"))),
+            other => {
+                return Err(self.err(format!("expected positive step constant, found {other:?}")))
+            }
         };
         self.expect_punct(")")?;
         let body = self.parse_block()?;
@@ -699,7 +701,10 @@ mod tests {
         assert_eq!(m.funcs.len(), 1);
         let f = &m.funcs[0];
         assert_eq!(f.name, "sum");
-        assert_eq!(f.params, vec![("a".into(), Type::PtrInt), ("n".into(), Type::Int)]);
+        assert_eq!(
+            f.params,
+            vec![("a".into(), Type::PtrInt), ("n".into(), Type::Int)]
+        );
         assert_eq!(f.ret, Some(Type::Int));
         // for-loop with exclusive bound becomes inclusive `to = n - 1`
         match &f.body[2] {

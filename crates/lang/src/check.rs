@@ -118,9 +118,7 @@ impl Checker {
                         )));
                     }
                 }
-                self.scopes
-                    .declare(name, *ty)
-                    .map_err(|m| self.err(m))?;
+                self.scopes.declare(name, *ty).map_err(|m| self.err(m))?;
                 Ok(())
             }
             Stmt::Assign(lv, rhs) => {
@@ -167,9 +165,7 @@ impl Checker {
                             "induction variable `{var}` must be Int, is {other:?}"
                         )))
                     }
-                    None => {
-                        return Err(self.err(format!("undeclared induction variable `{var}`")))
-                    }
+                    None => return Err(self.err(format!("undeclared induction variable `{var}`"))),
                 }
                 if *step == 0 {
                     return Err(self.err("loop step must be nonzero"));
@@ -369,9 +365,7 @@ impl Checker {
                 for (pt, a) in ptys.iter().zip(args.iter_mut()) {
                     let at = self.check_expr(a)?;
                     if !assignable(*pt, at) {
-                        return Err(
-                            self.err(format!("argument to `{name}`: {at:?} vs {pt:?}"))
-                        );
+                        return Err(self.err(format!("argument to `{name}`: {at:?} vs {pt:?}")));
                     }
                 }
                 Ok(ret)
@@ -496,7 +490,9 @@ mod tests {
     #[test]
     fn rejects_type_mismatches() {
         // float + int
-        assert!(check_cee("int main() { float x = 1.0; int y = 2; x = x + y; return 0; }").is_err());
+        assert!(
+            check_cee("int main() { float x = 1.0; int y = 2; x = x + y; return 0; }").is_err()
+        );
         // float condition
         assert!(check_cee("int main() { float x = 1.0; if (x) { } return 0; }").is_err());
         // indexing a scalar
@@ -519,9 +515,7 @@ mod tests {
         assert!(
             check_cee("int f(int a, int b) { return a; } int main() { return f(1); }").is_err()
         );
-        assert!(
-            check_cee("int f(float x) { return 0; } int main() { return f(1); }").is_err()
-        );
+        assert!(check_cee("int f(float x) { return 0; } int main() { return f(1); }").is_err());
     }
 
     #[test]
@@ -567,7 +561,11 @@ mod tests {
                     if n == "dbl" && args == &vec![Expr::Int(21)]
             )
         });
-        assert!(found, "ambiguous DBL(21) was not rewritten: {:?}", main.body);
+        assert!(
+            found,
+            "ambiguous DBL(21) was not rewritten: {:?}",
+            main.body
+        );
     }
 
     #[test]

@@ -258,21 +258,19 @@ mod tests {
     fn mips_flavour_uses_two_register_branches() {
         let src = "int main() { int a = 3; int b = 4; if (a == b) { return 1; } return 0; }";
         let prog = compile_source("eq", src, Lang::C, &CompilerConfig::mips_ref()).unwrap();
-        let two_reg = prog.funcs.iter().flat_map(|f| &f.blocks).any(|b| {
-            matches!(
-                b.term,
-                esp_ir::Terminator::CondBranch { rt: Some(_), .. }
-            )
-        });
+        let two_reg = prog
+            .funcs
+            .iter()
+            .flat_map(|f| &f.blocks)
+            .any(|b| matches!(b.term, esp_ir::Terminator::CondBranch { rt: Some(_), .. }));
         assert!(two_reg, "expected a two-register branch on MIPS");
 
         let prog = compile_source("eq", src, Lang::C, &CompilerConfig::cc_osf1_v12()).unwrap();
-        let any_two_reg = prog.funcs.iter().flat_map(|f| &f.blocks).any(|b| {
-            matches!(
-                b.term,
-                esp_ir::Terminator::CondBranch { rt: Some(_), .. }
-            )
-        });
+        let any_two_reg = prog
+            .funcs
+            .iter()
+            .flat_map(|f| &f.blocks)
+            .any(|b| matches!(b.term, esp_ir::Terminator::CondBranch { rt: Some(_), .. }));
         assert!(!any_two_reg, "Alpha never compares two registers directly");
     }
 

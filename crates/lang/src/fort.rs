@@ -178,8 +178,7 @@ fn is_dotted_op_at(b: &[u8], pos: usize) -> bool {
     for op in [
         ".gt.", ".ge.", ".lt.", ".le.", ".eq.", ".ne.", ".and.", ".or.", ".not.",
     ] {
-        if b.len() >= pos + op.len() && b[pos..pos + op.len()].eq_ignore_ascii_case(op.as_bytes())
-        {
+        if b.len() >= pos + op.len() && b[pos..pos + op.len()].eq_ignore_ascii_case(op.as_bytes()) {
             return true;
         }
     }
@@ -355,16 +354,15 @@ impl Parser {
 
     fn parse_param_names(&mut self) -> Result<Vec<String>, ParseError> {
         let mut names = Vec::new();
-        if self.eat_punct("(")
-            && !self.eat_punct(")") {
-                loop {
-                    names.push(self.expect_ident()?);
-                    if self.eat_punct(")") {
-                        break;
-                    }
-                    self.expect_punct(",")?;
+        if self.eat_punct("(") && !self.eat_punct(")") {
+            loop {
+                names.push(self.expect_ident()?);
+                if self.eat_punct(")") {
+                    break;
                 }
+                self.expect_punct(",")?;
             }
+        }
         Ok(names)
     }
 
@@ -493,16 +491,15 @@ impl Parser {
         if self.eat_kw("call") {
             let name = self.expect_ident()?;
             let mut args = Vec::new();
-            if self.eat_punct("(")
-                && !self.eat_punct(")") {
-                    loop {
-                        args.push(self.parse_expr()?);
-                        if self.eat_punct(")") {
-                            break;
-                        }
-                        self.expect_punct(",")?;
+            if self.eat_punct("(") && !self.eat_punct(")") {
+                loop {
+                    args.push(self.parse_expr()?);
+                    if self.eat_punct(")") {
+                        break;
                     }
+                    self.expect_punct(",")?;
                 }
+            }
             self.expect_newline()?;
             out.push(Stmt::ExprStmt(Expr::Call(name, args)));
             return Ok(());
@@ -535,11 +532,7 @@ impl Parser {
             // Fortran arrays are 1-based; normalise to word offsets here.
             LValue::Index(
                 Box::new(Expr::Var(name)),
-                Box::new(Expr::Bin(
-                    BinOp::Sub,
-                    Box::new(idx),
-                    Box::new(Expr::Int(1)),
-                )),
+                Box::new(Expr::Bin(BinOp::Sub, Box::new(idx), Box::new(Expr::Int(1)))),
             )
         } else {
             LValue::Var(name)

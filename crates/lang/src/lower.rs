@@ -74,7 +74,14 @@ impl Lower<'_> {
 
     /// End the current block with a conditional branch; `taken` is the
     /// condition-true target.
-    fn seal_branch(&mut self, op: BranchOp, rs: Reg, rt: Option<Reg>, taken: BlockId, not_taken: BlockId) {
+    fn seal_branch(
+        &mut self,
+        op: BranchOp,
+        rs: Reg,
+        rt: Option<Reg>,
+        taken: BlockId,
+        not_taken: BlockId,
+    ) {
         let c = self.cur();
         self.b.set_cond_branch(c, op, rs, rt, taken, not_taken);
         self.cur = None;
@@ -501,11 +508,7 @@ impl Lower<'_> {
                 }
             }
             Expr::Index(base, _) => self.static_type(base).elem().unwrap_or(Type::Int),
-            Expr::Call(n, _) => self
-                .sigs
-                .get(n)
-                .and_then(|(_, r)| *r)
-                .unwrap_or(Type::Int),
+            Expr::Call(n, _) => self.sigs.get(n).and_then(|(_, r)| *r).unwrap_or(Type::Int),
             Expr::Alloc(ty, _) => {
                 if *ty == Type::Int {
                     Type::PtrInt
@@ -747,11 +750,7 @@ impl Lower<'_> {
                 let flag = self.lower_cmp_flag(op, a, b);
                 let (src, _) = self.lower_expr(e);
                 let (dst, _) = self.lookup(name);
-                self.emit(Insn::CMov {
-                    c: flag,
-                    dst,
-                    src,
-                });
+                self.emit(Insn::CMov { c: flag, dst, src });
                 Some(())
             }
             _ => {
@@ -782,12 +781,10 @@ impl Lower<'_> {
 
         let mut labels: Vec<i64> = cases.iter().map(|(l, _)| *l).collect();
         labels.sort_unstable();
-        let dense = cases.len() >= 3
-            && !labels.is_empty()
-            && {
-                let span = labels[labels.len() - 1] - labels[0] + 1;
-                span <= 3 * cases.len() as i64 && span <= 512
-            };
+        let dense = cases.len() >= 3 && !labels.is_empty() && {
+            let span = labels[labels.len() - 1] - labels[0] + 1;
+            span <= 3 * cases.len() as i64 && span <= 512
+        };
 
         let case_blocks: Vec<BlockId> = cases.iter().map(|_| self.b.new_block()).collect();
 

@@ -377,11 +377,8 @@ fn unroll_stmts(stmts: Vec<Stmt>, factor: u32, fresh: &mut u32) -> Vec<Stmt> {
                     Box::new(Expr::Var(bound.clone())),
                     Box::new(Expr::Int(slack)),
                 );
-                let main_cond = Expr::Bin(
-                    cmp,
-                    Box::new(Expr::Var(var.clone())),
-                    Box::new(main_bound),
-                );
+                let main_cond =
+                    Expr::Bin(cmp, Box::new(Expr::Var(var.clone())), Box::new(main_bound));
                 let incr = Stmt::Assign(
                     LValue::Var(var.clone()),
                     Expr::Bin(
@@ -390,7 +387,8 @@ fn unroll_stmts(stmts: Vec<Stmt>, factor: u32, fresh: &mut u32) -> Vec<Stmt> {
                         Box::new(Expr::Int(step)),
                     ),
                 );
-                let mut main_body = Vec::with_capacity(body.len() * factor as usize + factor as usize);
+                let mut main_body =
+                    Vec::with_capacity(body.len() * factor as usize + factor as usize);
                 for _ in 0..factor {
                     main_body.extend(body.iter().cloned());
                     main_body.push(incr.clone());

@@ -79,10 +79,7 @@ fn read_all(src: &str) -> Result<Vec<Sexp>, ParseError> {
                 {
                     i += 1;
                 }
-                toks.push((
-                    String::from_utf8_lossy(&b[start..i]).to_string(),
-                    line,
-                ));
+                toks.push((String::from_utf8_lossy(&b[start..i]).to_string(), line));
             }
         }
     }
@@ -154,10 +151,12 @@ impl Translator {
     }
 
     fn lookup(&self, name: &str) -> Option<String> {
-        self.scopes
-            .iter()
-            .rev()
-            .find_map(|s| s.iter().rev().find(|(n, _)| n == name).map(|(_, m)| m.clone()))
+        self.scopes.iter().rev().find_map(|s| {
+            s.iter()
+                .rev()
+                .find(|(n, _)| n == name)
+                .map(|(_, m)| m.clone())
+        })
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {
@@ -361,7 +360,10 @@ pub fn parse(name: &str, src: &str) -> Result<Module, ParseError> {
             return Err(ParseError::new(0, "top level must be `(define (f …) …)`"));
         };
         if kw != "define" || body.is_empty() {
-            return Err(ParseError::new(0, "top level must be `(define (f …) body…)`"));
+            return Err(ParseError::new(
+                0,
+                "top level must be `(define (f …) body…)`",
+            ));
         }
         let [Sexp::Sym(fname), params @ ..] = sig.as_slice() else {
             return Err(ParseError::new(0, "bad function signature"));
@@ -489,6 +491,9 @@ mod tests {
         assert!(parse("t", "(define (main) (undefined-var))").is_ok()); // call site ok...
         let module = parse("t", "(define (main) nosuch)").unwrap_err();
         assert!(module.msg.contains("unbound"));
-        assert!(parse("t", "(define (main) 'foo)").is_err(), "only 'nil quotable");
+        assert!(
+            parse("t", "(define (main) 'foo)").is_err(),
+            "only 'nil quotable"
+        );
     }
 }

@@ -106,7 +106,10 @@ fn dense_switch_uses_jump_table_sparse_uses_chain() {
     assert!(has_switch(&dp), "dense labels must lower to a jump table");
     assert_eq!(ret_int(&dp), 4);
     let sp = compile_source("s", sparse, Lang::C, &cfg).expect("compiles");
-    assert!(!has_switch(&sp), "sparse labels must lower to a compare chain");
+    assert!(
+        !has_switch(&sp),
+        "sparse labels must lower to a compare chain"
+    );
     assert_eq!(ret_int(&sp), 3);
 }
 
@@ -242,7 +245,10 @@ fn float_comparisons_against_zero_use_fb_opcodes_on_alpha() {
             }
         )
     });
-    assert!(has_fb, "float-vs-zero must use a direct FB* branch on Alpha");
+    assert!(
+        has_fb,
+        "float-vs-zero must use a direct FB* branch on Alpha"
+    );
     assert_eq!(ret_int(&prog), 1);
 }
 

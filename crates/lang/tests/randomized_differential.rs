@@ -44,10 +44,16 @@ fn random_gexpr(rng: &mut Pcg32, depth: usize) -> GExpr {
 
 fn random_gstmt(rng: &mut Pcg32, depth: usize) -> GStmt {
     if depth == 0 {
-        return GStmt::Assign(rng.gen_range(0..NUM_VARS as u32) as u8, random_gexpr(rng, 2));
+        return GStmt::Assign(
+            rng.gen_range(0..NUM_VARS as u32) as u8,
+            random_gexpr(rng, 2),
+        );
     }
     match rng.gen_range(0..3u32) {
-        0 => GStmt::Assign(rng.gen_range(0..NUM_VARS as u32) as u8, random_gexpr(rng, 3)),
+        0 => GStmt::Assign(
+            rng.gen_range(0..NUM_VARS as u32) as u8,
+            random_gexpr(rng, 3),
+        ),
         1 => {
             let cond = random_gexpr(rng, 3);
             let nt = rng.gen_range(0..3usize);
@@ -106,10 +112,7 @@ fn build_stmts(gs: &[GStmt], depth: usize) -> Vec<Stmt> {
     let mut out = Vec::new();
     for g in gs {
         match g {
-            GStmt::Assign(v, e) => out.push(Stmt::Assign(
-                LValue::Var(var_name(*v)),
-                build_expr(e),
-            )),
+            GStmt::Assign(v, e) => out.push(Stmt::Assign(LValue::Var(var_name(*v)), build_expr(e))),
             GStmt::If(c, t, f) => out.push(Stmt::If {
                 cond: build_expr(c),
                 then_blk: build_stmts(t, depth),
@@ -200,7 +203,11 @@ fn compiled_programs_always_validate() {
     for case in 0..CASES {
         let mut rng = Pcg32::seed_from_u64(0x7A11_u64.wrapping_add(case));
         let module = build_module(&random_stmts(&mut rng));
-        for cfg in [CompilerConfig::o0(), CompilerConfig::gem(), CompilerConfig::mips_ref()] {
+        for cfg in [
+            CompilerConfig::o0(),
+            CompilerConfig::gem(),
+            CompilerConfig::mips_ref(),
+        ] {
             let prog = compile_module(module.clone(), &cfg).expect("compiles");
             assert!(esp_ir::validate_program(&prog).is_ok());
         }

@@ -186,7 +186,11 @@ impl DecisionTree {
                     left,
                     right,
                 } => {
-                    node = if x[*feature] <= *threshold { left } else { right };
+                    node = if x[*feature] <= *threshold {
+                        left
+                    } else {
+                        right
+                    };
                 }
             }
         }

@@ -28,7 +28,9 @@ fn model(hidden: usize, seed: u64) -> Mlp {
 /// A deterministic row-major panel of `rows` encoded-looking examples.
 fn panel(rows: usize, seed: u64) -> Vec<f64> {
     let mut rng = Pcg32::seed_from_u64(seed);
-    (0..rows * INPUTS).map(|_| rng.gen_range(-3.0..3.0)).collect()
+    (0..rows * INPUTS)
+        .map(|_| rng.gen_range(-3.0..3.0))
+        .collect()
 }
 
 #[test]

@@ -47,14 +47,22 @@ fn losses_are_nonnegative_and_bounded_by_weight() {
     for case in 0..CASES {
         let mut rng = Pcg32::seed_from_u64(0x1055_u64.wrapping_add(case));
         let data = random_examples(&mut rng, 3, 2, 16);
-        let cfg = MlpConfig { hidden: 3, max_epochs: 5, restarts: 1, ..MlpConfig::default() };
+        let cfg = MlpConfig {
+            hidden: 3,
+            max_epochs: 5,
+            restarts: 1,
+            ..MlpConfig::default()
+        };
         let (m, _) = Mlp::train(&data, &cfg);
         let total_weight: f64 = data.iter().map(|d| d.weight).sum();
         let loss = m.loss(&data);
         let terr = m.thresholded_error(&data);
         assert!(loss >= -1e-12);
         assert!(terr >= -1e-12);
-        assert!(loss <= total_weight + 1e-9, "loss {loss} > weight {total_weight}");
+        assert!(
+            loss <= total_weight + 1e-9,
+            "loss {loss} > weight {total_weight}"
+        );
         assert!(terr <= total_weight + 1e-9);
     }
 }
@@ -104,7 +112,10 @@ fn tree_predictions_are_probabilities_and_depth_bounded() {
         let max_depth = rng.gen_range(1..6usize);
         let t = DecisionTree::train(
             &data,
-            &TreeConfig { max_depth, ..TreeConfig::default() },
+            &TreeConfig {
+                max_depth,
+                ..TreeConfig::default()
+            },
         );
         assert!(t.depth() <= max_depth);
         assert!(t.num_leaves() >= 1);

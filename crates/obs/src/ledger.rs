@@ -308,8 +308,8 @@ impl Ledger {
             observed += e.observed_weight;
             mispredict += e.mispredict_weight;
             if e.observed_weight > 0.0 {
-                let b = ((e.prob * CALIBRATION_BUCKETS as f64) as usize)
-                    .min(CALIBRATION_BUCKETS - 1);
+                let b =
+                    ((e.prob * CALIBRATION_BUCKETS as f64) as usize).min(CALIBRATION_BUCKETS - 1);
                 bw[b] += e.observed_weight;
                 bconf[b] += e.prob * e.observed_weight;
                 btaken[b] += e.taken_weight;
@@ -323,8 +323,7 @@ impl Ledger {
                 bucket.mean_confidence = bconf[i] / bw[i];
                 bucket.taken_rate = btaken[i] / bw[i];
                 if observed > 0.0 {
-                    ece += (bw[i] / observed)
-                        * (bucket.taken_rate - bucket.mean_confidence).abs();
+                    ece += (bw[i] / observed) * (bucket.taken_rate - bucket.mean_confidence).abs();
                 }
             }
         }
@@ -336,7 +335,11 @@ impl Ledger {
             collisions: self.collisions.load(Ordering::Relaxed),
             observed_weight: observed,
             mispredict_weight: mispredict,
-            observed_miss_rate: if observed > 0.0 { mispredict / observed } else { 0.0 },
+            observed_miss_rate: if observed > 0.0 {
+                mispredict / observed
+            } else {
+                0.0
+            },
             calibration_ece: ece,
             buckets,
         }
@@ -382,8 +385,16 @@ impl Ledger {
             let _ = writeln!(out, "{name} {v}");
         };
         gauge(&mut out, "esp_ledger_calibration_ece", s.calibration_ece);
-        gauge(&mut out, "esp_ledger_mispredict_weight", s.mispredict_weight);
-        gauge(&mut out, "esp_ledger_observed_miss_rate", s.observed_miss_rate);
+        gauge(
+            &mut out,
+            "esp_ledger_mispredict_weight",
+            s.mispredict_weight,
+        );
+        gauge(
+            &mut out,
+            "esp_ledger_observed_miss_rate",
+            s.observed_miss_rate,
+        );
         gauge(&mut out, "esp_ledger_observed_weight", s.observed_weight);
         let _ = writeln!(out, "# TYPE esp_ledger_calibration_weight gauge");
         for (i, b) in s.buckets.iter().enumerate() {
@@ -509,7 +520,10 @@ mod tests {
     #[test]
     fn unmatched_outcomes_are_counted_not_attributed() {
         let l = Ledger::new(true);
-        assert_eq!(l.record_outcome(&key(9), true, 5.0), OutcomeRecord::Unmatched);
+        assert_eq!(
+            l.record_outcome(&key(9), true, 5.0),
+            OutcomeRecord::Unmatched
+        );
         let s = l.summary();
         assert_eq!(s.unmatched, 1);
         assert_eq!(s.applied, 0);
@@ -525,7 +539,11 @@ mod tests {
         l.record_outcome(&key(3), true, 75.0);
         l.record_outcome(&key(3), false, 25.0);
         let s = l.summary();
-        assert!(s.calibration_ece.abs() < 1e-12, "ece = {}", s.calibration_ece);
+        assert!(
+            s.calibration_ece.abs() < 1e-12,
+            "ece = {}",
+            s.calibration_ece
+        );
         let b = &s.buckets[7]; // floor(0.75·10) = 7
         assert!((b.weight - 100.0).abs() < 1e-12);
         assert!((b.mean_confidence - 0.75).abs() < 1e-12);
@@ -545,7 +563,10 @@ mod tests {
     fn disabled_ledger_records_nothing() {
         let l = Ledger::new(false);
         l.record_served(&key(1), 0.9);
-        assert_eq!(l.record_outcome(&key(1), true, 1.0), OutcomeRecord::Disabled);
+        assert_eq!(
+            l.record_outcome(&key(1), true, 1.0),
+            OutcomeRecord::Disabled
+        );
         let s = l.summary();
         assert_eq!(s.sites, 0);
         assert_eq!(s.applied, 0);
@@ -619,7 +640,9 @@ mod tests {
         l.record_served_hashed(42, &a, 0.9);
         let s = l.summary();
         assert_eq!((s.sites, s.served, s.collisions), (1, 2, 1));
-        assert!(l.render_text().contains("\nesp_ledger_collisions_total 1\n"));
+        assert!(l
+            .render_text()
+            .contains("\nesp_ledger_collisions_total 1\n"));
 
         // A real word_hash collision: the second key's outcome is unmatched,
         // and the first key's site keeps its served direction.
@@ -629,10 +652,15 @@ mod tests {
         assert_eq!(l.record_outcome(&b, false, 1.0), OutcomeRecord::Unmatched);
         assert_eq!(
             l.record_outcome(&a, true, 1.0),
-            OutcomeRecord::Applied { mispredicted: false }
+            OutcomeRecord::Applied {
+                mispredicted: false
+            }
         );
         let s = l.summary();
-        assert_eq!((s.sites, s.collisions, s.applied, s.unmatched), (1, 1, 1, 1));
+        assert_eq!(
+            (s.sites, s.collisions, s.applied, s.unmatched),
+            (1, 1, 1, 1)
+        );
     }
 
     #[test]
@@ -659,7 +687,11 @@ mod tests {
         assert_eq!(top.len(), 2);
         assert!((top[0].1.observed_weight - 50.0).abs() < 1e-12);
         assert!((top[1].1.observed_weight - 20.0).abs() < 1e-12);
-        assert_eq!(top[0].0, fnv1a(&key(2)), "the display id is the key's FNV-1a");
+        assert_eq!(
+            top[0].0,
+            fnv1a(&key(2)),
+            "the display id is the key's FNV-1a"
+        );
     }
 
     #[test]

@@ -139,7 +139,9 @@ impl WordHash {
     /// Fold the next 8 bytes of the string, read as a little-endian word.
     #[inline]
     pub fn word(&mut self, w: u64) {
-        self.0 = (self.0 ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31);
+        self.0 = (self.0 ^ w)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(31);
     }
 
     /// The hash of a `len`-byte string whose words were folded so far.

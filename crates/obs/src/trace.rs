@@ -573,8 +573,7 @@ mod tests {
         std::fs::write(&server, render_json(&[mk("recv", 12), mk("compute", 13)]))
             .expect("server trace");
         let out = dir.join("merged.json");
-        let n = merge_json(&[("client", &client), ("server", &server)], &out)
-            .expect("merge ok");
+        let n = merge_json(&[("client", &client), ("server", &server)], &out).expect("merge ok");
         assert_eq!(n, 3);
         let merged = std::fs::read_to_string(&out).expect("read merged");
         // Events re-homed per input; the decoy "pid":1 inside the escaped
@@ -583,8 +582,12 @@ mod tests {
         assert!(merged.contains(r#""name":"recv","cat":"t","ph":"X","ts":12,"dur":5,"pid":2"#));
         assert!(merged.contains(r#""note":"\"pid\":1,\"tid\":""#));
         // Process-name metadata rows label the lanes.
-        assert!(merged.contains(r#""name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"client"}"#));
-        assert!(merged.contains(r#""name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"server"}"#));
+        assert!(merged.contains(
+            r#""name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"client"}"#
+        ));
+        assert!(merged.contains(
+            r#""name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"server"}"#
+        ));
         // Still a well-formed one-event-per-line array: 5 rows + brackets.
         assert!(merged.starts_with("[\n") && merged.ends_with("]\n"));
         assert_eq!(merged.lines().count(), 7);

@@ -186,7 +186,10 @@ mod tests {
         // this stream).
         let mut r = Pcg32::seed_from_u64(0);
         let first: Vec<u32> = (0..4).map(|_| r.next_u32()).collect();
-        assert_eq!(first, vec![0x9064_4221, 0x4618_e85f, 0x8f5b_d9cd, 0xaf2c_0306]);
+        assert_eq!(
+            first,
+            vec![0x9064_4221, 0x4618_e85f, 0x8f5b_d9cd, 0xaf2c_0306]
+        );
     }
 
     #[test]

@@ -70,7 +70,9 @@ fn main() {
             );
         }
         Some("stats") => {
-            let s = connect(&args).stats().unwrap_or_else(|e| fail(e.to_string()));
+            let s = connect(&args)
+                .stats()
+                .unwrap_or_else(|e| fail(e.to_string()));
             println!("connections:      {}", s.connections);
             println!("requests:         {}", s.requests);
             println!("predict requests: {}", s.predict_requests);
@@ -78,10 +80,15 @@ fn main() {
             println!("cache hits:       {}", s.cache_hits);
             println!("cache misses:     {}", s.cache_misses);
             println!("cache hit rate:   {:.4}", s.cache_hit_rate());
-            println!("latency p50/p99/max: {}/{}/{} us", s.p50_us, s.p99_us, s.max_us);
+            println!(
+                "latency p50/p99/max: {}/{}/{} us",
+                s.p50_us, s.p99_us, s.max_us
+            );
         }
         Some("shutdown") => {
-            connect(&args).shutdown().unwrap_or_else(|e| fail(e.to_string()));
+            connect(&args)
+                .shutdown()
+                .unwrap_or_else(|e| fail(e.to_string()));
             println!("server acknowledged shutdown");
         }
         Some("get") => get(&args),
@@ -136,17 +143,17 @@ fn get(args: &[String]) {
 /// [`esp_obs::trace::merge_json`]: each positional `LABEL=PATH` input
 /// becomes its own pid, labelled by a `process_name` metadata event.
 fn merge_traces(args: &[String]) {
-    let out = flag_value(args, "--out")
-        .unwrap_or_else(|| fail("merge-traces needs --out FILE".into()));
+    let out =
+        flag_value(args, "--out").unwrap_or_else(|| fail("merge-traces needs --out FILE".into()));
     let mut inputs: Vec<(String, std::path::PathBuf)> = Vec::new();
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--out" => i += 2,
             arg => {
-                let (label, path) = arg.split_once('=').unwrap_or_else(|| {
-                    fail(format!("inputs are LABEL=PATH, got {arg:?}"))
-                });
+                let (label, path) = arg
+                    .split_once('=')
+                    .unwrap_or_else(|| fail(format!("inputs are LABEL=PATH, got {arg:?}")));
                 if label.is_empty() || path.is_empty() {
                     fail(format!("inputs are LABEL=PATH, got {arg:?}"));
                 }
@@ -163,7 +170,10 @@ fn merge_traces(args: &[String]) {
         .map(|(l, p)| (l.as_str(), p.as_path()))
         .collect();
     match esp_obs::trace::merge_json(&borrowed, Path::new(out)) {
-        Ok(n) => println!("merged {n} events from {} trace(s) into {out}", inputs.len()),
+        Ok(n) => println!(
+            "merged {n} events from {} trace(s) into {out}",
+            inputs.len()
+        ),
         Err(e) => fail(format!("cannot merge traces: {e}")),
     }
 }
@@ -184,8 +194,8 @@ fn registry(args: &[String]) {
             }
         }
         Some("inspect") => {
-            let name = flag_value(args, "--name")
-                .unwrap_or_else(|| fail("inspect needs --name M".into()));
+            let name =
+                flag_value(args, "--name").unwrap_or_else(|| fail("inspect needs --name M".into()));
             let version = flag_value(args, "--model-version").map(|v| parse(v, "--model-version"));
             let i = reg
                 .inspect(name, version)
@@ -201,12 +211,15 @@ fn registry(args: &[String]) {
             println!("  config:   {}", i.meta.train_config);
             println!("  topology: {} inputs, {} hidden", i.dim, i.hidden);
             println!("  weights:  f{}", i.precision_bits);
-            println!("  rates:    {}", if i.has_rates { "present" } else { "absent" });
+            println!(
+                "  rates:    {}",
+                if i.has_rates { "present" } else { "absent" }
+            );
             println!("  size:     {} bytes", i.file_len);
         }
         Some("publish") => {
-            let name = flag_value(args, "--name")
-                .unwrap_or_else(|| fail("publish needs --name M".into()));
+            let name =
+                flag_value(args, "--name").unwrap_or_else(|| fail("publish needs --name M".into()));
             let artifact = match (flag_value(args, "--from"), flag_value(args, "--synthetic")) {
                 (Some(path), None) => ModelArtifact::load(Path::new(path))
                     .unwrap_or_else(|e| fail(format!("cannot load {path}: {e}"))),
@@ -221,9 +234,13 @@ fn registry(args: &[String]) {
                         parse(parts[2], "--synthetic SEED"),
                     )
                 }
-                _ => fail("publish needs exactly one of --from PATH | --synthetic DIM,HIDDEN,SEED".into()),
+                _ => fail(
+                    "publish needs exactly one of --from PATH | --synthetic DIM,HIDDEN,SEED".into(),
+                ),
             };
-            let v = reg.publish(name, &artifact).unwrap_or_else(|e| fail(e.to_string()));
+            let v = reg
+                .publish(name, &artifact)
+                .unwrap_or_else(|e| fail(e.to_string()));
             println!("published {name} v{v} to {dir}");
         }
         Some("gc") => {

@@ -187,7 +187,10 @@ fn main() {
             .map(|(name, pin)| match pin {
                 Some(v) => format!("{name}@{v} (pinned)"),
                 None => {
-                    let v = registry.versions(name).ok().and_then(|vs| vs.last().copied());
+                    let v = registry
+                        .versions(name)
+                        .ok()
+                        .and_then(|vs| vs.last().copied());
                     match v {
                         Some(v) => format!("{name}@{v}"),
                         None => name.clone(),

@@ -377,7 +377,9 @@ mod tests {
         let mut reference: Vec<(Vec<u8>, f64)> = Vec::new(); // MRU first
         let mut state = 0x1234_5678u64;
         for step in 0..2000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let k = key((state >> 33) as u8 % 8);
             if step % 3 == 0 {
                 let v = step as f64;

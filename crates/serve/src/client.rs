@@ -5,8 +5,8 @@ use std::io::{BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::protocol::{
-    read_frame, write_frame, PredictRow, Prediction, ProfileAck, ProfileRecord, Request,
-    Response, ServeError, ServerInfo, StatsSnapshot,
+    read_frame, write_frame, PredictRow, Prediction, ProfileAck, ProfileRecord, Request, Response,
+    ServeError, ServerInfo, StatsSnapshot,
 };
 
 /// One connection to an `esp-serve` instance.
@@ -100,7 +100,9 @@ impl Client {
     pub fn stats(&mut self) -> Result<StatsSnapshot, ServeError> {
         match self.round_trip(&Request::Stats)? {
             Response::Stats(s) => Ok(s),
-            other => Err(ServeError::Protocol(format!("expected stats, got {other:?}"))),
+            other => Err(ServeError::Protocol(format!(
+                "expected stats, got {other:?}"
+            ))),
         }
     }
 
@@ -118,7 +120,9 @@ impl Client {
         };
         match self.round_trip(&req)? {
             Response::Info(i) => Ok(i),
-            other => Err(ServeError::Protocol(format!("expected info, got {other:?}"))),
+            other => Err(ServeError::Protocol(format!(
+                "expected info, got {other:?}"
+            ))),
         }
     }
 

@@ -71,7 +71,7 @@ pub use cache::cache_key as site_key;
 pub use client::Client;
 pub use metrics::Metrics;
 pub use protocol::{
-    FrameReader, PredictRow, Prediction, ProfileAck, ProfileRecord, Request, Response,
-    ServeError, ServerInfo, StatsSnapshot, PROTOCOL_VERSION,
+    FrameReader, PredictRow, Prediction, ProfileAck, ProfileRecord, Request, Response, ServeError,
+    ServerInfo, StatsSnapshot, PROTOCOL_VERSION,
 };
 pub use server::{serve, ModelSource, ServeConfig, ServerHandle};

@@ -284,7 +284,6 @@ mod tests {
         assert_eq!(gauge_value(text, "esp_ledger_observed"), None);
         assert_eq!(gauge_value(text, "esp_ledger_missing"), None);
         // Prometheus renders NaN literally; it parses as NaN here.
-        assert!(gauge_value(text, "esp_ledger_calibration_ece")
-            .is_some_and(f64::is_nan));
+        assert!(gauge_value(text, "esp_ledger_calibration_ece").is_some_and(f64::is_nan));
     }
 }

@@ -537,7 +537,9 @@ impl Request {
                             PredictRow {
                                 row: bits
                                     .chunks_exact(8)
-                                    .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+                                    .map(|b| {
+                                        f64::from_le_bytes(b.try_into().expect("8-byte chunk"))
+                                    })
                                     .collect(),
                                 mask: mask.iter().map(|&m| m != 0).collect(),
                             }
@@ -1216,7 +1218,20 @@ mod tests {
             "got: {err}"
         );
         // A v3 response read by a v4 client: same.
-        let v3_resp = [PROTOCOL_MAGIC, V3, 0, 0, 0, 0, 0, 0, 0, 0, ST_OK, RESP_SHUTDOWN];
+        let v3_resp = [
+            PROTOCOL_MAGIC,
+            V3,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            ST_OK,
+            RESP_SHUTDOWN,
+        ];
         assert!(matches!(
             Response::decode(&v3_resp),
             Err(ServeError::Protocol(_))

@@ -735,7 +735,9 @@ fn handle_frame(shared: &Shared, pool: &mut ShardPool, queue: &mut VecDeque<Slot
     // request-for-request.
     match Request::decode_with_id(payload) {
         Err(e) => {
-            queue.push_back(Slot::Ready(Response::Error(e.to_string()).encode_with_id(0)));
+            queue.push_back(Slot::Ready(
+                Response::Error(e.to_string()).encode_with_id(0),
+            ));
             record_request(shared, svc_start);
         }
         Ok((id, Request::Info { model })) => {
@@ -816,7 +818,10 @@ fn handle_profile(shared: &Shared, records: &[ProfileRecord], req_id: u64) -> Re
     let mut ack = ProfileAck::default();
     let now_us = shared.now_us();
     for rec in records {
-        match shared.ledger.record_outcome(&rec.site_key, rec.taken, rec.weight) {
+        match shared
+            .ledger
+            .record_outcome(&rec.site_key, rec.taken, rec.weight)
+        {
             OutcomeRecord::Applied { mispredicted } => {
                 ack.applied += 1;
                 let micro = (rec.weight * WEIGHT_SCALE) as u64;

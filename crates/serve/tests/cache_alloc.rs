@@ -48,7 +48,9 @@ fn warmed_cache_hits_do_not_allocate() {
     let rows: Vec<(Vec<f64>, Vec<bool>)> = (0..keys)
         .map(|i| {
             (
-                (0..dim).map(|j| ((i * 31 + j * 7) % 17) as f64 / 8.0 - 1.0).collect(),
+                (0..dim)
+                    .map(|j| ((i * 31 + j * 7) % 17) as f64 / 8.0 - 1.0)
+                    .collect(),
                 (0..dim).map(|j| (i + j) % 5 != 0).collect(),
             )
         })
@@ -61,7 +63,12 @@ fn warmed_cache_hits_do_not_allocate() {
     // and size the reusable key buffer.
     for (i, (row, mask)) in rows.iter().enumerate() {
         cache_key_into(&mut key_buf, row, mask);
-        cache.insert_hashed(model_id, row_hash(row, mask), &key_buf, i as f64 / keys as f64);
+        cache.insert_hashed(
+            model_id,
+            row_hash(row, mask),
+            &key_buf,
+            i as f64 / keys as f64,
+        );
     }
 
     // -- measure -----------------------------------------------------------

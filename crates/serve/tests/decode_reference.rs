@@ -190,7 +190,10 @@ fn bits(req: Request) -> Bits {
 /// Decode `frame` both ways and insist they agree. Returns whether it
 /// decoded.
 fn agree(frame: &[u8]) -> bool {
-    match (Request::decode_with_id(frame), reference::decode_with_id(frame)) {
+    match (
+        Request::decode_with_id(frame),
+        reference::decode_with_id(frame),
+    ) {
         (Ok((id, got)), Ok((want_id, want))) => {
             assert_eq!(id, want_id, "request id of {frame:02x?}");
             assert_eq!(bits(got), bits(want), "request of {frame:02x?}");
@@ -234,7 +237,12 @@ fn nonzero_mask_bytes_decode_as_set_and_empty_batches_need_no_dim() {
     put_u32(&mut f, 0); // default model
     put_u32(&mut f, 1);
     put_u32(&mut f, 4);
-    for x in [-0.0f64, f64::from_bits(1), f64::from_bits(0x7FF8_0000_0000_0001), 2.5] {
+    for x in [
+        -0.0f64,
+        f64::from_bits(1),
+        f64::from_bits(0x7FF8_0000_0000_0001),
+        2.5,
+    ] {
         f.extend_from_slice(&x.to_bits().to_le_bytes());
     }
     f.extend_from_slice(&[0x00, 0x02, 0x80, 0xFF]);

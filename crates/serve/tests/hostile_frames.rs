@@ -23,7 +23,8 @@ fn connect_raw(addr: &str) -> TcpStream {
 }
 
 fn send_frame(s: &mut TcpStream, payload: &[u8]) {
-    s.write_all(&(payload.len() as u32).to_le_bytes()).expect("len");
+    s.write_all(&(payload.len() as u32).to_le_bytes())
+        .expect("len");
     s.write_all(payload).expect("payload");
     s.flush().expect("flush");
 }
@@ -115,7 +116,8 @@ fn hostile_frames_cannot_kill_the_event_loop() {
     {
         let mut s = connect_raw(&addr);
         s.write_all(&64u32.to_le_bytes()).expect("len");
-        s.write_all(&[PROTOCOL_MAGIC, PROTOCOL_VERSION, 1, 2, 3]).expect("partial");
+        s.write_all(&[PROTOCOL_MAGIC, PROTOCOL_VERSION, 1, 2, 3])
+            .expect("partial");
         s.flush().unwrap();
         // drop mid-frame
     }
@@ -221,7 +223,10 @@ fn malformed_predict_bodies_get_typed_errors_and_mask_bytes_are_canonical() {
         send_frame(&mut s, &bad);
         let (_, resp) = recv_response(&mut s);
         assert!(matches!(resp, Response::Error(_)), "got {resp:?}");
-        assert_eq!(predict_bits(&mut s, &raw_predict(3, 1, dim, &row, &ones)).len(), 1);
+        assert_eq!(
+            predict_bits(&mut s, &raw_predict(3, 1, dim, &row, &ones)).len(),
+            1
+        );
     }
 
     // An empty batch may declare zero features.
@@ -233,7 +238,10 @@ fn malformed_predict_bodies_get_typed_errors_and_mask_bytes_are_canonical() {
     let before = Client::connect(&addr).unwrap().stats().unwrap();
     let canonical = predict_bits(&mut s, &raw_predict(5, 1, dim, &row2, &ones));
     let odd: Vec<u8> = (0..dim).map(|j| [0x02, 0xFF, 0x80][j % 3]).collect();
-    assert_eq!(predict_bits(&mut s, &raw_predict(6, 1, dim, &row2, &odd)), canonical);
+    assert_eq!(
+        predict_bits(&mut s, &raw_predict(6, 1, dim, &row2, &odd)),
+        canonical
+    );
     let after = Client::connect(&addr).unwrap().stats().unwrap();
     assert_eq!(after.cache_misses - before.cache_misses, 1);
     assert_eq!(after.cache_hits - before.cache_hits, 1);

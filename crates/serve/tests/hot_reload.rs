@@ -42,11 +42,21 @@ fn mid_traffic_reload_drops_zero_requests_and_flips_the_gauge() {
         .collect();
     let v1_bits: Vec<u64> = rows
         .iter()
-        .map(|r| v1_artifact.to_model().predict_prob_encoded(&r.row, &r.mask).to_bits())
+        .map(|r| {
+            v1_artifact
+                .to_model()
+                .predict_prob_encoded(&r.row, &r.mask)
+                .to_bits()
+        })
         .collect();
     let v2_bits: Vec<u64> = rows
         .iter()
-        .map(|r| v2_artifact.to_model().predict_prob_encoded(&r.row, &r.mask).to_bits())
+        .map(|r| {
+            v2_artifact
+                .to_model()
+                .predict_prob_encoded(&r.row, &r.mask)
+                .to_bits()
+        })
         .collect();
     assert_ne!(v1_bits, v2_bits, "the two versions must be distinguishable");
 
@@ -144,7 +154,11 @@ fn pinned_models_never_reload() {
     std::thread::sleep(Duration::from_millis(100));
 
     let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-    assert_eq!(client.info().expect("info").model_version, 1, "pin must hold");
+    assert_eq!(
+        client.info().expect("info").model_version,
+        1,
+        "pin must hold"
+    );
     assert_eq!(
         gauge_value(&handle.metrics_text(), "esp_serve_reloads_total"),
         Some(0.0)

@@ -93,7 +93,11 @@ fn replies_keep_request_order_and_profile_joins_computed_rows() {
         replies.push(Response::decode_with_id(&payload).expect("decode"));
     }
     let ids: Vec<u64> = replies.iter().map(|(id, _)| *id).collect();
-    assert_eq!(ids, [11, 12, 13, 14, 15, 16], "replies out of request order");
+    assert_eq!(
+        ids,
+        [11, 12, 13, 14, 15, 16],
+        "replies out of request order"
+    );
 
     for ((name, batch), (_, reply)) in [("A", &a), ("B", &b), ("C", &c)].into_iter().zip(&replies) {
         let Response::Predictions(preds) = reply else {

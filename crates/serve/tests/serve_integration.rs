@@ -119,8 +119,12 @@ fn f32_serving_matches_in_process_quantized_inference_bitwise() {
     let q = ModelArtifact::synthetic(12, 4, 33).quantize();
     let q = ModelArtifact::from_bytes(&q.to_bytes()).expect("f32 artifact round-trips");
     let qmodel = q.to_model();
-    let handle = serve(ModelSource::Artifact(&q), "127.0.0.1:0", &ServeConfig::default())
-        .expect("bind ephemeral port");
+    let handle = serve(
+        ModelSource::Artifact(&q),
+        "127.0.0.1:0",
+        &ServeConfig::default(),
+    )
+    .expect("bind ephemeral port");
     let mut client = Client::connect(handle.addr().to_string()).expect("connect");
 
     let rows: Vec<PredictRow> = (0..40)
@@ -194,8 +198,14 @@ fn unknown_flags_exit_2_before_serving() {
     for flag in [["--threads", "2"], ["--precision", "f32"]] {
         let (code, stderr) = run_esp_serve(&flag);
         assert_eq!(code, Some(2), "{flag:?}: stderr was {stderr:?}");
-        assert!(stderr.contains(flag[0]), "{flag:?}: message must name the flag: {stderr:?}");
-        assert!(!stderr.contains("listening"), "{flag:?}: server started: {stderr:?}");
+        assert!(
+            stderr.contains(flag[0]),
+            "{flag:?}: message must name the flag: {stderr:?}"
+        );
+        assert!(
+            !stderr.contains("listening"),
+            "{flag:?}: server started: {stderr:?}"
+        );
     }
 }
 
@@ -228,18 +238,29 @@ fn one_row_and_multi_chunk_batches_are_bitwise_identical() {
     let batched: Vec<u64> = batched.iter().map(|p| p.prob.to_bits()).collect();
     let single: Vec<u64> = rows
         .iter()
-        .map(|r| client.predict(vec![r.clone()]).expect("predict")[0].prob.to_bits())
+        .map(|r| {
+            client.predict(vec![r.clone()]).expect("predict")[0]
+                .prob
+                .to_bits()
+        })
         .collect();
     handle.shutdown();
-    assert_eq!(batched, local, "a multi-chunk batch changed prediction bits");
+    assert_eq!(
+        batched, local,
+        "a multi-chunk batch changed prediction bits"
+    );
     assert_eq!(single, local, "a one-row batch changed prediction bits");
 }
 
 #[test]
 fn dimension_mismatch_is_a_remote_error_not_a_crash() {
     let artifact = ModelArtifact::synthetic(9, 3, 21);
-    let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &ServeConfig::default())
-        .expect("bind ephemeral port");
+    let handle = serve(
+        ModelSource::Artifact(&artifact),
+        "127.0.0.1:0",
+        &ServeConfig::default(),
+    )
+    .expect("bind ephemeral port");
     let mut client = Client::connect(handle.addr().to_string()).expect("connect");
 
     let bad = PredictRow {

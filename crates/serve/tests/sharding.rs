@@ -59,7 +59,10 @@ fn any_shard_count_serves_identical_bits() {
             "shard gauge"
         );
         let stats = client.stats().expect("stats");
-        assert_eq!(stats.cache_hits + stats.cache_misses, 2 * batch.len() as u64);
+        assert_eq!(
+            stats.cache_hits + stats.cache_misses,
+            2 * batch.len() as u64
+        );
         assert_eq!(stats.cache_hits, batch.len() as u64, "second pass all hits");
         for i in 0..shards {
             assert!(

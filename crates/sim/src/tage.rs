@@ -411,10 +411,7 @@ mod tests {
         // Period 7 needs >= 6 bits of history — table 2 (18 bits) covers it.
         let pattern = [true, true, true, false, true, false, false];
         let mut p = Tage::new(small_cfg());
-        let preds = drive(
-            &mut p,
-            (0..4000u32).map(|i| (3, pattern[(i % 7) as usize])),
-        );
+        let preds = drive(&mut p, (0..4000u32).map(|i| (3, pattern[(i % 7) as usize])));
         let late_misses = preds
             .iter()
             .enumerate()
@@ -455,8 +452,7 @@ mod tests {
         // trace: 8 events per site, round-robin.
         let n_sites = 40u64;
         let priors = vec![0.95; n_sites as usize];
-        let stream: Vec<(u64, bool)> =
-            (0..8 * n_sites).map(|i| (i % n_sites, true)).collect();
+        let stream: Vec<(u64, bool)> = (0..8 * n_sites).map(|i| (i % n_sites, true)).collect();
 
         let mut cold = Tage::new(small_cfg());
         let mut seeded = Tage::with_seeded_base(small_cfg(), &priors);

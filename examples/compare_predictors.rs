@@ -23,7 +23,9 @@ fn misses(counts: &BranchCounts, pred: Option<bool>) -> f64 {
 }
 
 fn main() {
-    let target = std::env::args().nth(1).unwrap_or_else(|| "espresso".to_string());
+    let target = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "espresso".to_string());
     let cfg = CompilerConfig::default();
     let all = suite();
     let bench = all
@@ -39,7 +41,10 @@ fn main() {
     // Train ESP on all other programs of the same language.
     println!("training ESP on the rest of the {} corpus…", bench.lang);
     let mut owned = Vec::new();
-    for other in all.iter().filter(|b| b.lang == bench.lang && b.name != target) {
+    for other in all
+        .iter()
+        .filter(|b| b.lang == bench.lang && b.name != target)
+    {
         let p = other.compile(&cfg).expect("compiles");
         let a = ProgramAnalysis::analyze(&p);
         let pr = esp_repro::corpus::profile(&p).expect("runs");
@@ -63,9 +68,7 @@ fn main() {
     );
 
     // Measure DSHC(Ours) hit rates on the training corpus only (no peeking).
-    let rates_ours = esp_repro::heur::measure_rates(
-        owned.iter().map(|(p, a, pr)| (p, a, pr)),
-    );
+    let rates_ours = esp_repro::heur::measure_rates(owned.iter().map(|(p, a, pr)| (p, a, pr)));
 
     let aphc = Aphc::table1_order();
     let dshc_bl = Dshc::new(HeuristicRates::ball_larus_mips());

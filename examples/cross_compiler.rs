@@ -13,7 +13,9 @@ use esp_repro::ir::ProgramAnalysis;
 use esp_repro::lang::CompilerConfig;
 
 fn main() {
-    let target = std::env::args().nth(1).unwrap_or_else(|| "espresso".to_string());
+    let target = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "espresso".to_string());
     let all = suite();
     let bench = all
         .iter()
@@ -38,7 +40,9 @@ fn main() {
         let mut perf = 0.0f64;
         let mut total = 0u64;
         for site in prog.branch_sites() {
-            let Some(c) = profile.counts(site) else { continue };
+            let Some(c) = profile.counts(site) else {
+                continue;
+            };
             total += c.executed;
             let ctx = BranchCtx::new(&prog, &analysis, site);
             let chg = |p: Option<bool>| match p {

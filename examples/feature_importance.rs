@@ -16,10 +16,15 @@ use esp_repro::nnet::MlpConfig;
 fn main() {
     let cfg = CompilerConfig::default();
     let all = suite();
-    let train_names = ["sort", "grep", "sed", "gzip", "compress", "wdiff", "yacr", "od"];
+    let train_names = [
+        "sort", "grep", "sed", "gzip", "compress", "wdiff", "yacr", "od",
+    ];
     let test_names = ["indent", "flex"];
 
-    println!("compiling + profiling {} programs…", train_names.len() + test_names.len());
+    println!(
+        "compiling + profiling {} programs…",
+        train_names.len() + test_names.len()
+    );
     let build = |name: &str| {
         let bench = all.iter().find(|b| b.name == name).expect("in suite");
         let prog = bench.compile(&cfg).expect("compiles");
@@ -78,7 +83,9 @@ fn main() {
         let mut total = 0u64;
         for (prog, analysis, profile) in &test {
             for site in prog.branch_sites() {
-                let Some(c) = profile.counts(site) else { continue };
+                let Some(c) = profile.counts(site) else {
+                    continue;
+                };
                 total += c.executed;
                 misses += if model.predict_taken(prog, analysis, site) {
                     (c.executed - c.taken) as f64

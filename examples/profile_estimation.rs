@@ -17,7 +17,9 @@ use esp_repro::lang::CompilerConfig;
 use esp_repro::nnet::MlpConfig;
 
 fn main() {
-    let target = std::env::args().nth(1).unwrap_or_else(|| "sort".to_string());
+    let target = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "sort".to_string());
     let cfg = CompilerConfig::default();
     let all = suite();
     let bench = all
@@ -59,7 +61,10 @@ fn main() {
 
     // Probability sources to compare.
     println!("\nblock-frequency estimation quality on `{target}`:");
-    println!("{:<22} {:>14} {:>12}", "probability source", "log-corr", "MAE");
+    println!(
+        "{:<22} {:>14} {:>12}",
+        "probability source", "log-corr", "MAE"
+    );
 
     let profile = data.profile.clone();
     let mut oracle = |site| {
@@ -69,11 +74,17 @@ fn main() {
             .unwrap_or(0.5)
     };
     let r = evaluate_estimation(&data, &mut oracle);
-    println!("{:<22} {:>14.3} {:>12.3}", "profile oracle", r.log_correlation, r.mean_abs_error);
+    println!(
+        "{:<22} {:>14.3} {:>12.3}",
+        "profile oracle", r.log_correlation, r.mean_abs_error
+    );
 
     let mut esp_probs = |site| model.predict_prob(&data.prog, &data.analysis, site);
     let r = evaluate_estimation(&data, &mut esp_probs);
-    println!("{:<22} {:>14.3} {:>12.3}", "ESP network", r.log_correlation, r.mean_abs_error);
+    println!(
+        "{:<22} {:>14.3} {:>12.3}",
+        "ESP network", r.log_correlation, r.mean_abs_error
+    );
 
     let dshc = Dshc::new(HeuristicRates::ball_larus_mips());
     let mut dshc_probs = |site| {
@@ -81,11 +92,17 @@ fn main() {
             .unwrap_or(0.5)
     };
     let r = evaluate_estimation(&data, &mut dshc_probs);
-    println!("{:<22} {:>14.3} {:>12.3}", "DSHC evidence", r.log_correlation, r.mean_abs_error);
+    println!(
+        "{:<22} {:>14.3} {:>12.3}",
+        "DSHC evidence", r.log_correlation, r.mean_abs_error
+    );
 
     let mut flat = |_| 0.5;
     let r = evaluate_estimation(&data, &mut flat);
-    println!("{:<22} {:>14.3} {:>12.3}", "flat 0.5", r.log_correlation, r.mean_abs_error);
+    println!(
+        "{:<22} {:>14.3} {:>12.3}",
+        "flat 0.5", r.log_correlation, r.mean_abs_error
+    );
 
     println!(
         "\n(the oracle bounds what any static estimator can do; ESP and DSHC should\n\

@@ -46,7 +46,10 @@ fn main() {
     println!("  {} weighted training examples", model.num_examples());
 
     // 3. Predict the unseen program and score against its real profile.
-    let bench = all.iter().find(|b| b.name == target_name).expect("in suite");
+    let bench = all
+        .iter()
+        .find(|b| b.name == target_name)
+        .expect("in suite");
     let prog = bench.compile(&cfg).expect("compiles");
     let analysis = ProgramAnalysis::analyze(&prog);
     let profile = esp_repro::corpus::profile(&prog).expect("runs");

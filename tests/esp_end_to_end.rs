@@ -2,9 +2,7 @@
 //! programs predicts an unseen program better than chance, and the learned
 //! model transfers across programs the way the paper's §3 describes.
 
-use esp_repro::esp::{
-    leave_one_out, EspConfig, EspModel, FeatureSet, Learner, TrainingProgram,
-};
+use esp_repro::esp::{leave_one_out, EspConfig, EspModel, FeatureSet, Learner, TrainingProgram};
 use esp_repro::eval::{miss_rate, Prediction, SuiteData};
 use esp_repro::lang::CompilerConfig;
 use esp_repro::nnet::{MlpConfig, TreeConfig};
@@ -26,7 +24,9 @@ fn quick_net() -> EspConfig {
 #[test]
 fn esp_beats_coin_flips_on_held_out_programs() {
     let suite = SuiteData::build_subset(
-        &["sort", "grep", "sed", "gzip", "wdiff", "compress", "yacr", "eqntott"],
+        &[
+            "sort", "grep", "sed", "gzip", "wdiff", "compress", "yacr", "eqntott",
+        ],
         &CompilerConfig::default(),
     );
     let programs: Vec<TrainingProgram<'_>> = suite

@@ -66,8 +66,12 @@ fn language_tag_flows_from_frontend_to_ir() {
 fn isa_flavours_differ_in_branch_population() {
     let all = suite();
     let bench = all.iter().find(|b| b.name == "sort").expect("in suite");
-    let alpha = bench.compile(&CompilerConfig::cc_osf1_v12()).expect("compiles");
-    let mips = bench.compile(&CompilerConfig::mips_ref()).expect("compiles");
+    let alpha = bench
+        .compile(&CompilerConfig::cc_osf1_v12())
+        .expect("compiles");
+    let mips = bench
+        .compile(&CompilerConfig::mips_ref())
+        .expect("compiles");
     let two_reg = |p: &esp_repro::ir::Program| {
         p.funcs
             .iter()

@@ -38,7 +38,11 @@ fn perfect_is_a_lower_bound_for_every_predictor() {
         let aphc = Aphc::table1_order();
         let perfect = miss_rate(b, |s| Prediction::from(perfect_predict(&b.profile, s)));
         let btfnt = miss_rate(b, |s| {
-            Prediction::from(Some(Btfnt.predict(&BranchCtx::new(&b.prog, &b.analysis, s))))
+            Prediction::from(Some(Btfnt.predict(&BranchCtx::new(
+                &b.prog,
+                &b.analysis,
+                s,
+            ))))
         });
         let heur = miss_rate(b, |s| {
             Prediction::from(aphc.predict(&BranchCtx::new(&b.prog, &b.analysis, s)))
@@ -66,7 +70,11 @@ fn table4_rows_are_consistent() {
     assert_eq!(rows.len(), suite.benches.len());
     for r in &rows {
         for v in [r.btfnt, r.aphc, r.dshc_bl, r.dshc_ours, r.esp, r.perfect] {
-            assert!((0.0..=1.0).contains(&v), "{}: rate {v} out of range", r.name);
+            assert!(
+                (0.0..=1.0).contains(&v),
+                "{}: rate {v} out of range",
+                r.name
+            );
         }
         assert!(
             r.perfect <= r.esp + 1e-9,

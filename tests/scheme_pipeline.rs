@@ -14,7 +14,8 @@ fn scheme_trio_profiles_and_is_recursive() {
         let prog = bench
             .compile(&CompilerConfig::default())
             .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-        let out = run(&prog, &ExecLimits::default()).unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+        let out =
+            run(&prog, &ExecLimits::default()).unwrap_or_else(|e| panic!("{}: {e}", bench.name));
         assert!(out.profile.dyn_cond_branches > 1_000, "{}", bench.name);
         let recursive = prog
             .iter_funcs()
@@ -61,7 +62,9 @@ fn esp_can_train_on_scheme_and_predict_scheme() {
     let mut misses = 0.0;
     let mut total = 0u64;
     for site in prog.branch_sites() {
-        let Some(c) = profile.counts(site) else { continue };
+        let Some(c) = profile.counts(site) else {
+            continue;
+        };
         total += c.executed;
         misses += if model.predict_taken(prog, analysis, site) {
             (c.executed - c.taken) as f64

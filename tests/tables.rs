@@ -4,7 +4,10 @@ use esp_repro::eval::{self, SuiteData};
 use esp_repro::lang::CompilerConfig;
 
 fn small_suite() -> SuiteData {
-    SuiteData::build_subset(&["sort", "grep", "tomcatv", "TIS"], &CompilerConfig::default())
+    SuiteData::build_subset(
+        &["sort", "grep", "tomcatv", "TIS"],
+        &CompilerConfig::default(),
+    )
 }
 
 #[test]
@@ -18,7 +21,12 @@ fn table3_reports_every_program() {
         assert!((0.0..=1.0).contains(&r.pct_taken));
         // quantiles are monotone
         for w in r.quantiles.windows(2) {
-            assert!(w[0] <= w[1], "{}: quantiles not monotone {:?}", r.name, r.quantiles);
+            assert!(
+                w[0] <= w[1],
+                "{}: quantiles not monotone {:?}",
+                r.name,
+                r.quantiles
+            );
         }
         assert!(r.quantiles[5] <= r.static_sites);
     }

@@ -88,7 +88,9 @@ fn extended_encoding_is_additive() {
 fn nine_rows() -> Vec<(Vec<f64>, Vec<bool>)> {
     (0..9)
         .map(|i| {
-            let row = (0..6).map(|j| ((i * 6 + j) as f64 * 0.7).sin() * 2.5).collect();
+            let row = (0..6)
+                .map(|j| ((i * 6 + j) as f64 * 0.7).sin() * 2.5)
+                .collect();
             let mask = (0..6).map(|j| (i + j) % 5 != 0).collect();
             (row, mask)
         })

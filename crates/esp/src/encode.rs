@@ -263,7 +263,7 @@ impl FittedEncoder {
 
     /// Normalize + gate a row in place (same arithmetic as
     /// [`FittedEncoder::transform`], so results are bitwise identical).
-    fn transform_in_place(&self, row: &mut [f64], mask: &[bool]) {
+    pub(crate) fn transform_in_place(&self, row: &mut [f64], mask: &[bool]) {
         self.norm.apply(row);
         for (x, keep) in row.iter_mut().zip(mask) {
             if !keep {

@@ -12,7 +12,11 @@
 //! 3. [`EspModel::train`] fits the paper's neural network (or the
 //!    decision-tree alternative) under the misprediction-cost loss, each
 //!    example weighted by its normalized execution frequency;
-//! 4. [`crossval::cross_validate`] runs the leave-one-out protocol of §4.
+//! 4. [`leave_one_out`] trains one fold of the leave-one-out protocol of
+//!    §4. Every fold is a pure function of the corpus, the config and its
+//!    index, and a network trains on the calling thread, so callers (Table
+//!    4 in `esp-eval`) run folds on the `esp-runtime` pool at any
+//!    `EspConfig::threads` and get the same bits.
 //!
 //! # Example
 //!
@@ -57,7 +61,7 @@ pub mod extended;
 pub mod features;
 pub mod model;
 
-pub use crossval::{cross_validate, leave_one_out};
+pub use crossval::leave_one_out;
 pub use encode::{encode, encoded_dim, FeatureSet, FittedEncoder, ENCODED_DIM, EXTENDED_DIM};
 pub use extended::ExtendedContext;
 pub use features::{extract, BranchFeatures, ExtendedFeatures, SuccessorFeatures, FEATURE_COUNT};

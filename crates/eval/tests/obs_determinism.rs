@@ -28,8 +28,7 @@ fn mini_cfg() -> Table4Config {
     }
 }
 
-/// The bits of a network trained on the suite, with restarts and gradient
-/// chunks spread over the runtime pool.
+/// The bits of a network trained on the suite, over two restarts.
 fn trained_weight_bits(suite: &SuiteData) -> Vec<u64> {
     let programs: Vec<TrainingProgram<'_>> = suite
         .benches
@@ -42,7 +41,6 @@ fn trained_weight_bits(suite: &SuiteData) -> Vec<u64> {
         max_epochs: 20,
         patience: 20,
         restarts: 2,
-        threads: 2,
         ..MlpConfig::default()
     };
     let (mlp, _) = Mlp::train(&data, &cfg);

@@ -59,7 +59,6 @@ fn forward_and_gradient_hot_loops_do_not_allocate() {
             hidden,
             restarts: 1,
             max_epochs: 2,
-            threads: 1,
             ..MlpConfig::default()
         },
     );

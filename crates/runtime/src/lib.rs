@@ -8,11 +8,10 @@
 //!   generators and the network initialiser need. Identical seeds produce
 //!   identical streams on every platform.
 //! * [`pool`] — a [`std::thread::scope`]-based worker pool for the
-//!   embarrassingly-parallel layers of the ESP pipeline (profiling runs,
-//!   cross-validation folds, training restarts, gradient chunks), plus an
-//!   *ordered* pairwise tree reduction whose shape depends only on the item
-//!   count — the building block that keeps parallel floating-point results
-//!   bitwise identical to serial ones.
+//!   embarrassingly-parallel layers of the ESP pipeline (profiling runs and
+//!   cross-validation folds). Results come back in input order, and each
+//!   item runs on one thread, so parallel runs are bitwise identical to
+//!   serial ones.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,5 +19,5 @@
 pub mod pool;
 pub mod rng;
 
-pub use pool::{parallel_drain, parallel_map, parallel_map_indices, resolve_threads, tree_reduce};
+pub use pool::{parallel_map, parallel_map_indices, resolve_threads};
 pub use rng::{Pcg32, SplitMix64};

@@ -14,8 +14,41 @@ cd "$(dirname "$0")/.."
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
+# Start esp-serve with the given arguments on ephemeral protocol and HTTP
+# ports, logging to $1, and wait until it prints both bound addresses.
+# Sets serve_pid, tcp_addr and http_addr. $2 names the smoke in the
+# failure message; on failure the log is dumped and the server killed.
+start_server() {
+    local log=$1 smoke=$2
+    shift 2
+    ./target/release/esp-serve "$@" --addr 127.0.0.1:0 --http-addr 127.0.0.1:0 2> "$log" &
+    serve_pid=$!
+    tcp_addr=""; http_addr=""
+    for _ in $(seq 1 100); do
+        tcp_addr=$(sed -n 's/^esp-serve listening on \([^ ]*\) .*/\1/p' "$log")
+        http_addr=$(sed -n 's|^esp-serve telemetry on http://\([^ ]*\) .*|\1|p' "$log")
+        [[ -n "$tcp_addr" && -n "$http_addr" ]] && return 0
+        sleep 0.1
+    done
+    echo "esp-serve${smoke:+ ($smoke)} did not print its bound addresses:" >&2
+    cat "$log" >&2
+    kill "$serve_pid" 2>/dev/null
+    exit 1
+}
+
+# Fail with message $1, killing the server start_server started.
+server_fail() {
+    echo "$1" >&2
+    kill "$serve_pid" 2>/dev/null
+    exit 1
+}
+
 echo "==> cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
+
+# perfbench/ is its own workspace and is not formatted here.
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
 
 echo "==> cargo clippy --workspace --all-targets (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -68,32 +101,19 @@ is intentional, regenerate results/lint_golden.json with esp_lint --json" >&2; e
     rm -f lint_oracle.txt
 
     echo "==> telemetry sidecar smoke (esp-serve --http-addr, scraped via esp-client get)"
-    ./target/release/esp-serve --synthetic 24,8,7 --addr 127.0.0.1:0 \
-        --http-addr 127.0.0.1:0 2> serve_sidecar.log &
-    serve_pid=$!
-    tcp_addr=""; http_addr=""
-    for _ in $(seq 1 100); do
-        tcp_addr=$(sed -n 's/^esp-serve listening on \([^ ]*\) .*/\1/p' serve_sidecar.log)
-        http_addr=$(sed -n 's|^esp-serve telemetry on http://\([^ ]*\) .*|\1|p' serve_sidecar.log)
-        [[ -n "$tcp_addr" && -n "$http_addr" ]] && break
-        sleep 0.1
-    done
-    [[ -n "$tcp_addr" && -n "$http_addr" ]] \
-        || { echo "esp-serve did not print its bound addresses:" >&2; \
-             cat serve_sidecar.log >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
+    start_server serve_sidecar.log "" --synthetic 24,8,7
     ./target/release/esp-client get --addr "$http_addr" --path /metrics > sidecar_metrics.prom
     for series in esp_serve_requests_total esp_ledger_sites \
                   esp_ledger_observed_miss_rate esp_ledger_calibration_ece; do
-        grep -q "$series" sidecar_metrics.prom \
-            || { echo "/metrics is missing $series" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
+        grep -q "$series" sidecar_metrics.prom || server_fail "/metrics is missing $series"
     done
     ./target/release/esp-client get --addr "$http_addr" --path /healthz > sidecar_healthz.json
     grep -q '"protocol_version": 4' sidecar_healthz.json \
-        || { echo "/healthz is missing protocol_version 4" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
+        || server_fail "/healthz is missing protocol_version 4"
     grep -q '"ledger_enabled": true' sidecar_healthz.json \
-        || { echo "/healthz says the default-on ledger is off" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
+        || server_fail "/healthz says the default-on ledger is off"
     grep -q '"shard_health": \[' sidecar_healthz.json \
-        || { echo "/healthz is missing the shard_health array" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
+        || server_fail "/healthz is missing the shard_health array"
     ./target/release/esp-client get --addr "$http_addr" --path '/sitez?top=5' > sidecar_sitez.json
     if command -v python3 >/dev/null 2>&1; then
         python3 - <<'PYEOF'
@@ -108,7 +128,7 @@ print(f"sitez OK: {len(doc['sites'])} hot sites, {summary['served']} served")
 PYEOF
     else
         grep -q '"sites": \[' sidecar_sitez.json \
-            || { echo "/sitez is missing the sites array" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
+            || server_fail "/sitez is missing the sites array"
     fi
     ./target/release/esp-client shutdown --addr "$tcp_addr" > /dev/null
     wait "$serve_pid"
@@ -118,22 +138,10 @@ PYEOF
     rm -rf target/verify_reload_registry
     ./target/release/esp-client registry publish --dir target/verify_reload_registry \
         --name smoke --synthetic 16,6,41 > /dev/null
-    ./target/release/esp-serve --registry target/verify_reload_registry --name smoke \
-        --shards 2 --reload-watch 50 --addr 127.0.0.1:0 \
-        --http-addr 127.0.0.1:0 2> serve_reload.log &
-    reload_pid=$!
-    tcp_addr=""; http_addr=""
-    for _ in $(seq 1 100); do
-        tcp_addr=$(sed -n 's/^esp-serve listening on \([^ ]*\) .*/\1/p' serve_reload.log)
-        http_addr=$(sed -n 's|^esp-serve telemetry on http://\([^ ]*\) .*|\1|p' serve_reload.log)
-        [[ -n "$tcp_addr" && -n "$http_addr" ]] && break
-        sleep 0.1
-    done
-    [[ -n "$tcp_addr" && -n "$http_addr" ]] \
-        || { echo "esp-serve (reload smoke) did not print its bound addresses:" >&2; \
-             cat serve_reload.log >&2; kill "$reload_pid" 2>/dev/null; exit 1; }
+    start_server serve_reload.log "reload smoke" --registry target/verify_reload_registry \
+        --name smoke --shards 2 --reload-watch 50
     ./target/release/esp-client info --addr "$tcp_addr" --model smoke | grep -q '\[smoke@1\]' \
-        || { echo "reload smoke: expected smoke@1 before publish" >&2; kill "$reload_pid" 2>/dev/null; exit 1; }
+        || server_fail "reload smoke: expected smoke@1 before publish"
     ./target/release/esp-client registry publish --dir target/verify_reload_registry \
         --name smoke --synthetic 16,6,42 > /dev/null
     reloaded=0
@@ -142,23 +150,19 @@ PYEOF
         if grep -q '^esp_serve_model_version 2$' reload_metrics.prom; then reloaded=1; break; fi
         sleep 0.1
     done
-    [[ "$reloaded" -eq 1 ]] \
-        || { echo "reload smoke: esp_serve_model_version never reached 2" >&2; \
-             kill "$reload_pid" 2>/dev/null; exit 1; }
+    [[ "$reloaded" -eq 1 ]] || server_fail "reload smoke: esp_serve_model_version never reached 2"
     grep -q '^esp_serve_reloads_total 1$' reload_metrics.prom \
-        || { echo "reload smoke: esp_serve_reloads_total != 1" >&2; kill "$reload_pid" 2>/dev/null; exit 1; }
+        || server_fail "reload smoke: esp_serve_reloads_total != 1"
     grep -q '^esp_serve_shards 2$' reload_metrics.prom \
-        || { echo "reload smoke: esp_serve_shards != 2" >&2; kill "$reload_pid" 2>/dev/null; exit 1; }
+        || server_fail "reload smoke: esp_serve_shards != 2"
     for family in esp_serve_shard_0_queue_depth esp_serve_shard_1_queue_depth \
                   esp_serve_cache_entries; do
-        grep -q "^${family} " reload_metrics.prom \
-            || { echo "reload smoke: missing ${family}" >&2; \
-                 kill "$reload_pid" 2>/dev/null; exit 1; }
+        grep -q "^${family} " reload_metrics.prom || server_fail "reload smoke: missing ${family}"
     done
     ./target/release/esp-client info --addr "$tcp_addr" --model smoke@2 | grep -q '\[smoke@2\]' \
-        || { echo "reload smoke: smoke@2 not served after reload" >&2; kill "$reload_pid" 2>/dev/null; exit 1; }
+        || server_fail "reload smoke: smoke@2 not served after reload"
     ./target/release/esp-client shutdown --addr "$tcp_addr" > /dev/null
-    wait "$reload_pid"
+    wait "$serve_pid"
     rm -f serve_reload.log reload_metrics.prom
     rm -rf target/verify_reload_registry
 
@@ -232,25 +236,13 @@ PYEOF
     f32_name=${f32_names%%$'\n'*}
     [[ -n "$f32_name" ]] \
         || { echo "the f32 gate published no *-f32 fold" >&2; exit 1; }
-    ./target/release/esp-serve --registry target/verify_f32_registry --name "$f32_name" \
-        --addr 127.0.0.1:0 --http-addr 127.0.0.1:0 2> serve_f32.log &
-    f32_pid=$!
-    tcp_addr=""; http_addr=""
-    for _ in $(seq 1 100); do
-        tcp_addr=$(sed -n 's/^esp-serve listening on \([^ ]*\) .*/\1/p' serve_f32.log)
-        http_addr=$(sed -n 's|^esp-serve telemetry on http://\([^ ]*\) .*|\1|p' serve_f32.log)
-        [[ -n "$tcp_addr" && -n "$http_addr" ]] && break
-        sleep 0.1
-    done
-    [[ -n "$tcp_addr" && -n "$http_addr" ]] \
-        || { echo "esp-serve (f32 smoke) did not print its bound addresses:" >&2; \
-             cat serve_f32.log >&2; kill "$f32_pid" 2>/dev/null; exit 1; }
+    start_server serve_f32.log "f32 smoke" --registry target/verify_f32_registry \
+        --name "$f32_name"
     ./target/release/esp-client get --addr "$http_addr" --path /metrics > f32_metrics.prom
     grep -q '^esp_serve_predict_precision 32$' f32_metrics.prom \
-        || { echo "f32 smoke: $f32_name is not served at 32-bit precision" >&2; \
-             kill "$f32_pid" 2>/dev/null; exit 1; }
+        || server_fail "f32 smoke: $f32_name is not served at 32-bit precision"
     ./target/release/esp-client shutdown --addr "$tcp_addr" > /dev/null
-    wait "$f32_pid"
+    wait "$serve_pid"
     rm -f serve_f32.log f32_metrics.prom
     rm -rf target/verify_f32_registry
 

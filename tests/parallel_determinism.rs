@@ -1,73 +1,83 @@
 //! The parallel runtime's core guarantee, end to end: any thread count
-//! produces *bitwise identical* results. Cross-validation folds, training
-//! restarts and gradient chunks all reduce in a fixed order, so `threads`
-//! is purely a wall-clock knob — never a results knob.
+//! produces *bitwise identical* results. Table 4's leave-one-out folds run
+//! on the pool, each training its network on one worker, so `threads` is
+//! purely a wall-clock knob — never a results knob.
 
-use esp_repro::esp::{cross_validate, EspConfig, FeatureSet, Learner, TrainingProgram};
-use esp_repro::eval::{miss_rate, Prediction, SuiteData};
+use std::path::Path;
+
+use esp_repro::artifact::Registry;
+use esp_repro::esp::{EspConfig, FeatureSet, Learner};
+use esp_repro::eval::table4::{compute, Table4Row};
+use esp_repro::eval::{SuiteData, Table4Config};
 use esp_repro::lang::CompilerConfig;
 use esp_repro::nnet::MlpConfig;
 
-fn cfg(threads: usize) -> EspConfig {
-    EspConfig {
-        learner: Learner::Net(MlpConfig {
-            hidden: 6,
-            max_epochs: 60,
-            patience: 12,
-            restarts: 2,
+/// Six C programs: six folds, more than the four workers of the parallel
+/// run.
+const SUBSET: [&str; 6] = ["sort", "grep", "sed", "gzip", "wdiff", "compress"];
+
+/// Two restarts, so every fold also runs the restart loop; every fold is
+/// published to `registry`.
+fn cfg(threads: usize, registry: &Path) -> Table4Config {
+    Table4Config {
+        esp: EspConfig {
+            learner: Learner::Net(MlpConfig {
+                hidden: 6,
+                max_epochs: 60,
+                patience: 12,
+                restarts: 2,
+                ..MlpConfig::default()
+            }),
+            features: FeatureSet::default(),
             threads,
-            ..MlpConfig::default()
-        }),
-        features: FeatureSet::default(),
-        threads,
-        ..EspConfig::default()
+            ..EspConfig::default()
+        },
+        model_cache: Some(registry.to_path_buf()),
+        quant: None,
     }
+}
+
+/// A row's name and the bits of its six miss rates.
+fn row_bits(r: &Table4Row) -> (String, [u64; 6]) {
+    let rates = [r.btfnt, r.aphc, r.dshc_bl, r.dshc_ours, r.esp, r.perfect];
+    (r.name.clone(), rates.map(f64::to_bits))
 }
 
 #[test]
 fn cross_validation_is_bitwise_identical_across_thread_counts() {
-    let suite = SuiteData::build_subset(
-        &["sort", "grep", "sed", "gzip", "wdiff", "compress"],
-        &CompilerConfig::default(),
+    let suite = SuiteData::build_subset(&SUBSET, &CompilerConfig::default());
+    let root =
+        std::env::temp_dir().join(format!("esp-parallel-determinism-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let run = |threads: usize| {
+        let dir = root.join(format!("threads{threads}"));
+        let rows: Vec<_> = compute(&suite, &cfg(threads, &dir))
+            .iter()
+            .map(row_bits)
+            .collect();
+        (rows, Registry::open(dir))
+    };
+
+    let (serial, serial_reg) = run(1);
+    let (parallel, parallel_reg) = run(4);
+    assert_eq!(serial.len(), SUBSET.len());
+    assert_eq!(
+        serial, parallel,
+        "Table 4 rows diverge across thread counts"
     );
-    let programs: Vec<TrainingProgram<'_>> = suite
-        .benches
-        .iter()
-        .map(|b| TrainingProgram::new(&b.prog, &b.analysis, &b.profile))
-        .collect();
 
-    let serial = cross_validate(&programs, &cfg(1));
-    let parallel = cross_validate(&programs, &cfg(4));
-    assert_eq!(serial.len(), parallel.len());
-
-    for (fold, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-        // the trained parameters must match bit for bit, not just approximately
-        let wa: Vec<u64> = a
-            .net_weights()
-            .expect("net learner")
-            .iter()
-            .map(|x| x.to_bits())
-            .collect();
-        let wb: Vec<u64> = b
-            .net_weights()
-            .expect("net learner")
-            .iter()
-            .map(|x| x.to_bits())
-            .collect();
-        assert_eq!(wa, wb, "fold {fold}: weights diverge across thread counts");
-
-        // and so must the downstream Table 3 style miss rates
-        let bench = &suite.benches[fold];
-        let ra = miss_rate(bench, |s| {
-            Prediction::from(Some(a.predict_taken(&bench.prog, &bench.analysis, s)))
-        });
-        let rb = miss_rate(bench, |s| {
-            Prediction::from(Some(b.predict_taken(&bench.prog, &bench.analysis, s)))
-        });
-        assert_eq!(
-            ra.to_bits(),
-            rb.to_bits(),
-            "fold {fold}: miss rate diverges across thread counts"
+    // The published folds hold the trained weights and the normalizer; the
+    // files must match byte for byte.
+    for fold in 0..SUBSET.len() {
+        let name = format!("table4-c-fold{fold}");
+        let bytes = |reg: &Registry| {
+            let path = reg.path(&name, 1).expect("valid fold name");
+            std::fs::read(&path).unwrap_or_else(|e| panic!("{name} was not published: {e}"))
+        };
+        assert!(
+            bytes(&serial_reg) == bytes(&parallel_reg),
+            "{name}: published artifacts differ across thread counts"
         );
     }
+    std::fs::remove_dir_all(&root).ok();
 }

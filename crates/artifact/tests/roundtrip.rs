@@ -11,7 +11,7 @@ use esp_nnet::MlpConfig;
 
 /// A quick-but-real training run over two corpus programs.
 fn trained_model() -> (SuiteData, EspModel) {
-    let suite = SuiteData::build_subset(&["sort", "grep"], &CompilerConfig::default());
+    let suite = SuiteData::build_subset(&["sort", "grep"], &CompilerConfig::default(), 0);
     let group: Vec<TrainingProgram<'_>> = suite
         .benches
         .iter()

@@ -6,7 +6,9 @@
 //! esp_lint [--subset a,b,c] [--json FILE] [--oracle]
 //! ```
 //!
-//! * `--subset` — comma-separated benchmark names (default: all 43);
+//! * `--subset` — comma-separated benchmark names, linted in that order
+//!   (default: all 43); a name that is not a corpus program exits 2
+//!   before anything is compiled;
 //! * `--json FILE` — write the machine-readable report (the format pinned
 //!   by `results/lint_golden.json`) to `FILE`;
 //! * `--oracle` — execute each program and verify that every `L002`
@@ -21,7 +23,7 @@ use esp_analyze::{lint_program, report_json, Finding, LintCode, ProgramReport};
 use esp_ir::{BranchId, ProgramAnalysis};
 use esp_lang::CompilerConfig;
 
-fn parse_args() -> (Option<Vec<String>>, Option<String>, bool) {
+fn parse_args() -> (Option<String>, Option<String>, bool) {
     let mut subset = None;
     let mut json = None;
     let mut oracle = false;
@@ -33,7 +35,7 @@ fn parse_args() -> (Option<Vec<String>>, Option<String>, bool) {
                     eprintln!("--subset needs a comma-separated name list");
                     std::process::exit(2);
                 });
-                subset = Some(v.split(',').map(|s| s.trim().to_string()).collect());
+                subset = Some(v);
             }
             "--json" => {
                 json = Some(args.next().unwrap_or_else(|| {
@@ -90,18 +92,16 @@ fn main() -> ExitCode {
     let (subset, json_out, oracle) = parse_args();
     let cfg = CompilerConfig::default();
 
-    let benches: Vec<_> = esp_corpus::suite()
-        .into_iter()
-        .filter(|b| {
-            subset
-                .as_ref()
-                .is_none_or(|names| names.iter().any(|n| n == b.name))
-        })
-        .collect();
-    if benches.is_empty() {
-        eprintln!("no benchmarks selected");
-        return ExitCode::from(2);
-    }
+    let benches = match subset {
+        None => esp_corpus::suite(),
+        Some(list) => match esp_corpus::select(&list.split(',').collect::<Vec<_>>()) {
+            Ok(benches) => benches,
+            Err(name) => {
+                eprintln!("`--subset` names `{name}`, which is not a corpus program");
+                return ExitCode::from(2);
+            }
+        },
+    };
 
     let mut reports = Vec::new();
     let mut by_code: BTreeMap<&'static str, usize> = BTreeMap::new();

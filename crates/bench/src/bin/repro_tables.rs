@@ -1,57 +1,49 @@
 //! Regenerate every table and figure of the paper's evaluation section.
 //!
 //! ```text
-//! repro_tables [table3|table4|table5|table6|table7|fig1|fig2|dyn|all] [--quick] [--threads N]
-//!              [--save-model DIR] [--subset NAME,NAME,…]
-//!              [--trace-out FILE] [--metrics-out FILE] [--coalesce on|off]
+//! repro_tables [table3|table4|table5|table6|table7|fig1|fig2|dyn|extras|scheme|all]
+//!              [--quick] [--threads N] [--subset NAME,NAME,…] [--save-model DIR]
 //!              [--precision f32|f64] [--flip-bound B] [--features paper24|extended]
-//!              [--dynamic] [--warmup N]
+//!              [--trace-out FILE] [--metrics-out FILE]
 //! ```
 //!
 //! Every output is a deterministic function of the generated corpus and is
 //! recomputed from nothing on each run; nothing is read back from disk.
 //! `--quick` shrinks the ESP learner (fewer epochs, fewer hidden units);
 //! the paper-shaped ranking is preserved, absolute numbers move a little.
-//! `--threads` caps the workers that profile the full corpus and that
-//! train the leave-one-out folds (`0`, the default, means one per core);
-//! every network trains on one thread, and every thread count produces
-//! identical tables. A `--subset` build and the `extras`/`scheme` suites
-//! profile on every core.
+//! `--threads` caps every worker pool a run starts: the ones that compile
+//! and profile a suite (Table 6's MIPS recompile included) and the one
+//! that trains the leave-one-out folds (`0`, the default, means one per
+//! core). Every network trains on one thread, and every thread count
+//! produces identical tables.
 //!
 //! Each artifact accepts only the flags it reads: `--trace-out` and
 //! `--metrics-out` everywhere, `all` the flags of every table it renders.
-//! Any other flag, and `--flip-bound` without `--precision f32`, exits 2
-//! before a suite is built.
+//! Any other flag, `--flip-bound` without `--precision f32`, and a
+//! `--subset` name that is not a corpus program exit 2 before a suite is
+//! built.
 //!
 //! `--save-model DIR` publishes every Table 4 cross-validation fold to a
 //! model registry under `DIR` as `.espm` artifacts
 //! (`table4-<lang>-fold<i>`, version 1), each recording the corpus, seed
 //! and training configuration it came from, for `esp-serve` to serve.
 //!
-//! `--subset sort,grep,…` restricts the profiled corpus to the named
-//! programs — useful for fast smoke runs (verify.sh drives Table 4 over a
-//! four-program subset). `--trace-out FILE` enables span tracing and writes
+//! `--subset sort,grep,…` restricts the suite to the named programs, in
+//! that order — useful for fast smoke runs; Table 6 recompiles the same
+//! programs for MIPS. `--trace-out FILE` enables span tracing and writes
 //! a Perfetto-loadable trace on exit; `--metrics-out FILE` writes the
 //! process-global Prometheus text exposition (`esp_runtime_*`,
 //! `esp_train_*`, `esp_eval_*` families). Telemetry is observation-only:
 //! the tables are bitwise identical with and without it.
 //!
-//! `--coalesce on|off` (default `on`) controls training-set example
-//! coalescing: examples with bit-identical encoded feature rows are merged
-//! (summed weight, weight-averaged target) before training. The merge is
-//! exact up to float reassociation — Table 4 matches the uncoalesced run at
-//! printed precision (`crates/eval/tests/coalesce_table4.rs` pins this) —
-//! and shrinks the per-epoch work by the corpus duplication factor.
-//!
-//! `--dynamic` (or the `dyn` artifact name) renders the static-vs-dynamic
-//! arena table: every program runs through the interpreter with the arena
-//! attached, which scores each conditional-branch outcome as it resolves
-//! under bimodal / gshare / TAGE / the ESP-seeded TAGE hybrid next to the
-//! event-scored BTFNT and ESP static schemes, pooled per language, with the
-//! warmup-window hybrid-vs-TAGE verdict. `--warmup N` sets the warmup
-//! window (default 2048 events). `dyn` is deliberately not part of `all`:
-//! it retrains the same leave-one-out folds as Table 4, so run it
-//! separately.
+//! `dyn` renders the static-vs-dynamic arena table: every program runs
+//! through the interpreter with the arena attached, which scores each
+//! conditional-branch outcome as it resolves under bimodal / gshare / TAGE
+//! / the ESP-seeded TAGE hybrid next to the event-scored BTFNT and ESP
+//! static schemes, pooled per language, with the hybrid-vs-TAGE verdict
+//! over each program's first 2048 events. `dyn` is deliberately not part
+//! of `all`: it retrains the same leave-one-out folds as Table 4, so run
+//! it separately.
 //!
 //! `--features paper24|extended` (default `paper24`) selects the feature
 //! set for Table 4. `extended` runs Table 4 *twice* — once on the paper's
@@ -64,24 +56,24 @@
 //! `--precision f32` (default `f64`) runs the f32 quantization gate on
 //! Table 4: each fold's f64 model is quantized, rescored on its held-out
 //! program, prediction flips and the f32 miss-rate delta are reported (and
-//! the quantized fold artifacts published to the `--save-model` registry,
-//! if any, under `…-f32` names — *refused* per fold over the bound), and
-//! the process exits nonzero when the pooled flip rate exceeds
-//! `--flip-bound B` (default 0.02). Table 4 itself stays f64 — the gate
-//! never changes the printed table. The published folds are the way to
-//! serve f32: `esp-serve --registry DIR --name table4-c-fold0-f32` serves
-//! at the precision the artifact stores.
+//! the quantized fold artifacts published beside the f64 folds in the
+//! `--save-model` registry, if any, under `…-f32` names — *refused* per
+//! fold over the bound), and the process exits nonzero when the pooled
+//! flip rate exceeds `--flip-bound B` (default 0.02). Table 4 itself stays
+//! f64 — the gate never changes the printed table. The published folds are
+//! the way to serve f32: `esp-serve --registry DIR --name
+//! table4-c-fold0-f32` serves at the precision the artifact stores.
 
 use esp_core::{EspConfig, Learner};
 use esp_eval::{
     compute_with_quant, fig1, table3, table5, table6, table7, QuantGateConfig, SuiteData,
-    Table4Config, TableDynConfig, DEFAULT_WARMUP_EVENTS,
+    Table4Config,
 };
 use esp_lang::CompilerConfig;
 use esp_nnet::MlpConfig;
 
 /// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &["--quick", "--dynamic"];
+const BOOL_FLAGS: &[&str] = &["--quick"];
 
 /// Flags that consume the next argument as their value.
 const VALUE_FLAGS: &[&str] = &[
@@ -90,10 +82,8 @@ const VALUE_FLAGS: &[&str] = &[
     "--subset",
     "--trace-out",
     "--metrics-out",
-    "--coalesce",
     "--precision",
     "--flip-bound",
-    "--warmup",
     "--features",
 ];
 
@@ -114,22 +104,13 @@ fn artifact_flags(artifact: &str) -> Option<&'static [&'static str]> {
             "--threads",
             "--subset",
             "--quick",
-            "--coalesce",
             "--save-model",
             "--precision",
             "--flip-bound",
             "--features",
         ],
-        "dyn" => &[
-            "--threads",
-            "--subset",
-            "--quick",
-            "--coalesce",
-            "--warmup",
-            "--dynamic",
-        ],
-        "extras" => &["--quick", "--coalesce"],
-        "scheme" => &["--quick"],
+        "dyn" => &["--threads", "--subset", "--quick"],
+        "extras" | "scheme" => &["--threads", "--quick"],
         "table7" | "fig1" | "all" => &[],
         _ => return None,
     })
@@ -243,7 +224,7 @@ impl Flags {
     }
 }
 
-fn esp_config(quick: bool, threads: usize, coalesce: bool) -> EspConfig {
+fn esp_config(quick: bool, threads: usize) -> EspConfig {
     let mlp = if quick {
         MlpConfig {
             hidden: 6,
@@ -264,19 +245,19 @@ fn esp_config(quick: bool, threads: usize, coalesce: bool) -> EspConfig {
     EspConfig {
         learner: Learner::Net(mlp),
         threads,
-        coalesce,
         ..EspConfig::default()
     }
 }
 
 fn main() {
     let flags = Flags::parse();
-    let what = flags.positional().unwrap_or(if flags.bool("--dynamic") {
-        "dyn"
-    } else {
-        "all"
-    });
+    let what = flags.positional().unwrap_or("all");
     flags.check_artifact(what);
+    let subset: Option<Vec<&str>> = flags.value("--subset").map(|s| s.split(',').collect());
+    if let Some(Err(name)) = subset.as_deref().map(esp_corpus::select) {
+        eprintln!("`--subset` names `{name}`, which is not a corpus program");
+        std::process::exit(2);
+    }
     let quick = flags.bool("--quick");
     let threads: usize = flags.number("--threads", 0);
     let trace_out = flags.value("--trace-out").map(std::path::PathBuf::from);
@@ -284,24 +265,11 @@ fn main() {
     if trace_out.is_some() {
         esp_obs::trace::enable();
     }
-    let subset: Option<Vec<String>> = flags
-        .value("--subset")
-        .map(|s| s.split(',').map(str::to_string).collect());
-    let coalesce = match flags.value("--coalesce") {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => {
-            eprintln!("--coalesce takes `on` or `off`, got `{other}`");
-            std::process::exit(2);
-        }
-    };
     let save_dir = flags.value("--save-model").map(std::path::PathBuf::from);
     let quant = match flags.value("--precision") {
         None | Some("f64") => None,
         Some("f32") => Some(QuantGateConfig {
             flip_bound: flags.number("--flip-bound", 0.02),
-            // Publish quantized fold artifacts next to the f64 folds.
-            publish: save_dir.clone(),
         }),
         Some(other) => {
             eprintln!("--precision takes `f32` or `f64`, got `{other}`");
@@ -323,8 +291,7 @@ fn main() {
     let suite = needs_suite.then(|| match &subset {
         Some(names) => {
             eprintln!("building + profiling a {}-program subset…", names.len());
-            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-            SuiteData::build_subset(&refs, &CompilerConfig::default())
+            SuiteData::build_subset(names, &CompilerConfig::default(), threads)
         }
         None => {
             eprintln!("building + profiling the 43-program corpus (cc-osf1-v1.2, Alpha)…");
@@ -342,7 +309,7 @@ fn main() {
             if quick { ", quick mode" } else { "" }
         );
         let cfg = Table4Config {
-            esp: esp_config(quick, threads, coalesce),
+            esp: esp_config(quick, threads),
             model_cache: save_dir.clone(),
             quant: quant.clone(),
         };
@@ -354,7 +321,7 @@ fn main() {
         }
         if extended_features {
             eprintln!("re-running Table 4 with the extended (analysis-derived) feature set…");
-            let mut esp = esp_config(quick, threads, coalesce);
+            let mut esp = esp_config(quick, threads);
             esp.features.extended = true;
             // Extended models are dimensionally incompatible with the .espm
             // format; never touch the registry for this leg.
@@ -383,8 +350,8 @@ fn main() {
         "table4" => run_t4(suite.as_ref().expect("built above")),
         "table5" => println!("{}", table5(suite.as_ref().expect("built above"))),
         "table6" => {
-            eprintln!("recompiling the corpus for the MIPS flavour…");
-            println!("{}", table6(suite.as_ref().expect("built above")));
+            eprintln!("recompiling the suite for the MIPS flavour…");
+            println!("{}", table6(suite.as_ref().expect("built above"), threads));
         }
         "table7" => println!("{}", table7()),
         "dyn" => {
@@ -394,11 +361,7 @@ fn main() {
                 s.benches.len(),
                 if quick { ", quick mode" } else { "" }
             );
-            let cfg = TableDynConfig {
-                esp: esp_config(quick, threads, coalesce),
-                warmup_events: flags.number("--warmup", DEFAULT_WARMUP_EVENTS),
-            };
-            println!("{}", esp_eval::table_dyn(s, &cfg));
+            println!("{}", esp_eval::table_dyn(s, &esp_config(quick, threads)));
         }
         "fig1" => println!("{}", fig1(10)),
         "fig2" => {
@@ -411,22 +374,22 @@ fn main() {
             println!("{}", table3(s));
             run_t4(s);
             println!("{}", table5(s));
-            eprintln!("recompiling the corpus for the MIPS flavour…");
-            println!("{}", table6(s));
+            eprintln!("recompiling the suite for the MIPS flavour…");
+            println!("{}", table6(s, threads));
             println!("{}", table7());
             println!("{}", fig1(10));
             let tomcatv = s.by_name("tomcatv").expect("tomcatv in suite");
             println!("{}", esp_eval::casestudy::fig2(tomcatv));
-            print_extras(s, quick, coalesce);
+            print_extras(s, quick);
             println!("{}", esp_eval::scheme_study::scheme_study(s));
         }
         "scheme" => {
-            let s = suite_for_extras(quick);
+            let s = suite_for_extras(quick, threads);
             println!("{}", esp_eval::scheme_study::scheme_study(&s));
         }
         "extras" => {
-            let s = suite_for_extras(quick);
-            print_extras(&s, quick, coalesce);
+            let s = suite_for_extras(quick, threads);
+            print_extras(&s, quick);
         }
         _ => unreachable!("Flags::check_artifact admits only known artifacts"),
     }
@@ -449,31 +412,33 @@ fn main() {
     }
 }
 
-fn suite_for_extras(quick: bool) -> SuiteData {
+fn suite_for_extras(quick: bool, threads: usize) -> SuiteData {
+    let cfg = CompilerConfig::default();
     if quick {
         SuiteData::build_subset(
             &[
                 "sort", "grep", "sed", "gzip", "wdiff", "compress", "espresso", "eqntott",
             ],
-            &CompilerConfig::default(),
+            &cfg,
+            threads,
         )
     } else {
         eprintln!("building + profiling the corpus for the extension studies…");
-        SuiteData::build(&CompilerConfig::default())
+        SuiteData::build_with_threads(&cfg, threads)
     }
 }
 
 /// The two extension studies from the paper's §6 future-work list:
 /// probability calibration of the ESP network and program-based profile
 /// estimation from its probability output.
-fn print_extras(suite: &SuiteData, quick: bool, coalesce: bool) {
+fn print_extras(suite: &SuiteData, quick: bool) {
     use esp_core::{leave_one_out, TrainingProgram};
     use esp_eval::calibration::{calibration, render};
     use esp_eval::freq::evaluate_estimation;
     use esp_ir::Lang;
     use std::collections::HashMap;
 
-    let cfg = esp_config(quick, 0, coalesce);
+    let cfg = esp_config(quick, 0);
     let c_idx = suite.lang_indices(Lang::C);
     if c_idx.len() < 2 {
         eprintln!("need at least two C programs");

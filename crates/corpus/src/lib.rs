@@ -41,7 +41,7 @@ mod suite_def;
 
 pub use gen_scheme::{scheme_suite, SchemeBenchmark};
 pub use personality::Personality;
-pub use suite_def::{suite, Benchmark, Group};
+pub use suite_def::{select, suite, Benchmark, Group};
 
 use esp_exec::{ExecError, ExecLimits, Profile};
 use esp_ir::Program;

@@ -669,9 +669,32 @@ pub fn suite() -> Vec<Benchmark> {
     ]
 }
 
+/// The benchmarks of [`suite`] that `names` names, in the order given: the
+/// one resolver behind every `--subset NAME,…` list.
+///
+/// # Errors
+///
+/// Returns the first name that is not a corpus benchmark.
+pub fn select<'a>(names: &[&'a str]) -> Result<Vec<Benchmark>, &'a str> {
+    let all = suite();
+    names
+        .iter()
+        .map(|&name| all.iter().find(|b| b.name == name).cloned().ok_or(name))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn select_keeps_the_given_order_and_names_the_first_unknown() {
+        let picked = select(&["sort", "bc", "sort"]).expect("known names");
+        let names: Vec<&str> = picked.iter().map(|b| b.name).collect();
+        assert_eq!(names, ["sort", "bc", "sort"]);
+        assert_eq!(select(&["sort", "nosuch", "grepp"]).err(), Some("nosuch"));
+        assert!(select(&[]).expect("empty list").is_empty());
+    }
 
     #[test]
     fn suite_shape_matches_paper() {

@@ -1,6 +1,6 @@
 //! Compiled-and-profiled benchmark data.
 
-use esp_corpus::{suite, Benchmark};
+use esp_corpus::{select, suite, Benchmark};
 use esp_exec::Profile;
 use esp_ir::{Lang, Program, ProgramAnalysis};
 use esp_lang::CompilerConfig;
@@ -50,43 +50,29 @@ pub struct SuiteData {
 }
 
 impl SuiteData {
-    /// Build the full 43-program suite under `cfg`, compiling and profiling
-    /// benchmarks concurrently (one worker per core).
-    pub fn build(cfg: &CompilerConfig) -> Self {
-        Self::build_with_threads(cfg, 0)
-    }
-
-    /// Build the full suite on an explicit number of workers (`0` = one per
-    /// core, `1` = fully serial). Generation, compilation and the profiling
-    /// interpreter run are all pure functions of the benchmark definition,
-    /// so the thread count cannot change any profile.
+    /// Build the full 43-program suite under `cfg` on `threads` workers
+    /// (`0` = one per core, `1` = fully serial). Generation, compilation
+    /// and the profiling interpreter run are all pure functions of the
+    /// benchmark definition, so the thread count cannot change any profile.
     pub fn build_with_threads(cfg: &CompilerConfig, threads: usize) -> Self {
-        let all = suite();
-        let _sp = esp_obs::span!("corpus", "build_suite", programs = all.len());
-        SuiteData {
-            benches: esp_runtime::parallel_map(threads, &all, |b| BenchData::build(b, cfg)),
-            config: *cfg,
-        }
+        Self::build_benches(suite(), cfg, threads)
     }
 
-    /// Build only the named benchmarks (for fast tests).
+    /// Build only the named benchmarks, in the order given, on `threads`
+    /// workers as [`SuiteData::build_with_threads`] does.
     ///
     /// # Panics
     ///
-    /// Panics on unknown names.
-    pub fn build_subset(names: &[&str], cfg: &CompilerConfig) -> Self {
-        let all = suite();
-        let picked: Vec<&Benchmark> = names
-            .iter()
-            .map(|n| {
-                all.iter()
-                    .find(|b| b.name == *n)
-                    .unwrap_or_else(|| panic!("unknown benchmark `{n}`"))
-            })
-            .collect();
-        let _sp = esp_obs::span!("corpus", "build_suite", programs = picked.len());
+    /// Panics on a name [`esp_corpus::select`] does not know.
+    pub fn build_subset(names: &[&str], cfg: &CompilerConfig, threads: usize) -> Self {
+        let picked = select(names).unwrap_or_else(|name| panic!("unknown benchmark `{name}`"));
+        Self::build_benches(picked, cfg, threads)
+    }
+
+    fn build_benches(benches: Vec<Benchmark>, cfg: &CompilerConfig, threads: usize) -> Self {
+        let _sp = esp_obs::span!("corpus", "build_suite", programs = benches.len());
         SuiteData {
-            benches: esp_runtime::parallel_map(0, &picked, |b| BenchData::build(b, cfg)),
+            benches: esp_runtime::parallel_map(threads, &benches, |b| BenchData::build(b, cfg)),
             config: *cfg,
         }
     }

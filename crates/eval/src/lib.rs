@@ -18,8 +18,9 @@
 //!   stepped through each program's branch outcomes as the interpreter
 //!   resolves them.
 //!
-//! The entry point used by the `repro_tables` binary and the integration
-//! tests is [`SuiteData::build`] + the per-table `render`/`compute`
+//! The entry points used by the `repro_tables` binary and the integration
+//! tests are [`SuiteData::build_with_threads`] (or
+//! [`SuiteData::build_subset`]) + the per-table `render`/`compute`
 //! functions.
 
 #![forbid(unsafe_code)]
@@ -41,7 +42,6 @@ pub mod table7;
 pub mod table_dyn;
 
 pub use data::{BenchData, SuiteData};
-pub use esp_sim::DEFAULT_WARMUP_EVENTS;
 pub use miss::{expected_misses, miss_rate, Prediction};
 pub use quant::{FoldQuantReport, PublishOutcome, QuantGateConfig, QuantGateReport};
 pub use table3::{table3, Table3Row};
@@ -49,7 +49,7 @@ pub use table4::{compute_with_quant, table4, train_config_stamp, Table4Config, T
 pub use table5::{table5, Table5Row};
 pub use table6::table6;
 pub use table7::table7;
-pub use table_dyn::{table_dyn, PooledRates, TableDynConfig, TableDynReport, TableDynRow};
+pub use table_dyn::{table_dyn, PooledRates, TableDynReport, TableDynRow};
 
 /// Render Figure 1: the branch-prediction network topology actually used.
 pub fn fig1(hidden: usize) -> String {

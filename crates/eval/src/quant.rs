@@ -15,22 +15,20 @@
 use std::path::PathBuf;
 
 /// Gate configuration (`--precision f32` options on `repro_tables`).
+/// Passing folds are published as `table4-<lang>-fold<i>-f32`, version 1,
+/// into the registry the f64 folds go to
+/// ([`Table4Config::model_cache`](crate::Table4Config::model_cache));
+/// without one the gate only reports.
 #[derive(Debug, Clone)]
 pub struct QuantGateConfig {
     /// Maximum tolerated flip rate (flipped predictions / scored sites),
     /// applied per fold for publishing and pooled for the overall verdict.
     pub flip_bound: f64,
-    /// Registry root to publish passing folds into (as
-    /// `table4-<lang>-fold<i>-f32`, version 1); `None` = report only.
-    pub publish: Option<PathBuf>,
 }
 
 impl Default for QuantGateConfig {
     fn default() -> Self {
-        QuantGateConfig {
-            flip_bound: 0.02,
-            publish: None,
-        }
+        QuantGateConfig { flip_bound: 0.02 }
     }
 }
 

@@ -65,10 +65,11 @@ pub fn compute(suite: &SuiteData, cfg: &Table4Config) -> Vec<Table4Row> {
 /// to f32 and scored on the same sites, prediction flips (`> 0.5`
 /// disagreements) are counted, and the fold's f32 miss rate is measured
 /// with the same accounting as the table. Folds within the flip bound are
-/// published to the gate's registry as `table4-<lang>-fold<i>-f32`; folds
-/// over it are refused. The returned report carries the pooled verdict.
-/// Table 4's rows are computed from the f64 models either way — the gate
-/// never perturbs the published numbers.
+/// published beside the f64 folds in `cfg.model_cache`, if set, as
+/// `table4-<lang>-fold<i>-f32`; folds over it are refused. The returned
+/// report carries the pooled verdict. Table 4's rows are computed from
+/// the f64 models either way — the gate never perturbs the published
+/// numbers.
 pub fn compute_with_quant(
     suite: &SuiteData,
     cfg: &Table4Config,
@@ -293,7 +294,7 @@ fn quant_fold(
         .counter("esp_quant_flips_total")
         .add(report.flips as u64);
     report.miss_f32 = threshold_miss_rate(b, &sites, &qprobs);
-    if let Some(dir) = &qcfg.publish {
+    if let Some(dir) = &cfg.model_cache {
         if within_bound(report.flips, report.sites, qcfg.flip_bound) {
             let meta = fold_meta(suite, &cfg.esp, f.index, qmodel.num_examples());
             let reg = Registry::open(dir);

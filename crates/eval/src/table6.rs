@@ -2,19 +2,21 @@
 //! languages — the paper's evidence that heuristic effectiveness is
 //! platform-dependent.
 
-use esp_corpus::suite;
 use esp_heur::{measure_rates, Heuristic, HeuristicRates};
 use esp_ir::Lang;
 use esp_lang::CompilerConfig;
 
-use crate::data::SuiteData;
+use crate::data::{BenchData, SuiteData};
 use crate::fmt::{pct, TextTable};
 
 /// Compute the four measured columns: (Alpha overall, Alpha C-only, Alpha
 /// Fortran-only, MIPS overall). The Alpha columns use `alpha_suite`; the
-/// MIPS column recompiles the corpus with [`CompilerConfig::mips_ref`].
+/// MIPS column recompiles and profiles the same programs, in the same
+/// order, with [`CompilerConfig::mips_ref`] on `threads` workers (`0` = one
+/// per core).
 pub fn compute(
     alpha_suite: &SuiteData,
+    threads: usize,
 ) -> (
     HeuristicRates,
     HeuristicRates,
@@ -44,10 +46,9 @@ pub fn compute(
 
     // Recompile under the MIPS flavour (same programs, different ISA).
     let mips_cfg = CompilerConfig::mips_ref();
-    let mips: Vec<_> = suite()
-        .iter()
-        .map(|b| crate::data::BenchData::build(b, &mips_cfg))
-        .collect();
+    let mips = esp_runtime::parallel_map(threads, &alpha_suite.benches, |b| {
+        BenchData::build(&b.bench, &mips_cfg)
+    });
     let mips_rates = measure_rates(mips.iter().map(|b| (&b.prog, &b.analysis, &b.profile)));
 
     (all, c_only, f_only, mips_rates)
@@ -55,10 +56,10 @@ pub fn compute(
 
 /// Render Table 6 in the paper's layout (miss rates per heuristic; the
 /// first column is Ball & Larus's published MIPS numbers, the others are
-/// measured on this corpus).
-pub fn table6(alpha_suite: &SuiteData) -> String {
+/// measured on this corpus; see [`compute`] for `threads`).
+pub fn table6(alpha_suite: &SuiteData, threads: usize) -> String {
     let published = HeuristicRates::ball_larus_mips();
-    let (ours_all, ours_c, ours_f, ours_mips) = compute(alpha_suite);
+    let (ours_all, ours_c, ours_f, ours_mips) = compute(alpha_suite, threads);
     let mut t = TextTable::new(vec![
         "Heuristic",
         "B&L (MIPS)",

@@ -12,7 +12,7 @@
 //! column here is the event-level counterpart of Table 4's.
 //!
 //! Besides whole-run rates the report pools the first
-//! [`TableDynConfig::warmup_events`] events of every program per language:
+//! [`DEFAULT_WARMUP_EVENTS`] events of every program per language:
 //! the warmup regime is where a cold TAGE pays allocation misses that a
 //! seeded base table avoids, so the hybrid-vs-TAGE verdict is stated there.
 
@@ -21,22 +21,11 @@ use esp_corpus::Group;
 use esp_exec::ExecLimits;
 use esp_heur::{BranchCtx, Btfnt};
 use esp_ir::Lang;
-use esp_sim::{Arena, StaticScheme};
+use esp_sim::{Arena, StaticScheme, DEFAULT_WARMUP_EVENTS};
 
 use crate::data::SuiteData;
 use crate::fmt::{pct1, TextTable};
 use crate::table4::{for_each_fold, Table4Config};
-
-/// Options for the dynamic-arena study.
-#[derive(Debug, Clone)]
-pub struct TableDynConfig {
-    /// ESP learner and feature options (fold training, as in Table 4).
-    pub esp: EspConfig,
-    /// Size of the per-program warmup window for the pooled
-    /// hybrid-vs-TAGE comparison (`esp_sim::DEFAULT_WARMUP_EVENTS` unless
-    /// a study asks otherwise).
-    pub warmup_events: u64,
-}
 
 /// One program's row: whole-run miss rates per scheme.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,20 +89,19 @@ pub struct TableDynReport {
     /// C pool, Fortran pool, overall pool (pools over executed events, not
     /// per-program averages — dynamic predictors are execution machines).
     pub pooled: Vec<PooledRates>,
-    /// Warmup window size requested.
-    pub warmup_events: u64,
 }
 
-/// Compute every row. Expensive: trains one ESP fold per program, then
-/// runs every program through the interpreter with the arena attached.
-pub fn compute(suite: &SuiteData, cfg: &TableDynConfig) -> TableDynReport {
+/// Compute every row. Expensive: trains one ESP fold per program under
+/// `esp` (as Table 4 does), then runs every program through the
+/// interpreter with the arena attached.
+pub fn compute(suite: &SuiteData, esp: &EspConfig) -> TableDynReport {
     let _sp = esp_obs::span!("eval", "table_dyn", programs = suite.benches.len());
 
     // Per-bench ESP taken-probabilities from the Table 4 leave-one-out
     // folds. Benches in a language group too small to cross-validate keep
     // neutral 0.5 priors (ESP column scored uncovered, hybrid seeded cold).
     let t4cfg = Table4Config {
-        esp: cfg.esp.clone(),
+        esp: esp.clone(),
         model_cache: None,
         quant: None,
     };
@@ -157,7 +145,7 @@ pub fn compute(suite: &SuiteData, cfg: &TableDynConfig) -> TableDynReport {
                     preds: &esp,
                 },
             ];
-            let mut arena = Arena::new(&sites, statics, Some(priors), cfg.warmup_events);
+            let mut arena = Arena::new(&sites, statics, Some(priors), DEFAULT_WARMUP_EVENTS);
             esp_exec::run_with_sink(&b.prog, &limits, &mut arena)
                 .unwrap_or_else(|e| panic!("benchmark `{}` failed to run: {e}", b.bench.name));
             let r = arena.finish();
@@ -220,11 +208,7 @@ pub fn compute(suite: &SuiteData, cfg: &TableDynConfig) -> TableDynReport {
         pool("Overall pool", &|_| true),
     ];
 
-    TableDynReport {
-        rows,
-        pooled,
-        warmup_events: cfg.warmup_events,
-    }
+    TableDynReport { rows, pooled }
 }
 
 /// Render a computed report in the repo's text-table house style.
@@ -259,7 +243,7 @@ fn render_report(suite: &SuiteData, report: &TableDynReport) -> String {
     );
     out.push_str(&format!(
         "\nWarmup window (first {} events per program, pooled):\n",
-        report.warmup_events
+        DEFAULT_WARMUP_EVENTS
     ));
     for p in &report.pooled {
         if p.events == 0 {
@@ -283,9 +267,9 @@ fn render_report(suite: &SuiteData, report: &TableDynReport) -> String {
     out
 }
 
-/// Compute and render the dyn table in one call (the `repro_tables
-/// --dynamic` entry point).
-pub fn table_dyn(suite: &SuiteData, cfg: &TableDynConfig) -> String {
-    let report = compute(suite, cfg);
+/// Compute and render the dyn table in one call (the `repro_tables dyn`
+/// entry point).
+pub fn table_dyn(suite: &SuiteData, esp: &EspConfig) -> String {
+    let report = compute(suite, esp);
     render_report(suite, &report)
 }

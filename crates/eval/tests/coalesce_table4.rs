@@ -32,7 +32,7 @@ fn mini_cfg(coalesce: bool) -> Table4Config {
 
 #[test]
 fn table4_matches_uncoalesced_at_printed_precision() {
-    let suite = SuiteData::build_subset(&["sort", "grep"], &CompilerConfig::default());
+    let suite = SuiteData::build_subset(&["sort", "grep"], &CompilerConfig::default(), 0);
 
     let coalesced = table4(&suite, &mini_cfg(true));
     let raw = table4(&suite, &mini_cfg(false));

@@ -99,7 +99,7 @@ fn from_scratch(suite: &SuiteData, lang: Lang, set: FeatureSet) -> Vec<TrainExam
 
 #[test]
 fn folds_on_a_warm_group_match_folds_on_a_fresh_one() {
-    let suite = SuiteData::build_subset(SUBSET, &CompilerConfig::default());
+    let suite = SuiteData::build_subset(SUBSET, &CompilerConfig::default(), 0);
     for lang in [Lang::C, Lang::Fort] {
         // One group for every fold, as Table 4's fold loop holds it: from
         // the second fold on, every program's sites are already extracted.
@@ -124,7 +124,7 @@ fn folds_on_a_warm_group_match_folds_on_a_fresh_one() {
 
 #[test]
 fn build_training_set_is_the_same_cold_warm_and_from_scratch() {
-    let suite = SuiteData::build_subset(SUBSET, &CompilerConfig::default());
+    let suite = SuiteData::build_subset(SUBSET, &CompilerConfig::default(), 0);
     for lang in [Lang::C, Lang::Fort] {
         for set in [FeatureSet::default(), extended()] {
             let cfg = EspConfig {

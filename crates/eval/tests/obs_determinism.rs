@@ -49,7 +49,7 @@ fn trained_weight_bits(suite: &SuiteData) -> Vec<u64> {
 
 #[test]
 fn table4_is_byte_identical_with_tracing_on_and_off() {
-    let suite = SuiteData::build_subset(&["sort", "grep"], &CompilerConfig::default());
+    let suite = SuiteData::build_subset(&["sort", "grep"], &CompilerConfig::default(), 0);
     let cfg = mini_cfg();
 
     assert!(!esp_obs::trace::enabled(), "tracing must start disabled");

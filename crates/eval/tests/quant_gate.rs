@@ -33,7 +33,7 @@ fn mini_cfg(model_cache: Option<PathBuf>, quant: Option<QuantGateConfig>) -> Tab
 
 #[test]
 fn gate_scores_every_fold_and_publishes_f32_artifacts() {
-    let suite = SuiteData::build_subset(&["sort", "grep"], &CompilerConfig::default());
+    let suite = SuiteData::build_subset(&["sort", "grep"], &CompilerConfig::default(), 0);
     let dir = std::env::temp_dir().join(format!("esp-quant-gate-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
@@ -41,7 +41,6 @@ fn gate_scores_every_fold_and_publishes_f32_artifacts() {
         Some(dir.clone()),
         Some(QuantGateConfig {
             flip_bound: 1.0, // every fold is within a bound of 100%
-            publish: Some(dir.clone()),
         }),
     );
     let (rows, gate) = compute_with_quant(&suite, &cfg);
@@ -82,18 +81,16 @@ fn gate_scores_every_fold_and_publishes_f32_artifacts() {
 
 #[test]
 fn unsatisfiable_bound_refuses_publication_and_fails_the_gate() {
-    let suite = SuiteData::build_subset(&["sort", "grep"], &CompilerConfig::default());
+    let suite = SuiteData::build_subset(&["sort", "grep"], &CompilerConfig::default(), 0);
     let dir = std::env::temp_dir().join(format!("esp-quant-refuse-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
     // A negative bound can never be satisfied (flip rates are >= 0), so
-    // every fold must be refused and nothing may reach the registry.
+    // every fold must be refused and no f32 fold may reach the registry
+    // its f64 twin is published to.
     let cfg = mini_cfg(
-        None,
-        Some(QuantGateConfig {
-            flip_bound: -1.0,
-            publish: Some(dir.clone()),
-        }),
+        Some(dir.clone()),
+        Some(QuantGateConfig { flip_bound: -1.0 }),
     );
     let (rows_gated, gate) = compute_with_quant(&suite, &cfg);
     let gate = gate.expect("gate configured");
@@ -106,6 +103,10 @@ fn unsatisfiable_bound_refuses_publication_and_fails_the_gate() {
     assert!(gate.render().contains("REFUSED"));
     assert!(gate.render().contains("gate: FAIL"));
     let reg = Registry::open(&dir);
+    assert!(
+        reg.load("table4-c-fold0", None).is_ok(),
+        "f64 fold published"
+    );
     assert!(
         reg.load("table4-c-fold0-f32", None).is_err(),
         "a refused fold must not be published"

@@ -6,7 +6,7 @@
 
 use esp_core::{EspConfig, Learner};
 use esp_eval::table_dyn::compute;
-use esp_eval::{SuiteData, TableDynConfig};
+use esp_eval::SuiteData;
 use esp_lang::CompilerConfig;
 use esp_nnet::MlpConfig;
 
@@ -47,22 +47,19 @@ const PINS: [Pin; 2] = [
 
 #[test]
 fn dyn_table_rows_are_pinned() {
-    let suite = SuiteData::build_subset(&["sort", "grep"], &CompilerConfig::default());
-    let cfg = TableDynConfig {
-        esp: EspConfig {
-            learner: Learner::Net(MlpConfig {
-                hidden: 3,
-                max_epochs: 12,
-                patience: 6,
-                restarts: 1,
-                ..MlpConfig::default()
-            }),
-            threads: 1,
-            ..EspConfig::default()
-        },
-        warmup_events: 2048,
+    let suite = SuiteData::build_subset(&["sort", "grep"], &CompilerConfig::default(), 0);
+    let esp = EspConfig {
+        learner: Learner::Net(MlpConfig {
+            hidden: 3,
+            max_epochs: 12,
+            patience: 6,
+            restarts: 1,
+            ..MlpConfig::default()
+        }),
+        threads: 1,
+        ..EspConfig::default()
     };
-    let report = compute(&suite, &cfg);
+    let report = compute(&suite, &esp);
     assert_eq!(report.rows.len(), PINS.len());
     for (r, &(name, events, rates, warm_tage, warm_hybrid)) in report.rows.iter().zip(&PINS) {
         assert_eq!(r.name, name);

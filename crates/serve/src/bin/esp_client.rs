@@ -18,6 +18,10 @@
 //! labelled input, joined by the `req` ids stamped on client and server
 //! spans.
 //!
+//! Each subcommand accepts only the flags shown for it: an unknown flag, a
+//! flag missing its value or a stray argument exits 2, naming it, before
+//! anything is connected to or written.
+//!
 //! Load generation lives in the repository benchmark
 //! (`bash perfbench/run.sh --workload serve-hot|serve-feedback`).
 
@@ -25,6 +29,64 @@ use std::path::Path;
 
 use esp_artifact::{ModelArtifact, Registry};
 use esp_serve::Client;
+
+/// The value flags of each subcommand, and how many positional arguments
+/// it takes after its name (`merge-traces` takes any number of inputs,
+/// `registry` its action).
+fn known_flags(subcommand: &str) -> Option<(&'static [&'static str], usize)> {
+    Some(match subcommand {
+        "info" => (&["--addr", "--model"], 0),
+        "stats" | "shutdown" => (&["--addr"], 0),
+        "get" => (&["--addr", "--path"], 0),
+        "merge-traces" => (&["--out"], usize::MAX),
+        "registry" => (
+            &[
+                "--dir",
+                "--name",
+                "--model-version",
+                "--from",
+                "--synthetic",
+                "--keep",
+            ],
+            1,
+        ),
+        _ => return None,
+    })
+}
+
+/// Exit 2 unless every argument after the subcommand is one of its value
+/// flags followed by a value, or one of the positional arguments it takes;
+/// returns the positional arguments.
+fn check_args<'a>(args: &'a [String], flags: &[&str], max_positional: usize) -> Vec<&'a str> {
+    let mut positional = Vec::new();
+    let mut i = 1;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if flags.contains(&a) {
+            if i + 1 >= args.len() {
+                usage_error(format!("flag `{a}` needs a value"));
+            }
+            i += 1;
+        } else if a.starts_with('-') {
+            usage_error(format!(
+                "unknown flag `{a}` for `{}`; known flags: {}",
+                args[0],
+                flags.join(", ")
+            ));
+        } else if positional.len() < max_positional {
+            positional.push(a);
+        } else {
+            usage_error(format!("unexpected argument `{a}` for `{}`", args[0]));
+        }
+        i += 1;
+    }
+    positional
+}
+
+fn usage_error(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
@@ -34,10 +96,9 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 }
 
 fn parse<T: std::str::FromStr>(value: &str, what: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("{what} takes a number, got {value:?}");
-        std::process::exit(2);
-    })
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(format!("{what} takes a number, got {value:?}")))
 }
 
 fn fail(msg: String) -> ! {
@@ -53,6 +114,10 @@ fn connect(args: &[String]) -> Client {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let positional = match args.first().and_then(|s| known_flags(s)) {
+        Some((flags, max_positional)) => check_args(&args, flags, max_positional),
+        None => Vec::new(),
+    };
     match args.first().map(String::as_str) {
         Some("info") => {
             let selector = flag_value(&args, "--model").unwrap_or("");
@@ -92,8 +157,8 @@ fn main() {
             println!("server acknowledged shutdown");
         }
         Some("get") => get(&args),
-        Some("merge-traces") => merge_traces(&args),
-        Some("registry") => registry(&args),
+        Some("merge-traces") => merge_traces(&args, &positional),
+        Some("registry") => registry(&args, positional.first().copied()),
         _ => {
             eprintln!(
                 "usage: esp-client (info [--model NAME[@V]]|stats|shutdown) --addr HOST:PORT\n\
@@ -142,34 +207,22 @@ fn get(args: &[String]) {
 /// Union per-process Perfetto traces onto one timeline via
 /// [`esp_obs::trace::merge_json`]: each positional `LABEL=PATH` input
 /// becomes its own pid, labelled by a `process_name` metadata event.
-fn merge_traces(args: &[String]) {
+fn merge_traces(args: &[String], positional: &[&str]) {
     let out =
         flag_value(args, "--out").unwrap_or_else(|| fail("merge-traces needs --out FILE".into()));
-    let mut inputs: Vec<(String, std::path::PathBuf)> = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => i += 2,
-            arg => {
-                let (label, path) = arg
-                    .split_once('=')
-                    .unwrap_or_else(|| fail(format!("inputs are LABEL=PATH, got {arg:?}")));
-                if label.is_empty() || path.is_empty() {
-                    fail(format!("inputs are LABEL=PATH, got {arg:?}"));
-                }
-                inputs.push((label.to_string(), std::path::PathBuf::from(path)));
-                i += 1;
+    let inputs: Vec<(&str, &Path)> = positional
+        .iter()
+        .map(|arg| match arg.split_once('=') {
+            Some((label, path)) if !label.is_empty() && !path.is_empty() => {
+                (label, Path::new(path))
             }
-        }
-    }
+            _ => fail(format!("inputs are LABEL=PATH, got {arg:?}")),
+        })
+        .collect();
     if inputs.is_empty() {
         fail("merge-traces needs at least one LABEL=PATH input".into());
     }
-    let borrowed: Vec<(&str, &Path)> = inputs
-        .iter()
-        .map(|(l, p)| (l.as_str(), p.as_path()))
-        .collect();
-    match esp_obs::trace::merge_json(&borrowed, Path::new(out)) {
+    match esp_obs::trace::merge_json(&inputs, Path::new(out)) {
         Ok(n) => println!(
             "merged {n} events from {} trace(s) into {out}",
             inputs.len()
@@ -178,11 +231,11 @@ fn merge_traces(args: &[String]) {
     }
 }
 
-fn registry(args: &[String]) {
+fn registry(args: &[String], action: Option<&str>) {
     let dir = flag_value(args, "--dir")
         .unwrap_or_else(|| fail("registry subcommands need --dir DIR".into()));
     let reg = Registry::open(dir);
-    match args.get(1).map(String::as_str) {
+    match action {
         Some("list") => {
             let entries = reg.list().unwrap_or_else(|e| fail(e.to_string()));
             if entries.is_empty() {

@@ -23,12 +23,15 @@
 //! connection at a time, so each request's header block gets
 //! `READ_TIMEOUT` (2 s) counted from accept, however slowly its bytes
 //! arrive; a request that has not finished by then is answered 408 and
-//! closed, and the next connection is served. One response per connection
-//! (`Connection: close`); scrapers open a fresh connection per scrape,
-//! which keeps the sidecar stateless.
+//! closed, and the next connection is served. A header block over 8 KiB
+//! is answered 431; the sidecar then shuts its write side and discards
+//! what the client still sends, until the same deadline, so the client
+//! reads the whole response and a clean end of stream. One response per
+//! connection (`Connection: close`); scrapers open a fresh connection per
+//! scrape, which keeps the sidecar stateless.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -154,14 +157,34 @@ fn serve_one(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     };
     stream.set_nodelay(true)?;
     let mut req = RequestReader::new();
-    let response = match req.read(&mut reader) {
-        Ok(Some(bytes)) => route(bytes, shared),
+    let (response, oversized) = match req.read(&mut reader) {
+        Ok(Some(bytes)) => (route(bytes, shared), false),
         Ok(None) => return Ok(()),
-        Err(_) => http_response(408, "text/plain; charset=utf-8", "request timed out\n"),
+        Err(e) if e.kind() == ErrorKind::InvalidData => (
+            http_response(
+                431,
+                "text/plain; charset=utf-8",
+                "request header block exceeds 8 KiB\n",
+            ),
+            true,
+        ),
+        Err(_) => (
+            http_response(408, "text/plain; charset=utf-8", "request timed out\n"),
+            false,
+        ),
     };
     let mut writer = &stream;
     writer.write_all(response.as_bytes())?;
     writer.flush()?;
+    if oversized {
+        // Closing with the client's unread bytes still queued would reset
+        // the connection, and the client could lose the response: end the
+        // write side, then discard what the client still sends until it
+        // closes or the request's deadline passes.
+        stream.shutdown(Shutdown::Write)?;
+        let mut sink = [0u8; 4096];
+        while reader.read(&mut sink).is_ok_and(|n| n > 0) {}
+    }
     Ok(())
 }
 
@@ -288,6 +311,7 @@ fn http_response(status: u16, content_type: &str, body: &str) -> String {
         404 => "Not Found",
         405 => "Method Not Allowed",
         408 => "Request Timeout",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     format!(

@@ -13,7 +13,7 @@ use esp_serve::{serve, Client, ModelSource, PredictRow, ServeConfig};
 #[test]
 fn served_predictions_match_in_process_bitwise() {
     // Train a quick real model on two corpus programs.
-    let suite = SuiteData::build_subset(&["sort", "grep"], &esp_lang::CompilerConfig::default());
+    let suite = SuiteData::build_subset(&["sort", "grep"], &esp_lang::CompilerConfig::default(), 0);
     let group: Vec<TrainingProgram<'_>> = suite
         .benches
         .iter()
@@ -207,6 +207,46 @@ fn unknown_flags_exit_2_before_serving() {
             "{flag:?}: server started: {stderr:?}"
         );
     }
+}
+
+#[test]
+fn esp_client_rejects_bad_flags_before_acting() {
+    let dir = std::env::temp_dir().join(format!("esp-client-flags-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let d = dir.to_str().expect("utf-8 temp dir");
+    let publish = ["registry", "publish", "--dir", d, "--name", "m"];
+    for (args, named) in [
+        (
+            [&publish[..], &["--synthetic", "6,3,1", "--dry-run"]].concat(),
+            "--dry-run",
+        ),
+        ([&publish[..], &["--synthetic"]].concat(), "--synthetic"),
+        (
+            [&publish[..], &["--synthetic", "6,3,1", "extra"]].concat(),
+            "extra",
+        ),
+        (
+            vec!["info", "--addr", "127.0.0.1:1", "--modle", "m"],
+            "--modle",
+        ),
+        (vec!["stats", "--addr"], "--addr"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_esp-client"))
+            .args(&args)
+            .output()
+            .expect("run esp-client");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(named),
+            "{args:?} must name {named}: {stderr}"
+        );
+    }
+    assert!(
+        !dir.join("m").join("1.espm").exists(),
+        "a rejected publish wrote m v1"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

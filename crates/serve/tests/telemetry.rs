@@ -39,7 +39,7 @@ fn http_get(addr: &str, path: &str) -> (String, String) {
 }
 
 fn train_quick_model() -> (SuiteData, EspModel) {
-    let suite = SuiteData::build_subset(&["sort", "grep"], &esp_lang::CompilerConfig::default());
+    let suite = SuiteData::build_subset(&["sort", "grep"], &esp_lang::CompilerConfig::default(), 0);
     let group: Vec<TrainingProgram<'_>> = suite
         .benches
         .iter()
@@ -341,4 +341,52 @@ fn trickling_client_cannot_hold_the_sidecar() {
         "a trickling client held shutdown for {waited:?}"
     );
     slow.join().expect("trickle thread");
+}
+
+/// A header block over the sidecar's 8 KiB cap is answered 431, and the
+/// sidecar closes cleanly: the client, which sent 9,000 bytes and reads
+/// only after sending them all, gets the whole response and then end of
+/// stream (not a reset), well within the request's 2 s deadline. Scrapes
+/// after it are served as before.
+#[test]
+fn oversized_header_block_gets_431_and_a_clean_close() {
+    let artifact = ModelArtifact::synthetic(8, 3, 5);
+    let cfg = ServeConfig {
+        http_addr: Some("127.0.0.1:0".into()),
+        ..ServeConfig::default()
+    };
+    let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind");
+    let http = handle.http_addr().expect("sidecar bound").to_string();
+
+    let mut stream = TcpStream::connect(&http).expect("connect sidecar");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    let request = format!(
+        "GET /metrics HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "a".repeat(9_000)
+    );
+    stream.write_all(request.as_bytes()).expect("send request");
+    let t = Instant::now();
+    let mut raw = Vec::new();
+    stream
+        .read_to_end(&mut raw)
+        .expect("the response ends in a clean end of stream");
+    let waited = t.elapsed();
+    let text = String::from_utf8(raw).expect("utf-8 response");
+    assert!(
+        text.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+        "{text:?}"
+    );
+    assert!(text.ends_with("\r\n\r\nrequest header block exceeds 8 KiB\n"));
+    assert!(
+        waited < Duration::from_secs(2),
+        "the 431 took {waited:?} to end"
+    );
+    drop(stream);
+
+    let (status, body) = http_get(&http, "/metrics");
+    assert!(status.contains("200"), "scrape answered {status:?}");
+    assert!(body.contains("esp_serve_requests_total"));
+    handle.shutdown();
 }

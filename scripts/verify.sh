@@ -208,13 +208,13 @@ PYEOF
 
     echo "==> dynamic-predictor arena smoke (2-program dyn table, run twice, byte-identical)"
     cargo run --release --offline -q -p esp-bench --bin repro_tables -- \
-        --dynamic --quick --subset sort,grep | tee table_dyn.txt
+        dyn --quick --subset sort,grep | tee table_dyn.txt
     grep -q 'ESP+TAGE' table_dyn.txt \
         || { echo "dyn table is missing the ESP+TAGE hybrid column" >&2; exit 1; }
     grep -Eq 'wins warmup|warmup tie' table_dyn.txt \
         || { echo "dyn table is missing the warmup verdict" >&2; exit 1; }
     cargo run --release --offline -q -p esp-bench --bin repro_tables -- \
-        --dynamic --quick --subset sort,grep > table_dyn_again.txt
+        dyn --quick --subset sort,grep > table_dyn_again.txt
     cmp table_dyn.txt table_dyn_again.txt \
         || { echo "two consecutive dyn runs differ" >&2; exit 1; }
     rm -f table_dyn.txt table_dyn_again.txt

@@ -28,6 +28,7 @@ fn esp_beats_coin_flips_on_held_out_programs() {
             "sort", "grep", "sed", "gzip", "wdiff", "compress", "yacr", "eqntott",
         ],
         &CompilerConfig::default(),
+        0,
     );
     let programs: Vec<TrainingProgram<'_>> = suite
         .benches
@@ -54,6 +55,7 @@ fn net_and_tree_learners_are_comparable() {
     let suite = SuiteData::build_subset(
         &["sort", "grep", "sed", "gzip", "wdiff", "compress"],
         &CompilerConfig::default(),
+        0,
     );
     let programs: Vec<TrainingProgram<'_>> = suite
         .benches
@@ -90,7 +92,7 @@ fn net_and_tree_learners_are_comparable() {
 
 #[test]
 fn training_is_deterministic() {
-    let suite = SuiteData::build_subset(&["sort", "grep", "sed"], &CompilerConfig::default());
+    let suite = SuiteData::build_subset(&["sort", "grep", "sed"], &CompilerConfig::default(), 0);
     let programs: Vec<TrainingProgram<'_>> = suite
         .benches
         .iter()

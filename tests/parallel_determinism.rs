@@ -45,7 +45,7 @@ fn row_bits(r: &Table4Row) -> (String, [u64; 6]) {
 
 #[test]
 fn cross_validation_is_bitwise_identical_across_thread_counts() {
-    let suite = SuiteData::build_subset(&SUBSET, &CompilerConfig::default());
+    let suite = SuiteData::build_subset(&SUBSET, &CompilerConfig::default(), 0);
     let root =
         std::env::temp_dir().join(format!("esp-parallel-determinism-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();

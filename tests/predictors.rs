@@ -11,6 +11,7 @@ fn small_suite() -> SuiteData {
     SuiteData::build_subset(
         &["sort", "grep", "sed", "gzip", "wdiff", "od"],
         &CompilerConfig::default(),
+        0,
     )
 }
 

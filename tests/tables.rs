@@ -1,12 +1,14 @@
 //! Integration tests for the table/figure renderers on a fast corpus slice.
 
-use esp_repro::eval::{self, SuiteData};
+use esp_repro::eval::{self, BenchData, SuiteData};
+use esp_repro::heur::measure_rates;
 use esp_repro::lang::CompilerConfig;
 
 fn small_suite() -> SuiteData {
     SuiteData::build_subset(
         &["sort", "grep", "tomcatv", "TIS"],
         &CompilerConfig::default(),
+        0,
     )
 }
 
@@ -53,6 +55,27 @@ fn table5_accounting_is_internally_consistent() {
         );
     }
     assert!(eval::table5(&suite).contains("Overall Avg"));
+}
+
+#[test]
+fn table6_mips_column_covers_the_suite_it_is_given() {
+    let suite = small_suite();
+    let (alpha, _, _, mips) = eval::table6::compute(&suite, 1);
+    let rates_of = |benches: &[BenchData]| {
+        measure_rates(benches.iter().map(|b| (&b.prog, &b.analysis, &b.profile)))
+    };
+    assert_eq!(alpha, rates_of(&suite.benches));
+    let recompiled: Vec<BenchData> = suite
+        .benches
+        .iter()
+        .map(|b| BenchData::build(&b.bench, &CompilerConfig::mips_ref()))
+        .collect();
+    assert_eq!(
+        mips,
+        rates_of(&recompiled),
+        "MIPS column of the same programs"
+    );
+    assert!(eval::table6(&suite, 0).contains("Ours (MIPS)"));
 }
 
 #[test]

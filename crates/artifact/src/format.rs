@@ -182,6 +182,20 @@ impl ModelArtifact {
         }
     }
 
+    /// The [`synthetic`](Self::synthetic) artifact a `DIM,HIDDEN,SEED`
+    /// spec names, as `esp-serve --synthetic` and `esp-client registry
+    /// publish --synthetic` take it, or a message naming the spec.
+    pub fn parse_synthetic(spec: &str) -> Result<Self, String> {
+        let parts: Vec<&str> = spec.split(',').collect();
+        match parts[..] {
+            [dim, hidden, seed] => match (dim.parse(), hidden.parse(), seed.parse()) {
+                (Ok(dim), Ok(hidden), Ok(seed)) => Ok(Self::synthetic(dim, hidden, seed)),
+                _ => Err(format!("--synthetic takes three numbers, got {spec:?}")),
+            },
+            _ => Err(format!("--synthetic takes DIM,HIDDEN,SEED, got {spec:?}")),
+        }
+    }
+
     /// The f32 serving narrowing of this artifact: same provenance, same
     /// encoder (normalization stays f64), network parameters rounded once
     /// to f32 (see [`esp_nnet::Mlp::quantize`]). Serializes as
@@ -427,6 +441,16 @@ mod tests {
         assert_eq!(a.rates, b.rates);
         // serialize → deserialize → serialize is byte-identical
         assert_eq!(bytes, b.to_bytes());
+    }
+
+    #[test]
+    fn a_synthetic_spec_names_dim_hidden_and_seed() {
+        let a = ModelArtifact::parse_synthetic("12,5,99").expect("valid spec");
+        assert_eq!(a, ModelArtifact::synthetic(12, 5, 99));
+        let err = ModelArtifact::parse_synthetic("12,5").expect_err("two parts");
+        assert!(err.contains("DIM,HIDDEN,SEED"), "{err}");
+        let err = ModelArtifact::parse_synthetic("12,x,99").expect_err("bad HIDDEN");
+        assert!(err.contains("three numbers, got \"12,x,99\""), "{err}");
     }
 
     #[test]

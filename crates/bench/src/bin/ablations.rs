@@ -11,14 +11,15 @@
 //! evaluation programs. Run with `--quick` for a fast sanity pass and
 //! `--threads N` to cap the workers that profile the corpus (`0` = one per
 //! core; results are identical at every thread count). The folds run one
-//! after another. Any other argument, or a `--threads` without a number,
-//! exits 2.
+//! after another. Any other argument, a repeated flag, or a `--threads`
+//! without a number exits 2 (the `esp_obs::cli` policy).
 
 use esp_core::{leave_one_out, EspConfig, FeatureSet, Learner, TrainingProgram};
-use esp_eval::{miss_rate, Prediction, SuiteData};
+use esp_eval::{miss_rate, SuiteData};
 use esp_ir::Lang;
 use esp_lang::CompilerConfig;
 use esp_nnet::{LossKind, MlpConfig, TreeConfig};
+use esp_obs::cli::{self, Spec};
 
 fn mlp(hidden: usize, loss: LossKind, quick: bool) -> MlpConfig {
     MlpConfig {
@@ -47,38 +48,23 @@ fn cv_miss(suite: &SuiteData, pool: &[usize], targets: &[usize], cfg: &EspConfig
         let model = leave_one_out(&group, fold, cfg);
         let b = &suite.benches[t];
         rates.push(miss_rate(b, |site| {
-            Prediction::from(Some(model.predict_taken(&b.prog, &b.analysis, site)))
+            Some(model.predict_taken(&b.prog, &b.analysis, site))
         }));
     }
     rates.iter().sum::<f64>() / rates.len().max(1) as f64
 }
 
-/// `(--quick given, --threads N)` from the command line; exits 2 on
-/// anything else.
-fn parse_args() -> (bool, usize) {
-    let (mut quick, mut threads) = (false, 0);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--threads" => {
-                let value = args.next().unwrap_or_default();
-                threads = value.parse().unwrap_or_else(|_| {
-                    eprintln!("flag `--threads` takes a number, got `{value}`");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument `{other}`; ablations takes --quick and --threads N");
-                std::process::exit(2);
-            }
-        }
-    }
-    (quick, threads)
-}
+const SPEC: Spec = Spec {
+    name: "ablations",
+    values: &["--threads"],
+    switches: &["--quick"],
+    positional: 0,
+};
 
 fn main() {
-    let (quick, threads) = parse_args();
+    let args = cli::or_exit(cli::parse(&SPEC, std::env::args().skip(1)));
+    let quick = args.switch("--quick");
+    let threads: usize = cli::or_exit(args.number("--threads")).unwrap_or(0);
     eprintln!("building + profiling the corpus…");
     let suite = SuiteData::build_with_threads(&CompilerConfig::default(), threads);
 

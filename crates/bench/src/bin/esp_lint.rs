@@ -15,6 +15,8 @@
 //!   finding's proved direction matches the observed `taken_prob` exactly
 //!   (0.0 or 1.0). Any violation exits 1: the static analyses claim facts
 //!   about *real* executions, so a single counterexample is a bug.
+//!
+//! A flag `esp_obs::cli` rejects exits 2 before anything is compiled.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -22,37 +24,14 @@ use std::process::ExitCode;
 use esp_analyze::{lint_program, report_json, Finding, LintCode, ProgramReport};
 use esp_ir::{BranchId, ProgramAnalysis};
 use esp_lang::CompilerConfig;
+use esp_obs::cli::{self, Spec};
 
-fn parse_args() -> (Option<String>, Option<String>, bool) {
-    let mut subset = None;
-    let mut json = None;
-    let mut oracle = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--subset" => {
-                let v = args.next().unwrap_or_else(|| {
-                    eprintln!("--subset needs a comma-separated name list");
-                    std::process::exit(2);
-                });
-                subset = Some(v);
-            }
-            "--json" => {
-                json = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--json needs a file path");
-                    std::process::exit(2);
-                }));
-            }
-            "--oracle" => oracle = true,
-            other => {
-                eprintln!("unknown flag: {other}");
-                eprintln!("usage: esp_lint [--subset a,b,c] [--json FILE] [--oracle]");
-                std::process::exit(2);
-            }
-        }
-    }
-    (subset, json, oracle)
-}
+const SPEC: Spec = Spec {
+    name: "esp_lint",
+    values: &["--subset", "--json"],
+    switches: &["--oracle"],
+    positional: 0,
+};
 
 /// Check every decided-branch finding against the execution profile.
 /// Returns human-readable violation descriptions.
@@ -89,17 +68,17 @@ fn oracle_violations(
 }
 
 fn main() -> ExitCode {
-    let (subset, json_out, oracle) = parse_args();
+    let args = cli::or_exit(cli::parse(&SPEC, std::env::args().skip(1)));
+    let oracle = args.switch("--oracle");
     let cfg = CompilerConfig::default();
 
-    let benches = match subset {
+    let benches = match args.value("--subset") {
         None => esp_corpus::suite(),
         Some(list) => match esp_corpus::select(&list.split(',').collect::<Vec<_>>()) {
             Ok(benches) => benches,
-            Err(name) => {
-                eprintln!("`--subset` names `{name}`, which is not a corpus program");
-                return ExitCode::from(2);
-            }
+            Err(name) => cli::usage_error(format!(
+                "`--subset` names `{name}`, which is not a corpus program"
+            )),
         },
     };
 
@@ -143,9 +122,9 @@ fn main() -> ExitCode {
     }
     println!("total: {total} findings across {} programs", reports.len());
 
-    if let Some(path) = json_out {
+    if let Some(path) = args.value("--json") {
         let json = report_json(&reports);
-        if let Err(e) = std::fs::write(&path, json) {
+        if let Err(e) = std::fs::write(path, json) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::from(2);
         }

@@ -19,9 +19,9 @@
 //!
 //! Each artifact accepts only the flags it reads: `--trace-out` and
 //! `--metrics-out` everywhere, `all` the flags of every table it renders.
-//! Any other flag, `--flip-bound` without `--precision f32`, and a
-//! `--subset` name that is not a corpus program exit 2 before a suite is
-//! built.
+//! Any other flag, `--flip-bound` without `--precision f32`, a `--subset`
+//! name outside the corpus and whatever else `esp_obs::cli` rejects exit 2
+//! before a suite is built; an unwritable telemetry file exits 1 after.
 //!
 //! `--save-model DIR` publishes every Table 4 cross-validation fold to a
 //! model registry under `DIR` as `.espm` artifacts
@@ -71,32 +71,32 @@ use esp_eval::{
 };
 use esp_lang::CompilerConfig;
 use esp_nnet::MlpConfig;
+use esp_obs::cli::{self, Args, Spec, Telemetry};
 
-/// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &["--quick"];
-
-/// Flags that consume the next argument as their value.
-const VALUE_FLAGS: &[&str] = &[
-    "--threads",
-    "--save-model",
-    "--subset",
-    "--trace-out",
-    "--metrics-out",
-    "--precision",
-    "--flip-bound",
-    "--features",
-];
-
-/// Flags every artifact reads.
-const COMMON_FLAGS: &[&str] = &["--trace-out", "--metrics-out"];
+/// Every flag any artifact reads, and the one artifact name.
+const SPEC: Spec = Spec {
+    name: "repro_tables",
+    values: &[
+        "--threads",
+        "--save-model",
+        "--subset",
+        "--trace-out",
+        "--metrics-out",
+        "--precision",
+        "--flip-bound",
+        "--features",
+    ],
+    switches: &["--quick"],
+    positional: 1,
+};
 
 /// The artifacts `all` renders.
 const ALL_PARTS: &[&str] = &[
     "table3", "table4", "table5", "table6", "table7", "fig1", "fig2", "extras", "scheme",
 ];
 
-/// The flags `artifact` reads besides [`COMMON_FLAGS`] (`all` reads those
-/// of its parts), or `None` when no artifact has that name.
+/// The flags `artifact` reads besides [`Telemetry::FLAGS`] (`all` reads
+/// those of its parts), or `None` when no artifact has that name.
 fn artifact_flags(artifact: &str) -> Option<&'static [&'static str]> {
     Some(match artifact {
         "table3" | "table5" | "table6" | "fig2" => &["--threads", "--subset"],
@@ -118,110 +118,26 @@ fn artifact_flags(artifact: &str) -> Option<&'static [&'static str]> {
 
 /// Does `artifact` read `flag`?
 fn reads(artifact: &str, flag: &str) -> bool {
-    COMMON_FLAGS.contains(&flag)
+    Telemetry::FLAGS.contains(&flag)
         || artifact_flags(artifact).is_some_and(|f| f.contains(&flag))
         || (artifact == "all" && ALL_PARTS.iter().any(|part| reads(part, flag)))
 }
 
-/// Parsed command line: every `--flag` checked against the known sets (an
-/// unknown flag is a hard error, not a silently ignored typo), repeated
-/// `--flag VALUE` extraction behind one helper.
-struct Flags {
-    args: Vec<String>,
-    /// Every flag given, in order.
-    given: Vec<&'static str>,
-}
-
-impl Flags {
-    /// Parse `std::env::args`, rejecting unknown flags with exit 2.
-    fn parse() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut given = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let a = args[i].as_str();
-            if a.starts_with("--") {
-                if let Some(&flag) = VALUE_FLAGS.iter().find(|&&f| f == a) {
-                    if i + 1 >= args.len() {
-                        eprintln!("flag `{a}` needs a value");
-                        std::process::exit(2);
-                    }
-                    given.push(flag);
-                    i += 1; // skip the value
-                } else if let Some(&flag) = BOOL_FLAGS.iter().find(|&&f| f == a) {
-                    given.push(flag);
-                } else {
-                    eprintln!(
-                        "unknown flag `{a}`; known flags: {} and {}",
-                        VALUE_FLAGS.join(", "),
-                        BOOL_FLAGS.join(", ")
-                    );
-                    std::process::exit(2);
-                }
-            }
-            i += 1;
-        }
-        Flags { args, given }
+/// Fail unless `artifact` exists and reads every flag given, so a flag
+/// that would change nothing fails loudly instead of being ignored.
+fn check_artifact(args: &Args, artifact: &str) -> Result<(), String> {
+    if artifact_flags(artifact).is_none() {
+        return Err(format!(
+            "unknown artifact `{artifact}`; expected table3|table4|table5|table6|table7|fig1|fig2|dyn|extras|scheme|all"
+        ));
     }
-
-    /// Exit 2 unless `artifact` exists and reads every flag given, so a
-    /// flag that would change nothing fails loudly instead of being
-    /// ignored. Runs before any suite is built.
-    fn check_artifact(&self, artifact: &str) {
-        if artifact_flags(artifact).is_none() {
-            eprintln!(
-                "unknown artifact `{artifact}`; expected table3|table4|table5|table6|table7|fig1|fig2|dyn|extras|scheme|all"
-            );
-            std::process::exit(2);
-        }
-        if let Some(flag) = self.given.iter().find(|f| !reads(artifact, f)) {
-            eprintln!("`{artifact}` does not read `{flag}`");
-            std::process::exit(2);
-        }
-        if self.value("--flip-bound").is_some() && self.value("--precision") != Some("f32") {
-            eprintln!("`--flip-bound` is read only with `--precision f32`");
-            std::process::exit(2);
-        }
+    if let Some(flag) = args.unread(|f| reads(artifact, f)) {
+        return Err(format!("`{artifact}` does not read `{flag}`"));
     }
-
-    /// Is the boolean `flag` present?
-    fn bool(&self, flag: &str) -> bool {
-        debug_assert!(BOOL_FLAGS.contains(&flag));
-        self.args.iter().any(|a| a == flag)
+    if args.value("--flip-bound").is_some() && args.value("--precision") != Some("f32") {
+        return Err("`--flip-bound` is read only with `--precision f32`".into());
     }
-
-    /// The value following `--flag`, if present.
-    fn value(&self, flag: &str) -> Option<&str> {
-        debug_assert!(VALUE_FLAGS.contains(&flag));
-        self.args
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
-    }
-
-    /// `--flag N` parsed as a number, or `default`.
-    fn number<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
-        match self.value(flag) {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("flag `{flag}` takes a number, got `{v}`");
-                std::process::exit(2);
-            }),
-        }
-    }
-
-    /// The first positional (non-flag, non-flag-value) argument.
-    fn positional(&self) -> Option<&str> {
-        self.args
-            .iter()
-            .enumerate()
-            .find(|&(i, a)| {
-                let follows_value_flag = i > 0 && VALUE_FLAGS.contains(&self.args[i - 1].as_str());
-                !a.starts_with("--") && !follows_value_flag
-            })
-            .map(|(_, a)| a.as_str())
-    }
+    Ok(())
 }
 
 fn esp_config(quick: bool, threads: usize) -> EspConfig {
@@ -250,40 +166,33 @@ fn esp_config(quick: bool, threads: usize) -> EspConfig {
 }
 
 fn main() {
-    let flags = Flags::parse();
-    let what = flags.positional().unwrap_or("all");
-    flags.check_artifact(what);
-    let subset: Option<Vec<&str>> = flags.value("--subset").map(|s| s.split(',').collect());
+    let args = cli::or_exit(cli::parse(&SPEC, std::env::args().skip(1)));
+    let what = args.positional().first().map_or("all", String::as_str);
+    cli::or_exit(check_artifact(&args, what));
+    let subset: Option<Vec<&str>> = args.value("--subset").map(|s| s.split(',').collect());
     if let Some(Err(name)) = subset.as_deref().map(esp_corpus::select) {
-        eprintln!("`--subset` names `{name}`, which is not a corpus program");
-        std::process::exit(2);
+        cli::usage_error(format!(
+            "`--subset` names `{name}`, which is not a corpus program"
+        ));
     }
-    let quick = flags.bool("--quick");
-    let threads: usize = flags.number("--threads", 0);
-    let trace_out = flags.value("--trace-out").map(std::path::PathBuf::from);
-    let metrics_out = flags.value("--metrics-out").map(std::path::PathBuf::from);
-    if trace_out.is_some() {
-        esp_obs::trace::enable();
-    }
-    let save_dir = flags.value("--save-model").map(std::path::PathBuf::from);
-    let quant = match flags.value("--precision") {
+    let quick = args.switch("--quick");
+    let threads: usize = cli::or_exit(args.number("--threads")).unwrap_or(0);
+    let save_dir = args.value("--save-model").map(std::path::PathBuf::from);
+    let quant = match args.value("--precision") {
         None | Some("f64") => None,
         Some("f32") => Some(QuantGateConfig {
-            flip_bound: flags.number("--flip-bound", 0.02),
+            flip_bound: cli::or_exit(args.number("--flip-bound")).unwrap_or(0.02),
         }),
-        Some(other) => {
-            eprintln!("--precision takes `f32` or `f64`, got `{other}`");
-            std::process::exit(2);
-        }
+        Some(other) => cli::usage_error(format!("--precision takes `f32` or `f64`, got `{other}`")),
     };
-    let extended_features = match flags.value("--features") {
+    let extended_features = match args.value("--features") {
         None | Some("paper24") => false,
         Some("extended") => true,
-        Some(other) => {
-            eprintln!("--features takes `paper24` or `extended`, got `{other}`");
-            std::process::exit(2);
-        }
+        Some(other) => cli::usage_error(format!(
+            "--features takes `paper24` or `extended`, got `{other}`"
+        )),
     };
+    let telemetry = Telemetry::start(&args);
     let needs_suite = matches!(
         what,
         "table3" | "table4" | "table5" | "table6" | "fig2" | "dyn" | "all"
@@ -391,23 +300,14 @@ fn main() {
             let s = suite_for_extras(quick, threads);
             print_extras(&s, quick);
         }
-        _ => unreachable!("Flags::check_artifact admits only known artifacts"),
+        _ => unreachable!("check_artifact admits only known artifacts"),
     }
 
-    if let Some(path) = &metrics_out {
-        match std::fs::write(path, esp_obs::global_metrics().render_text()) {
-            Ok(()) => eprintln!("wrote metrics exposition to {}", path.display()),
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-        }
-    }
-    if let Some(path) = &trace_out {
-        match esp_obs::trace::write_json(path) {
-            Ok(n) => eprintln!("wrote {n} trace events to {}", path.display()),
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-        }
-    }
+    let written = telemetry.finish(|| esp_obs::global_metrics().render_text());
     if gate_failed {
         eprintln!("f32 quantization gate FAILED: pooled flip rate over --flip-bound");
+    }
+    if gate_failed || !written {
         std::process::exit(1);
     }
 }

@@ -1,10 +1,13 @@
 //! Command-line contract of the `repro_tables`, `ablations` and `esp_lint`
-//! binaries: a flag the chosen artifact never reads, an unknown flag, a
-//! malformed value and a `--subset` name outside the corpus all exit 2 and
-//! name the offender before any corpus is built, while valid invocations
-//! run, on one thread when `--threads 1` says so.
+//! binaries: a flag the chosen artifact never reads, an unknown or repeated
+//! flag, a value flag whose value is missing or is another flag, a
+//! malformed number, a second artifact name and a `--subset` name outside
+//! the corpus all exit 2 and name the offender before any corpus is built
+//! or any file written, while valid invocations run, on one thread when
+//! `--threads 1` says so, and an unwritable telemetry file fails the run.
 
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin)
@@ -14,8 +17,26 @@ fn run(bin: &str, args: &[&str]) -> Output {
 }
 
 /// `bin args` exits 2 before building a suite, naming `flag` on stderr.
+/// It runs in a fresh empty directory, which must stay empty.
 fn rejects(bin: &str, args: &[&str], flag: &str) {
-    let out = run(bin, args);
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "esp-flags-cwd-{}-{}",
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir(&dir).expect("create an empty working directory");
+    let out = Command::new(bin)
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"));
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list the working directory")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(written.is_empty(), "{args:?} wrote {written:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
@@ -53,6 +74,17 @@ fn repro_tables_rejects_flags_its_artifact_never_reads() {
         (&["table4", "--threads", "x"][..], "--threads"),
         (&["table4", "--threads"][..], "--threads"),
         (&["table9"][..], "table9"),
+        // A value flag never takes a flag as its value: this named a
+        // registry directory `--quick` and ran in quick mode.
+        (
+            &["table4", "--subset", "sort,grep", "--save-model", "--quick"][..],
+            "--save-model",
+        ),
+        (&["fig1", "table3"][..], "table3"),
+        (
+            &["table3", "--subset", "sort", "--subset", "grep"][..],
+            "--subset",
+        ),
     ] {
         rejects(bin, args, flag);
     }
@@ -133,11 +165,19 @@ fn threads_one_starts_no_pool_worker_and_table6_recompiles_only_the_subset() {
 }
 
 #[test]
+fn esp_lint_rejects_unknown_and_repeated_flags() {
+    let bin = env!("CARGO_BIN_EXE_esp_lint");
+    rejects(bin, &["--oracel"], "--oracel");
+    rejects(bin, &["--subset", "sort", "--subset", "grep"], "--subset");
+}
+
+#[test]
 fn ablations_rejects_unknown_flags_and_bad_threads() {
     let bin = env!("CARGO_BIN_EXE_ablations");
     rejects(bin, &["--quik"], "--quik");
     rejects(bin, &["--threads", "x"], "--threads");
     rejects(bin, &["--threads"], "--threads");
+    rejects(bin, &["--threads", "1", "--threads", "2"], "--threads");
 }
 
 #[test]
@@ -159,4 +199,21 @@ fn repro_tables_runs_a_cheap_artifact_with_the_common_flags() {
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("Figure 1"));
     assert!(metrics.exists(), "--metrics-out wrote nothing");
     std::fs::remove_file(&metrics).ok();
+
+    // An exposition that cannot be written fails the run after its output.
+    let missing = std::env::temp_dir()
+        .join(format!("esp-flags-missing-{}", std::process::id()))
+        .join("m.prom");
+    let out = run(
+        env!("CARGO_BIN_EXE_repro_tables"),
+        &[
+            "fig1",
+            "--metrics-out",
+            missing.to_str().expect("utf-8 path"),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot write"), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("Figure 1"));
 }

@@ -42,7 +42,7 @@ pub mod table7;
 pub mod table_dyn;
 
 pub use data::{BenchData, SuiteData};
-pub use miss::{expected_misses, miss_rate, Prediction};
+pub use miss::miss_rate;
 pub use quant::{FoldQuantReport, PublishOutcome, QuantGateConfig, QuantGateReport};
 pub use table3::{table3, Table3Row};
 pub use table4::{compute_with_quant, table4, train_config_stamp, Table4Config, Table4Row};

@@ -1,57 +1,27 @@
 //! Dynamic misprediction accounting.
 //!
-//! Following the paper's methodology (Table 5's caption): covered branches
-//! are charged their actual minority mass; branches no predictor covers are
-//! "predicted using a uniform random distribution", i.e. charged half their
-//! executions in expectation.
+//! Following the paper's methodology (Table 5's caption): a covered branch
+//! is charged its executions in the direction it was not predicted; a
+//! branch no predictor covers is "predicted using a uniform random
+//! distribution", i.e. charged half its executions in expectation. The rule
+//! itself is [`esp_exec::BranchCounts::misses`].
 
-use esp_exec::BranchCounts;
 use esp_ir::BranchId;
 
 use crate::data::BenchData;
 
-/// A static prediction for one branch site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Prediction {
-    /// Predict the branch taken.
-    Taken,
-    /// Predict the branch not taken.
-    NotTaken,
-    /// The predictor does not cover this branch (scored as a coin flip).
-    Uncovered,
-}
-
-impl From<Option<bool>> for Prediction {
-    fn from(p: Option<bool>) -> Self {
-        match p {
-            Some(true) => Prediction::Taken,
-            Some(false) => Prediction::NotTaken,
-            None => Prediction::Uncovered,
-        }
-    }
-}
-
-/// Expected dynamic mispredictions of `pred` on a branch with the given
-/// counts.
-pub fn expected_misses(counts: &BranchCounts, pred: Prediction) -> f64 {
-    match pred {
-        Prediction::Taken => (counts.executed - counts.taken) as f64,
-        Prediction::NotTaken => counts.taken as f64,
-        Prediction::Uncovered => counts.executed as f64 / 2.0,
-    }
-}
-
 /// The dynamic miss rate (fraction of executed conditional branches
-/// mispredicted) of a per-site predictor over one profiled program. Returns
-/// 0 for programs that executed no conditional branches.
-pub fn miss_rate(data: &BenchData, mut predict: impl FnMut(BranchId) -> Prediction) -> f64 {
+/// mispredicted) of a per-site predictor over one profiled program, each
+/// site scored by [`esp_exec::BranchCounts::misses`] (`None` = uncovered).
+/// Returns 0 for programs that executed no conditional branches.
+pub fn miss_rate(data: &BenchData, mut predict: impl FnMut(BranchId) -> Option<bool>) -> f64 {
     let mut misses = 0.0f64;
     let mut total = 0u64;
     for site in data.prog.branch_sites() {
         let Some(counts) = data.profile.counts(site) else {
             continue;
         };
-        misses += expected_misses(counts, predict(site));
+        misses += counts.misses(predict(site));
         total += counts.executed;
     }
     if total == 0 {
@@ -73,17 +43,6 @@ pub fn mean(rates: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn expected_misses_per_direction() {
-        let c = BranchCounts {
-            executed: 10,
-            taken: 7,
-        };
-        assert_eq!(expected_misses(&c, Prediction::Taken), 3.0);
-        assert_eq!(expected_misses(&c, Prediction::NotTaken), 7.0);
-        assert_eq!(expected_misses(&c, Prediction::Uncovered), 5.0);
-    }
 
     #[test]
     fn mean_of_rates() {

@@ -12,7 +12,7 @@ use esp_ir::{BranchId, Lang};
 
 use crate::data::{BenchData, SuiteData};
 use crate::fmt::{pct, TextTable};
-use crate::miss::{mean, miss_rate, Prediction};
+use crate::miss::{mean, miss_rate};
 use crate::quant::{
     within_bound, FoldQuantReport, PublishOutcome, QuantGateConfig, QuantGateReport,
 };
@@ -91,7 +91,7 @@ pub fn compute_with_quant(
     let mut esp_miss: Vec<f64> = suite
         .benches
         .iter()
-        .map(|b| miss_rate(b, |_| Prediction::Uncovered))
+        .map(|b| miss_rate(b, |_| None))
         .collect();
     let mut gate_folds: Vec<FoldQuantReport> = Vec::new();
     for_each_fold(suite, cfg, |f| {
@@ -110,12 +110,12 @@ pub fn compute_with_quant(
             Table4Row {
                 name: b.bench.name.to_string(),
                 group: b.bench.group,
-                btfnt: miss_rate(b, |s| Prediction::from(Some(Btfnt.predict(&ctx_of(s))))),
-                aphc: miss_rate(b, |s| Prediction::from(aphc.predict(&ctx_of(s)))),
-                dshc_bl: miss_rate(b, |s| Prediction::from(dshc_bl.predict(&ctx_of(s)))),
-                dshc_ours: miss_rate(b, |s| Prediction::from(dshc_ours.predict(&ctx_of(s)))),
+                btfnt: miss_rate(b, |s| Some(Btfnt.predict(&ctx_of(s)))),
+                aphc: miss_rate(b, |s| aphc.predict(&ctx_of(s))),
+                dshc_bl: miss_rate(b, |s| dshc_bl.predict(&ctx_of(s))),
+                dshc_ours: miss_rate(b, |s| dshc_ours.predict(&ctx_of(s))),
                 esp: esp_miss[i],
-                perfect: miss_rate(b, |s| Prediction::from(perfect_predict(&b.profile, s))),
+                perfect: miss_rate(b, |s| perfect_predict(&b.profile, s)),
             }
         })
         .collect();
@@ -229,7 +229,7 @@ fn threshold_miss_rate(b: &BenchData, sites: &[BranchId], probs: &[f64]) -> f64 
         .zip(probs)
         .map(|(&site, &p)| (site, p > 0.5))
         .collect();
-    miss_rate(b, |site| Prediction::from(taken.get(&site).copied()))
+    miss_rate(b, |site| taken.get(&site).copied())
 }
 
 /// Registry name of a Table 4 fold model: `table4-<lang>-fold<i>`.

@@ -33,9 +33,12 @@ pub fn compute_one(b: &BenchData) -> Table5Row {
     let mut loop_exec = 0u64;
     let mut loop_miss = 0.0f64;
     let mut nl_exec = 0u64;
+    let mut nl_miss = 0.0f64;
     let mut nl_cov_exec = 0u64;
     let mut nl_cov_miss = 0.0f64;
 
+    // Every charge is a whole or half execution count below 2^53, so the
+    // sums are exact whatever order they accumulate in.
     for site in b.prog.branch_sites() {
         let Some(c) = b.profile.counts(site) else {
             continue;
@@ -43,26 +46,19 @@ pub fn compute_one(b: &BenchData) -> Table5Row {
         let ctx = BranchCtx::new(&b.prog, &b.analysis, site);
         if let Some(pred) = Heuristic::LoopBranch.predict(&ctx) {
             loop_exec += c.executed;
-            loop_miss += if pred {
-                (c.executed - c.taken) as f64
-            } else {
-                c.taken as f64
-            };
+            loop_miss += c.misses(Some(pred));
             continue;
         }
+        let pred = aphc.predict(&ctx);
+        let miss = c.misses(pred);
         nl_exec += c.executed;
-        if let Some(pred) = aphc.predict(&ctx) {
+        nl_miss += miss;
+        if pred.is_some() {
             nl_cov_exec += c.executed;
-            nl_cov_miss += if pred {
-                (c.executed - c.taken) as f64
-            } else {
-                c.taken as f64
-            };
+            nl_cov_miss += miss;
         }
     }
 
-    let uncovered = (nl_exec - nl_cov_exec) as f64;
-    let nonloop_total_miss = nl_cov_miss + uncovered / 2.0;
     let total = loop_exec + nl_exec;
     let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
     Table5Row {
@@ -71,8 +67,8 @@ pub fn compute_one(b: &BenchData) -> Table5Row {
         pct_non_loop: ratio(nl_exec as f64, total as f64),
         coverage: ratio(nl_cov_exec as f64, nl_exec as f64),
         heur_miss: ratio(nl_cov_miss, nl_cov_exec as f64),
-        nonloop_miss: ratio(nonloop_total_miss, nl_exec as f64),
-        overall: ratio(loop_miss + nonloop_total_miss, total as f64),
+        nonloop_miss: ratio(nl_miss, nl_exec as f64),
+        overall: ratio(loop_miss + nl_miss, total as f64),
     }
 }
 

@@ -8,7 +8,7 @@ use esp_lang::CompilerConfig;
 
 use crate::data::BenchData;
 use crate::fmt::{pct, TextTable};
-use crate::miss::{miss_rate, Prediction};
+use crate::miss::miss_rate;
 use crate::table5;
 
 /// One compiler's Table 7 row.
@@ -41,9 +41,7 @@ pub fn compute(program: &str, configs: &[CompilerConfig]) -> Vec<Table7Row> {
         .map(|cfg| {
             let data = BenchData::build(&bench, cfg);
             let t5 = table5::compute_one(&data);
-            let perfect = miss_rate(&data, |s| {
-                Prediction::from(perfect_predict(&data.profile, s))
-            });
+            let perfect = miss_rate(&data, |s| perfect_predict(&data.profile, s));
             Table7Row {
                 compiler: cfg.name.to_string(),
                 loop_miss: t5.loop_miss,

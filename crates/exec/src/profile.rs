@@ -39,6 +39,21 @@ impl BranchCounts {
     pub fn perfect_misses(&self) -> u64 {
         self.taken.min(self.executed - self.taken)
     }
+
+    /// Mispredictions charged to the static prediction `pred` for this
+    /// branch, the paper's one scoring rule: a branch predicted taken
+    /// (`Some(true)`) or not taken (`Some(false)`) is charged its
+    /// executions in the other direction, and one no predictor covers
+    /// (`None`) is charged half its executions, the expectation of Table
+    /// 5's "uniform random" default. A hit tally is `executed as f64 -
+    /// misses(..)`, exact below 2^53 executions.
+    pub fn misses(&self, pred: Option<bool>) -> f64 {
+        match pred {
+            Some(true) => (self.executed - self.taken) as f64,
+            Some(false) => self.taken as f64,
+            None => self.executed as f64 / 2.0,
+        }
+    }
 }
 
 /// The dynamic profile of one program run.
@@ -190,6 +205,17 @@ mod tests {
         assert_eq!(p.executed_sites(), 2);
         assert_eq!(p.dyn_cond_branches, 4);
         assert_eq!(p.overall_taken_fraction(), Some(0.75));
+    }
+
+    #[test]
+    fn misses_per_direction() {
+        let c = BranchCounts {
+            executed: 10,
+            taken: 7,
+        };
+        assert_eq!(c.misses(Some(true)), 3.0);
+        assert_eq!(c.misses(Some(false)), 7.0);
+        assert_eq!(c.misses(None), 5.0);
     }
 
     #[test]

@@ -32,11 +32,7 @@ pub fn evaluate_order(order: &[Heuristic], runs: &[Run<'_>]) -> f64 {
             };
             total += c.executed;
             let ctx = BranchCtx::new(prog, analysis, site);
-            misses += match aphc.predict(&ctx) {
-                Some(true) => (c.executed - c.taken) as f64,
-                Some(false) => c.taken as f64,
-                None => c.executed as f64 / 2.0,
-            };
+            misses += c.misses(aphc.predict(&ctx));
         }
     }
     if total == 0 {
@@ -72,11 +68,7 @@ pub fn greedy_order(runs: &[Run<'_>]) -> Vec<Heuristic> {
                         continue;
                     };
                     covered += c.executed;
-                    correct += if pred {
-                        c.taken as f64
-                    } else {
-                        (c.executed - c.taken) as f64
-                    };
+                    correct += c.executed as f64 - c.misses(Some(pred));
                 }
             }
             let rate = if covered > 0 {

@@ -89,12 +89,7 @@ where
                 let Some(pred) = h.predict(&ctx) else {
                     continue;
                 };
-                let right = if pred {
-                    counts.taken
-                } else {
-                    counts.executed - counts.taken
-                };
-                correct[h.ordinal()] += right as f64;
+                correct[h.ordinal()] += counts.executed as f64 - counts.misses(Some(pred));
                 total[h.ordinal()] += counts.executed as f64;
                 coverage[h.ordinal()] += counts.executed;
             }

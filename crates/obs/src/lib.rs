@@ -28,6 +28,9 @@
 //!   The caller passes the timestamp of every record and snapshot, so
 //!   windowed rps/p99/mispredict-rate are unit-testable deterministically.
 //!
+//! [`cli`] is the one command-line parser every binary uses, with one
+//! policy for bad flags; it owns the shared `--trace-out`/`--metrics-out`.
+//!
 //! Two byte hashes live here. [`Fnv1a`] is the stable one: corpus name
 //! seeds and the ledger's `/sitez` site ids go through it, so the Table 4
 //! bytes pin it. [`WordHash`] is the fast one: the server hashes each
@@ -56,6 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod ledger;
 pub mod metrics;
 pub mod trace;

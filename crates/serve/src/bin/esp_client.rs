@@ -18,8 +18,10 @@
 //! labelled input, joined by the `req` ids stamped on client and server
 //! spans.
 //!
-//! Each subcommand accepts only the flags shown for it: an unknown flag, a
-//! flag missing its value or a stray argument exits 2, naming it, before
+//! Each subcommand, and each `registry` action, accepts only the flags
+//! shown for it: under the `esp_obs::cli` policy any other flag
+//! (`registry list --keep 0`), a repeated one, a missing value, a number
+//! that does not parse or a stray argument exits 2, naming it, before
 //! anything is connected to or written.
 //!
 //! Load generation lives in the repository benchmark
@@ -28,99 +30,68 @@
 use std::path::Path;
 
 use esp_artifact::{ModelArtifact, Registry};
+use esp_obs::cli::{self, Args, Spec};
 use esp_serve::Client;
 
-/// The value flags of each subcommand, and how many positional arguments
-/// it takes after its name (`merge-traces` takes any number of inputs,
-/// `registry` its action).
-fn known_flags(subcommand: &str) -> Option<(&'static [&'static str], usize)> {
-    Some(match subcommand {
-        "info" => (&["--addr", "--model"], 0),
-        "stats" | "shutdown" => (&["--addr"], 0),
-        "get" => (&["--addr", "--path"], 0),
-        "merge-traces" => (&["--out"], usize::MAX),
-        "registry" => (
-            &[
-                "--dir",
-                "--name",
-                "--model-version",
-                "--from",
-                "--synthetic",
-                "--keep",
-            ],
-            1,
-        ),
-        _ => return None,
-    })
-}
-
-/// Exit 2 unless every argument after the subcommand is one of its value
-/// flags followed by a value, or one of the positional arguments it takes;
-/// returns the positional arguments.
-fn check_args<'a>(args: &'a [String], flags: &[&str], max_positional: usize) -> Vec<&'a str> {
-    let mut positional = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if flags.contains(&a) {
-            if i + 1 >= args.len() {
-                usage_error(format!("flag `{a}` needs a value"));
-            }
-            i += 1;
-        } else if a.starts_with('-') {
-            usage_error(format!(
-                "unknown flag `{a}` for `{}`; known flags: {}",
-                args[0],
-                flags.join(", ")
-            ));
-        } else if positional.len() < max_positional {
-            positional.push(a);
-        } else {
-            usage_error(format!("unexpected argument `{a}` for `{}`", args[0]));
-        }
-        i += 1;
+/// A subcommand that takes the value flags `values`, no switch, and at
+/// most `positional` positional arguments.
+const fn command(name: &'static str, values: &'static [&'static str], positional: usize) -> Spec {
+    Spec {
+        name,
+        values,
+        switches: &[],
+        positional,
     }
-    positional
 }
 
-fn usage_error(msg: String) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
+/// Every subcommand, each `registry` action with only its own flags
+/// (`merge-traces` takes any number of inputs).
+const COMMANDS: &[Spec] = &[
+    command("info", &["--addr", "--model"], 0),
+    command("stats", &["--addr"], 0),
+    command("shutdown", &["--addr"], 0),
+    command("get", &["--addr", "--path"], 0),
+    command("merge-traces", &["--out"], usize::MAX),
+    command("registry list", &["--dir"], 0),
+    command(
+        "registry inspect",
+        &["--dir", "--name", "--model-version"],
+        0,
+    ),
+    command(
+        "registry publish",
+        &["--dir", "--name", "--from", "--synthetic"],
+        0,
+    ),
+    command("registry gc", &["--dir", "--name", "--keep"], 0),
+];
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn parse<T: std::str::FromStr>(value: &str, what: &str) -> T {
-    value
-        .parse()
-        .unwrap_or_else(|_| usage_error(format!("{what} takes a number, got {value:?}")))
-}
+const USAGE: &str = "\
+usage: esp-client (info [--model NAME[@V]]|stats|shutdown) --addr HOST:PORT
+       esp-client get --addr HOST:PORT [--path /metrics]
+       esp-client merge-traces --out FILE LABEL=PATH [LABEL=PATH ...]
+       esp-client registry (list | inspect --name M [--model-version V]
+                            | publish --name M (--from PATH | --synthetic DIM,HIDDEN,SEED)
+                            | gc --name M --keep K) --dir DIR";
 
 fn fail(msg: String) -> ! {
     eprintln!("{msg}");
     std::process::exit(1);
 }
 
-fn connect(args: &[String]) -> Client {
-    let addr = flag_value(args, "--addr")
+fn connect(args: &Args) -> Client {
+    let addr = args
+        .value("--addr")
         .unwrap_or_else(|| fail("this subcommand needs --addr HOST:PORT".into()));
     Client::connect(addr).unwrap_or_else(|e| fail(format!("cannot connect to {addr}: {e}")))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let positional = match args.first().and_then(|s| known_flags(s)) {
-        Some((flags, max_positional)) => check_args(&args, flags, max_positional),
-        None => Vec::new(),
-    };
-    match args.first().map(String::as_str) {
-        Some("info") => {
-            let selector = flag_value(&args, "--model").unwrap_or("");
+    let (command, args) = cli::parse_command(COMMANDS, std::env::args().skip(1))
+        .unwrap_or_else(|msg| cli::usage_error(format!("{msg}\n{USAGE}")));
+    match command.name {
+        "info" => {
+            let selector = args.value("--model").unwrap_or("");
             let i = connect(&args)
                 .info_model(selector)
                 .unwrap_or_else(|e| fail(e.to_string()));
@@ -134,7 +105,7 @@ fn main() {
                 i.corpus_id, i.dim, i.hidden, i.format_version
             );
         }
-        Some("stats") => {
+        "stats" => {
             let s = connect(&args)
                 .stats()
                 .unwrap_or_else(|e| fail(e.to_string()));
@@ -150,37 +121,27 @@ fn main() {
                 s.p50_us, s.p99_us, s.max_us
             );
         }
-        Some("shutdown") => {
+        "shutdown" => {
             connect(&args)
                 .shutdown()
                 .unwrap_or_else(|e| fail(e.to_string()));
             println!("server acknowledged shutdown");
         }
-        Some("get") => get(&args),
-        Some("merge-traces") => merge_traces(&args, &positional),
-        Some("registry") => registry(&args, positional.first().copied()),
-        _ => {
-            eprintln!(
-                "usage: esp-client (info [--model NAME[@V]]|stats|shutdown) --addr HOST:PORT\n\
-                 \x20      esp-client get --addr HOST:PORT [--path /metrics]\n\
-                 \x20      esp-client merge-traces --out FILE LABEL=PATH [LABEL=PATH ...]\n\
-                 \x20      esp-client registry (list | inspect --name M [--model-version V]\n\
-                 \x20                           | publish --name M (--from PATH | --synthetic DIM,HIDDEN,SEED)\n\
-                 \x20                           | gc --name M --keep K) --dir DIR"
-            );
-            std::process::exit(2);
-        }
+        "get" => get(&args),
+        "merge-traces" => merge_traces(&args),
+        action => registry(action, &args),
     }
 }
 
 /// Plain HTTP/1.1 `GET` over a raw `TcpStream` — lets scripts smoke-test
 /// the telemetry sidecar without curl. Prints the body to stdout; a
 /// non-200 status is an error.
-fn get(args: &[String]) {
+fn get(args: &Args) {
     use std::io::{Read, Write};
-    let addr = flag_value(args, "--addr")
+    let addr = args
+        .value("--addr")
         .unwrap_or_else(|| fail("get needs --addr HOST:PORT (the server's --http-addr)".into()));
-    let path = flag_value(args, "--path").unwrap_or("/metrics");
+    let path = args.value("--path").unwrap_or("/metrics");
     let mut stream = std::net::TcpStream::connect(addr)
         .unwrap_or_else(|e| fail(format!("cannot connect to {addr}: {e}")));
     stream
@@ -207,10 +168,12 @@ fn get(args: &[String]) {
 /// Union per-process Perfetto traces onto one timeline via
 /// [`esp_obs::trace::merge_json`]: each positional `LABEL=PATH` input
 /// becomes its own pid, labelled by a `process_name` metadata event.
-fn merge_traces(args: &[String], positional: &[&str]) {
-    let out =
-        flag_value(args, "--out").unwrap_or_else(|| fail("merge-traces needs --out FILE".into()));
-    let inputs: Vec<(&str, &Path)> = positional
+fn merge_traces(args: &Args) {
+    let out = args
+        .value("--out")
+        .unwrap_or_else(|| fail("merge-traces needs --out FILE".into()));
+    let inputs: Vec<(&str, &Path)> = args
+        .positional()
         .iter()
         .map(|arg| match arg.split_once('=') {
             Some((label, path)) if !label.is_empty() && !path.is_empty() => {
@@ -231,12 +194,18 @@ fn merge_traces(args: &[String], positional: &[&str]) {
     }
 }
 
-fn registry(args: &[String], action: Option<&str>) {
-    let dir = flag_value(args, "--dir")
-        .unwrap_or_else(|| fail("registry subcommands need --dir DIR".into()));
+/// Run one `registry` action (`registry list` and so on).
+fn registry(action: &str, args: &Args) {
+    let dir = args
+        .value("--dir")
+        .unwrap_or_else(|| fail("registry actions need --dir DIR".into()));
+    let name = || {
+        args.value("--name")
+            .unwrap_or_else(|| fail(format!("{action} needs --name M")))
+    };
     let reg = Registry::open(dir);
     match action {
-        Some("list") => {
+        "registry list" => {
             let entries = reg.list().unwrap_or_else(|e| fail(e.to_string()));
             if entries.is_empty() {
                 println!("(empty registry)");
@@ -246,10 +215,9 @@ fn registry(args: &[String], action: Option<&str>) {
                 println!("{}: v{}", e.name, versions.join(", v"));
             }
         }
-        Some("inspect") => {
-            let name =
-                flag_value(args, "--name").unwrap_or_else(|| fail("inspect needs --name M".into()));
-            let version = flag_value(args, "--model-version").map(|v| parse(v, "--model-version"));
+        "registry inspect" => {
+            let name = name();
+            let version = cli::or_exit(args.number("--model-version"));
             let i = reg
                 .inspect(name, version)
                 .unwrap_or_else(|e| fail(e.to_string()));
@@ -270,23 +238,12 @@ fn registry(args: &[String], action: Option<&str>) {
             );
             println!("  size:     {} bytes", i.file_len);
         }
-        Some("publish") => {
-            let name =
-                flag_value(args, "--name").unwrap_or_else(|| fail("publish needs --name M".into()));
-            let artifact = match (flag_value(args, "--from"), flag_value(args, "--synthetic")) {
+        "registry publish" => {
+            let name = name();
+            let artifact = match (args.value("--from"), args.value("--synthetic")) {
                 (Some(path), None) => ModelArtifact::load(Path::new(path))
                     .unwrap_or_else(|e| fail(format!("cannot load {path}: {e}"))),
-                (None, Some(spec)) => {
-                    let parts: Vec<&str> = spec.split(',').collect();
-                    if parts.len() != 3 {
-                        fail(format!("--synthetic takes DIM,HIDDEN,SEED, got {spec:?}"));
-                    }
-                    ModelArtifact::synthetic(
-                        parse(parts[0], "--synthetic DIM"),
-                        parse(parts[1], "--synthetic HIDDEN"),
-                        parse(parts[2], "--synthetic SEED"),
-                    )
-                }
+                (None, Some(spec)) => cli::or_exit(ModelArtifact::parse_synthetic(spec)),
                 _ => fail(
                     "publish needs exactly one of --from PATH | --synthetic DIM,HIDDEN,SEED".into(),
                 ),
@@ -296,11 +253,9 @@ fn registry(args: &[String], action: Option<&str>) {
                 .unwrap_or_else(|e| fail(e.to_string()));
             println!("published {name} v{v} to {dir}");
         }
-        Some("gc") => {
-            let name =
-                flag_value(args, "--name").unwrap_or_else(|| fail("gc needs --name M".into()));
-            let keep: usize = flag_value(args, "--keep")
-                .map(|v| parse(v, "--keep"))
+        "registry gc" => {
+            let name = name();
+            let keep: usize = cli::or_exit(args.number("--keep"))
                 .unwrap_or_else(|| fail("gc needs --keep K".into()));
             let removed = reg.gc(name, keep).unwrap_or_else(|e| fail(e.to_string()));
             for p in &removed {
@@ -308,6 +263,6 @@ fn registry(args: &[String], action: Option<&str>) {
             }
             println!("{} version(s) removed", removed.len());
         }
-        _ => fail("registry subcommand must be list | inspect | publish | gc".into()),
+        _ => unreachable!("parse_command admits only the commands in COMMANDS"),
     }
 }

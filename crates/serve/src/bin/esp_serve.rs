@@ -9,7 +9,9 @@
 //! Exactly one model source is required. Every model serves at the
 //! precision its artifact stores: f64 as trained, or f32 for the quantized
 //! artifacts `repro_tables --precision f32` publishes after its flip gate.
-//! Unknown flags are rejected with exit status 2. `--addr` defaults to
+//! A flag the chosen model source never reads (`--name` or
+//! `--reload-watch` without `--registry`) exits 2 before anything is
+//! served, as does whatever else `esp_obs::cli` rejects. `--addr` defaults to
 //! `127.0.0.1:7871`; port `0` picks an ephemeral port (the bound address
 //! is printed either way). `--shards 0` (default) runs
 //! one shard worker per core to compute the rows that miss the cache;
@@ -31,86 +33,38 @@
 //! HTTP telemetry sidecar serving `GET /metrics`, `/healthz` and
 //! `/sitez?top=K` (port 0 picks an ephemeral port; the bound address is
 //! printed). `--no-ledger` disables the per-site accuracy ledger fed by the
-//! `PROFILE` opcode (it is on by default).
+//! `PROFILE` opcode (it is on by default). A trace or exposition file that
+//! cannot be written makes the process exit 1 after it shuts down.
 
 use esp_artifact::{ModelArtifact, Registry};
+use esp_obs::cli::{self, Args, Spec, Telemetry};
 use esp_serve::{serve, ModelSource, ServeConfig};
 
-/// Flags that consume the next argument as their value.
-const VALUE_FLAGS: &[&str] = &[
-    "--model",
-    "--registry",
-    "--name",
-    "--synthetic",
-    "--addr",
-    "--shards",
-    "--cache",
-    "--reload-watch",
-    "--http-addr",
-    "--trace-out",
-    "--metrics-out",
-];
+const SPEC: Spec = Spec {
+    name: "esp-serve",
+    values: &[
+        "--model",
+        "--registry",
+        "--name",
+        "--synthetic",
+        "--addr",
+        "--shards",
+        "--cache",
+        "--reload-watch",
+        "--http-addr",
+        "--trace-out",
+        "--metrics-out",
+    ],
+    switches: &["--no-ledger", "--help", "-h"],
+    positional: 0,
+};
 
-/// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &["--no-ledger", "--help", "-h"];
-
-/// Reject any argument that is not a known flag or a known flag's value,
-/// with exit 2, instead of silently serving without it.
-fn check_flags(args: &[String]) {
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if VALUE_FLAGS.contains(&a) {
-            if i + 1 >= args.len() {
-                fail(format!("flag `{a}` needs a value"));
-            }
-            i += 1;
-        } else if !BOOL_FLAGS.contains(&a) {
-            fail(format!(
-                "unknown flag `{a}`; known flags: {} and {}",
-                VALUE_FLAGS.join(", "),
-                BOOL_FLAGS.join(", ")
-            ));
-        }
-        i += 1;
-    }
-}
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn parse<T: std::str::FromStr>(value: &str, what: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("{what} takes a number, got {value:?}");
-        std::process::exit(2);
-    })
-}
-
-fn fail(msg: String) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
-
-fn load_artifact(args: &[String]) -> ModelArtifact {
-    match (flag_value(args, "--model"), flag_value(args, "--synthetic")) {
+fn load_artifact(args: &Args) -> Result<ModelArtifact, String> {
+    match (args.value("--model"), args.value("--synthetic")) {
         (Some(path), None) => ModelArtifact::load(std::path::Path::new(path))
-            .unwrap_or_else(|e| fail(format!("cannot load {path}: {e}"))),
-        (None, Some(spec)) => {
-            let parts: Vec<&str> = spec.split(',').collect();
-            if parts.len() != 3 {
-                fail(format!("--synthetic takes DIM,HIDDEN,SEED, got {spec:?}"));
-            }
-            ModelArtifact::synthetic(
-                parse(parts[0], "--synthetic DIM"),
-                parse(parts[1], "--synthetic HIDDEN"),
-                parse(parts[2], "--synthetic SEED"),
-            )
-        }
-        _ => fail(
+            .map_err(|e| format!("cannot load {path}: {e}")),
+        (None, Some(spec)) => ModelArtifact::parse_synthetic(spec),
+        _ => Err(
             "pick exactly one of --model PATH | --registry DIR --name M[@V][,…] | \
              --synthetic DIM,HIDDEN,SEED"
                 .into(),
@@ -120,28 +74,28 @@ fn load_artifact(args: &[String]) -> ModelArtifact {
 
 /// Parse `--name M[@V][,M2[@V2]…]`: each entry is a registry name with an
 /// optional pinned version.
-fn parse_models(args: &[String]) -> Vec<(String, Option<u32>)> {
-    let names = flag_value(args, "--name")
-        .unwrap_or_else(|| fail("--registry needs --name M[@V][,M2[@V2]…]".into()));
+fn parse_models(args: &Args) -> Result<Vec<(String, Option<u32>)>, String> {
+    let names = args
+        .value("--name")
+        .ok_or("--registry needs --name M[@V][,M2[@V2]…]")?;
     names
         .split(',')
-        .map(|spec| {
-            let spec = spec.trim();
-            if spec.is_empty() {
-                fail(format!("--name has an empty entry in {names:?}"));
-            }
-            match spec.split_once('@') {
-                Some((n, v)) => (n.to_string(), Some(parse(v, "--name NAME@VERSION"))),
-                None => (spec.to_string(), None),
-            }
+        .map(|spec| match spec.trim() {
+            "" => Err(format!("--name has an empty entry in {names:?}")),
+            spec => match spec.split_once('@') {
+                Some((n, v)) => v
+                    .parse()
+                    .map(|v| (n.to_string(), Some(v)))
+                    .map_err(|_| format!("--name NAME@VERSION takes a number, got {v:?}")),
+                None => Ok((spec.to_string(), None)),
+            },
         })
         .collect()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    check_flags(&args);
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    let args = cli::or_exit(cli::parse(&SPEC, std::env::args().skip(1)));
+    if args.switch("--help") || args.switch("-h") {
         eprintln!(
             "usage: esp-serve (--model PATH | --registry DIR --name M[@V][,M2[@V2]…] | --synthetic DIM,HIDDEN,SEED)\n\
              \x20                [--addr HOST:PORT] [--shards N] [--cache N]\n\
@@ -150,20 +104,26 @@ fn main() {
         );
         return;
     }
-    let trace_out = flag_value(&args, "--trace-out").map(std::path::PathBuf::from);
-    let metrics_out = flag_value(&args, "--metrics-out").map(std::path::PathBuf::from);
-    if trace_out.is_some() {
-        esp_obs::trace::enable();
+    let registry = args.value("--registry");
+    if let Some(flag) = args.unread(|flag| match flag {
+        "--name" | "--reload-watch" => registry.is_some(),
+        "--model" | "--synthetic" => registry.is_none(),
+        _ => true,
+    }) {
+        cli::usage_error(match registry {
+            Some(_) => format!("`{flag}` cannot be combined with `--registry`"),
+            None => format!("`{flag}` is read only with `--registry`"),
+        });
     }
-    let addr = flag_value(&args, "--addr").unwrap_or("127.0.0.1:7871");
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7871");
     let cfg = ServeConfig {
-        shards: flag_value(&args, "--shards").map_or(0, |v| parse(v, "--shards")),
-        cache_capacity: flag_value(&args, "--cache").map_or(4096, |v| parse(v, "--cache")),
-        http_addr: flag_value(&args, "--http-addr").map(String::from),
-        ledger: !args.iter().any(|a| a == "--no-ledger"),
+        shards: cli::or_exit(args.number("--shards")).unwrap_or(0),
+        cache_capacity: cli::or_exit(args.number("--cache")).unwrap_or(4096),
+        http_addr: args.value("--http-addr").map(String::from),
+        ledger: !args.switch("--no-ledger"),
     };
-    let reload_watch_ms: Option<u64> =
-        flag_value(&args, "--reload-watch").map(|v| parse(v, "--reload-watch"));
+    let reload_watch_ms: Option<u64> = cli::or_exit(args.number("--reload-watch"));
+    let telemetry = Telemetry::start(&args);
     let start = |source: ModelSource| {
         serve(source, addr, &cfg).unwrap_or_else(|e| {
             eprintln!("cannot serve on {addr}: {e}");
@@ -171,11 +131,8 @@ fn main() {
         })
     };
 
-    let mut handle = if let Some(dir) = flag_value(&args, "--registry") {
-        if flag_value(&args, "--model").is_some() || flag_value(&args, "--synthetic").is_some() {
-            fail("--registry cannot be combined with --model or --synthetic".into());
-        }
-        let models = parse_models(&args);
+    let mut handle = if let Some(dir) = registry {
+        let models = cli::or_exit(parse_models(&args));
         let registry = Registry::open(dir);
         let h = start(ModelSource::Registry {
             registry: &registry,
@@ -213,10 +170,7 @@ fn main() {
         }
         h
     } else {
-        if reload_watch_ms.is_some() {
-            eprintln!("note: --reload-watch only applies with --registry; ignoring");
-        }
-        let artifact = load_artifact(&args);
+        let artifact = cli::or_exit(load_artifact(&args));
         let h = start(ModelSource::Artifact(&artifact));
         eprintln!(
             "esp-serve listening on {} — model `{}` ({} inputs, {} hidden, format v{}, f{} weights); \
@@ -235,17 +189,9 @@ fn main() {
         eprintln!("esp-serve telemetry on http://{http} — /metrics /healthz /sitez");
     }
     handle.wait();
-    if let Some(path) = &metrics_out {
-        match std::fs::write(path, handle.metrics_text()) {
-            Ok(()) => eprintln!("wrote metrics exposition to {}", path.display()),
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-        }
-    }
-    if let Some(path) = &trace_out {
-        match esp_obs::trace::write_json(path) {
-            Ok(n) => eprintln!("wrote {n} trace events to {}", path.display()),
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-        }
-    }
+    let written = telemetry.finish(|| handle.metrics_text());
     eprintln!("esp-serve: shut down cleanly");
+    if !written {
+        std::process::exit(1);
+    }
 }

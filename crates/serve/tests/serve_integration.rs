@@ -193,18 +193,27 @@ fn run_esp_serve(args: &[&str]) -> (Option<i32>, String) {
 #[test]
 fn unknown_flags_exit_2_before_serving() {
     // `--threads` is not an esp-serve flag (`--shards` is), and there is no
-    // `--precision`: an artifact serves at its own. Either must stop the
-    // binary instead of silently serving without it.
-    for flag in [["--threads", "2"], ["--precision", "f32"]] {
-        let (code, stderr) = run_esp_serve(&flag);
-        assert_eq!(code, Some(2), "{flag:?}: stderr was {stderr:?}");
+    // `--precision`: an artifact serves at its own. A value flag never
+    // takes a flag as its value, no flag may be given twice, and the
+    // registry flags mean nothing with a `--synthetic` model. Each must
+    // stop the binary instead of silently serving without it.
+    for (args, named) in [
+        (&["--threads", "2"][..], "--threads"),
+        (&["--precision", "f32"][..], "--precision"),
+        (&["--metrics-out", "--no-ledger"][..], "--metrics-out"),
+        (&["--name", "m"][..], "--name"),
+        (&["--reload-watch", "50"][..], "--reload-watch"),
+        (&["--cache", "8", "--cache", "9"][..], "--cache"),
+    ] {
+        let (code, stderr) = run_esp_serve(args);
+        assert_eq!(code, Some(2), "{args:?}: stderr was {stderr:?}");
         assert!(
-            stderr.contains(flag[0]),
-            "{flag:?}: message must name the flag: {stderr:?}"
+            stderr.contains(named),
+            "{args:?}: message must name {named}: {stderr:?}"
         );
         assert!(
             !stderr.contains("listening"),
-            "{flag:?}: server started: {stderr:?}"
+            "{args:?}: server started: {stderr:?}"
         );
     }
 }
@@ -230,6 +239,14 @@ fn esp_client_rejects_bad_flags_before_acting() {
             "--modle",
         ),
         (vec!["stats", "--addr"], "--addr"),
+        (
+            vec!["registry", "list", "--dir", d, "--keep", "0"],
+            "--keep",
+        ),
+        (
+            vec!["info", "--addr", "127.0.0.1:1", "--addr", "127.0.0.1:2"],
+            "--addr",
+        ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_esp-client"))
             .args(&args)

@@ -2,7 +2,7 @@
 //! with the HTTP sidecar up, predict every profiled branch site, stream
 //! the fold's ground-truth outcomes back through `PROFILE`, and check the
 //! server ledger's observed miss rate against the in-process Table-4
-//! accounting (`esp_eval::miss`) computed from the same probabilities.
+//! accounting (`BranchCounts::misses`) computed from the same probabilities.
 //! Also locks the STATS-vs-`/metrics` byte-identity contract and the
 //! sidecar's JSON routes.
 
@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use esp_artifact::{ModelArtifact, ModelMeta};
 use esp_core::{encode, EspConfig, EspModel, Learner, TrainingProgram};
-use esp_eval::{miss, SuiteData};
+use esp_eval::SuiteData;
 use esp_nnet::MlpConfig;
 use esp_serve::{serve, site_key, Client, ModelSource, PredictRow, ProfileRecord, ServeConfig};
 
@@ -101,8 +101,7 @@ fn profile_loop_reproduces_in_process_miss_rate() {
             let (row, mask) = encode(&f, &set);
             let key = site_key(&row, &mask);
             let prob = model.predict_prob(&b.prog, &b.analysis, site);
-            let pred = miss::Prediction::from(Some(prob > 0.5));
-            expected_misses += miss::expected_misses(counts, pred);
+            expected_misses += counts.misses(Some(prob > 0.5));
             total_executed += counts.executed;
             records.push(ProfileRecord {
                 site_key: key.clone(),

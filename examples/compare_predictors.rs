@@ -8,19 +8,10 @@
 
 use esp_repro::corpus::suite;
 use esp_repro::esp::{EspConfig, EspModel, Learner, TrainingProgram};
-use esp_repro::exec::BranchCounts;
 use esp_repro::heur::{perfect_predict, Aphc, BranchCtx, Btfnt, Dshc, HeuristicRates};
 use esp_repro::ir::{Lang, ProgramAnalysis};
 use esp_repro::lang::CompilerConfig;
 use esp_repro::nnet::MlpConfig;
-
-fn misses(counts: &BranchCounts, pred: Option<bool>) -> f64 {
-    match pred {
-        Some(true) => (counts.executed - counts.taken) as f64,
-        Some(false) => counts.taken as f64,
-        None => counts.executed as f64 / 2.0, // coin flip for uncovered
-    }
-}
 
 fn main() {
     let target = std::env::args()
@@ -82,12 +73,13 @@ fn main() {
         };
         total += counts.executed;
         let ctx = BranchCtx::new(&prog, &analysis, site);
-        m[0] += misses(counts, Some(Btfnt.predict(&ctx)));
-        m[1] += misses(counts, aphc.predict(&ctx));
-        m[2] += misses(counts, dshc_bl.predict(&ctx));
-        m[3] += misses(counts, dshc_ours.predict(&ctx));
-        m[4] += misses(counts, Some(model.predict_taken(&prog, &analysis, site)));
-        m[5] += misses(counts, perfect_predict(&profile, site));
+        // An uncovered branch (`None`) is charged a coin flip.
+        m[0] += counts.misses(Some(Btfnt.predict(&ctx)));
+        m[1] += counts.misses(aphc.predict(&ctx));
+        m[2] += counts.misses(dshc_bl.predict(&ctx));
+        m[3] += counts.misses(dshc_ours.predict(&ctx));
+        m[4] += counts.misses(Some(model.predict_taken(&prog, &analysis, site)));
+        m[5] += counts.misses(perfect_predict(&profile, site));
     }
 
     println!("\nmiss rates on `{target}` ({total} executed conditional branches):");

@@ -45,14 +45,9 @@ fn main() {
             };
             total += c.executed;
             let ctx = BranchCtx::new(&prog, &analysis, site);
-            let chg = |p: Option<bool>| match p {
-                Some(true) => (c.executed - c.taken) as f64,
-                Some(false) => c.taken as f64,
-                None => c.executed as f64 / 2.0,
-            };
-            btfnt += chg(Some(Btfnt.predict(&ctx)));
-            heur += chg(aphc.predict(&ctx));
-            perf += chg(perfect_predict(&profile, site));
+            btfnt += c.misses(Some(Btfnt.predict(&ctx)));
+            heur += c.misses(aphc.predict(&ctx));
+            perf += c.misses(perfect_predict(&profile, site));
         }
         let pct = |m: f64| 100.0 * m / total.max(1) as f64;
         println!(

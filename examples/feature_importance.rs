@@ -87,11 +87,7 @@ fn main() {
                     continue;
                 };
                 total += c.executed;
-                misses += if model.predict_taken(prog, analysis, site) {
-                    (c.executed - c.taken) as f64
-                } else {
-                    c.taken as f64
-                };
+                misses += c.misses(Some(model.predict_taken(prog, analysis, site)));
             }
         }
         println!("{label:<36} {:>11.1}%", 100.0 * misses / total as f64);

@@ -60,12 +60,7 @@ fn main() {
         let Some(counts) = profile.counts(site) else {
             continue;
         };
-        let predicted_taken = model.predict_taken(&prog, &analysis, site);
-        misses += if predicted_taken {
-            (counts.executed - counts.taken) as f64
-        } else {
-            counts.taken as f64
-        };
+        misses += counts.misses(Some(model.predict_taken(&prog, &analysis, site)));
         total += counts.executed;
     }
     println!(

@@ -3,8 +3,8 @@
 # --offline so a regression that reintroduces a registry dependency fails
 # here rather than on the first airgapped machine.
 #
-#   scripts/verify.sh          # build + clippy + rustdoc + test + smokes
-#   scripts/verify.sh --fast   # build + clippy + rustdoc + test only
+#   scripts/verify.sh          # build + clippy + rustdoc + test + examples + smokes
+#   scripts/verify.sh --fast   # build + clippy + rustdoc + test + examples only
 #
 # Performance is measured by the repository benchmark, not here:
 #   bash perfbench/run.sh --workload table4|serve-hot|serve-feedback
@@ -75,6 +75,15 @@ cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D 
 
 echo "==> perfbench unit tests"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+# Nothing else runs the examples: each must build and exit 0.
+echo "==> examples (build, then run all five)"
+cargo build --release --offline --examples
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    ./target/release/examples/"$name" > /dev/null \
+        || { echo "example $name exited nonzero" >&2; exit 1; }
+done
 
 echo "==> serve integration test (train -> save -> serve -> bitwise compare)"
 cargo test -q --release --offline -p esp-serve --test serve_integration

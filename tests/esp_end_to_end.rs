@@ -3,7 +3,7 @@
 //! model transfers across programs the way the paper's §3 describes.
 
 use esp_repro::esp::{leave_one_out, EspConfig, EspModel, FeatureSet, Learner, TrainingProgram};
-use esp_repro::eval::{miss_rate, Prediction, SuiteData};
+use esp_repro::eval::{miss_rate, SuiteData};
 use esp_repro::lang::CompilerConfig;
 use esp_repro::nnet::{MlpConfig, TreeConfig};
 
@@ -40,7 +40,7 @@ fn esp_beats_coin_flips_on_held_out_programs() {
         let model = leave_one_out(&programs, i, &quick_net());
         let b = &suite.benches[i];
         rates.push(miss_rate(b, |s| {
-            Prediction::from(Some(model.predict_taken(&b.prog, &b.analysis, s)))
+            Some(model.predict_taken(&b.prog, &b.analysis, s))
         }));
     }
     let avg = rates.iter().sum::<f64>() / rates.len() as f64;
@@ -73,11 +73,11 @@ fn net_and_tree_learners_are_comparable() {
         let b = &suite.benches[i];
         let net = leave_one_out(&programs, i, &quick_net());
         net_rates.push(miss_rate(b, |s| {
-            Prediction::from(Some(net.predict_taken(&b.prog, &b.analysis, s)))
+            Some(net.predict_taken(&b.prog, &b.analysis, s))
         }));
         let tree = leave_one_out(&programs, i, &tree_cfg);
         tree_rates.push(miss_rate(b, |s| {
-            Prediction::from(Some(tree.predict_taken(&b.prog, &b.analysis, s)))
+            Some(tree.predict_taken(&b.prog, &b.analysis, s))
         }));
     }
     let net_avg = net_rates.iter().sum::<f64>() / net_rates.len() as f64;

@@ -2,7 +2,7 @@
 //! corpus slice, checking the orderings the paper's Table 4 reports.
 
 use esp_repro::esp::{EspConfig, Learner};
-use esp_repro::eval::{miss_rate, Prediction, SuiteData, Table4Config};
+use esp_repro::eval::{miss_rate, SuiteData, Table4Config};
 use esp_repro::heur::{perfect_predict, Aphc, BranchCtx, Btfnt};
 use esp_repro::lang::CompilerConfig;
 use esp_repro::nnet::MlpConfig;
@@ -37,16 +37,12 @@ fn perfect_is_a_lower_bound_for_every_predictor() {
     let suite = small_suite();
     for b in &suite.benches {
         let aphc = Aphc::table1_order();
-        let perfect = miss_rate(b, |s| Prediction::from(perfect_predict(&b.profile, s)));
+        let perfect = miss_rate(b, |s| perfect_predict(&b.profile, s));
         let btfnt = miss_rate(b, |s| {
-            Prediction::from(Some(Btfnt.predict(&BranchCtx::new(
-                &b.prog,
-                &b.analysis,
-                s,
-            ))))
+            Some(Btfnt.predict(&BranchCtx::new(&b.prog, &b.analysis, s)))
         });
         let heur = miss_rate(b, |s| {
-            Prediction::from(aphc.predict(&BranchCtx::new(&b.prog, &b.analysis, s)))
+            aphc.predict(&BranchCtx::new(&b.prog, &b.analysis, s))
         });
         assert!(
             perfect <= btfnt + 1e-9,

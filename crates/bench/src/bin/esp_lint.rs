@@ -10,7 +10,8 @@
 //!   (default: all 43); a name that is not a corpus program exits 2
 //!   before anything is compiled;
 //! * `--json FILE` — write the machine-readable report (the format pinned
-//!   by `results/lint_golden.json`) to `FILE`;
+//!   by `results/lint_golden.json`) to `FILE`; a file that cannot be
+//!   written exits 1 after the findings are printed;
 //! * `--oracle` — execute each program and verify that every `L002`
 //!   finding's proved direction matches the observed `taken_prob` exactly
 //!   (0.0 or 1.0). Any violation exits 1: the static analyses claim facts
@@ -126,7 +127,7 @@ fn main() -> ExitCode {
         let json = report_json(&reports);
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
+            return ExitCode::FAILURE;
         }
         println!("report written to {path}");
     }

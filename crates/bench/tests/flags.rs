@@ -4,7 +4,8 @@
 //! malformed number, a second artifact name and a `--subset` name outside
 //! the corpus all exit 2 and name the offender before any corpus is built
 //! or any file written, while valid invocations run, on one thread when
-//! `--threads 1` says so, and an unwritable telemetry file fails the run.
+//! `--threads 1` says so, and an unwritable telemetry file or lint report
+//! fails the run (exit 1) after its output.
 
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -169,6 +170,28 @@ fn esp_lint_rejects_unknown_and_repeated_flags() {
     let bin = env!("CARGO_BIN_EXE_esp_lint");
     rejects(bin, &["--oracel"], "--oracel");
     rejects(bin, &["--subset", "sort", "--subset", "grep"], "--subset");
+}
+
+#[test]
+fn esp_lint_fails_an_unwritable_report_after_its_findings() {
+    let missing = std::env::temp_dir()
+        .join(format!("esp-lint-missing-{}", std::process::id()))
+        .join("lint.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_esp_lint"),
+        &[
+            "--subset",
+            "sort",
+            "--json",
+            missing.to_str().expect("utf-8 path"),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot write"), "{stderr}");
+    assert!(stdout.starts_with("sort "), "{stdout}");
+    assert!(stdout.contains("findings across 1 programs"), "{stdout}");
 }
 
 #[test]

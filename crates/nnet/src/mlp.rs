@@ -18,9 +18,16 @@
 //! (or `v[j]` over inputs when `hidden == 0`), then the output bias `a`.
 //! Gradients use the *same* flat layout, so the descent update is a single
 //! fused elementwise loop, and forward/backward walk memory linearly. The
-//! hidden-activation scratch is reused across examples (one buffer per
-//! restart during training, a thread-local one in [`Mlp::predict`]),
+//! hidden-activation scratch is reused across examples (one tile's worth
+//! per restart during training, a thread-local one in [`Mlp::predict`]),
 //! making the hot loop allocation-free — pinned by `tests/alloc_free.rs`.
+//!
+//! Training forwards through the same panel tiles as
+//! [`Mlp::predict_panel_into`] (the `panel` module): [`Mlp::train`]
+//! transposes the rows into tile-major storage once, the last partial tile
+//! padded with copies of a real row, and every epoch of every restart
+//! forwards [`crate::PANEL_LANES`] examples per tile, then runs each real
+//! example's backward pass in example order.
 //!
 //! Every kernel preserves the *reference* summation order (row terms
 //! left-to-right, then `+ bias`), so the flat path is bitwise-identical to
@@ -37,7 +44,7 @@
 //! quantized network cannot be trained. [`Net`] carries either precision
 //! as a value for the layers that load whichever a model file holds.
 
-use crate::panel::{panel_tile, PanelFloat, PanelScratch, PANEL_LANES};
+use crate::panel::{panel_tile, transpose_tile, PanelFloat, PanelScratch, PANEL_LANES};
 use esp_obs::span;
 use esp_runtime::Pcg32;
 
@@ -250,25 +257,33 @@ impl<T: PanelFloat> Mlp<T> {
     ) {
         assert_eq!(panel.len(), rows * self.inputs, "panel shape mismatch");
         out.reserve(rows);
+        let inputs = self.inputs;
         let full = rows - rows % PANEL_LANES;
+        scratch.xt.resize(inputs * PANEL_LANES, T::ZERO);
+        scratch.h.resize(self.hidden * PANEL_LANES, T::ZERO);
         let mut base = 0;
         while base < full {
-            panel_tile(
-                &self.params,
-                self.inputs,
-                self.hidden,
-                panel,
-                base,
-                scratch,
-                out,
+            let tile = &panel[base * inputs..];
+            transpose_tile(
+                PANEL_LANES,
+                |r| &tile[r * inputs..(r + 1) * inputs],
+                &mut scratch.xt,
             );
+            let ys = panel_tile(
+                &self.params,
+                inputs,
+                self.hidden,
+                &scratch.xt,
+                &mut scratch.h,
+            );
+            out.extend_from_slice(&ys);
             base += PANEL_LANES;
         }
         if scratch.tail.len() < self.hidden {
             scratch.tail.resize(self.hidden, T::ZERO);
         }
         for r in base..rows {
-            let x = &panel[r * self.inputs..(r + 1) * self.inputs];
+            let x = &panel[r * inputs..(r + 1) * inputs];
             out.push(self.forward_into(x, &mut scratch.tail));
         }
     }
@@ -376,9 +391,11 @@ impl Mlp {
     /// `grad` (zeroed first; [`Mlp::flat_weights`] layout), writing each
     /// example's thresholded misprediction mass into `terr` and returning
     /// the continuous loss — loss, gradient and thresholded error in one
-    /// fused pass over the data. `scratch` is the reusable
-    /// hidden-activation buffer; after it grows to `hidden` once, the call
-    /// performs no heap allocation (pinned by `tests/alloc_free.rs`).
+    /// fused pass over the data, through the same panel tiles
+    /// [`Mlp::train`] uses. `scratch` is the reusable kernel buffer (the
+    /// transposed rows, then the tile's hidden activations); once it has
+    /// grown to fit `data`, the call performs no heap allocation (pinned by
+    /// `tests/alloc_free.rs`).
     ///
     /// # Panics
     ///
@@ -398,25 +415,32 @@ impl Mlp {
             data.iter().all(|d| d.x.len() == self.inputs),
             "input dimensionality mismatch"
         );
-        if scratch.len() < self.hidden {
-            scratch.resize(self.hidden, 0.0);
-        }
-        self.chunk_kernel(data, kind, grad, scratch, terr)
+        transpose_rows(data, self.inputs, scratch);
+        let xt_len = scratch.len();
+        scratch.resize(xt_len + self.hidden * PANEL_LANES, 0.0);
+        let (xt, h) = scratch.split_at_mut(xt_len);
+        self.chunk_kernel(data, xt, kind, grad, h, terr)
     }
 
     /// The fused per-chunk kernel: gradient accumulation in example order
     /// (the reference order), plus the per-example thresholded-error terms
-    /// the epoch loop later sums serially. Backward order per example
-    /// matches the reference accumulator exactly — `gv[i]`, then `gb[i]`,
-    /// then the `gw` row, for each hidden unit in turn, then `ga`.
+    /// the epoch loop later sums serially. `xt` holds the chunk's rows in
+    /// tile-major storage ([`transpose_rows`]); each tile's forward runs on
+    /// the panel kernel, leaving its hidden activations batch-major in `h`
+    /// (`hidden * PANEL_LANES` long), and the padded lanes of a partial
+    /// tile are dropped. Backward order per example matches the reference
+    /// accumulator exactly — `gv[i]`, then `gb[i]`, then the `gw` row, for
+    /// each hidden unit in turn, then `ga`.
     fn chunk_kernel(
         &self,
         data: &[TrainExample],
+        xt: &[f64],
         kind: LossKind,
         g: &mut [f64],
         h: &mut [f64],
         terr: &mut [f64],
     ) -> f64 {
+        const L: usize = PANEL_LANES;
         g.fill(0.0);
         let inputs = self.inputs;
         let hidden = self.hidden;
@@ -425,40 +449,42 @@ impl Mlp {
         let a_idx = g.len() - 1;
         let p = self.params.as_slice();
         let mut loss = 0.0;
-        for (ex, terr_out) in data.iter().zip(terr.iter_mut()) {
-            let y = self.forward_into(&ex.x, h);
-            *terr_out = threshold_term(y, ex.target, ex.weight);
-            // dE/dy;  y = ½ tanh(z) + ½  ⇒ dy/dz = ½(1 - tanh²z)
-            let dedy = match kind {
-                LossKind::Linear => {
-                    loss += ex.weight * (y * (1.0 - ex.target) + ex.target * (1.0 - y));
-                    ex.weight * (1.0 - 2.0 * ex.target)
+        for (t, (tile, terrs)) in data.chunks(L).zip(terr.chunks_mut(L)).enumerate() {
+            let ys = panel_tile(p, inputs, hidden, &xt[t * inputs * L..][..inputs * L], h);
+            for (r, ((ex, terr_out), &y)) in tile.iter().zip(terrs).zip(&ys).enumerate() {
+                *terr_out = threshold_term(y, ex.target, ex.weight);
+                // dE/dy;  y = ½ tanh(z) + ½  ⇒ dy/dz = ½(1 - tanh²z)
+                let dedy = match kind {
+                    LossKind::Linear => {
+                        loss += ex.weight * (y * (1.0 - ex.target) + ex.target * (1.0 - y));
+                        ex.weight * (1.0 - 2.0 * ex.target)
+                    }
+                    LossKind::Sse => {
+                        let d = y - ex.target;
+                        loss += ex.weight * d * d;
+                        ex.weight * 2.0 * d
+                    }
+                };
+                let tanh_z = 2.0 * y - 1.0;
+                let dz = dedy * 0.5 * (1.0 - tanh_z * tanh_z);
+                if hidden == 0 {
+                    for (gv, xj) in g[..inputs].iter_mut().zip(&ex.x) {
+                        *gv += dz * xj;
+                    }
+                    g[a_idx] += dz;
+                    continue;
                 }
-                LossKind::Sse => {
-                    let d = y - ex.target;
-                    loss += ex.weight * d * d;
-                    ex.weight * 2.0 * d
-                }
-            };
-            let tanh_z = 2.0 * y - 1.0;
-            let dz = dedy * 0.5 * (1.0 - tanh_z * tanh_z);
-            if hidden == 0 {
-                for (gv, xj) in g[..inputs].iter_mut().zip(&ex.x) {
-                    *gv += dz * xj;
+                for i in 0..hidden {
+                    let hi = h[i * L + r];
+                    g[v_off + i] += dz * hi;
+                    let dh = dz * p[v_off + i] * (1.0 - hi * hi);
+                    g[b_off + i] += dh;
+                    for (gw, xj) in g[i * inputs..(i + 1) * inputs].iter_mut().zip(&ex.x) {
+                        *gw += dh * xj;
+                    }
                 }
                 g[a_idx] += dz;
-                continue;
             }
-            for i in 0..hidden {
-                let hi = h[i];
-                g[v_off + i] += dz * hi;
-                let dh = dz * p[v_off + i] * (1.0 - hi * hi);
-                g[b_off + i] += dh;
-                for (gw, xj) in g[i * inputs..(i + 1) * inputs].iter_mut().zip(&ex.x) {
-                    *gw += dh * xj;
-                }
-            }
-            g[a_idx] += dz;
         }
         loss
     }
@@ -468,24 +494,34 @@ impl Mlp {
     /// fixed-size chunk accumulates its partial into its own buffer, and
     /// the partials are merged by an ordered pairwise (stride-doubling)
     /// reduction: `((c0 c1)(c2 c3))…`, a shape that depends only on
-    /// `data.len()`.
+    /// `data.len()`. `xt` is `data` in tile-major storage
+    /// ([`transpose_rows`]); a chunk's tiles start at its first row because
+    /// [`GRAD_CHUNK`] is a whole number of tiles.
     ///
     /// The thresholded error is fused into the same pass: each chunk writes
     /// its per-example terms into its slice of `ep.terr`, and the buffer is
     /// then summed **serially in example order**, the identical association
     /// a standalone [`Mlp::thresholded_error`] sweep would use, so fusing
     /// changes no bits.
-    fn batch_gradient(&self, data: &[TrainExample], kind: LossKind, ep: &mut Epoch) -> (f64, f64) {
+    fn batch_gradient(
+        &self,
+        data: &[TrainExample],
+        xt: &[f64],
+        kind: LossKind,
+        ep: &mut Epoch,
+    ) -> (f64, f64) {
         let k = ep.grads.len();
         debug_assert_eq!(k, data.len().div_ceil(GRAD_CHUNK));
         debug_assert_eq!(ep.terr.len(), data.len());
-        for ((g, loss), (chunk, terr)) in ep
+        for (c, ((g, loss), (chunk, terr))) in ep
             .grads
             .iter_mut()
             .zip(ep.losses.iter_mut())
             .zip(data.chunks(GRAD_CHUNK).zip(ep.terr.chunks_mut(GRAD_CHUNK)))
+            .enumerate()
         {
-            *loss = self.chunk_kernel(chunk, kind, g, &mut ep.h, terr);
+            let xt = &xt[c * GRAD_CHUNK * self.inputs..];
+            *loss = self.chunk_kernel(chunk, xt, kind, g, &mut ep.h, terr);
         }
         // Merging in place keeps the per-chunk buffers for the next epoch.
         let mut stride = 1;
@@ -518,7 +554,9 @@ impl Mlp {
     ///
     /// Restarts run one after another on the calling thread, each a pure
     /// function of its seed; the winner is the first restart with the
-    /// lowest error (strict `<` in restart order).
+    /// lowest error (strict `<` in restart order). The rows are transposed
+    /// into panel tiles once, here, and every epoch of every restart
+    /// forwards through them.
     ///
     /// # Panics
     ///
@@ -541,9 +579,12 @@ impl Mlp {
         esp_obs::global_metrics()
             .counter("esp_train_restarts_total")
             .add(restarts as u64);
+        let mut xt = Vec::new();
+        transpose_rows(data, inputs, &mut xt);
         let mut outcome: Option<(Mlp, TrainReport)> = None;
         for r in 0..restarts {
-            let (m, rep) = Mlp::train_once(data, cfg, cfg.seed.wrapping_add(r as u64), inputs, r);
+            let seed = cfg.seed.wrapping_add(r as u64);
+            let (m, rep) = Mlp::train_once(data, &xt, cfg, seed, inputs, r);
             let better = outcome
                 .as_ref()
                 .is_none_or(|(_, b)| rep.best_thresholded_error < b.best_thresholded_error);
@@ -570,6 +611,7 @@ impl Mlp {
     /// still need a standalone sweep after the loop.
     fn train_once(
         data: &[TrainExample],
+        xt: &[f64],
         cfg: &MlpConfig,
         seed: u64,
         inputs: usize,
@@ -600,7 +642,7 @@ impl Mlp {
         let mut stop_reason = "max_epochs";
         for epoch in 0..cfg.max_epochs {
             let mut epoch_span = span!("train", "epoch", restart = restart, epoch = epoch);
-            let (loss, terr) = mlp.batch_gradient(data, cfg.loss, &mut ep);
+            let (loss, terr) = mlp.batch_gradient(data, xt, cfg.loss, &mut ep);
             // `terr` scores the weights entering this epoch — the value the
             // two-pass loop acted on at the end of the previous epoch.
             if epoch == 0 {
@@ -681,6 +723,22 @@ fn threshold_term(y: f64, target: f64, weight: f64) -> f64 {
     weight * (y * (1.0 - target) + target * (1.0 - y))
 }
 
+/// Transpose `data`'s feature rows into tile-major storage, the layout
+/// the panel kernel reads: tile `t` holds rows `t * PANEL_LANES..` as
+/// `xt[t * inputs * PANEL_LANES + j * PANEL_LANES + r]`, and the lanes of
+/// a partial last tile repeat its last row. `xt` is resized to exactly
+/// the tiles, which allocates only when it must grow.
+fn transpose_rows(data: &[TrainExample], inputs: usize, xt: &mut Vec<f64>) {
+    let tile = inputs * PANEL_LANES;
+    xt.resize(data.len().div_ceil(PANEL_LANES) * tile, 0.0);
+    for (t, rows) in data.chunks(PANEL_LANES).enumerate() {
+        transpose_tile(rows.len(), |r| &rows[r].x, &mut xt[t * tile..][..tile]);
+    }
+}
+
+// A chunk is a whole number of tiles, so no tile spans two chunks.
+const _: () = assert!(GRAD_CHUNK.is_multiple_of(PANEL_LANES));
+
 /// One restart's buffers, reused by every epoch's [`Mlp::batch_gradient`].
 struct Epoch {
     /// One flat gradient partial per chunk (`flat_weights` layout); the
@@ -690,7 +748,8 @@ struct Epoch {
     losses: Vec<f64>,
     /// Each example's thresholded misprediction mass.
     terr: Vec<f64>,
-    /// Hidden-activation scratch, `hidden` long.
+    /// One tile's batch-major hidden activations, `hidden * PANEL_LANES`
+    /// long.
     h: Vec<f64>,
 }
 
@@ -701,7 +760,7 @@ impl Epoch {
             grads: vec![vec![0.0; m.params.len()]; chunks],
             losses: vec![0.0; chunks],
             terr: vec![0.0; examples],
-            h: vec![0.0; m.hidden],
+            h: vec![0.0; m.hidden * PANEL_LANES],
         }
     }
 }
@@ -941,7 +1000,9 @@ mod tests {
         );
 
         let mut ep = Epoch::new(&m, data.len());
-        let (chunked_loss, chunked_terr) = m.batch_gradient(&data, LossKind::Linear, &mut ep);
+        let mut xt = Vec::new();
+        transpose_rows(&data, 3, &mut xt);
+        let (chunked_loss, chunked_terr) = m.batch_gradient(&data, &xt, LossKind::Linear, &mut ep);
 
         assert!((serial_loss - chunked_loss).abs() < 1e-9);
         for (s, c) in serial.iter().zip(&ep.grads[0]) {

@@ -1,12 +1,13 @@
 //! Batch-major panel kernels: the autovectorizable multi-example forward
-//! pass.
+//! pass that serving and training share.
 //!
-//! The scalar kernel in [`crate::Mlp`] walks one example at a time; its
-//! inner dot products are serial dependency chains (each `+=` waits on the
-//! last), so LLVM cannot vectorize them without reassociating the sum —
-//! which would change bits. The panel kernel keeps every per-example sum in
-//! the *exact* reference order and instead vectorizes **across examples**:
-//! a tile of [`PANEL_LANES`] rows is transposed into column-major scratch
+//! The scalar forward in [`crate::Mlp`] ([`crate::Mlp::predict`] and the
+//! loss sweeps) walks one example at a time; its inner dot products are
+//! serial dependency chains (each `+=` waits on the last), so LLVM cannot
+//! vectorize them without reassociating the sum — which would change bits.
+//! The panel kernel keeps every per-example sum in the *exact* reference
+//! order and instead vectorizes **across examples**: a tile of
+//! [`PANEL_LANES`] rows is transposed into column-major scratch
 //! (`xt[j * LANES + r]` = feature `j` of row `r`), and each hidden unit
 //! accumulates a stack array of `LANES` independent lane sums,
 //!
@@ -19,9 +20,15 @@
 //! Lane `r` performs precisely the additions the scalar kernel performs for
 //! row `r`, in the same order, from the same zero accumulator — so the f64
 //! panel kernel is **bitwise identical** to [`crate::Mlp::predict`], while
-//! the `r` loop (no cross-iteration dependence) autovectorizes. Rows beyond
-//! the last full tile fall through to the scalar kernel, which produces the
-//! same bits by the same argument.
+//! the `r` loop (no cross-iteration dependence) autovectorizes.
+//!
+//! Serving ([`crate::Mlp::predict_panel_into`]) transposes each full tile
+//! as it reaches it, and rows beyond the last full tile fall through to
+//! the scalar kernel, which produces the same bits by the same argument.
+//! Training ([`crate::Mlp::train`]) transposes its rows into tiles once
+//! per call and pads the last partial tile by repeating a real row, so
+//! each epoch's gradient pass forwards every example through a tile; the
+//! padded lanes' outputs are dropped.
 //!
 //! The kernel is generic over [`f64`] and [`f32`] through [`PanelFloat`],
 //! like [`crate::Mlp`] itself; the `Mlp<f32>` instantiation is the f32
@@ -140,33 +147,41 @@ impl PanelFloat for f32 {
     }
 }
 
-/// Forward one full tile of [`PANEL_LANES`] rows starting at row `base` of
-/// the row-major `panel`, pushing one probability per row onto `out`.
-/// `params` is the flat `[w rows | b | v | a]` buffer at the kernel's
-/// precision. Each lane reproduces the scalar summation order exactly; see
-/// the module docs for why that makes the f64 instantiation bitwise
-/// identical to the scalar path.
+/// Transpose `rows` examples (`1..=PANEL_LANES`) into one tile,
+/// `xt[j * PANEL_LANES + r]` = feature `j` of row `r`, where `row(r)` is
+/// row `r`'s features. Lanes past the last row repeat it, so a partial
+/// tile computes on real values; callers drop those lanes' outputs.
+pub(crate) fn transpose_tile<'a, T: PanelFloat>(
+    rows: usize,
+    row: impl Fn(usize) -> &'a [f64],
+    xt: &mut [T],
+) {
+    const L: usize = PANEL_LANES;
+    debug_assert!((1..=L).contains(&rows));
+    for r in 0..L {
+        for (j, &x) in row(r.min(rows - 1)).iter().enumerate() {
+            xt[j * L + r] = T::cast(x);
+        }
+    }
+}
+
+/// Forward one transposed tile `xt` (see [`transpose_tile`]), returning
+/// one probability per lane and leaving the batch-major hidden
+/// activations in `h` (`h[i * PANEL_LANES + r]`, `hidden * PANEL_LANES`
+/// long). `params` is the flat `[w rows | b | v | a]` buffer at the
+/// kernel's precision. Each lane reproduces the scalar summation order
+/// exactly; see the module docs for why that makes the f64 instantiation
+/// bitwise identical to the scalar path.
 pub(crate) fn panel_tile<T: PanelFloat>(
     params: &[T],
     inputs: usize,
     hidden: usize,
-    panel: &[f64],
-    base: usize,
-    scratch: &mut PanelScratch<T>,
-    out: &mut Vec<f64>,
-) {
+    xt: &[T],
+    h: &mut [T],
+) -> [f64; PANEL_LANES] {
     const L: usize = PANEL_LANES;
-    debug_assert!(panel.len() >= (base + L) * inputs);
-
-    // Transpose the tile: xt[j*L + r] = row (base+r), feature j.
-    scratch.xt.resize(inputs * L, T::ZERO);
-    let xt = scratch.xt.as_mut_slice();
-    for r in 0..L {
-        let row = &panel[(base + r) * inputs..(base + r + 1) * inputs];
-        for (j, &x) in row.iter().enumerate() {
-            xt[j * L + r] = T::cast(x);
-        }
-    }
+    debug_assert_eq!(xt.len(), inputs * L);
+    debug_assert_eq!(h.len(), hidden * L);
 
     if hidden == 0 {
         let mut z = [T::ZERO; L];
@@ -176,39 +191,30 @@ pub(crate) fn panel_tile<T: PanelFloat>(
             }
         }
         let a = params[inputs];
-        for zr in z {
-            out.push((zr + a).squash());
-        }
-        return;
+        return z.map(|zr| (zr + a).squash());
     }
 
     let b_off = hidden * inputs;
     let v_off = b_off + hidden;
-    scratch.h.resize(hidden * L, T::ZERO);
-    for i in 0..hidden {
+    for (i, hrow) in h.chunks_exact_mut(L).enumerate() {
         let wrow = &params[i * inputs..(i + 1) * inputs];
         let mut acc = [T::ZERO; L];
-        for (col, &w) in scratch.xt.chunks_exact(L).zip(wrow) {
+        for (col, &w) in xt.chunks_exact(L).zip(wrow) {
             for r in 0..L {
                 acc[r] += w * col[r];
             }
         }
         let b = params[b_off + i];
-        let hrow = &mut scratch.h[i * L..(i + 1) * L];
         for (hr, &ar) in hrow.iter_mut().zip(acc.iter()) {
             *hr = (ar + b).tanh_();
         }
     }
     let mut z = [T::ZERO; L];
-    for i in 0..hidden {
-        let v = params[v_off + i];
-        let hrow = &scratch.h[i * L..(i + 1) * L];
+    for (hrow, &v) in h.chunks_exact(L).zip(&params[v_off..v_off + hidden]) {
         for r in 0..L {
             z[r] += v * hrow[r];
         }
     }
     let a = params[v_off + hidden];
-    for zr in z {
-        out.push((zr + a).squash());
-    }
+    z.map(|zr| (zr + a).squash())
 }

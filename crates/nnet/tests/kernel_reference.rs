@@ -193,3 +193,81 @@ fn training_on_coalesced_data_matches_raw_decisions() {
         assert_eq!(m_raw.predict_taken(row), m_co.predict_taken(row));
     }
 }
+
+/// Training sizes that put every remainder in the last panel tile (1..=9,
+/// 36 = Table 4's typical fold, 127) and every chunk boundary (128 is one
+/// full chunk; 129 and 136 add a second chunk of one row and of one tile).
+const TILE_SIZES: [usize; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 36, 127, 128, 129, 136];
+
+/// The paper's 158-input encoding at its 10 hidden units, and the one-unit
+/// and zero-hidden widths that take the kernel's other branches.
+const TILE_SHAPES: [(usize, usize); 3] = [(158, 10), (158, 1), (158, 0)];
+
+/// The training kernel forwards through panel tiles, padding a partial last
+/// tile with copies of a real row; the padded lanes must leave no trace in
+/// the gradient, the loss or the thresholded-error terms.
+#[test]
+fn tiled_gradient_is_bitwise_identical_to_reference_at_every_remainder() {
+    let mut rng = Pcg32::seed_from_u64(0xF5);
+    for (inputs, hidden) in TILE_SHAPES {
+        // Init-sized weights keep the tanh units off saturation, so every
+        // gradient element is live.
+        let scale = 1.0 / (inputs as f64).sqrt();
+        let flat: Vec<f64> = (0..Mlp::param_count(inputs, hidden))
+            .map(|_| rng.gen_range(-scale..scale))
+            .collect();
+        let kernel = Mlp::from_flat_weights(inputs, hidden, &flat).expect("valid length");
+        let reference = RefMlp::from_flat_weights(inputs, hidden, &flat).expect("valid length");
+        let mut g = vec![0.0; kernel.num_params()];
+        let mut scratch = Vec::new();
+        for n in TILE_SIZES {
+            let data = random_data(&mut rng, n, inputs);
+            let mut terr = vec![0.0; n];
+            for kind in [LossKind::Linear, LossKind::Sse] {
+                let (ref_grad, ref_loss) = reference.gradient(&data, kind);
+                let loss = kernel.accumulate_gradient(&data, kind, &mut g, &mut scratch, &mut terr);
+                let at = format!("{kind:?} inputs={inputs} hidden={hidden} n={n}");
+                assert_eq!(loss.to_bits(), ref_loss.to_bits(), "{at}: loss diverged");
+                let kb: Vec<u64> = g.iter().map(|x| x.to_bits()).collect();
+                let rb: Vec<u64> = ref_grad.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(kb, rb, "{at}: gradient diverged");
+                let fused: f64 = terr.iter().sum();
+                assert_eq!(
+                    fused.to_bits(),
+                    reference.thresholded_error(&data).to_bits(),
+                    "{at}: thresholded error diverged"
+                );
+            }
+        }
+    }
+}
+
+/// Whole training runs over the tiles transposed once per `Mlp::train`
+/// call reproduce the reference at every tile remainder.
+#[test]
+fn tiled_training_run_is_bitwise_identical_to_reference_at_every_remainder() {
+    let mut rng = Pcg32::seed_from_u64(0xF6);
+    for (inputs, hidden) in TILE_SHAPES {
+        for n in TILE_SIZES {
+            let data = random_data(&mut rng, n, inputs);
+            for loss in [LossKind::Linear, LossKind::Sse] {
+                let cfg = MlpConfig {
+                    hidden,
+                    loss,
+                    restarts: 2,
+                    max_epochs: 12,
+                    patience: 4,
+                    seed: 905 + n as u64,
+                    ..MlpConfig::default()
+                };
+                let (km, kr) = Mlp::train(&data, &cfg);
+                let (rm, rr) = RefMlp::train(&data, &cfg);
+                let at = format!("{loss:?} inputs={inputs} hidden={hidden} n={n}");
+                assert_eq!(kr, rr, "{at}: report diverged");
+                let kb: Vec<u64> = km.flat_weights().iter().map(|x| x.to_bits()).collect();
+                let rb: Vec<u64> = rm.flat_weights().iter().map(|x| x.to_bits()).collect();
+                assert_eq!(kb, rb, "{at}: weights diverged");
+            }
+        }
+    }
+}

@@ -206,6 +206,11 @@ fn registry(action: &str, args: &Args) {
     let reg = Registry::open(dir);
     match action {
         "registry list" => {
+            // `Registry::list` reads a missing root as an empty registry;
+            // a directory named on the command line must exist.
+            if !Path::new(dir).is_dir() {
+                fail(format!("no registry directory at {dir}"));
+            }
             let entries = reg.list().unwrap_or_else(|e| fail(e.to_string()));
             if entries.is_empty() {
                 println!("(empty registry)");

@@ -267,6 +267,35 @@ fn esp_client_rejects_bad_flags_before_acting() {
 }
 
 #[test]
+fn esp_client_registry_list_names_a_missing_directory() {
+    let dir = std::env::temp_dir().join(format!("esp-client-list-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let d = dir.to_str().expect("utf-8 temp dir");
+    let list = || {
+        std::process::Command::new(env!("CARGO_BIN_EXE_esp-client"))
+            .args(["registry", "list", "--dir", d])
+            .output()
+            .expect("run esp-client")
+    };
+    let out = list();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(d), "must name {d}: {stderr}");
+    assert!(out.stdout.is_empty(), "listed a missing registry");
+    assert!(!dir.exists(), "listing created {d}");
+
+    std::fs::create_dir(&dir).expect("create an empty registry");
+    let out = list();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "(empty registry)\n");
+}
+
+#[test]
 fn one_row_and_multi_chunk_batches_are_bitwise_identical() {
     // A shard computes its misses in fixed-size kernel chunks: a 64-row
     // batch spans two of them, a 1-row batch is a chunk of 1. Both must

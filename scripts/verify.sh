@@ -92,6 +92,10 @@ cargo test -q --release --offline -p esp-serve --test serve_integration
 echo "==> hostile frames against a release-built server"
 cargo test -q --release --offline -p esp-serve --test hostile_frames
 cargo test -q --release --offline -p esp-artifact --test roundtrip
+# Opt-level 3 vectorizes the panel-tile loops differently from the
+# opt-level-2 dev profile, so the bitwise kernel pins run in release too.
+echo "==> bitwise kernel pins in release"
+cargo test -q --release --offline -p esp-nnet --test kernel_reference --test batch_kernel --test alloc_free
 
 if [[ "$fast" -eq 0 ]]; then
     echo "==> corpus lint gate (full-corpus findings vs results/lint_golden.json)"

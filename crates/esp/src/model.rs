@@ -349,8 +349,9 @@ impl EspModel {
     /// `(row, mask)` pair onto a contiguous row-major panel
     /// ([`FittedEncoder::transform_extend`]) and forward the whole panel at
     /// once. The panel is thread-local — no allocations per row after
-    /// warm-up. Used by `esp-serve`'s cache-miss fan-out. Bitwise identical
-    /// to calling [`EspModel::predict_prob_encoded`] per row.
+    /// warm-up. Used by `esp-serve` for the rows that miss its cache.
+    /// Bitwise identical to calling [`EspModel::predict_prob_encoded`] per
+    /// row.
     ///
     /// # Panics
     ///

@@ -1,7 +1,7 @@
 //! `esp-serve` — serve trained `.espm` models over TCP.
 //!
 //! ```text
-//! esp-serve --model PATH                 [--addr HOST:PORT] [--shards N] [--cache N]
+//! esp-serve --model PATH                 [--addr HOST:PORT] [--cache N]
 //! esp-serve --registry DIR --name M[@V][,M2[@V2]…] [--reload-watch MS] [--addr …] …
 //! esp-serve --synthetic DIM,HIDDEN,SEED  [--addr …] …
 //! ```
@@ -13,11 +13,13 @@
 //! `--reload-watch` without `--registry`) exits 2 before anything is
 //! served, as does whatever else `esp_obs::cli` rejects. `--addr` defaults to
 //! `127.0.0.1:7871`; port `0` picks an ephemeral port (the bound address
-//! is printed either way). `--shards 0` (default) runs
-//! one shard worker per core to compute the rows that miss the cache;
-//! `--cache` is the capacity in entries of the one LRU cache, which the
-//! event loop owns and answers hits from (`0` disables). The process runs
-//! until a client sends `SHUTDOWN` (see `esp-client`).
+//! is printed either way). `--cache` is the capacity in entries of the
+//! one LRU cache, which the event loop owns and answers hits from (`0`
+//! disables); the event loop also computes every row that misses it.
+//! `--shards 1` is still accepted, and changes nothing, for command lines
+//! written when misses went to worker threads; any other `--shards` value
+//! exits 2. The process runs until a client sends `SHUTDOWN` (see
+//! `esp-client`).
 //!
 //! The registry form serves every listed name at once (clients pick with
 //! the protocol's model selector; the first name is the default). A bare
@@ -98,7 +100,7 @@ fn main() {
     if args.switch("--help") || args.switch("-h") {
         eprintln!(
             "usage: esp-serve (--model PATH | --registry DIR --name M[@V][,M2[@V2]…] | --synthetic DIM,HIDDEN,SEED)\n\
-             \x20                [--addr HOST:PORT] [--shards N] [--cache N]\n\
+             \x20                [--addr HOST:PORT] [--cache N]\n\
              \x20                [--reload-watch MS] [--http-addr HOST:PORT] [--no-ledger]\n\
              \x20                [--trace-out FILE] [--metrics-out FILE]"
         );
@@ -115,9 +117,14 @@ fn main() {
             None => format!("`{flag}` is read only with `--registry`"),
         });
     }
+    if let Some(shards) = cli::or_exit(args.number::<usize>("--shards")).filter(|&n| n != 1) {
+        cli::usage_error(format!(
+            "`--shards {shards}`: the event loop computes every cache miss itself, \
+             so `--shards` accepts only 1"
+        ));
+    }
     let addr = args.value("--addr").unwrap_or("127.0.0.1:7871");
     let cfg = ServeConfig {
-        shards: cli::or_exit(args.number("--shards")).unwrap_or(0),
         cache_capacity: cli::or_exit(args.number("--cache")).unwrap_or(4096),
         http_addr: args.value("--http-addr").map(String::from),
         ledger: !args.switch("--no-ledger"),

@@ -9,8 +9,7 @@
 //!   `esp_ledger_` families), byte-identical to what the STATS opcode
 //!   carries.
 //! * `/healthz` — a JSON liveness document: model facts, uptime, cache
-//!   size, per-shard queue depth, and the last-minute windowed
-//!   rps/p50/p99/mispredict-rate.
+//!   size, and the last-minute windowed rps/p50/p99/mispredict-rate.
 //! * `/sitez?top=K` — the hot-site accuracy table (default K = 10).
 //!
 //! The listener runs on its own thread, `esp-serve-http`, blocked in
@@ -257,18 +256,13 @@ fn healthz_json(shared: &Shared) -> String {
             )
         })
         .collect();
-    let shards: Vec<String> = shared
-        .queue_depths
-        .iter()
-        .map(|depth| format!("{{\"queue_depth\": {}}}", depth.load(Ordering::Relaxed)))
-        .collect();
     format!(
         "{{\n  \"model\": \"{}\",\n  \"dim\": {},\n  \"hidden\": {},\n  \
          \"format_version\": {},\n  \"protocol_version\": {},\n  \
          \"precision_bits\": {},\n  \"uptime_s\": {:.3},\n  \
          \"ledger_enabled\": {},\n  \"http_requests\": {},\n  \
-         \"shards\": {},\n  \"cache_entries\": {},\n  \"reloads_total\": {},\n  \
-         \"models\": [{}],\n  \"shard_health\": [{}],\n  \
+         \"cache_entries\": {},\n  \"reloads_total\": {},\n  \
+         \"models\": [{}],\n  \
          \"window\": {{\"seconds\": {}, \"rps\": {:.3}, \"p50_us\": {}, \
          \"p99_us\": {}, \"mispredict_rate\": {}}}\n}}\n",
         escape(&info.corpus_id),
@@ -280,11 +274,9 @@ fn healthz_json(shared: &Shared) -> String {
         now_us as f64 / 1e6,
         shared.ledger.enabled(),
         shared.http_requests.load(Ordering::Relaxed),
-        shared.queue_depths.len(),
         shared.metrics.cache_entries.get(),
         shared.metrics.reloads.get(),
         models.join(", "),
-        shards.join(", "),
         req.window_s,
         req.rate_per_sec,
         req.p50,

@@ -14,20 +14,19 @@
 //!   read→decode→dispatch→write state machines, blocked in `poll(2)` on
 //!   every iteration and acting only on the descriptors it reported
 //!   ready), graceful drain on shutdown, and the hot-reload watcher.
-//! - `shard` (internal) — the reactor's one LRU cache and N compute-only
-//!   shard workers. The reactor hashes each row once, word by word over
-//!   its cache-key bytes ([`esp_obs::word_hash`]); that hash keys the
-//!   cache and indexes the ledger. A PREDICT whose rows all hit is
-//!   answered on the reactor; only misses go to the workers, which write
-//!   their rows' slots of a lock-free join.
+//! - `predict` (internal) — the reactor's PREDICT path: its one LRU cache
+//!   and the batched kernel over the rows that miss it. The reactor hashes
+//!   each row once, word by word over its cache-key bytes
+//!   ([`esp_obs::word_hash`]); that hash keys the cache and indexes the
+//!   ledger. Every PREDICT is answered in the reactor iteration that
+//!   decoded it.
 //! - `models` (internal) — the name/version routing table behind the v4
 //!   model selector; hot reload atomically swaps entries here.
 //! - [`cache`] — an O(1) exact-match LRU keyed on the raw feature bits, so
 //!   repeated branch shapes skip the network forward pass.
 //! - [`metrics`] — an [`esp_obs::MetricsRegistry`]-backed set of counters,
-//!   latency/batch-size histograms, cache gauges and per-shard queue-depth
-//!   gauges behind the `STATS` opcode, which also serves the full
-//!   Prometheus-style text exposition.
+//!   latency/batch-size histograms and cache gauges behind the `STATS`
+//!   opcode, which also serves the full Prometheus-style text exposition.
 //! - [`client`] — the blocking client library used by the `esp-client`
 //!   binary and the integration tests.
 //! - [`http`] — a std-only HTTP/1.1 telemetry sidecar (`--http-addr`)
@@ -44,7 +43,7 @@
 //! rows plus masks (what `esp_core::encode` produces), and the server
 //! applies the same normalize-and-forward path as
 //! `EspModel::predict_prob`, so a served probability equals the in-process
-//! one bit for bit — at any shard count, batch size, or connection count.
+//! one bit for bit — at any batch size or connection count.
 //! The integration tests assert exactly that.
 //!
 //! Performance is measured from outside the process by the repository
@@ -63,9 +62,9 @@ pub mod http;
 pub mod metrics;
 mod models;
 mod poll;
+mod predict;
 pub mod protocol;
 pub mod server;
-mod shard;
 
 pub use cache::cache_key as site_key;
 pub use client::Client;

@@ -12,10 +12,10 @@
 //!   client sees it: frame decode, cache lookups, compute, response encode
 //!   and write, for every opcode. This is what the snapshot's p50/p99/max
 //!   report.
-//! * `esp_serve_predict_compute_us` — the old, narrower series: one sample
-//!   per PREDICT, its cache pass on the reactor plus the kernel time its
-//!   workers spent, kept for comparing compute cost against the full
-//!   service time.
+//! * `esp_serve_predict_compute_us` — the narrower series: one sample per
+//!   PREDICT, the reactor's whole pass over its rows (cache lookups, the
+//!   kernel over the misses, cache inserts and ledger records), kept for
+//!   comparing compute cost against the full service time.
 
 use std::sync::Arc;
 
@@ -49,27 +49,17 @@ pub struct Metrics {
     cache_hit_ratio: Arc<Gauge>,
     predict_precision: Arc<Gauge>,
     model_version: Arc<Gauge>,
-    /// One `esp_serve_shard_{i}_queue_depth` gauge per shard worker (the
-    /// registry has no label support).
-    shard_queue_depth: Vec<Arc<Gauge>>,
 }
 
 impl Default for Metrics {
     fn default() -> Self {
-        Metrics::with_shards(1)
+        Metrics::new()
     }
 }
 
 impl Metrics {
     /// Fresh zeroed metrics.
     pub fn new() -> Self {
-        Metrics::default()
-    }
-
-    /// Fresh metrics for a server of `nshards` shard workers: the
-    /// `esp_serve_shards` gauge is set and one
-    /// `esp_serve_shard_{i}_queue_depth` gauge is registered per shard.
-    pub fn with_shards(nshards: usize) -> Self {
         let registry = MetricsRegistry::new();
         let connections = registry.counter("esp_serve_connections_total");
         let requests = registry.counter("esp_serve_requests_total");
@@ -84,11 +74,7 @@ impl Metrics {
         let cache_hit_ratio = registry.gauge("esp_serve_cache_hit_ratio");
         let cache_entries = registry.gauge("esp_serve_cache_entries");
         let predict_precision = registry.gauge("esp_serve_predict_precision");
-        registry.gauge("esp_serve_shards").set(nshards as f64);
         let model_version = registry.gauge("esp_serve_model_version");
-        let shard_queue_depth = (0..nshards)
-            .map(|i| registry.gauge(&format!("esp_serve_shard_{i}_queue_depth")))
-            .collect();
         Metrics {
             registry,
             connections,
@@ -105,7 +91,6 @@ impl Metrics {
             cache_hit_ratio,
             predict_precision,
             model_version,
-            shard_queue_depth,
         }
     }
 
@@ -115,8 +100,9 @@ impl Metrics {
         self.request_us.record(us);
     }
 
-    /// Record one PREDICT's compute-scoped latency in microseconds: its
-    /// cache pass plus the kernel time its workers spent.
+    /// Record one PREDICT's compute-scoped latency in microseconds: the
+    /// reactor's whole pass over its rows — cache lookups, the kernel over
+    /// the misses, cache inserts and ledger records.
     pub fn record_predict_compute_us(&self, us: u64) {
         self.predict_compute_us.record(us);
     }
@@ -136,13 +122,6 @@ impl Metrics {
     /// `esp_serve_model_version` gauge; set at start and on hot reload.
     pub fn set_model_version(&self, version: u32) {
         self.model_version.set(version as f64);
-    }
-
-    /// Refresh one shard's queue-depth gauge from its worker counter.
-    pub fn set_shard_queue_depth(&self, shard: usize, depth: u64) {
-        if let Some(g) = self.shard_queue_depth.get(shard) {
-            g.set(depth as f64);
-        }
     }
 
     /// Refresh the cache-hit-ratio gauge from the hit/miss counters.

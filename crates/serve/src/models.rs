@@ -3,11 +3,11 @@
 //!
 //! Every loaded model lives in a [`ModelEntry`] behind an `Arc`; the
 //! reactor resolves a selector to an entry exactly once per request, and
-//! the request's cache lookups, shard jobs and cache inserts all use that
-//! same `Arc`. Hot reload is
-//! therefore a single atomic pointer swap in the table: requests already
-//! dispatched finish on the entry they resolved, new requests resolve the
-//! fresh one, and nothing is ever torn mid-flight.
+//! the request's cache lookups, kernel calls and cache inserts all use
+//! that same `Arc`. Hot reload is therefore a single atomic pointer swap
+//! in the table: requests already answered used the entry they resolved,
+//! new requests resolve the fresh one, and nothing is ever torn
+//! mid-request.
 //!
 //! Each entry also carries a table-unique `id`, which the reactor's cache
 //! keys every entry by, beside the row hash. A reloaded version gets a

@@ -3,42 +3,35 @@
 //! One reactor thread drives a nonblocking listener plus every connection
 //! as a resumable state machine (read → decode → dispatch → write, built
 //! on the same resumable `FrameReader` the threaded server used). It owns
-//! the LRU cache and answers every cache hit itself; N shard workers only
-//! compute the rows that miss. All of it stays on the `esp-runtime`
-//! discipline: deterministic results (the model is immutable; the cache
-//! only memoises bit-identical values), parallelism only affects
-//! wall-clock.
+//! the LRU cache and answers every PREDICT itself: cache hits from the
+//! cache, misses through the batched kernel, in the iteration that decoded
+//! the request. All of it stays on the `esp-runtime` discipline:
+//! deterministic results (the model is immutable; the cache only memoises
+//! bit-identical values).
 //!
-//! Per connection, responses are queued in request order: immediate
-//! opcodes (INFO, SHUTDOWN, errors) and PREDICTs whose rows all hit enter
-//! the queue as encoded bytes, and a PREDICT with misses enters as a
-//! pending join that the shard workers fill. A PROFILE is applied, and a
-//! STATS rendered, only when it reaches the head, so it sees every request
-//! before it on its connection: a PROFILE joins every prediction served
-//! earlier, a STATS counts every PROFILE applied earlier. The reactor
-//! completes the head of the queue as soon as it can, so pipelined clients
-//! always read replies in the order they asked. Partial writes park in a
-//! per-connection buffer and resume when the socket drains.
+//! Every request is answered in the iteration that decoded it, so each
+//! reply is appended to its connection's write buffer in request order: a
+//! PROFILE joins every prediction served earlier on its connection, and a
+//! STATS counts every PROFILE applied earlier. Pipelined clients read
+//! replies in the order they asked. Partial writes park in the buffer and
+//! resume when the socket drains.
 //!
 //! Multiple models are served behind one port (see the `models` module):
 //! the v4 PREDICT/INFO selector picks one, and a watcher thread can hot
 //! reload new registry versions with an atomic `Arc` swap — in-flight
 //! requests finish on the model they resolved; nothing fails or drops.
 //!
-//! The reactor never spins: every iteration blocks in `poll(2)` on its
-//! wake socket, the listener and every connection, then acts only on the
-//! descriptors `poll` reported ready. A shard that resolves the last job
-//! of a request writes one byte to the wake socket, so a finished reply
-//! leaves at once.
+//! The reactor never spins: every iteration blocks in `poll(2)` on the
+//! stop socket, the listener and every connection, then acts only on the
+//! descriptors `poll` reported ready.
 //!
 //! Shutdown is graceful: a `SHUTDOWN` frame (or [`ServerHandle::shutdown`])
-//! raises a flag, makes the never-drained stop socket readable for the
-//! HTTP sidecar and the reload watcher, and wakes the reactor; the reactor
-//! stops accepting and reading, finishes every queued response, flushes,
-//! stops the shard workers, and exits.
+//! raises a flag and makes the never-drained stop socket readable, which
+//! ends the `poll` of the reactor, the HTTP sidecar and the reload
+//! watcher; the reactor stops accepting and reading, flushes every
+//! buffered reply, and exits.
 
-use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,17 +45,15 @@ use esp_obs::{Ledger, OutcomeRecord};
 use crate::metrics::Metrics;
 use crate::models::{entry_from_artifact, ModelTable};
 use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
+use crate::predict::Predictor;
 use crate::protocol::{
-    FrameReader, Prediction, ProfileAck, ProfileRecord, Request, Response, ServeError, ServerInfo,
+    FrameReader, PredictRow, Prediction, ProfileAck, ProfileRecord, Request, Response, ServeError,
+    ServerInfo,
 };
-use crate::shard::{Lookup, PredictJoin, ShardPool};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Shard workers computing the rows that miss the cache; `0` = one
-    /// per available core.
-    pub shards: usize,
     /// Capacity in entries of the reactor's LRU cache; `0` disables
     /// caching.
     pub cache_capacity: usize,
@@ -77,7 +68,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            shards: 0,
             cache_capacity: 4096,
             http_addr: None,
             ledger: true,
@@ -132,15 +122,11 @@ pub(crate) struct Shared {
     pub(crate) models: ModelTable,
     pub(crate) metrics: Metrics,
     pub(crate) stop: AtomicBool,
-    /// The reactor's wake socket (both ends nonblocking). A byte written
-    /// to `waker` ends the reactor's `poll`; the reactor drains `wake_rx`.
-    /// Both ends live as long as `Shared`, so a late wake-up never writes
-    /// to a closed peer.
-    waker: UnixStream,
-    wake_rx: UnixStream,
     /// Written by [`Shared::request_stop`] and never drained, so
-    /// `stop_rx` stays readable once a stop was requested. The HTTP
-    /// sidecar and the reload watcher block in `poll` on it.
+    /// `stop_rx` stays readable once a stop was requested. The reactor,
+    /// the HTTP sidecar and the reload watcher block in `poll` on it.
+    /// Both ends live as long as `Shared`, so a late request never writes
+    /// to a closed peer.
     stop_tx: UnixStream,
     pub(crate) stop_rx: UnixStream,
     /// Per-site accuracy ledger (PROFILE outcomes joined to served
@@ -158,26 +144,16 @@ pub(crate) struct Shared {
     /// scraping does not perturb the byte-identity of `/metrics` vs STATS
     /// on a quiesced server).
     pub(crate) http_requests: AtomicU64,
-    /// Jobs dispatched to each shard worker and not yet finished, read by
-    /// `/healthz` and the exposition (relaxed: monitoring, not
-    /// synchronization).
-    pub(crate) queue_depths: Vec<AtomicU64>,
 }
 
 impl Shared {
-    /// End the reactor's `poll`. A full wake socket already holds a
-    /// wake-up, so a failed write loses nothing.
-    pub(crate) fn wake(&self) {
-        let _ = (&self.waker).write(&[1]);
-    }
-
-    /// Stop the server: raise the flag, make `stop_rx` readable, and wake
-    /// the reactor to see the flag. Serves [`ServerHandle::shutdown`], its
-    /// `Drop`, and the SHUTDOWN opcode.
+    /// Stop the server: raise the flag, then make `stop_rx` readable,
+    /// which ends every thread's `poll`. Serves [`ServerHandle::shutdown`],
+    /// its `Drop`, and the SHUTDOWN opcode. A full socket already holds a
+    /// byte, so a failed write loses nothing.
     pub(crate) fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         let _ = (&self.stop_tx).write(&[1]);
-        self.wake();
     }
 
     /// Microseconds since the server started: the timestamp of every
@@ -195,17 +171,12 @@ impl Shared {
         self.models.default_entry().model.precision_bits()
     }
 
-    /// The unified exposition: per-shard queue gauges refreshed from the
-    /// worker counters, then the metrics registry followed by the
+    /// The unified exposition: the metrics registry followed by the
     /// accuracy-ledger families. The STATS opcode, the in-process
     /// [`ServerHandle::metrics_text`], and the HTTP `/metrics` endpoint all
     /// render through here, so the three views are byte-identical on a
     /// quiesced server.
     pub(crate) fn exposition(&self) -> String {
-        for (i, depth) in self.queue_depths.iter().enumerate() {
-            self.metrics
-                .set_shard_queue_depth(i, depth.load(Ordering::Relaxed));
-        }
         let mut text = self.metrics.render_text();
         text.push_str(&self.ledger.render_text());
         text
@@ -284,21 +255,18 @@ pub fn serve(
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let shards = esp_runtime::resolve_threads(cfg.shards);
-    let metrics = Metrics::with_shards(shards);
+    let metrics = Metrics::new();
     {
         let default = table.default_entry();
         metrics.set_precision(default.model.precision_bits());
         metrics.set_model_version(default.info.model_version);
     }
-    let (waker, wake_rx) = socket_pair()?;
-    let (stop_tx, stop_rx) = socket_pair()?;
+    let (stop_tx, stop_rx) = UnixStream::pair()?;
+    stop_tx.set_nonblocking(true)?;
     let shared = Arc::new(Shared {
         models: table,
         metrics,
         stop: AtomicBool::new(false),
-        waker,
-        wake_rx,
         stop_tx,
         stop_rx,
         ledger: Ledger::new(cfg.ledger),
@@ -307,7 +275,6 @@ pub fn serve(
         observed_window: SlidingWindow::new(WINDOW_SLOTS, WINDOW_BUCKET_US),
         mispredict_window: SlidingWindow::new(WINDOW_SLOTS, WINDOW_BUCKET_US),
         http_requests: AtomicU64::new(0),
-        queue_depths: (0..shards).map(|_| AtomicU64::new(0)).collect(),
     });
 
     // The HTTP telemetry sidecar binds before the reactor spawns so a
@@ -321,14 +288,12 @@ pub fn serve(
         None => (None, None),
     };
 
-    // The reactor owns the shard pool and its cache: it is the only
-    // dispatcher, and it stops and joins the workers after draining at
-    // shutdown.
-    let pool = ShardPool::spawn(&shared, shards, cfg.cache_capacity);
+    // The reactor owns the cache: it is the only thread that predicts.
+    let predictor = Predictor::new(cfg.cache_capacity);
     let reactor_shared = Arc::clone(&shared);
     let reactor = std::thread::Builder::new()
         .name("esp-serve-reactor".to_string())
-        .spawn(move || reactor_loop(reactor_shared, listener, pool))?;
+        .spawn(move || reactor_loop(reactor_shared, listener, predictor))?;
 
     let watcher = watch.map(|w| {
         let watch_shared = Arc::clone(&shared);
@@ -346,14 +311,6 @@ pub fn serve(
         http,
         watcher,
     })
-}
-
-/// A connected socket pair, both ends nonblocking.
-fn socket_pair() -> std::io::Result<(UnixStream, UnixStream)> {
-    let (a, b) = UnixStream::pair()?;
-    a.set_nonblocking(true)?;
-    b.set_nonblocking(true)?;
-    Ok((a, b))
 }
 
 impl ServerHandle {
@@ -407,10 +364,9 @@ impl ServerHandle {
         }
     }
 
-    /// Stop accepting work, drain queued responses, and wait for every
-    /// thread. The request wakes each blocked thread at once: the reactor
-    /// through its wake socket, the HTTP sidecar and the reload watcher
-    /// through the stop socket.
+    /// Stop accepting work, flush buffered replies, and wait for every
+    /// thread. The request wakes each blocked thread at once, through the
+    /// stop socket.
     pub fn shutdown(mut self) {
         self.shared.request_stop();
         self.wait();
@@ -426,39 +382,16 @@ impl Drop for ServerHandle {
     }
 }
 
-/// One queued response slot. The queue preserves request order: only the
-/// head may leave, and a pending head blocks everything behind it.
-enum Slot {
-    /// Encoded response payload, ready to frame and write.
-    Ready(Vec<u8>),
-    /// A predict batch whose misses are in flight on the shard workers.
-    Pending {
-        req_id: u64,
-        join: Arc<PredictJoin>,
-        svc_start: Instant,
-    },
-    /// A PROFILE batch, applied once it is the head: every prediction
-    /// served earlier on the connection is in the ledger by then.
-    Profile {
-        req_id: u64,
-        records: Vec<ProfileRecord>,
-        svc_start: Instant,
-    },
-    /// A STATS request, rendered once it is the head: every PROFILE
-    /// earlier on the connection is in the ledger by then.
-    Stats { req_id: u64, svc_start: Instant },
-}
-
-/// Per-connection state machine: resumable frame reads, the in-order
-/// response queue, and the pending-write buffer.
+/// Per-connection state machine: resumable frame reads and the buffer of
+/// replies not yet written.
 struct Conn {
     stream: TcpStream,
     frames: FrameReader,
-    queue: VecDeque<Slot>,
-    /// Bytes framed but not yet written (partial-write parking).
+    /// Framed replies, in request order, not yet written (partial-write
+    /// parking).
     out: Vec<u8>,
     out_pos: usize,
-    /// Peer closed its write side; we still flush what is queued.
+    /// Peer closed its write side; we still flush what is buffered.
     read_closed: bool,
     /// I/O or framing error; the connection is dropped without flushing.
     dead: bool,
@@ -469,7 +402,6 @@ impl Conn {
         Conn {
             stream,
             frames: FrameReader::new(),
-            queue: VecDeque::new(),
             out: Vec::new(),
             out_pos: 0,
             read_closed: false,
@@ -504,30 +436,31 @@ impl Conn {
         events
     }
 
-    /// Nothing queued, nothing buffered: safe to close or to let shutdown
-    /// proceed.
+    /// Nothing buffered: safe to close or to let shutdown proceed.
     fn drained(&self) -> bool {
-        self.dead || (self.queue.is_empty() && self.flushed())
+        self.dead || self.flushed()
     }
 
     /// This connection is over and can be dropped.
     fn finished(&self) -> bool {
-        self.dead || (self.read_closed && self.queue.is_empty() && self.flushed())
+        self.dead || (self.read_closed && self.flushed())
     }
 }
 
-fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, mut pool: ShardPool) {
-    let wake = &shared.wake_rx;
+fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, mut predictor: Predictor) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut stopping = false;
     let mut accept_failed = false;
     loop {
-        // Block until the wake socket, the listener or a connection is
-        // ready. While accepts fail, the listener stays out of the set and
-        // the wait ends after ACCEPT_RETRY instead.
+        // Block until a stop is requested, the listener or a connection is
+        // ready. Once stopping, the stop socket (which stays readable) and
+        // the listener leave the set; while accepts fail, the listener
+        // stays out and the wait ends after ACCEPT_RETRY instead.
         fds.clear();
-        fds.push(PollFd::new(wake, POLLIN));
+        if !stopping {
+            fds.push(PollFd::new(&shared.stop_rx, POLLIN));
+        }
         let listening = !stopping && !accept_failed;
         if listening {
             fds.push(PollFd::new(&listener, POLLIN));
@@ -540,14 +473,9 @@ fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, mut pool: ShardPool)
         // read, and the loop waits again.
         let _ = poll::wait(&mut fds, accept_failed.then_some(ACCEPT_RETRY));
 
-        // Drain before reading `stop` and the joins: a stop request or a
-        // shard wake-up that lands after this point leaves a byte that
-        // ends the next `poll`.
-        if fds[0].revents() != 0 {
-            drain(wake);
-        }
+        // A stop requested after this load leaves the stop socket
+        // readable, which ends the next `poll`.
         stopping = shared.stop.load(Ordering::SeqCst);
-        pool.finish_completed(&shared);
 
         if !stopping && (accept_failed || listening && fds[1].revents() != 0) {
             accept_failed = accept_all(&shared, &listener, &mut conns);
@@ -559,28 +487,23 @@ fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, mut pool: ShardPool)
                 continue;
             }
             if fd.events() == 0 {
-                // Hung up or failed with nothing to read or flush: its
-                // pending replies can never be sent, and it would end every
-                // `poll` at once. Drop it.
+                // Hung up or failed with nothing to read or flush: it
+                // would end every `poll` at once. Drop it.
                 conn.dead = true;
             } else if conn.reading(stopping) {
-                read_frames(&shared, &mut pool, conn);
+                read_frames(&shared, &mut predictor, conn);
             }
         }
 
         for conn in conns.iter_mut().filter(|c| !c.dead) {
-            complete_heads(&shared, conn);
             flush(conn);
         }
         conns.retain(|c| !c.finished());
 
         if stopping && conns.iter().all(Conn::drained) {
-            break;
+            return;
         }
     }
-    // Workers drain their queues, then exit; nothing in flight is
-    // abandoned.
-    pool.stop(&shared);
 }
 
 /// Accept every queued connection. Returns true when `accept` failed with
@@ -602,22 +525,15 @@ fn accept_all(shared: &Shared, listener: &TcpListener, conns: &mut Vec<Conn>) ->
     }
 }
 
-/// Read the wake socket until it is empty, so the next `poll` blocks
-/// until a new wake-up.
-fn drain(wake: &UnixStream) {
-    let mut buf = [0u8; 64];
-    while matches!((&*wake).read(&mut buf), Ok(n) if n > 0) {}
-}
-
-/// Read complete frames until the socket would block, and dispatch each.
-fn read_frames(shared: &Shared, pool: &mut ShardPool, conn: &mut Conn) {
+/// Read complete frames until the socket would block, and answer each.
+fn read_frames(shared: &Shared, predictor: &mut Predictor, conn: &mut Conn) {
     loop {
         let read = {
             let Conn { frames, stream, .. } = &mut *conn;
             frames.read(&mut &*stream)
         };
         match read {
-            Ok(Some(payload)) => handle_frame(shared, pool, &mut conn.queue, &payload),
+            Ok(Some(payload)) => handle_frame(shared, predictor, &mut conn.out, &payload),
             Ok(None) => {
                 conn.read_closed = true;
                 return;
@@ -632,50 +548,6 @@ fn read_frames(shared: &Shared, pool: &mut ShardPool, conn: &mut Conn) {
                 return;
             }
         }
-    }
-}
-
-/// Complete the head of the response queue into the write buffer — ready
-/// slots, PROFILE batches and STATS at once, pending slots once the
-/// reactor has finished their join. Head-only, so replies keep request
-/// order.
-fn complete_heads(shared: &Shared, conn: &mut Conn) {
-    loop {
-        match conn.queue.front() {
-            Some(Slot::Pending { join, .. }) if !join.finished() => return,
-            None => return,
-            Some(_) => {}
-        }
-        let payload = match conn.queue.pop_front().expect("a head") {
-            Slot::Ready(payload) => payload,
-            Slot::Pending {
-                req_id,
-                join,
-                svc_start,
-            } => {
-                let payload = predictions(join.probs()).encode_with_id(req_id);
-                record_request(shared, svc_start);
-                payload
-            }
-            Slot::Profile {
-                req_id,
-                records,
-                svc_start,
-            } => {
-                let payload = handle_profile(shared, &records, req_id).encode_with_id(req_id);
-                record_request(shared, svc_start);
-                payload
-            }
-            Slot::Stats { req_id, svc_start } => {
-                // A STATS request records its own metrics *before* the
-                // exposition renders, so the reply carries exactly the
-                // registry state a quiesced follow-up `/metrics` scrape
-                // sees — the byte-identity contract.
-                record_request(shared, svc_start);
-                Response::Stats(shared.stats_snapshot()).encode_with_id(req_id)
-            }
-        };
-        push_frame(&mut conn.out, &payload);
     }
 }
 
@@ -700,10 +572,80 @@ fn flush(conn: &mut Conn) {
     conn.out_pos = 0;
 }
 
-/// A PREDICT reply: each probability with its `> 0.5` direction.
-fn predictions(probs: Vec<f64>) -> Response {
+/// Append one length-prefixed frame to a connection's write buffer.
+fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Decode one frame, answer it, and append the framed reply to `out`.
+fn handle_frame(shared: &Shared, predictor: &mut Predictor, out: &mut Vec<u8>, payload: &[u8]) {
+    // End-to-end service clock: covers decode, handling (the kernel over
+    // any misses included) and response encode; the write happens on the
+    // shared reactor and is not attributed to individual requests.
+    let svc_start = Instant::now();
+    shared.metrics.requests.inc();
+    // The client's request id (0 = unset) is echoed on the response and
+    // stamped into server spans, so merged client+server traces correlate
+    // request-for-request.
+    let (id, resp) = match Request::decode_with_id(payload) {
+        Err(e) => (0, Response::Error(e.to_string())),
+        Ok((id, Request::Info { model })) => match shared.models.resolve(&model) {
+            Ok(entry) => (id, Response::Info(entry.info.clone())),
+            Err(msg) => (id, Response::Error(msg)),
+        },
+        Ok((id, Request::Stats)) => {
+            // A STATS request records its own metrics *before* the
+            // exposition renders, so the reply carries exactly the
+            // registry state a quiesced follow-up `/metrics` scrape sees —
+            // the byte-identity contract.
+            record_request(shared, svc_start);
+            let reply = Response::Stats(shared.stats_snapshot());
+            push_frame(out, &reply.encode_with_id(id));
+            return;
+        }
+        Ok((id, Request::Shutdown)) => {
+            shared.request_stop();
+            (id, Response::ShuttingDown)
+        }
+        Ok((id, Request::Profile(records))) => (id, handle_profile(shared, &records, id)),
+        Ok((id, Request::Predict { model, rows })) => {
+            (id, handle_predict(shared, predictor, &model, &rows))
+        }
+    };
+    push_frame(out, &resp.encode_with_id(id));
+    record_request(shared, svc_start);
+}
+
+/// Answer a PREDICT: resolve its model, check every row's width, and
+/// predict every row — each probability with its `> 0.5` direction.
+fn handle_predict(
+    shared: &Shared,
+    predictor: &mut Predictor,
+    model: &str,
+    rows: &[PredictRow],
+) -> Response {
+    let entry = match shared.models.resolve(model) {
+        Ok(e) => e,
+        Err(msg) => return Response::Error(msg),
+    };
+    let dim = entry.info.dim as usize;
+    for (i, r) in rows.iter().enumerate() {
+        if r.row.len() != dim || r.mask.len() != dim {
+            return Response::Error(format!(
+                "row {i}: got {} values / {} mask bits, model expects {dim}",
+                r.row.len(),
+                r.mask.len()
+            ));
+        }
+    }
+    let m = &shared.metrics;
+    m.predict_requests.inc();
+    m.predictions.add(rows.len() as u64);
+    m.record_batch_size(rows.len() as u64);
     Response::Predictions(
-        probs
+        predictor
+            .predict(shared, &entry, rows)
             .into_iter()
             .map(|prob| Prediction {
                 prob,
@@ -711,96 +653,6 @@ fn predictions(probs: Vec<f64>) -> Response {
             })
             .collect(),
     )
-}
-
-/// Append one length-prefixed frame to a connection's write buffer.
-fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-/// Decode one frame and enqueue its response slot. Immediate opcodes are
-/// answered (and measured) inline; PREDICT validates and runs its cache
-/// pass, answering at once when every row hits and otherwise parking a
-/// pending slot for the shard workers; PROFILE and STATS wait for the
-/// head.
-fn handle_frame(shared: &Shared, pool: &mut ShardPool, queue: &mut VecDeque<Slot>, payload: &[u8]) {
-    // End-to-end service clock: covers decode, handling (cache-hit fast
-    // path included) and response encode; the write happens on the shared
-    // reactor and is not attributed to individual requests.
-    let svc_start = Instant::now();
-    shared.metrics.requests.inc();
-    // The client's request id (0 = unset) is echoed on the response and
-    // stamped into server spans, so merged client+server traces correlate
-    // request-for-request.
-    match Request::decode_with_id(payload) {
-        Err(e) => {
-            queue.push_back(Slot::Ready(
-                Response::Error(e.to_string()).encode_with_id(0),
-            ));
-            record_request(shared, svc_start);
-        }
-        Ok((id, Request::Info { model })) => {
-            let resp = match shared.models.resolve(&model) {
-                Ok(entry) => Response::Info(entry.info.clone()),
-                Err(msg) => Response::Error(msg),
-            };
-            queue.push_back(Slot::Ready(resp.encode_with_id(id)));
-            record_request(shared, svc_start);
-        }
-        Ok((id, Request::Stats)) => queue.push_back(Slot::Stats {
-            req_id: id,
-            svc_start,
-        }),
-        Ok((id, Request::Shutdown)) => {
-            shared.request_stop();
-            queue.push_back(Slot::Ready(Response::ShuttingDown.encode_with_id(id)));
-            record_request(shared, svc_start);
-        }
-        Ok((id, Request::Profile(records))) => queue.push_back(Slot::Profile {
-            req_id: id,
-            records,
-            svc_start,
-        }),
-        Ok((id, Request::Predict { model, rows })) => {
-            let entry = match shared.models.resolve(&model) {
-                Ok(e) => e,
-                Err(msg) => {
-                    queue.push_back(Slot::Ready(Response::Error(msg).encode_with_id(id)));
-                    record_request(shared, svc_start);
-                    return;
-                }
-            };
-            let dim = entry.info.dim as usize;
-            for (i, r) in rows.iter().enumerate() {
-                if r.row.len() != dim || r.mask.len() != dim {
-                    let msg = format!(
-                        "row {i}: got {} values / {} mask bits, model expects {dim}",
-                        r.row.len(),
-                        r.mask.len()
-                    );
-                    queue.push_back(Slot::Ready(Response::Error(msg).encode_with_id(id)));
-                    record_request(shared, svc_start);
-                    return;
-                }
-            }
-            let m = &shared.metrics;
-            m.predict_requests.inc();
-            m.predictions.add(rows.len() as u64);
-            m.record_batch_size(rows.len() as u64);
-            match pool.lookup(shared, &entry, rows) {
-                Lookup::Hit(probs) => {
-                    queue.push_back(Slot::Ready(predictions(probs).encode_with_id(id)));
-                    record_request(shared, svc_start);
-                }
-                Lookup::Pending(join) => queue.push_back(Slot::Pending {
-                    req_id: id,
-                    join,
-                    svc_start,
-                }),
-            }
-        }
-    }
 }
 
 /// Record one request's end-to-end service time into both the cumulative

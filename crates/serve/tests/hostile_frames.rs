@@ -53,11 +53,12 @@ fn assert_alive(addr: &str, dim: usize) {
 fn hostile_frames_cannot_kill_the_event_loop() {
     let dim = 8;
     let artifact = ModelArtifact::synthetic(dim, 3, 9);
-    let cfg = ServeConfig {
-        shards: 2,
-        ..ServeConfig::default()
-    };
-    let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind");
+    let handle = serve(
+        ModelSource::Artifact(&artifact),
+        "127.0.0.1:0",
+        &ServeConfig::default(),
+    )
+    .expect("bind");
     let addr = handle.addr().to_string();
 
     // 1. Oversized declared length: the reactor refuses to buffer it and
@@ -203,11 +204,12 @@ fn predict_bits(s: &mut TcpStream, payload: &[u8]) -> Vec<u64> {
 fn malformed_predict_bodies_get_typed_errors_and_mask_bytes_are_canonical() {
     let dim = 10; // one whole mask word plus a 2-byte tail
     let artifact = ModelArtifact::synthetic(dim, 3, 9);
-    let cfg = ServeConfig {
-        shards: 2,
-        ..ServeConfig::default()
-    };
-    let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind");
+    let handle = serve(
+        ModelSource::Artifact(&artifact),
+        "127.0.0.1:0",
+        &ServeConfig::default(),
+    )
+    .expect("bind");
     let addr = handle.addr().to_string();
     let row: Vec<f64> = (0..dim).map(|j| j as f64 / 4.0 - 1.0).collect();
     let ones = vec![1u8; dim];

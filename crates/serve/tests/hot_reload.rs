@@ -22,16 +22,12 @@ fn mid_traffic_reload_drops_zero_requests_and_flips_the_gauge() {
     let v2_artifact = ModelArtifact::synthetic(dim, 3, 22);
     assert_eq!(reg.publish("panel", &v1_artifact).expect("publish v1"), 1);
 
-    let cfg = ServeConfig {
-        shards: 2,
-        ..ServeConfig::default()
-    };
     let source = ModelSource::Registry {
         registry: &reg,
         models: &[("panel".to_string(), None)],
         reload_watch_ms: Some(10),
     };
-    let handle = serve(source, "127.0.0.1:0", &cfg).expect("bind");
+    let handle = serve(source, "127.0.0.1:0", &ServeConfig::default()).expect("bind");
     let addr = handle.addr().to_string();
 
     let rows: Vec<PredictRow> = (0..24)

@@ -1,7 +1,7 @@
 //! An idle server burns no CPU: with a client connection held open, and
 //! after a client that sent a PREDICT and closed without reading, every
-//! server thread blocks (the reactor and the HTTP sidecar in `poll(2)`, the
-//! shard worker on its channel) instead of spinning or napping.
+//! server thread blocks (the reactor and the HTTP sidecar in `poll(2)`)
+//! instead of spinning or napping.
 //!
 //! Linux-only: it reads each thread's on-CPU time from
 //! `/proc/self/task/*/schedstat`. The file holds this one test, so no other
@@ -46,7 +46,6 @@ fn an_idle_server_uses_no_cpu() {
     let dim = 8;
     let artifact = ModelArtifact::synthetic(dim, 3, 5);
     let cfg = ServeConfig {
-        shards: 1,
         http_addr: Some("127.0.0.1:0".into()),
         ..ServeConfig::default()
     };

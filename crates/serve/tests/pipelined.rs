@@ -1,12 +1,12 @@
 //! Pipelining across both PREDICT paths: on one connection, a batch that
-//! misses (computed by the shard workers), a batch that hits (answered on
-//! the reactor), another miss batch, a STATS, a PROFILE and a second STATS
-//! all arrive in one write before any reply is read. Replies come back in
+//! misses (run through the kernel), a batch that hits (answered from the
+//! cache), another miss batch, a STATS, a PROFILE and a second STATS all
+//! arrive in one write before any reply is read. Replies come back in
 //! request order carrying the in-process bits, the PROFILE joins every
 //! prediction served before it — the computed rows included — and each
 //! STATS counts exactly the PROFILE records applied before it. A request
-//! whose connection dies while its rows compute still caches and records
-//! them.
+//! whose connection dies before its reply is written still caches and
+//! records its computed rows.
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -36,11 +36,12 @@ fn replies_keep_request_order_and_profile_joins_computed_rows() {
     let dim = 12;
     let artifact = ModelArtifact::synthetic(dim, 5, 77);
     let model = artifact.to_model();
-    let cfg = ServeConfig {
-        shards: 2,
-        ..ServeConfig::default()
-    };
-    let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind");
+    let handle = serve(
+        ModelSource::Artifact(&artifact),
+        "127.0.0.1:0",
+        &ServeConfig::default(),
+    )
+    .expect("bind");
 
     // B's rows are cached (and in the ledger) before the pipeline starts.
     let (a, b, c) = (rows(dim, 1, 70), rows(dim, 2, 32), rows(dim, 3, 20));
@@ -49,7 +50,7 @@ fn replies_keep_request_order_and_profile_joins_computed_rows() {
         .predict(b.clone())
         .expect("warm B");
 
-    // A: 70 misses, three jobs over both workers. B: all hits. C: 20 misses.
+    // A: 70 misses, three kernel chunks. B: all hits. C: 20 misses.
     let records: Vec<ProfileRecord> = a
         .iter()
         .chain(&b)
@@ -114,8 +115,8 @@ fn replies_keep_request_order_and_profile_joins_computed_rows() {
             assert_eq!(p.taken, want > 0.5, "{name} row {i}: wrong direction");
         }
     }
-    // Each STATS renders at the head of the queue: the first before the
-    // PROFILE is applied, the second after.
+    // Each STATS renders in request order: the first before the PROFILE
+    // is applied, the second after.
     for (slot, applied) in [(3, 0), (5, records.len())] {
         let Response::Stats(stats) = &replies[slot].1 else {
             panic!("expected stats, got {:?}", replies[slot].1);
@@ -153,14 +154,15 @@ fn a_dropped_connection_still_caches_and_records_its_computed_rows() {
     let dim = 12;
     let artifact = ModelArtifact::synthetic(dim, 5, 78);
     let model = artifact.to_model();
-    let cfg = ServeConfig {
-        shards: 2,
-        ..ServeConfig::default()
-    };
-    let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind");
+    let handle = serve(
+        ModelSource::Artifact(&artifact),
+        "127.0.0.1:0",
+        &ServeConfig::default(),
+    )
+    .expect("bind");
 
     // A PREDICT of 64 misses, then a frame header past the size cap: the
-    // server drops the connection while the workers compute.
+    // server drops the connection before it writes the PREDICT's reply.
     let batch = rows(dim, 4, 64);
     let predict = Request::Predict {
         model: String::new(),

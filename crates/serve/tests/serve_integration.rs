@@ -192,11 +192,12 @@ fn run_esp_serve(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn unknown_flags_exit_2_before_serving() {
-    // `--threads` is not an esp-serve flag (`--shards` is), and there is no
-    // `--precision`: an artifact serves at its own. A value flag never
-    // takes a flag as its value, no flag may be given twice, and the
-    // registry flags mean nothing with a `--synthetic` model. Each must
-    // stop the binary instead of silently serving without it.
+    // `--threads` is not an esp-serve flag, and there is no `--precision`:
+    // an artifact serves at its own. A value flag never takes a flag as
+    // its value, no flag may be given twice, the registry flags mean
+    // nothing with a `--synthetic` model, and `--shards` takes only 1
+    // (the event loop computes every miss). Each must stop the binary
+    // instead of silently serving without it.
     for (args, named) in [
         (&["--threads", "2"][..], "--threads"),
         (&["--precision", "f32"][..], "--precision"),
@@ -204,6 +205,8 @@ fn unknown_flags_exit_2_before_serving() {
         (&["--name", "m"][..], "--name"),
         (&["--reload-watch", "50"][..], "--reload-watch"),
         (&["--cache", "8", "--cache", "9"][..], "--cache"),
+        (&["--shards", "2"][..], "--shards"),
+        (&["--shards", "0"][..], "--shards"),
     ] {
         let (code, stderr) = run_esp_serve(args);
         assert_eq!(code, Some(2), "{args:?}: stderr was {stderr:?}");
@@ -216,6 +219,48 @@ fn unknown_flags_exit_2_before_serving() {
             "{args:?}: server started: {stderr:?}"
         );
     }
+}
+
+#[test]
+fn shards_1_still_serves() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+
+    // Command lines written when misses went to worker threads (the
+    // repository benchmark's among them) pass `--shards 1`.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_esp-serve"))
+        .args([
+            "--synthetic",
+            "6,3,1",
+            "--addr",
+            "127.0.0.1:0",
+            "--shards",
+            "1",
+        ])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn esp-serve");
+    let stderr = std::io::BufReader::new(child.stderr.take().expect("stderr is piped"));
+    let mut lines = stderr.lines().map_while(Result::ok);
+    let addr = lines
+        .find_map(|l| {
+            Some(
+                l.split_once("listening on ")?
+                    .1
+                    .split(' ')
+                    .next()?
+                    .to_string(),
+            )
+        })
+        .expect("esp-serve --shards 1 never listened");
+    let mut client = Client::connect(&addr).expect("connect");
+    assert_eq!(client.info().expect("info").dim, 6);
+    client.shutdown().expect("shutdown");
+    // Read stderr to its end, so the server's last line has a reader.
+    lines.for_each(drop);
+    assert!(child.wait().expect("reap esp-serve").success());
 }
 
 #[test]
@@ -297,7 +342,7 @@ fn esp_client_registry_list_names_a_missing_directory() {
 
 #[test]
 fn one_row_and_multi_chunk_batches_are_bitwise_identical() {
-    // A shard computes its misses in fixed-size kernel chunks: a 64-row
+    // The reactor computes misses in fixed-size kernel chunks: a 64-row
     // batch spans two of them, a 1-row batch is a chunk of 1. Both must
     // produce the same bits as in-process inference.
     let artifact = ModelArtifact::synthetic(10, 3, 77);
@@ -314,7 +359,6 @@ fn one_row_and_multi_chunk_batches_are_bitwise_identical() {
         .collect();
 
     let cfg = ServeConfig {
-        shards: 1,
         cache_capacity: 0, // force every row through the compute path
         ..ServeConfig::default()
     };

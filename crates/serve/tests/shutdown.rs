@@ -24,7 +24,6 @@ fn start(tag: &str) -> (ServerHandle, PathBuf) {
         .publish("m", &ModelArtifact::synthetic(6, 3, 9))
         .expect("publish");
     let cfg = ServeConfig {
-        shards: 2,
         http_addr: Some("127.0.0.1:0".into()),
         ..ServeConfig::default()
     };

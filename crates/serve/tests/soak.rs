@@ -26,18 +26,19 @@ fn proc_status(field: &str) -> u64 {
 #[test]
 fn five_hundred_sequential_connections_leak_nothing() {
     let artifact = ModelArtifact::synthetic(8, 3, 17);
-    let cfg = ServeConfig {
-        shards: 2,
-        ..ServeConfig::default()
-    };
-    let handle = serve(ModelSource::Artifact(&artifact), "127.0.0.1:0", &cfg).expect("bind");
+    let handle = serve(
+        ModelSource::Artifact(&artifact),
+        "127.0.0.1:0",
+        &ServeConfig::default(),
+    )
+    .expect("bind");
     let addr = handle.addr().to_string();
     let row = PredictRow {
         row: vec![0.5; 8],
         mask: vec![true; 8],
     };
 
-    // Warm: let the reactor, shard workers and allocator reach steady
+    // Warm: let the reactor and the allocator reach steady
     // state before measuring.
     for _ in 0..20 {
         let mut c = Client::connect(&addr).expect("connect");

@@ -162,14 +162,13 @@ fn profile_loop_reproduces_in_process_miss_rate() {
         scraped, scraped_again,
         "scraping must not perturb the registry"
     );
-    // The histograms, shard gauge and ledger size are the series the
-    // repository benchmark parses out of its scrapes.
+    // The histograms and ledger size are the series the repository
+    // benchmark parses out of its scrapes.
     for series in [
         "esp_serve_requests_total",
         "esp_serve_request_us_bucket{le=\"",
         "esp_serve_predict_compute_us_bucket{le=\"",
         "esp_serve_batch_size_bucket{le=\"",
-        "\nesp_serve_shard_0_queue_depth ",
         "\nesp_ledger_sites ",
         "esp_ledger_profile_records_total",
         "esp_ledger_observed_miss_rate",
@@ -183,9 +182,8 @@ fn profile_loop_reproduces_in_process_miss_rate() {
     assert!(status.contains(" 200 "), "GET /healthz: {status}");
     assert!(health.contains("\"model\": \"telemetry-e2e\""));
     assert!(health.contains("\"protocol_version\": 4"));
-    assert!(health.contains("\"shards\":"));
     assert!(health.contains("\"reloads_total\": 0"));
-    assert!(health.contains("\"shard_health\": ["));
+    assert!(!health.contains("shard"), "/healthz still reports shards");
     assert!(health.contains("\"ledger_enabled\": true"));
     assert!(health.contains("\"window\""));
 

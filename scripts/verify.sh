@@ -125,8 +125,8 @@ is intentional, regenerate results/lint_golden.json with esp_lint --json" >&2; e
         || server_fail "/healthz is missing protocol_version 4"
     grep -q '"ledger_enabled": true' sidecar_healthz.json \
         || server_fail "/healthz says the default-on ledger is off"
-    grep -q '"shard_health": \[' sidecar_healthz.json \
-        || server_fail "/healthz is missing the shard_health array"
+    ! grep -q 'shard' sidecar_healthz.json \
+        || server_fail "/healthz still reports shards"
     ./target/release/esp-client get --addr "$http_addr" --path '/sitez?top=5' > sidecar_sitez.json
     if command -v python3 >/dev/null 2>&1; then
         python3 - <<'PYEOF'
@@ -147,12 +147,12 @@ PYEOF
     wait "$serve_pid"
     rm -f serve_sidecar.log sidecar_metrics.prom sidecar_healthz.json sidecar_sitez.json
 
-    echo "==> hot-reload smoke (2 shards, registry publish mid-run, version gauge flips)"
+    echo "==> hot-reload smoke (registry publish mid-run, version gauge flips)"
     rm -rf target/verify_reload_registry
     ./target/release/esp-client registry publish --dir target/verify_reload_registry \
         --name smoke --synthetic 16,6,41 > /dev/null
     start_server serve_reload.log "reload smoke" --registry target/verify_reload_registry \
-        --name smoke --shards 2 --reload-watch 50
+        --name smoke --reload-watch 50
     ./target/release/esp-client info --addr "$tcp_addr" --model smoke | grep -q '\[smoke@1\]' \
         || server_fail "reload smoke: expected smoke@1 before publish"
     ./target/release/esp-client registry publish --dir target/verify_reload_registry \
@@ -166,12 +166,8 @@ PYEOF
     [[ "$reloaded" -eq 1 ]] || server_fail "reload smoke: esp_serve_model_version never reached 2"
     grep -q '^esp_serve_reloads_total 1$' reload_metrics.prom \
         || server_fail "reload smoke: esp_serve_reloads_total != 1"
-    grep -q '^esp_serve_shards 2$' reload_metrics.prom \
-        || server_fail "reload smoke: esp_serve_shards != 2"
-    for family in esp_serve_shard_0_queue_depth esp_serve_shard_1_queue_depth \
-                  esp_serve_cache_entries; do
-        grep -q "^${family} " reload_metrics.prom || server_fail "reload smoke: missing ${family}"
-    done
+    grep -q '^esp_serve_cache_entries ' reload_metrics.prom \
+        || server_fail "reload smoke: missing esp_serve_cache_entries"
     ./target/release/esp-client info --addr "$tcp_addr" --model smoke@2 | grep -q '\[smoke@2\]' \
         || server_fail "reload smoke: smoke@2 not served after reload"
     ./target/release/esp-client shutdown --addr "$tcp_addr" > /dev/null

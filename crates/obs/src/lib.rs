@@ -33,7 +33,7 @@
 //!
 //! Two byte hashes live here. [`Fnv1a`] is the stable one: corpus name
 //! seeds and the ledger's `/sitez` site ids go through it, so the Table 4
-//! bytes pin it. [`WordHash`] is the fast one: the server hashes each
+//! bytes pin it. [`word_hash`] is the fast one: the server hashes each
 //! served row with it once, and that one hash keys the cache map and
 //! indexes the ledger.
 //!
@@ -118,19 +118,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// A 64-bit hash that folds one little-endian word at a time: the serve
-/// path's row hash. A byte string hashes as its 8-byte words in order, the
-/// last one zero-padded, with the byte length folded in by
-/// [`WordHash::finish`]; [`word_hash`] is that over a slice. The streaming
-/// form lets a caller feed words it never materializes as bytes (a served
-/// row's f64 bit patterns, its mask bytes packed eight to a word) and get
-/// exactly the hash of the byte string it stands for.
-///
-/// Not keyed and not collision-resistant: a table indexed by it must
-/// compare full keys, and one that faces untrusted keys must still hash
-/// them with a keyed hasher and must not chain colliding keys.
+/// The state of [`word_hash`]: a 64-bit hash that folds one little-endian
+/// word at a time.
 #[derive(Debug, Clone, Copy)]
-pub struct WordHash(u64);
+pub(crate) struct WordHash(u64);
 
 impl Default for WordHash {
     #[inline]
@@ -160,7 +151,13 @@ impl WordHash {
     }
 }
 
-/// [`WordHash`] of one byte string.
+/// A 64-bit hash that folds one little-endian word at a time: the serve
+/// path's row hash. A byte string hashes as its 8-byte words in order, the
+/// last one zero-padded, with the byte length folded in last.
+///
+/// Not keyed and not collision-resistant: a table indexed by it must
+/// compare full keys, and one that faces untrusted keys must still hash
+/// them with a keyed hasher and must not chain colliding keys.
 #[inline]
 pub fn word_hash(bytes: &[u8]) -> u64 {
     let mut h = WordHash::default();

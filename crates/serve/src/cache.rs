@@ -4,9 +4,11 @@
 //! about every branch of a program hits the same few hundred static shapes
 //! over and over — so a small exact-match cache absorbs most of the
 //! network-forward cost. Keys are the *raw* row bits plus one 0/1 byte
-//! per mask position (the decoded wire payload: any nonzero mask byte on
-//! the wire reads as 1), so two requests hit the same entry iff the model
-//! would compute the same probability.
+//! per mask position ([`cache_key`], the crate's `site_key`): exactly a
+//! PREDICT row's wire bytes once the in-place parse has rewritten its
+//! mask bytes (any nonzero mask byte on the wire reads as 1), so two
+//! requests hit the same entry iff the model would compute the same
+//! probability.
 //!
 //! Implementation: a `HashMap` from `(load id, row hash)` to slab index
 //! plus an index-linked list threaded through the slab, giving `O(1)`
@@ -24,50 +26,23 @@
 //! probability; a colliding key takes the slot over instead of chaining.
 //! Evicted slots go on a free list and their key buffers are reused by the
 //! next insert, so a warmed cache at capacity stops allocating for
-//! evictions. Lookups take a borrowed `&[u8]` key — pair with
-//! [`cache_key_into`] and a caller-owned scratch buffer to make the whole
-//! probe path allocation-free.
+//! evictions. Lookups take a borrowed `&[u8]` key — the server passes each
+//! row's slice of its request frame — so the whole probe path is
+//! allocation-free.
 
 use std::collections::HashMap;
 
-use esp_obs::{word_hash, WordHash};
+use esp_obs::word_hash;
 
 /// Build the cache key for one request row: the raw IEEE-754 bits of every
 /// feature followed by the mask bytes.
 pub fn cache_key(row: &[f64], mask: &[bool]) -> Vec<u8> {
     let mut key = Vec::with_capacity(row.len() * 8 + mask.len());
-    cache_key_into(&mut key, row, mask);
+    for &x in row {
+        key.extend_from_slice(&x.to_bits().to_le_bytes());
+    }
+    key.extend(mask.iter().map(|&m| u8::from(m)));
     key
-}
-
-/// Write the cache key for one request row into a caller-owned buffer,
-/// clearing it first. Reusing one buffer across rows keeps the hot lookup
-/// path free of allocation (the buffer grows once to the row size and is
-/// then recycled).
-pub fn cache_key_into(buf: &mut Vec<u8>, row: &[f64], mask: &[bool]) {
-    buf.clear();
-    buf.reserve(row.len() * 8 + mask.len());
-    for &x in row {
-        buf.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
-    buf.extend(mask.iter().map(|&m| m as u8));
-}
-
-/// [`esp_obs::word_hash`] of `cache_key(row, mask)`, streamed without
-/// materializing the key: each f64's bits are one word, and the mask bytes
-/// pack eight to a word. Hashing exactly the key's byte sequence is the
-/// invariant the server rests on: equal keys hash equally, so a feature
-/// vector always finds its cached probability, and its ledger site is the
-/// one PROFILE finds from the key bytes.
-pub fn row_hash(row: &[f64], mask: &[bool]) -> u64 {
-    let mut h = WordHash::default();
-    for &x in row {
-        h.word(x.to_bits());
-    }
-    for bits in mask.chunks(8) {
-        h.word(bits.iter().rev().fold(0, |w, &m| w << 8 | m as u64));
-    }
-    h.finish(row.len() * 8 + mask.len())
 }
 
 /// Sentinel slab index meaning "no link".
@@ -285,22 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn row_hash_matches_the_cache_key_bytes() {
-        // The routing invariant: hashing the row directly must equal the
-        // word hash of the materialized cache key, at every mask tail
-        // length (dim 1 to 17 covers 0–7 mask bytes past a whole word).
-        let values = [1.5, -0.25, f64::NAN, -0.0, f64::from_bits(1), f64::INFINITY];
-        for dim in 1..=17 {
-            let row: Vec<f64> = (0..dim).map(|i| values[i % values.len()]).collect();
-            for pattern in [0usize, 0b1011, usize::MAX] {
-                let mask: Vec<bool> = (0..dim).map(|i| pattern >> (i % 8) & 1 == 1).collect();
-                let key = cache_key(&row, &mask);
-                assert_eq!(row_hash(&row, &mask), word_hash(&key), "dim {dim}");
-            }
-        }
-    }
-
-    #[test]
     fn colliding_hashes_never_serve_each_other() {
         // Two keys forced under one (id, hash): each probe sees only its own
         // value, and the later insert takes the slot over.
@@ -342,17 +301,6 @@ mod tests {
         let n1 = f64::from_bits(0x7FF8_0000_0000_0001);
         let n2 = f64::from_bits(0x7FF8_0000_0000_0002);
         assert_ne!(cache_key(&[n1], &[true]), cache_key(&[n2], &[true]));
-    }
-
-    #[test]
-    fn cache_key_into_reuses_the_buffer() {
-        let mut buf = Vec::new();
-        cache_key_into(&mut buf, &[1.0, 2.0], &[true, false]);
-        assert_eq!(buf, cache_key(&[1.0, 2.0], &[true, false]));
-        let cap = buf.capacity();
-        cache_key_into(&mut buf, &[3.0], &[true]);
-        assert_eq!(buf, cache_key(&[3.0], &[true]));
-        assert_eq!(buf.capacity(), cap, "smaller key must not reallocate");
     }
 
     #[test]

@@ -15,11 +15,14 @@
 //!   every iteration and acting only on the descriptors it reported
 //!   ready), graceful drain on shutdown, and the hot-reload watcher.
 //! - `predict` (internal) — the reactor's PREDICT path: its one LRU cache
-//!   and the batched kernel over the rows that miss it. The reactor hashes
-//!   each row once, word by word over its cache-key bytes
-//!   ([`esp_obs::word_hash`]); that hash keys the cache and indexes the
-//!   ledger. Every PREDICT is answered in the reactor iteration that
-//!   decoded it.
+//!   and the batched kernel over the rows that miss it. The reactor parses
+//!   each frame once, in place ([`protocol::RequestView`]): a row is its
+//!   slice of the frame, mask bytes rewritten to 0/1, which is its cache
+//!   key and ledger key as it stands. Each row is hashed once
+//!   ([`esp_obs::word_hash`] of that slice); the hash keys the cache and
+//!   indexes the ledger, and only cache misses are widened to f64 rows
+//!   for the kernel. Every PREDICT is answered in the reactor iteration
+//!   that parsed it.
 //! - `models` (internal) — the name/version routing table behind the v4
 //!   model selector; hot reload atomically swaps entries here.
 //! - [`cache`] — an O(1) exact-match LRU keyed on the raw feature bits, so

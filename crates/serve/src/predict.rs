@@ -1,17 +1,22 @@
 //! The reactor's PREDICT path: one LRU cache it owns outright, and the
 //! batched kernel over the rows that miss it, both run on the reactor.
 //!
-//! The event loop hashes every predict row once, with [`row_hash`]: the
-//! [`esp_obs::word_hash`] of its `site_key` bytes (the bytes PROFILE joins
-//! on), streamed from the decoded row without building them. That one
-//! hash keys the cache map and indexes the accuracy ledger, and PROFILE
-//! hashes its `site_key` with the same function. Only the reactor thread
-//! touches the cache and writes served predictions to the ledger, so
-//! neither needs coherence across threads, and the hit rate is that of one
-//! cache of the configured capacity.
+//! The reactor parses each request frame once, in place
+//! ([`RequestView::parse`](crate::protocol::RequestView::parse)): a
+//! PREDICT row is a `9·dim`-byte slice of the frame whose mask bytes the
+//! parse rewrote to 0/1, so the slice *is* the row's `site_key`, the bytes
+//! PROFILE joins on. Each row is hashed once, with
+//! [`esp_obs::word_hash`] of that slice; the hash keys the cache map and
+//! indexes the accuracy ledger, and cache and ledger take the slice itself
+//! as the key. Only the rows that miss are widened into f64 values and
+//! mask flags, in scratch buffers the predictor reuses, for the kernel.
+//! PROFILE hashes its `site_key` with the same function. Only the reactor
+//! thread touches the cache and writes served predictions to the ledger,
+//! so neither needs coherence across threads, and the hit rate is that of
+//! one cache of the configured capacity.
 //!
 //! [`Predictor::predict`] answers a validated PREDICT in the reactor
-//! iteration that decoded it. One pass looks every row up, one row at a
+//! iteration that parsed it. One pass looks every row up, one row at a
 //! time, and records each hit in the ledger. The rows that missed then go
 //! through the batched kernel, [`PREDICT_CHUNK`] rows per call, and each
 //! computed row is cached and recorded before the reply is encoded, so the
@@ -35,21 +40,24 @@
 
 use std::time::Instant;
 
-use crate::cache::{cache_key_into, row_hash, LruCache};
+use esp_obs::word_hash;
+
+use crate::cache::LruCache;
 use crate::models::ModelEntry;
-use crate::protocol::PredictRow;
+use crate::protocol::{widen_row, PredictRows};
 use crate::server::Shared;
 
 /// Rows per batched-kernel call: bounds the kernel's thread-local panel
 /// whatever the size of the request.
 const PREDICT_CHUNK: usize = 32;
 
-/// The cache and its scratch key buffer, owned by the reactor thread.
+/// The cache and the kernel's scratch rows, owned by the reactor thread.
 pub(crate) struct Predictor {
     cache: LruCache,
-    /// One reusable key buffer: hot-path lookups allocate nothing (see
-    /// `LruCache::get_hashed`).
-    key_buf: Vec<u8>,
+    /// One chunk of missed rows, widened for the kernel: reused, so a
+    /// warmed reactor allocates nothing here.
+    values: Vec<f64>,
+    mask: Vec<bool>,
 }
 
 impl Predictor {
@@ -58,7 +66,8 @@ impl Predictor {
     pub fn new(cache_capacity: usize) -> Predictor {
         Predictor {
             cache: LruCache::new(cache_capacity),
-            key_buf: Vec::new(),
+            values: Vec::new(),
+            mask: Vec::new(),
         }
     }
 
@@ -71,21 +80,20 @@ impl Predictor {
         &mut self,
         shared: &Shared,
         entry: &ModelEntry,
-        rows: &[PredictRow],
+        rows: PredictRows<'_>,
     ) -> Vec<f64> {
         let start = Instant::now();
         let mut probs = Vec::with_capacity(rows.len());
         let mut misses = Vec::new();
-        for (i, r) in rows.iter().enumerate() {
-            let hash = row_hash(&r.row, &r.mask);
-            cache_key_into(&mut self.key_buf, &r.row, &r.mask);
-            let prob = match self.cache.get_hashed(entry.id, hash, &self.key_buf) {
+        for (i, key) in rows.iter().enumerate() {
+            let hash = word_hash(key);
+            let prob = match self.cache.get_hashed(entry.id, hash, key) {
                 Some(p) => {
-                    shared.ledger.record_served_hashed(hash, &self.key_buf, p);
+                    shared.ledger.record_served_hashed(hash, key, p);
                     p
                 }
                 None => {
-                    misses.push((i, hash));
+                    misses.push((i, key, hash));
                     0.0
                 }
             };
@@ -96,20 +104,21 @@ impl Predictor {
         m.cache_misses.add(misses.len() as u64);
         if !misses.is_empty() {
             let _sp = esp_obs::span!("serve", "predict_misses", rows = misses.len());
+            let dim = rows.dim();
             for chunk in misses.chunks(PREDICT_CHUNK) {
+                self.values.clear();
+                self.mask.clear();
+                for &(_, key, _) in chunk {
+                    widen_row(key, &mut self.values, &mut self.mask);
+                }
                 let computed = entry.model.predict_prob_encoded_batch(
-                    chunk
-                        .iter()
-                        .map(|&(i, _)| (&rows[i].row[..], &rows[i].mask[..])),
+                    self.values
+                        .chunks_exact(dim)
+                        .zip(self.mask.chunks_exact(dim)),
                 );
-                for (&(i, hash), prob) in chunk.iter().zip(computed) {
-                    let r = &rows[i];
-                    cache_key_into(&mut self.key_buf, &r.row, &r.mask);
-                    self.cache
-                        .insert_hashed(entry.id, hash, &self.key_buf, prob);
-                    shared
-                        .ledger
-                        .record_served_hashed(hash, &self.key_buf, prob);
+                for (&(i, key, hash), prob) in chunk.iter().zip(computed) {
+                    self.cache.insert_hashed(entry.id, hash, key, prob);
+                    shared.ledger.record_served_hashed(hash, key, prob);
                     probs[i] = prob;
                 }
             }

@@ -41,6 +41,13 @@
 //! key: raw row bits + mask bytes — see `site_key`). Zero-length keys and
 //! non-finite or negative weights are decode errors.
 //!
+//! One validating parse checks every request. The server runs it in place
+//! over the frame it read ([`RequestView::parse`]): fields borrow the
+//! frame, and each PREDICT row's mask bytes are rewritten to 0/1, so a
+//! row's `9·dim` bytes are its `site_key` as they stand. Clients and tests
+//! get an owned [`Request`] from [`Request::decode_with_id`], which runs
+//! the same parse over a shared payload and copies the fields out.
+//!
 //! Responses continue with a one-byte status (`0` ok, `1` error). An error
 //! carries a UTF-8 message; an ok body depends on the request:
 //! PREDICT → `u32 n` then `n × (f64 prob, u8 taken)`; STATS → the nine
@@ -51,7 +58,7 @@
 
 use std::io::{Read, Write};
 
-use esp_artifact::bytes::{ByteReader, ByteWriter};
+use esp_artifact::bytes::ByteWriter;
 use esp_artifact::ArtifactError;
 
 /// Hard cap on a single frame (requests this large are refused, not
@@ -80,23 +87,6 @@ pub const MAX_SELECTOR: usize = 256;
 fn write_version(w: &mut ByteWriter) {
     w.u8(PROTOCOL_MAGIC);
     w.u8(PROTOCOL_VERSION);
-}
-
-fn check_version(r: &mut ByteReader) -> Result<(), ServeError> {
-    let magic = r.u8()?;
-    if magic != PROTOCOL_MAGIC {
-        return Err(ServeError::Protocol(format!(
-            "payload lacks the protocol magic (first byte 0x{magic:02x}): \
-             peer speaks the unversioned v1 protocol or something else entirely"
-        )));
-    }
-    let version = r.u8()?;
-    if version != PROTOCOL_VERSION {
-        return Err(ServeError::Protocol(format!(
-            "peer speaks protocol version {version}, this build speaks {PROTOCOL_VERSION}"
-        )));
-    }
-    Ok(())
 }
 
 /// Everything that can go wrong on the wire.
@@ -303,20 +293,6 @@ fn check_selector(model: &str) -> Result<(), ServeError> {
     Ok(())
 }
 
-/// Decode a model selector, checking the length cap *before* materializing
-/// the string (the same pre-allocation discipline as the batch bounds).
-fn read_selector(r: &mut ByteReader) -> Result<String, ServeError> {
-    let len = r.u32()? as usize;
-    if len > MAX_SELECTOR {
-        return Err(ServeError::Protocol(format!(
-            "model selector of {len} bytes exceeds the {MAX_SELECTOR}-byte cap"
-        )));
-    }
-    std::str::from_utf8(r.bytes(len)?)
-        .map(str::to_owned)
-        .map_err(|_| ServeError::Protocol("model selector is not valid UTF-8".into()))
-}
-
 /// One prediction: the taken-probability and the thresholded direction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
@@ -497,107 +473,385 @@ impl Request {
         Self::decode_with_id(payload).map(|(_, req)| req)
     }
 
-    /// Decode a frame payload, returning `(req_id, request)`.
+    /// Decode a frame payload, returning `(req_id, request)`: the
+    /// validating parse [`RequestView::parse`] runs, over a shared
+    /// payload, then every field is copied out.
     pub fn decode_with_id(payload: &[u8]) -> Result<(u64, Self), ServeError> {
-        let mut r = ByteReader::new(payload);
-        check_version(&mut r)?;
-        let req_id = r.u64()?;
-        let op = r.u8()?;
-        let req = match op {
-            OP_PREDICT => {
-                let model = read_selector(&mut r)?;
-                let n = r.u32()? as usize;
-                let dim = r.u32()? as usize;
-                // Each row consumes 9·dim bytes. dim == 0 would make the
-                // bound below vacuous and let a 9-byte frame demand an
-                // n-row allocation; no real model is 0-dimensional.
-                if n > 0 && dim == 0 {
-                    return Err(ServeError::Protocol(
-                        "predict batch claims rows of zero features".into(),
-                    ));
-                }
-                let Some(need) = dim
-                    .checked_mul(9)
-                    .and_then(|per_row| per_row.checked_mul(n))
-                    .filter(|&need| need <= r.remaining())
-                else {
-                    return Err(ServeError::Protocol(format!(
-                        "predict batch claims {n} rows × {dim} features beyond the frame"
-                    )));
-                };
-                let body = r.bytes(need)?;
-                // An empty batch may carry dim == 0, and `chunks_exact(0)`
-                // panics, so it never reaches the split.
-                let rows = if n == 0 {
-                    Vec::new()
-                } else {
-                    body.chunks_exact(9 * dim)
-                        .map(|record| {
-                            let (bits, mask) = record.split_at(8 * dim);
-                            PredictRow {
-                                row: bits
-                                    .chunks_exact(8)
-                                    .map(|b| {
-                                        f64::from_le_bytes(b.try_into().expect("8-byte chunk"))
-                                    })
-                                    .collect(),
-                                mask: mask.iter().map(|&m| m != 0).collect(),
-                            }
-                        })
-                        .collect()
-                };
-                Request::Predict { model, rows }
-            }
-            OP_STATS => Request::Stats,
-            OP_INFO => Request::Info {
-                model: read_selector(&mut r)?,
+        parse(payload).map(|(id, view)| (id, view.to_request()))
+    }
+}
+
+/// A request parsed in place: every field borrows the payload it was
+/// parsed from, so parsing allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub enum RequestView<'a> {
+    /// A predict batch against the selected model (`""` = the default).
+    Predict {
+        /// Model selector: `""`, `"name"`, or `"name@version"`.
+        model: &'a str,
+        /// The batch rows, each its own site key.
+        rows: PredictRows<'a>,
+    },
+    /// Fetch the server's metrics counters.
+    Stats,
+    /// Fetch model facts for the selected model (`""` = the default).
+    Info {
+        /// Model selector: `""`, `"name"`, or `"name@version"`.
+        model: &'a str,
+    },
+    /// Stop accepting work and exit.
+    Shutdown,
+    /// Observed branch outcomes for the accuracy ledger.
+    Profile(ProfileRecords<'a>),
+}
+
+/// A PREDICT batch in its frame: rows of `9·dim` bytes, each the raw
+/// IEEE-754 bits of its `dim` features followed by `dim` mask bytes.
+/// Parsed in place, every mask byte reads 0 or 1, so each row is exactly
+/// `site_key(row, mask)` of its decoded form.
+#[derive(Debug, Clone, Copy)]
+pub struct PredictRows<'a> {
+    dim: usize,
+    bytes: &'a [u8],
+}
+
+impl<'a> PredictRows<'a> {
+    /// Features per row (the frame's one `dim` field).
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Rows in the batch.
+    pub fn len(&self) -> usize {
+        self.bytes.len() / row_width(self.dim)
+    }
+
+    /// True for an empty batch.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Every row's bytes, in request order.
+    pub fn iter(&self) -> std::slice::ChunksExact<'a, u8> {
+        self.bytes.chunks_exact(row_width(self.dim))
+    }
+}
+
+/// Bytes per PREDICT row. An empty batch may carry `dim == 0`, and
+/// `chunks_exact(0)` panics, so zero-width rows split as 9-byte ones: the
+/// parse refuses `n > 0` rows of zero features, so there are none.
+fn row_width(dim: usize) -> usize {
+    9 * dim.max(1)
+}
+
+/// Append one row's features and mask, as [`PredictRows::iter`] yields
+/// it, to `values` and `mask`: the inverse of `site_key`.
+pub(crate) fn widen_row(row: &[u8], values: &mut Vec<f64>, mask: &mut Vec<bool>) {
+    let (bits, flags) = row.split_at(row.len() / 9 * 8);
+    values.extend(
+        bits.chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+    );
+    mask.extend(flags.iter().map(|&m| m != 0));
+}
+
+/// A PROFILE batch in its frame: validated records, each read back as
+/// `(site key, taken, weight)` without copying the key.
+#[derive(Debug, Clone, Copy)]
+pub struct ProfileRecords<'a> {
+    n: usize,
+    bytes: &'a [u8],
+}
+
+impl<'a> ProfileRecords<'a> {
+    /// Records in the batch.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// True for an empty batch.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// Every record as `(site key, taken, weight)`, in request order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a [u8], bool, f64)> {
+        let mut r = Fields { rest: self.bytes };
+        // The parse validated every record, so none is skipped here.
+        (0..self.n).filter_map(move |_| r.record().ok())
+    }
+}
+
+impl<'a> RequestView<'a> {
+    /// Parse a request payload in place: check it exactly as
+    /// [`Request::decode_with_id`] does, with the same typed errors, and
+    /// rewrite every PREDICT mask byte to 0/1 so each row is its own site
+    /// key. Returns `(req_id, request)`.
+    pub fn parse(payload: &'a mut [u8]) -> Result<(u64, Self), ServeError> {
+        parse(payload)
+    }
+
+    /// Copy every field out into an owned [`Request`].
+    pub fn to_request(&self) -> Request {
+        match *self {
+            RequestView::Predict { model, rows } => Request::Predict {
+                model: model.to_owned(),
+                rows: rows
+                    .iter()
+                    .map(|bytes| {
+                        let (mut row, mut mask) = (Vec::new(), Vec::new());
+                        widen_row(bytes, &mut row, &mut mask);
+                        PredictRow { row, mask }
+                    })
+                    .collect(),
             },
-            OP_SHUTDOWN => Request::Shutdown,
-            OP_PROFILE => {
-                let n = r.u32()? as usize;
-                // Same discipline as PREDICT: bound the claimed record
-                // count by the bytes actually present before allocating.
-                if n.checked_mul(PROFILE_RECORD_MIN)
-                    .is_none_or(|need| need > r.remaining())
-                {
-                    return Err(ServeError::Protocol(format!(
-                        "profile batch claims {n} records beyond the frame"
-                    )));
-                }
-                let mut records = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let key_len = r.u32()? as usize;
-                    if key_len == 0 {
-                        return Err(ServeError::Protocol(
-                            "profile record carries a zero-length site key".into(),
-                        ));
-                    }
-                    if key_len > r.remaining() {
-                        return Err(ServeError::Protocol(format!(
-                            "profile site key of {key_len} bytes beyond the frame"
-                        )));
-                    }
-                    let site_key = r.bytes(key_len)?.to_vec();
-                    let taken = r.u8()? != 0;
-                    let weight = r.f64()?;
-                    if !weight.is_finite() || weight < 0.0 {
-                        return Err(ServeError::Protocol(format!(
-                            "profile weight {weight} is not a finite non-negative number"
-                        )));
-                    }
-                    records.push(ProfileRecord {
-                        site_key,
+            RequestView::Stats => Request::Stats,
+            RequestView::Info { model } => Request::Info {
+                model: model.to_owned(),
+            },
+            RequestView::Shutdown => Request::Shutdown,
+            RequestView::Profile(records) => Request::Profile(
+                records
+                    .iter()
+                    .map(|(key, taken, weight)| ProfileRecord {
+                        site_key: key.to_vec(),
                         taken,
                         weight,
-                    });
-                }
-                Request::Profile(records)
-            }
-            other => return Err(ServeError::Protocol(format!("unknown opcode {other}"))),
-        };
-        r.finish()?;
-        Ok((req_id, req))
+                    })
+                    .collect(),
+            ),
+        }
     }
+}
+
+/// The bytes a request parse splits. The server parses the frame buffer
+/// it owns (`&mut [u8]`) and rewrites PREDICT mask bytes to 0/1 as it
+/// goes; [`Request::decode_with_id`] parses a shared payload and leaves
+/// them as sent, reading any nonzero byte as set.
+trait Payload<'a>: Default + std::ops::Deref<Target = [u8]> {
+    /// The first `mid` bytes and the rest.
+    fn split(self, mid: usize) -> (Self, Self);
+    /// These bytes, read-only.
+    fn shared(self) -> &'a [u8];
+    /// These bytes as a PREDICT batch of `dim`-feature rows.
+    fn rows(self, dim: usize) -> &'a [u8];
+}
+
+impl<'a> Payload<'a> for &'a [u8] {
+    fn split(self, mid: usize) -> (Self, Self) {
+        self.split_at(mid)
+    }
+
+    fn shared(self) -> &'a [u8] {
+        self
+    }
+
+    fn rows(self, _dim: usize) -> &'a [u8] {
+        self
+    }
+}
+
+impl<'a> Payload<'a> for &'a mut [u8] {
+    fn split(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+
+    fn shared(self) -> &'a [u8] {
+        self
+    }
+
+    fn rows(self, dim: usize) -> &'a [u8] {
+        for row in self.chunks_exact_mut(row_width(dim)) {
+            for m in &mut row[8 * dim..] {
+                *m = u8::from(*m != 0);
+            }
+        }
+        self
+    }
+}
+
+/// Splits fields off the front of a payload, bounds-checked: a short
+/// payload is a typed error, never a panic.
+struct Fields<P> {
+    rest: P,
+}
+
+impl<'a, P: Payload<'a>> Fields<P> {
+    fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    /// The next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<P, ServeError> {
+        let available = self.remaining();
+        if n > available {
+            return Err(ArtifactError::Truncated {
+                needed: n,
+                available,
+            }
+            .into());
+        }
+        let (field, rest) = std::mem::take(&mut self.rest).split(n);
+        self.rest = rest;
+        Ok(field)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ServeError> {
+        Ok(self.take(N)?.shared().try_into().expect("N bytes"))
+    }
+
+    fn u8(&mut self) -> Result<u8, ServeError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, ServeError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, ServeError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, ServeError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// A length-prefixed UTF-8 string.
+    fn str(&mut self) -> Result<String, ServeError> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?.shared())
+            .map(str::to_owned)
+            .map_err(|_| ArtifactError::Malformed("string is not valid UTF-8".into()).into())
+    }
+
+    /// A model selector, its length checked against [`MAX_SELECTOR`]
+    /// before its bytes are read.
+    fn selector(&mut self) -> Result<&'a str, ServeError> {
+        let len = self.u32()? as usize;
+        if len > MAX_SELECTOR {
+            return Err(ServeError::Protocol(format!(
+                "model selector of {len} bytes exceeds the {MAX_SELECTOR}-byte cap"
+            )));
+        }
+        std::str::from_utf8(self.take(len)?.shared())
+            .map_err(|_| ServeError::Protocol("model selector is not valid UTF-8".into()))
+    }
+
+    /// The magic and version bytes every payload opens with.
+    fn version(&mut self) -> Result<(), ServeError> {
+        let magic = self.u8()?;
+        if magic != PROTOCOL_MAGIC {
+            return Err(ServeError::Protocol(format!(
+                "payload lacks the protocol magic (first byte 0x{magic:02x}): \
+                 peer speaks the unversioned v1 protocol or something else entirely"
+            )));
+        }
+        let version = self.u8()?;
+        if version != PROTOCOL_VERSION {
+            return Err(ServeError::Protocol(format!(
+                "peer speaks protocol version {version}, this build speaks {PROTOCOL_VERSION}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Insist the payload was consumed exactly.
+    fn finish(self) -> Result<(), ServeError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(ArtifactError::Malformed(format!("{n} trailing bytes after payload")).into()),
+        }
+    }
+}
+
+impl<'a> Fields<&'a [u8]> {
+    /// One PROFILE record: `(site key, taken, weight)`.
+    fn record(&mut self) -> Result<(&'a [u8], bool, f64), ServeError> {
+        let key_len = self.u32()? as usize;
+        if key_len == 0 {
+            return Err(ServeError::Protocol(
+                "profile record carries a zero-length site key".into(),
+            ));
+        }
+        if key_len > self.remaining() {
+            return Err(ServeError::Protocol(format!(
+                "profile site key of {key_len} bytes beyond the frame"
+            )));
+        }
+        let key = self.take(key_len)?;
+        let taken = self.u8()? != 0;
+        let weight = self.f64()?;
+        if !weight.is_finite() || weight < 0.0 {
+            return Err(ServeError::Protocol(format!(
+                "profile weight {weight} is not a finite non-negative number"
+            )));
+        }
+        Ok((key, taken, weight))
+    }
+}
+
+/// The one validating request parse, over either kind of [`Payload`].
+fn parse<'a, P: Payload<'a>>(payload: P) -> Result<(u64, RequestView<'a>), ServeError> {
+    let mut r = Fields { rest: payload };
+    r.version()?;
+    let req_id = r.u64()?;
+    let req = match r.u8()? {
+        OP_PREDICT => {
+            let model = r.selector()?;
+            let n = r.u32()? as usize;
+            let dim = r.u32()? as usize;
+            // Each row consumes 9·dim bytes. dim == 0 would make the
+            // bound below vacuous; no real model is 0-dimensional.
+            if n > 0 && dim == 0 {
+                return Err(ServeError::Protocol(
+                    "predict batch claims rows of zero features".into(),
+                ));
+            }
+            let Some(need) = dim
+                .checked_mul(9)
+                .and_then(|per_row| per_row.checked_mul(n))
+                .filter(|&need| need <= r.remaining())
+            else {
+                return Err(ServeError::Protocol(format!(
+                    "predict batch claims {n} rows × {dim} features beyond the frame"
+                )));
+            };
+            let bytes = r.take(need)?.rows(dim);
+            RequestView::Predict {
+                model,
+                rows: PredictRows { dim, bytes },
+            }
+        }
+        OP_STATS => RequestView::Stats,
+        OP_INFO => RequestView::Info {
+            model: r.selector()?,
+        },
+        OP_SHUTDOWN => RequestView::Shutdown,
+        OP_PROFILE => {
+            let n = r.u32()? as usize;
+            // Same discipline as PREDICT: bound the claimed record count
+            // by the bytes actually present.
+            if n.checked_mul(PROFILE_RECORD_MIN)
+                .is_none_or(|need| need > r.remaining())
+            {
+                return Err(ServeError::Protocol(format!(
+                    "profile batch claims {n} records beyond the frame"
+                )));
+            }
+            // The records run to the end of the payload: check each one,
+            // then that nothing trails them.
+            let bytes = r.take(r.remaining())?.shared();
+            let mut records = Fields { rest: bytes };
+            for _ in 0..n {
+                records.record()?;
+            }
+            records.finish()?;
+            RequestView::Profile(ProfileRecords { n, bytes })
+        }
+        other => return Err(ServeError::Protocol(format!("unknown opcode {other}"))),
+    };
+    r.finish()?;
+    Ok((req_id, req))
 }
 
 const ST_OK: u8 = 0;
@@ -682,8 +936,8 @@ impl Response {
 
     /// Decode a frame payload, returning `(req_id, response)`.
     pub fn decode_with_id(payload: &[u8]) -> Result<(u64, Self), ServeError> {
-        let mut r = ByteReader::new(payload);
-        check_version(&mut r)?;
+        let mut r = Fields { rest: payload };
+        r.version()?;
         let req_id = r.u64()?;
         let status = r.u8()?;
         if status == ST_ERR {

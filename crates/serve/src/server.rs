@@ -47,8 +47,8 @@ use crate::models::{entry_from_artifact, ModelTable};
 use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::predict::Predictor;
 use crate::protocol::{
-    FrameReader, PredictRow, Prediction, ProfileAck, ProfileRecord, Request, Response, ServeError,
-    ServerInfo,
+    FrameReader, PredictRows, Prediction, ProfileAck, ProfileRecords, RequestView, Response,
+    ServeError, ServerInfo,
 };
 
 /// Server tuning knobs.
@@ -533,7 +533,7 @@ fn read_frames(shared: &Shared, predictor: &mut Predictor, conn: &mut Conn) {
             frames.read(&mut &*stream)
         };
         match read {
-            Ok(Some(payload)) => handle_frame(shared, predictor, &mut conn.out, &payload),
+            Ok(Some(mut payload)) => handle_frame(shared, predictor, &mut conn.out, &mut payload),
             Ok(None) => {
                 conn.read_closed = true;
                 return;
@@ -578,9 +578,10 @@ fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// Decode one frame, answer it, and append the framed reply to `out`.
-fn handle_frame(shared: &Shared, predictor: &mut Predictor, out: &mut Vec<u8>, payload: &[u8]) {
-    // End-to-end service clock: covers decode, handling (the kernel over
+/// Parse one frame in place, answer it, and append the framed reply to
+/// `out`.
+fn handle_frame(shared: &Shared, predictor: &mut Predictor, out: &mut Vec<u8>, payload: &mut [u8]) {
+    // End-to-end service clock: covers the parse, handling (the kernel over
     // any misses included) and response encode; the write happens on the
     // shared reactor and is not attributed to individual requests.
     let svc_start = Instant::now();
@@ -588,13 +589,13 @@ fn handle_frame(shared: &Shared, predictor: &mut Predictor, out: &mut Vec<u8>, p
     // The client's request id (0 = unset) is echoed on the response and
     // stamped into server spans, so merged client+server traces correlate
     // request-for-request.
-    let (id, resp) = match Request::decode_with_id(payload) {
+    let (id, resp) = match RequestView::parse(payload) {
         Err(e) => (0, Response::Error(e.to_string())),
-        Ok((id, Request::Info { model })) => match shared.models.resolve(&model) {
+        Ok((id, RequestView::Info { model })) => match shared.models.resolve(model) {
             Ok(entry) => (id, Response::Info(entry.info.clone())),
             Err(msg) => (id, Response::Error(msg)),
         },
-        Ok((id, Request::Stats)) => {
+        Ok((id, RequestView::Stats)) => {
             // A STATS request records its own metrics *before* the
             // exposition renders, so the reply carries exactly the
             // registry state a quiesced follow-up `/metrics` scrape sees —
@@ -604,40 +605,37 @@ fn handle_frame(shared: &Shared, predictor: &mut Predictor, out: &mut Vec<u8>, p
             push_frame(out, &reply.encode_with_id(id));
             return;
         }
-        Ok((id, Request::Shutdown)) => {
+        Ok((id, RequestView::Shutdown)) => {
             shared.request_stop();
             (id, Response::ShuttingDown)
         }
-        Ok((id, Request::Profile(records))) => (id, handle_profile(shared, &records, id)),
-        Ok((id, Request::Predict { model, rows })) => {
-            (id, handle_predict(shared, predictor, &model, &rows))
+        Ok((id, RequestView::Profile(records))) => (id, handle_profile(shared, records, id)),
+        Ok((id, RequestView::Predict { model, rows })) => {
+            (id, handle_predict(shared, predictor, model, rows))
         }
     };
     push_frame(out, &resp.encode_with_id(id));
     record_request(shared, svc_start);
 }
 
-/// Answer a PREDICT: resolve its model, check every row's width, and
+/// Answer a PREDICT: resolve its model, check the batch's width, and
 /// predict every row — each probability with its `> 0.5` direction.
 fn handle_predict(
     shared: &Shared,
     predictor: &mut Predictor,
     model: &str,
-    rows: &[PredictRow],
+    rows: PredictRows<'_>,
 ) -> Response {
     let entry = match shared.models.resolve(model) {
         Ok(e) => e,
         Err(msg) => return Response::Error(msg),
     };
     let dim = entry.info.dim as usize;
-    for (i, r) in rows.iter().enumerate() {
-        if r.row.len() != dim || r.mask.len() != dim {
-            return Response::Error(format!(
-                "row {i}: got {} values / {} mask bits, model expects {dim}",
-                r.row.len(),
-                r.mask.len()
-            ));
-        }
+    if !rows.is_empty() && rows.dim() != dim {
+        return Response::Error(format!(
+            "rows carry {} features, model expects {dim}",
+            rows.dim()
+        ));
     }
     let m = &shared.metrics;
     m.predict_requests.inc();
@@ -663,28 +661,32 @@ fn record_request(shared: &Shared, svc_start: Instant) {
     shared.req_window.record(shared.now_us(), us);
 }
 
-/// Apply a PROFILE batch to the accuracy ledger and the last-minute
-/// observed/mispredict windows.
-fn handle_profile(shared: &Shared, records: &[ProfileRecord], req_id: u64) -> Response {
+/// Apply a PROFILE batch to the accuracy ledger, and its applied and
+/// mispredicted micro-weights, summed, to the last-minute windows.
+fn handle_profile(shared: &Shared, records: ProfileRecords<'_>, req_id: u64) -> Response {
     let mut sp = esp_obs::span!("serve", "profile_batch", records = records.len());
     let mut ack = ProfileAck::default();
-    let now_us = shared.now_us();
-    for rec in records {
-        match shared
-            .ledger
-            .record_outcome(&rec.site_key, rec.taken, rec.weight)
-        {
-            OutcomeRecord::Applied { mispredicted } => {
+    let (mut observed, mut mispredicted) = (0u64, 0u64);
+    for (key, taken, weight) in records.iter() {
+        match shared.ledger.record_outcome(key, taken, weight) {
+            OutcomeRecord::Applied { mispredicted: miss } => {
                 ack.applied += 1;
-                let micro = (rec.weight * WEIGHT_SCALE) as u64;
-                shared.observed_window.record(now_us, micro);
-                if mispredicted {
-                    shared.mispredict_window.record(now_us, micro);
+                let micro = (weight * WEIGHT_SCALE) as u64;
+                observed = observed.saturating_add(micro);
+                if miss {
+                    mispredicted = mispredicted.saturating_add(micro);
                 }
             }
             OutcomeRecord::Unmatched => ack.unmatched += 1,
             OutcomeRecord::Disabled => {}
         }
+    }
+    // `/healthz` reads both windows only for their sums, which saturate as
+    // these do: one record per frame reads as one per applied record did.
+    if ack.applied > 0 {
+        let now_us = shared.now_us();
+        shared.observed_window.record(now_us, observed);
+        shared.mispredict_window.record(now_us, mispredicted);
     }
     if sp.is_enabled() {
         sp.arg("req", req_id);

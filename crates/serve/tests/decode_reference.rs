@@ -1,14 +1,17 @@
-//! The bulk request decoder against the byte-at-a-time reference
+//! The request parse against the byte-at-a-time reference
 //! (`reference/mod.rs`): over seeded frames — valid, truncated, padded and
-//! lying about their counts — `Request::decode_with_id` returns exactly
-//! what the reference returns, bit for bit, or an error of the same kind.
+//! lying about their counts — both `Request::decode_with_id` and the
+//! server's in-place `RequestView::parse` accept exactly what the
+//! reference accepts, with what it returns bit for bit, and refuse the
+//! rest with an error of the same kind. Every row the in-place parse
+//! leaves in a PREDICT frame is `site_key` of the reference's row.
 
 mod reference;
 
 use std::mem::discriminant;
 
-use esp_serve::protocol::{MAX_SELECTOR, PROTOCOL_MAGIC, PROTOCOL_VERSION};
-use esp_serve::{Request, ServeError};
+use esp_serve::protocol::{RequestView, MAX_SELECTOR, PROTOCOL_MAGIC, PROTOCOL_VERSION};
+use esp_serve::{site_key, Request, ServeError};
 
 /// f64 bit patterns a row can carry that a value comparison would blur:
 /// NaN payloads of both signs, −0.0, subnormals, infinities.
@@ -187,16 +190,40 @@ fn bits(req: Request) -> Bits {
     }
 }
 
-/// Decode `frame` both ways and insist they agree. Returns whether it
+/// Decode `frame` every way and insist they agree. Returns whether it
 /// decoded.
 fn agree(frame: &[u8]) -> bool {
+    let mut in_place = frame.to_vec();
+    let parsed = RequestView::parse(&mut in_place);
     match (
         Request::decode_with_id(frame),
         reference::decode_with_id(frame),
     ) {
         (Ok((id, got)), Ok((want_id, want))) => {
             assert_eq!(id, want_id, "request id of {frame:02x?}");
-            assert_eq!(bits(got), bits(want), "request of {frame:02x?}");
+            let (view_id, view) = parsed.unwrap_or_else(|e| {
+                panic!("in-place parse refused {frame:02x?}: {e}");
+            });
+            assert_eq!(view_id, want_id, "in-place request id of {frame:02x?}");
+            if let (
+                RequestView::Predict { rows, .. },
+                Request::Predict {
+                    rows: want_rows, ..
+                },
+            ) = (view, &want)
+            {
+                assert_eq!(rows.len(), want_rows.len(), "rows of {frame:02x?}");
+                for (key, r) in rows.iter().zip(want_rows) {
+                    assert_eq!(key, site_key(&r.row, &r.mask), "row of {frame:02x?}");
+                }
+            }
+            let want = bits(want);
+            assert_eq!(bits(got), want, "request of {frame:02x?}");
+            assert_eq!(
+                bits(view.to_request()),
+                want,
+                "in-place request of {frame:02x?}"
+            );
             true
         }
         (Err(got), Err(want)) => {
@@ -204,6 +231,13 @@ fn agree(frame: &[u8]) -> bool {
                 discriminant(&got) == discriminant(&want),
                 "error kinds differ on {frame:02x?}: {got} vs {want}"
             );
+            match parsed {
+                Ok(_) => panic!("in-place parse accepted {frame:02x?}: {want}"),
+                Err(e) => assert!(
+                    discriminant(&e) == discriminant(&want),
+                    "in-place error kind differs on {frame:02x?}: {e} vs {want}"
+                ),
+            }
             false
         }
         (got, want) => panic!("decoders disagree on {frame:02x?}: {got:?} vs {want:?}"),
@@ -252,6 +286,12 @@ fn nonzero_mask_bytes_decode_as_set_and_empty_batches_need_no_dim() {
     };
     assert_eq!(rows[0].mask, [false, true, true, true]);
     assert_eq!(rows[0].row[2].to_bits(), 0x7FF8_0000_0000_0001);
+    // In place, the mask bytes are rewritten to 0/1 inside the frame.
+    let Ok((3, RequestView::Predict { rows, .. })) = RequestView::parse(&mut f) else {
+        panic!("one-row PREDICT must parse in place");
+    };
+    let row = rows.iter().next().expect("one row");
+    assert_eq!(row[32..], [0, 1, 1, 1]);
 
     for dim in [0usize, 5] {
         let mut f = prefix(4, 1);

@@ -87,10 +87,12 @@ done
 
 echo "==> serve integration test (train -> save -> serve -> bitwise compare)"
 cargo test -q --release --offline -p esp-serve --test serve_integration
-# Release builds wrap on overflow instead of panicking, so the decoder's
-# size checks must also hold against hostile frames there.
-echo "==> hostile frames against a release-built server"
-cargo test -q --release --offline -p esp-serve --test hostile_frames
+# Release builds wrap on overflow instead of panicking, so the parser's
+# size checks and offset arithmetic must also hold there: against hostile
+# frames at a live server, the seeded reference frames, and the in-place
+# hit path.
+echo "==> hostile frames and the in-place parse in release"
+cargo test -q --release --offline -p esp-serve --test hostile_frames --test decode_reference --test cache_alloc
 cargo test -q --release --offline -p esp-artifact --test roundtrip
 # Opt-level 3 vectorizes the panel-tile loops differently from the
 # opt-level-2 dev profile, so the bitwise kernel pins run in release too.
